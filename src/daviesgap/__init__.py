@@ -12,13 +12,13 @@ from .davies import (ThermalParams, JumpOperatorSet, JumpComponent,
                      dissipativity_identity_check, stationarity_residual,
                      reconstruction_residual)
 from .master import (MasterHamiltonian, BlockLabel, XBlockSpec, to_master,
-                     block_labels, block_basis, block_decompose,
+                     block_labels, block_label_of, block_basis, block_decompose,
                      sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
                        abelian_chain_hamiltonian, abelian_chain_kernel,
                        bond_pair_block, lemma1_check, lemma2_bound,
                        lemma3_bound, certify, sweep, write_sweep_csv)
-from .dynamics import (AutocorrelationTrace, expm_action, evolve,
-                       autocorrelation, relaxation_time, fit_decay_rate)
+from .dynamics import (AutocorrelationTrace, autocorrelation, relaxation_time,
+                       fit_decay_rate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

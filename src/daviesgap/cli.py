@@ -166,6 +166,7 @@ def _cmd_dynamics(args) -> int:
           f"relaxation_time={tau:.8g} schwarz_slack={trace.schwarz_slack():.3e}")
     _write_json(cfg, {"observable": trace.observable,
                       "fitted_rate": trace.fitted_rate,
+                      "exact_rate": trace.meta["exact_rate"],
                       "relaxation_time": tau,
                       "schwarz_slack": trace.schwarz_slack(),
                       "gap_estimate": trace.meta.get("gap_estimate")})

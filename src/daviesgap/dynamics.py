@@ -1,10 +1,11 @@
 """Semigroup evolution of observables and autocorrelation traces.
 
-The full generator splits as i*delta + L with delta diagonal in the
-stabilizer eigenbasis and commuting with the dissipative part, so the
-coherent factor is an exact phase and only exp(t*L) needs Krylov work.
-Matrix exponential action uses an Arnoldi approximation with step
-subdivision until two refinements agree.
+Conjugation by every stabilizer and logical operator commutes with the
+generator, so a Pauli observable carried to Hilbert-Schmidt space
+(X -> X rho^{1/2}) stays inside its charge block of the master operator K.
+There the coherent part i*delta is diagonal and commutes with K, so the full
+evolution exp(t(-K_b + i*delta_b)) is exact from one eigendecomposition of
+the 2^k-dimensional block K_b, for every time of the grid.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .basis import build_frame
 from .davies import SuperOperatorRep, ThermalParams, build_generator, \
     default_couplings, GeneratorError
+from .master import BlockLabel, MasterHamiltonian, block_basis, \
+    block_label_of, block_matrix, to_master
 from .models import ModelSpec
-from .pauli import PauliString
+from .pauli import PauliString, commutant_dimension
+from .spectral import gap_from_blocks
 
 
 class EvolutionError(RuntimeError):
@@ -28,107 +31,42 @@ class EvolutionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Krylov exponential action
+# Exact charge-block propagator
 # ---------------------------------------------------------------------------
 
-def _arnoldi_step(matvec, v, t, m):
-    """exp(t*M) v via an m-dimensional Arnoldi approximation."""
-    n = v.shape[0]
-    beta = np.linalg.norm(v)
-    if beta == 0.0:
-        return v.copy()
-    basis = np.zeros((m + 1, n), dtype=complex)
-    h = np.zeros((m + 1, m), dtype=complex)
-    basis[0] = v / beta
-    used = m
-    for j in range(m):
-        w = matvec(basis[j])
-        coeffs = basis[:j + 1].conj() @ w
-        h[:j + 1, j] = coeffs
-        w -= coeffs @ basis[:j + 1]
-        h[j + 1, j] = np.linalg.norm(w)
-        if abs(h[j + 1, j]) < 1e-14:
-            used = j + 1
-            break
-        basis[j + 1] = w / h[j + 1, j]
-    e = sla.expm(t * h[:used, :used])[:, 0]
-    return beta * (e @ basis[:used])
+@dataclass
+class BlockPropagator:
+    """exp(-t*K_b) on one charge block, from one eigendecomposition of K_b.
 
-
-def expm_action(matrix, v, t: float, tol: float = 1e-9, krylov_dim: int = 30,
-                max_doublings: int = 24, steps_hint: int = 1) -> np.ndarray:
-    """exp(t*matrix) @ v with step subdivision until refinements agree.
-
-    The step count doubles until two successive results differ by less than
-    ``tol`` relative to the vector norm; failure to stabilize raises.  A
-    ``steps_hint`` (e.g. carried over from a previous call on a similar
-    interval) seeds the subdivision without changing the acceptance test.
+    ``basis`` is the block's isometry into operator space; ``delta`` holds
+    the coherent part E(sigma) - E(sigma ^ flip) of each block column, so
+    exp(i*t*delta) * propagate(x, t) is the full evolution.
     """
-    w, _ = _expm_action_steps(matrix, v, t, tol, krylov_dim, max_doublings,
-                              steps_hint)
-    return w
 
+    label: BlockLabel
+    basis: sp.csc_matrix
+    vals: np.ndarray
+    vecs: np.ndarray
+    delta: np.ndarray
 
-def _expm_action_steps(matrix, v, t, tol, krylov_dim, max_doublings,
-                       steps_hint):
-    if t == 0.0:
-        return np.array(v, dtype=complex, copy=True), steps_hint
-    matvec = (lambda x: matrix @ x)
-    m = min(krylov_dim, matrix.shape[0])
-    steps = max(1, int(steps_hint))
-    # for a contraction semigroup, accuracy relative to the initial norm is
-    # the best roundoff allows once the state has decayed
-    floor = np.linalg.norm(v)
-    prev = None
-    for _ in range(max_doublings):
-        w = np.array(v, dtype=complex, copy=True)
-        dt = t / steps
-        # coarse attempts may overflow before being rejected below
-        with np.errstate(all="ignore"):
-            for _ in range(steps):
-                w = _arnoldi_step(matvec, w, dt, m)
-        with np.errstate(all="ignore"):
-            nw = float(np.linalg.norm(w))
-        if not (np.all(np.isfinite(w)) and math.isfinite(nw)):
-            # Krylov projection overflowed; only finer steps count
-            prev = None
-            steps *= 2
-            continue
-        if prev is not None:
-            scale = max(nw, floor, 1e-300)
-            diff = float(np.linalg.norm(w - prev))
-            if math.isfinite(diff) and diff <= tol * scale:
-                return w, max(1, steps // 2)
-        prev = w
-        steps *= 2
-    raise EvolutionError("exponential action did not stabilize under subdivision")
+    @classmethod
+    def of(cls, master: MasterHamiltonian, label: BlockLabel) -> "BlockPropagator":
+        frame = master.frame
+        basis = block_basis(frame, label)
+        vals, vecs = np.linalg.eigh(block_matrix(master.matrix, basis))
+        sigma = np.arange(label.dim)
+        delta = (frame.energies[frame.state_index(sigma, 0)]
+                 - frame.energies[frame.state_index(sigma ^ label.flip, 0)])
+        return cls(label=label, basis=basis, vals=vals, vecs=vecs, delta=delta)
 
+    def propagate(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.vecs @ (np.exp(-t * self.vals) * (self.vecs.conj().T @ x))
 
-def evolve(rep, a_vec: np.ndarray, t: float, tol: float = 1e-9) -> np.ndarray:
-    """Apply the semigroup at time t to an operator vector.
-
-    A Liouville rep stores minus the generator, so it evolves as exp(-t*M);
-    the same sign applies to the Hilbert-Schmidt master operator.  Plain
-    matrices and linear operators are exponentiated as given.
-    """
-    if t < 0:
-        raise EvolutionError("evolution time must be nonnegative")
-    if isinstance(rep, SuperOperatorRep):
-        matrix = -rep.matrix
-    else:
-        matrix = rep
-    return expm_action(matrix, np.asarray(a_vec, dtype=complex), t, tol=tol)
-
-
-def dissipative_matrix(lrep: SuperOperatorRep):
-    """The generator L itself (the rep stores -L)."""
-    return -lrep.matrix
-
-
-def full_generator_matrix(lrep: SuperOperatorRep):
-    """i*delta + L as a sparse matrix (normal, not Hermitian)."""
-    delta = lrep.delta_diagonal()
-    return (-lrep.matrix + sp.diags(1j * delta)).tocsr()
+    def slowest_rate(self, x: np.ndarray) -> float:
+        """Smallest eigenvalue whose eigenvector overlaps x by more than
+        1e-10 * ||x||; K is PSD, so roundoff below zero reads as 0."""
+        overlap = np.abs(self.vecs.conj().T @ x)
+        return max(0.0, float(self.vals[overlap > 1e-10 * np.linalg.norm(x)].min()))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +105,15 @@ def default_time_grid(gap_estimate: float, points: int = 60) -> np.ndarray:
 def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
                     observable: PauliString = None, grid=None,
                     gap_estimate: float = None, frame=None,
-                    lrep: SuperOperatorRep = None, tol: float = 1e-9,
+                    lrep: SuperOperatorRep = None,
                     label: str = None) -> AutocorrelationTrace:
     """Both autocorrelation traces of a mean-zero observable.
 
     The full trace uses the complete evolution including the coherent part;
-    the dissipative trace drops it.  The decay rate is fitted on the tail
-    half of the grid, skipping values below 1e-12.
+    the dissipative trace drops it.  Both are evaluated exactly in the
+    observable's charge blocks.  The decay rate is fitted on the tail half of
+    the grid, skipping values below 1e-12; ``meta["exact_rate"]`` is the
+    smallest block eigenvalue the observable overlaps.
     """
     if observable is None:
         observable = model.logicals[0][1]
@@ -185,7 +125,6 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
         lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
     frame = lrep.frame
     rho = lrep.rho
-    d = frame.dim
 
     a = frame.matrix_of(observable).toarray()
     mean = np.sum(rho * np.diagonal(a))
@@ -194,37 +133,43 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
     norm = math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
     a = a / norm
 
+    master = to_master(lrep)
     if grid is None:
         if gap_estimate is None:
-            from .spectral import certify
-            gap_estimate = certify(model, tp, couplings=couplings,
-                                   frame=frame).gap
+            used = {c.coupling_index: c.coupling for c in lrep.components}
+            expected = commutant_dimension(used.values(), model.hamiltonian())
+            gap_estimate = gap_from_blocks(master, expected_kernel=expected).gap
         grid = default_time_grid(gap_estimate)
     grid = np.asarray(grid, dtype=float)
+    bad = grid[~(np.isfinite(grid) & (grid >= 0))]
+    if bad.size:
+        raise EvolutionError(f"evolution time {bad[0]:g} is negative or not finite")
 
-    gram = np.repeat(rho, d)
-    a_vec = a.reshape(-1, order="F")
-    adag_vec = a.conj().T.reshape(-1, order="F")
-    delta = lrep.delta_diagonal()
-    neg_l = lrep.matrix
+    # Hilbert-Schmidt images A^dag rho^{1/2} (evolved) and A rho^{1/2} (probe)
+    sqrt_rho = np.sqrt(rho)[None, :]
+    x_vec = (a.conj().T * sqrt_rho).reshape(-1, order="F")
+    y_vec = (a * sqrt_rho).reshape(-1, order="F")
+    terms = [observable] if isinstance(observable, PauliString) \
+        else [op for _, op in observable.terms]
+    blocks = []
+    for block in dict.fromkeys(block_label_of(frame, p) for p in terms):
+        prop = BlockPropagator.of(master, block)
+        blocks.append((prop, prop.basis.conj().T @ x_vec,
+                       prop.basis.conj().T @ y_vec))
+    captured = sum(float(np.vdot(x, x).real) for _, x, _ in blocks)
+    weight = float(np.vdot(x_vec, x_vec).real)
+    if abs(captured - weight) > 1e-12 * weight:
+        raise GeneratorError(
+            f"observable blocks {[p.label.describe() for p, _, _ in blocks]} "
+            f"capture weight {captured:.15g} of {weight:.15g}")
 
     full = np.zeros(len(grid), dtype=complex)
     dissip = np.zeros(len(grid), dtype=float)
-    psi = adag_vec.copy()
-    t_prev = 0.0
-    hint, dt_prev = 1, None
-    for i, t in enumerate(grid):
-        dt = t - t_prev
-        if dt_prev:
-            hint = max(1, int(hint * dt / dt_prev))
-        psi, hint = _expm_action_steps(-neg_l, psi, dt, tol, 30, 24, hint)
-        dt_prev = dt if dt > 0 else dt_prev
-        t_prev = t
-        # delta commutes with the dissipative part: e^{tG} = e^{it delta} e^{tL}
-        phased = np.exp(1j * t * delta) * psi
-        full[i] = np.sum(a_vec.conj() * gram * phased)
-        val = np.sum(a_vec.conj() * gram * psi)
-        dissip[i] = val.real
+    for prop, x, y in blocks:
+        for i, t in enumerate(grid):
+            w = prop.propagate(x, t)
+            dissip[i] += np.vdot(y, w).real
+            full[i] += np.vdot(y, np.exp(1j * t * prop.delta) * w)
 
     if label is None:
         label = observable.to_label() if isinstance(observable, PauliString) \
@@ -233,7 +178,8 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
         observable=label, times=grid, values_full=full,
         values_dissipative=dissip,
         meta={"betaJ": tp.beta * tp.coupling, "model": model.kind,
-              "gap_estimate": gap_estimate})
+              "gap_estimate": gap_estimate,
+              "exact_rate": min(p.slowest_rate(x) for p, x, _ in blocks)})
     trace.fitted_rate = fit_decay_rate(grid, dissip)
     return trace
 
@@ -255,7 +201,9 @@ def relaxation_time(trace: AutocorrelationTrace, rate_floor: float = 1e-9) -> fl
     """1 / fitted decay rate; a non-decaying trace signals a conserved quantity."""
     rate = trace.fitted_rate
     if not math.isfinite(rate) or rate <= rate_floor:
+        exact = trace.meta.get("exact_rate", float("nan"))
         raise EvolutionError(
-            "trace does not decay: the observable overlaps a conserved quantity "
-            "(non-ergodic coupling set)")
+            f"trace does not decay (fitted_rate={rate:.3e}, floor={rate_floor:.1e}, "
+            f"exact_rate={exact:.3e}): the observable overlaps a conserved "
+            "quantity (non-ergodic coupling set)")
     return 1.0 / rate

@@ -144,6 +144,25 @@ def block_labels(frame: StabilizerFrame) -> list:
             for f in range(1 << k) for mu in range(1 << ell) for nu in range(1 << ell)]
 
 
+def block_label_of(frame: StabilizerFrame, pauli: PauliString) -> BlockLabel:
+    """The block holding every operator proportional to ``pauli``.
+
+    Read off the anticommutation pattern: flip bit j with the independent
+    stabilizer ``frame.indep[j]``, mu bit i with logical Z_i (the string moves
+    logical bit i) and nu bit i with logical X_i (conjugation by X_i flips
+    its sign).
+    """
+    model = frame.model
+    flip = sum(1 << j for j, s in enumerate(frame.indep)
+               if not pauli.commutes_with(model.stabilizers[s]))
+    mu = sum(1 << i for i, (_, lz) in enumerate(model.logicals)
+             if not pauli.commutes_with(lz))
+    nu = sum(1 << i for i, (lx, _) in enumerate(model.logicals)
+             if not pauli.commutes_with(lx))
+    return BlockLabel(flip=flip, mu=mu, nu=nu, n_indep=frame.n_indep,
+                      n_logical=frame.n_logical)
+
+
 def _logical_x_chain(frame: StabilizerFrame, u: int, subset: int):
     """Apply the X logicals in `subset` to state u; returns (state, phase)."""
     phase = 1.0 + 0.0j

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from daviesgap.cli import main
 
 
@@ -83,13 +85,18 @@ class TestSweep:
 class TestDynamics:
     def test_trace_csv(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
+        report = tmp_path / "trace.json"
         code = run_cli(["dynamics", "--model", "ising", "--size", "3",
                         "--betaJ", "0.25", "--observable", "Z1",
-                        "--out", str(out)])
+                        "--out", str(out), "--json", str(report)])
         assert code == 0
         text = capsys.readouterr().out
         assert "relaxation_time=" in text
         assert out.read_text().startswith("t,re_full,im_full,dissipative")
+        payload = json.loads(report.read_text())
+        assert payload["exact_rate"] == pytest.approx(payload["gap_estimate"],
+                                                      rel=1e-12)
+        assert payload["relaxation_time"] == 1.0 / payload["fitted_rate"]
 
 
 class TestExport:

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import daviesgap.dynamics as dynamics
+import daviesgap.spectral as spectral
 from daviesgap.davies import GeneratorError, ThermalParams, build_generator
-from daviesgap.dynamics import (EvolutionError, autocorrelation,
-                                default_time_grid, evolve, expm_action,
-                                fit_decay_rate, full_generator_matrix,
-                                relaxation_time)
+from daviesgap.dynamics import (BlockPropagator, EvolutionError,
+                                autocorrelation, default_time_grid,
+                                fit_decay_rate, relaxation_time)
+from daviesgap.master import BlockLabel, block_labels, to_master
+from daviesgap.models import build_ising_ring
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import certify
 
@@ -16,54 +22,84 @@ def ising3_rep(ising3, ising3_frame):
                            frame=ising3_frame)
 
 
+@pytest.fixture(scope="module")
+def ising3_props(ising3_rep):
+    master = to_master(ising3_rep)
+    return master, [BlockPropagator.of(master, label)
+                    for label in block_labels(ising3_rep.frame)]
+
+
+def _random_block_vector(prop, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(prop.label.dim)
+            + 1j * rng.standard_normal(prop.label.dim))
+
+
+def _dense_traces(lrep, observable, times):
+    """Both traces from scipy's dense expm of the full generator (oracle)."""
+    frame, rho = lrep.frame, lrep.rho
+    a = frame.matrix_of(observable).toarray()
+    a = a / math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
+    gram = lrep.gram_diag()
+    a_vec = a.reshape(-1, order="F")
+    adag_vec = a.conj().T.reshape(-1, order="F")
+    neg_l = lrep.dense()
+    full_gen = np.diag(1j * lrep.delta_diagonal()) - neg_l
+    full = [np.sum(a_vec.conj() * gram * (sla.expm(t * full_gen) @ adag_vec))
+            for t in times]
+    dissip = [np.sum(a_vec.conj() * gram * (sla.expm(-t * neg_l) @ adag_vec)).real
+              for t in times]
+    return np.array(full), np.array(dissip)
+
+
 class TestExponentialAction:
-    def test_zero_time_is_identity(self, ising3_rep):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert np.array_equal(evolve(-ising3_rep.matrix, v, 0.0), v)
+    def test_zero_time_is_identity(self, ising3_props):
+        _, props = ising3_props
+        for i, prop in enumerate(props):
+            x = _random_block_vector(prop, i)
+            assert np.linalg.norm(prop.propagate(x, 0.0) - x) \
+                < 1e-12 * np.linalg.norm(x)
 
-    def test_matches_dense_exponential(self, ising3_rep):
-        g = full_generator_matrix(ising3_rep)
-        evals, vecs = np.linalg.eig(g.toarray())
-        vinv = np.linalg.inv(vecs)
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        for t in (0.05, 0.9, 4.0, 20.0):
-            w = expm_action(g, v, t)
-            want = vecs @ (np.exp(t * evals) * (vinv @ v))
-            assert np.linalg.norm(w - want) < 1e-8 * max(np.linalg.norm(want), 1)
+    def test_matches_dense_exponential(self, ising3, ising3_rep):
+        mixed = PauliSum.from_terms([(1.0, PauliString.single(3, 0, "X")),
+                                     (0.5, PauliString.single(3, 1, "Y"))])
+        times = [0.0, 0.05, 0.9, 4.0, 20.0]
+        for observable in (ising3.logicals[0][1], ising3.logicals[0][0], mixed):
+            tr = autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                                 observable=observable, grid=times,
+                                 lrep=ising3_rep)
+            full, dissip = _dense_traces(ising3_rep, observable, times)
+            assert np.abs(tr.values_full - full).max() < 1e-12, observable
+            assert np.abs(tr.values_dissipative - dissip).max() < 1e-12
 
-    def test_identity_is_preserved(self, ising3_rep, ising3_frame):
-        d = ising3_frame.dim
-        ident = np.eye(d, dtype=complex).reshape(-1, order="F")
-        g = full_generator_matrix(ising3_rep)
+    def test_identity_is_preserved(self, ising3_props):
+        # the identity maps to rho^{1/2}, all of it in block (flip 0, sector I)
+        master, props = ising3_props
+        prop = props[0]
+        assert prop.label == BlockLabel(0, 0, 0, 2, 1)
+        x = prop.basis.conj().T @ master.kernel_witness
+        assert abs(np.linalg.norm(x) - 1.0) < 1e-12
         for t in (0.7, 5.0):
-            w = expm_action(g, ident, t)
-            assert np.linalg.norm(w - ident) < 1e-9
+            assert np.linalg.norm(prop.propagate(x, t) - x) < 1e-12
 
-    def test_gibbs_mean_is_conserved(self, ising3_rep, ising3_frame):
-        rng = np.random.default_rng(3)
-        d = ising3_frame.dim
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        mean0 = np.sum(ising3_rep.rho * np.diagonal(x))
-        v = x.reshape(-1, order="F")
+    def test_gibbs_mean_is_conserved(self, ising3_props):
+        # the Gibbs mean is the overlap with rho^{1/2}, a kernel vector of K
+        master, props = ising3_props
+        prop = props[0]
+        witness = prop.basis.conj().T @ master.kernel_witness
+        x = _random_block_vector(prop, 3)
+        mean0 = np.vdot(witness, x)
         for t in (1.0, 20.0):
-            w = evolve(-ising3_rep.matrix, v, t).reshape((d, d), order="F")
-            mean = np.sum(ising3_rep.rho * np.diagonal(w))
-            assert abs(mean - mean0) < 1e-10 * max(1.0, abs(mean0))
+            mean = np.vdot(witness, prop.propagate(x, t))
+            assert abs(mean - mean0) < 1e-12 * np.linalg.norm(x)
 
-    def test_negative_time_rejected(self, ising3_rep):
-        with pytest.raises(EvolutionError):
-            evolve(-ising3_rep.matrix, np.ones(64, dtype=complex), -1.0)
-
-    def test_rep_input_evolves_as_a_contraction(self, ising3_rep,
-                                                ising3_frame):
-        # a Liouville rep stores -L; evolving it must decay, not grow
-        z = ising3_frame.matrix_of(
-            ising3_rep.frame.model.logicals[0][1]).toarray()
-        v = z.reshape(-1, order="F")
-        w = evolve(ising3_rep, v, 3.0)
-        assert np.linalg.norm(w) < np.linalg.norm(v)
+    def test_block_propagator_is_a_contraction(self, ising3_props):
+        _, props = ising3_props
+        for i, prop in enumerate(props):
+            x = _random_block_vector(prop, 100 + i)
+            norms = [np.linalg.norm(prop.propagate(x, t))
+                     for t in (0.0, 0.1, 1.0, 10.0)]
+            assert np.all(np.diff(norms) <= 1e-12 * norms[0])
 
 
 class TestAutocorrelation:
@@ -133,6 +169,39 @@ class TestAutocorrelation:
         with pytest.raises(GeneratorError):
             autocorrelation(ising3, tp, observable=bad, gap_estimate=1.0)
 
+    @pytest.mark.parametrize("grid, shown", [([-1.0, 0.5], "-1"),
+                                             ([0.5, math.nan], "nan"),
+                                             ([math.inf], "inf")],
+                             ids=["negative", "nan", "inf"])
+    def test_bad_time_grid_rejected(self, ising3, grid, shown):
+        with pytest.raises(EvolutionError, match=f"time {shown} is negative"):
+            autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                            observable=ising3.logicals[0][1], grid=grid)
+
+    def test_missed_block_weight_rejected(self, ising3, monkeypatch):
+        # a wrong label lookup must not pass silently as a zero trace
+        monkeypatch.setattr(dynamics, "block_label_of",
+                            lambda frame, p: BlockLabel(0, 0, 0, 2, 1))
+        with pytest.raises(GeneratorError, match="capture weight 0 of 1"):
+            autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                            observable=ising3.logicals[0][1], gap_estimate=2.0)
+
+    def test_default_gap_estimate_builds_generator_once(self, ising3,
+                                                        monkeypatch):
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return build_generator(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "build_generator", counting_build)
+        monkeypatch.setattr(spectral, "build_generator", counting_build)
+        tp = ThermalParams.from_betaJ(0.25)
+        tr = autocorrelation(ising3, tp, observable=ising3.logicals[0][1])
+        assert len(builds) == 1
+        monkeypatch.undo()
+        assert tr.meta["gap_estimate"] == certify(ising3, tp).gap
+
 
 class TestRelaxationTime:
     def test_size_independence_window(self):
@@ -156,8 +225,22 @@ class TestRelaxationTime:
                              couplings=couplings,
                              observable=ising3.logicals[0][0],
                              gap_estimate=1.0)
-        with pytest.raises(EvolutionError):
+        with pytest.raises(EvolutionError,
+                           match=r"fitted_rate=\S+, floor=1\.0e-09, "
+                                 r"exact_rate=\S+\)") as err:
             relaxation_time(tr)
+        assert tr.meta["exact_rate"] < 1e-12
+        assert f"exact_rate={tr.meta['exact_rate']:.3e}" in str(err.value)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_exact_rate_is_gap_and_fit_agrees(self, n):
+        m = build_ising_ring(n)
+        for betaJ in (0.0, 0.25, 1.0):
+            tr = autocorrelation(m, ThermalParams.from_betaJ(betaJ),
+                                 observable=m.logicals[0][1])
+            exact = tr.meta["exact_rate"]
+            assert exact >= tr.meta["gap_estimate"] - 1e-12
+            assert abs(tr.fitted_rate / exact - 1.0) < 0.05
 
     def test_fit_recovers_pure_exponential(self):
         t = np.linspace(0.1, 10, 40)

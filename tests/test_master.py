@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from daviesgap.davies import ThermalParams, build_generator, GeneratorError
 from daviesgap.master import (XBlockSpec, block_basis, block_decompose,
-                              block_labels, block_offdiagonal_defect,
-                              sign_flip_restriction, to_master)
+                              block_label_of, block_labels,
+                              block_offdiagonal_defect, sign_flip_restriction,
+                              to_master)
 from daviesgap.models import build_ising_ring
 from daviesgap.pauli import PauliString
 
@@ -115,6 +117,32 @@ class TestBlockDecomposition:
         labels = block_labels(toric2_frame)
         assert len(labels) == 64 * 16
         assert sum(l.dim for l in labels) == 4 ** 8
+
+
+class TestBlockLabelOf:
+    @staticmethod
+    def assert_lookup_matches_projection(frame, strings):
+        """block_label_of is the only block a string projects onto."""
+        labels = block_labels(frame)
+        every = sp.hstack([block_basis(frame, l) for l in labels], format="csc")
+        for p in strings:
+            v = frame.matrix_of(p).toarray().reshape(-1, order="F")
+            coeff = every.conj().T @ v
+            hit = {labels[c // labels[0].dim]
+                   for c in np.flatnonzero(np.abs(coeff) > 1e-9)}
+            assert hit == {block_label_of(frame, p)}, p.to_label()
+
+    def test_every_string_on_ring3(self, ising3_frame):
+        self.assert_lookup_matches_projection(
+            ising3_frame, [PauliString(3, x, z, 0)
+                           for x in range(8) for z in range(8)])
+
+    def test_seeded_sample_on_torus(self, toric2_frame):
+        codes = np.random.default_rng(11).choice(1 << 16, size=50,
+                                                 replace=False)
+        self.assert_lookup_matches_projection(
+            toric2_frame, [PauliString(8, int(c) & 0xFF, int(c) >> 8, 0)
+                           for c in codes])
 
 
 class TestMixedUnitEigenaction:
