@@ -1,8 +1,7 @@
 """Thermal generators for commuting-Pauli models and their spectral gaps."""
 
-from .pauli import (PauliString, PauliSum, pauli_multiply, commutes,
-                    commutant_dimension, to_matrix, write_coo_text,
-                    read_coo_text)
+from .pauli import (PauliString, PauliSum, commutes, commutant_dimension,
+                    write_coo_text, read_coo_text)
 from .models import (ModelSpec, SnakeCombPartition, ModelReport,
                      build_ising_ring, build_toric_code, verify_model)
 from .basis import StabilizerFrame, build_frame
@@ -11,9 +10,9 @@ from .davies import (ThermalParams, JumpOperatorSet, JumpComponent,
                      default_couplings, detailed_balance_residual,
                      dissipativity_identity_check, stationarity_residual,
                      reconstruction_residual)
-from .master import (MasterHamiltonian, BlockLabel, XBlockSpec, to_master,
-                     block_labels, block_label_of, block_basis, block_decompose,
-                     sign_flip_restriction)
+from .master import (MasterHamiltonian, BlockLabel, ChargeBlocks, XBlockSpec,
+                     to_master, block_labels, block_label_of, sector_index,
+                     sector_isometries, sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
                        abelian_chain_hamiltonian, abelian_chain_kernel,
                        bond_pair_block, lemma1_check, lemma2_bound,

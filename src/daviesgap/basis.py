@@ -48,12 +48,6 @@ class StabilizerFrame:
     def state_index(self, syndrome: int, logical: int) -> int:
         return (logical << self.n_indep) | syndrome
 
-    def syndrome_of(self, u: int) -> int:
-        return u & ((1 << self.n_indep) - 1)
-
-    def logical_of(self, u: int) -> int:
-        return u >> self.n_indep
-
     # -- thermal weights ------------------------------------------------------
 
     def gibbs(self, beta: float) -> np.ndarray:
@@ -88,10 +82,6 @@ class StabilizerFrame:
                 raise ModelError("non-unimodular Pauli action in frame")
             phase[u] = _snap_unimodular(c)
         return perm, phase
-
-    def vec_index(self, u: int, v: int) -> int:
-        """Column-major index of the matrix unit |u><v| in operator space."""
-        return u + self.dim * v
 
 
 def _snap_unimodular(c: complex) -> complex:

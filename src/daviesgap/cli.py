@@ -119,10 +119,13 @@ def _cmd_gap(args) -> int:
     cfg = _merge(args)
     model = _model_of(cfg)
     tp = ThermalParams.from_betaJ(_betaJ_of(cfg), cfg["coupling"])
+    method = cfg.get("method", "blocks")
+    if cfg.get("blocks_out") and method != "blocks":
+        raise ValueError(f"--blocks-out needs --method blocks (got --method {method}): "
+                         "only the blocks method makes a block inventory")
     couplings = default_couplings(model, cfg.get("coupling_letters"))
-    report = certify(model, tp, couplings=couplings,
-                     method=cfg.get("method", "blocks"), seed=cfg["seed"],
-                     inventory=bool(cfg.get("blocks_out")))
+    report = certify(model, tp, couplings=couplings, method=method,
+                     seed=cfg["seed"], inventory=bool(cfg.get("blocks_out")))
     if cfg.get("blocks_out"):
         with open(cfg["blocks_out"], "w") as fh:
             json.dump(report.extras.get("blocks", []), fh, indent=1)

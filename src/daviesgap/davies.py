@@ -14,7 +14,6 @@ h- = 2*gamma^2/(gamma^2+1) with gamma = exp(-2*beta*J).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -56,9 +55,6 @@ class ThermalParams:
     @property
     def h_zero(self) -> float:
         return 1.0
-
-    def eta(self, omega: float) -> float:
-        return math.exp(-self.beta * omega / 2.0)
 
     def rate(self, omega: float) -> float:
         """Jump rate at transition frequency omega; satisfies the
@@ -258,12 +254,6 @@ def thermal_provenance(tp: ThermalParams) -> dict:
     return {"beta": tp.beta, "coupling": tp.coupling, "gamma": tp.gamma,
             "h_plus": tp.h_plus, "h_minus": tp.h_minus, "h_zero": tp.h_zero,
             "basis": "matrix units over the stabilizer eigenbasis, column-major"}
-
-
-def export_provenance(rep: SuperOperatorRep, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(rep.meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

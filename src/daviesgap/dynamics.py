@@ -2,7 +2,8 @@
 
 Conjugation by every stabilizer and logical operator commutes with the
 generator, so a Pauli observable carried to Hilbert-Schmidt space
-(X -> X rho^{1/2}) stays inside its charge block of the master operator K.
+(X -> X rho^{1/2}) stays inside its charge block of the master operator K,
+which is assembled directly from the generator's jump components.
 There the coherent part i*delta is diagonal and commutes with K, so the full
 evolution exp(t(-K_b + i*delta_b)) is exact from one eigendecomposition of
 the 2^k-dimensional block K_b, for every time of the grid.
@@ -19,8 +20,8 @@ import scipy.sparse as sp
 from .basis import build_frame
 from .davies import SuperOperatorRep, ThermalParams, build_generator, \
     default_couplings, GeneratorError
-from .master import BlockLabel, MasterHamiltonian, block_basis, \
-    block_label_of, block_matrix, to_master
+from .master import BlockLabel, ChargeBlocks, block_label_of, sector_index, \
+    sector_isometries
 from .models import ModelSpec
 from .pauli import PauliString, commutant_dimension
 from .spectral import gap_from_blocks
@@ -50,10 +51,14 @@ class BlockPropagator:
     delta: np.ndarray
 
     @classmethod
-    def of(cls, master: MasterHamiltonian, label: BlockLabel) -> "BlockPropagator":
-        frame = master.frame
-        basis = block_basis(frame, label)
-        vals, vecs = np.linalg.eigh(block_matrix(master.matrix, basis))
+    def of(cls, lrep: SuperOperatorRep, label: BlockLabel) -> "BlockPropagator":
+        frame = lrep.frame
+        w = sector_isometries(frame, label.flip, label.mu)[label.nu]
+        rows, cols = np.nonzero(w)
+        basis = sp.csc_matrix(
+            (w[rows, cols], (sector_index(frame, label.flip, label.mu)[rows], cols)),
+            shape=(frame.dim ** 2, label.dim))
+        vals, vecs = np.linalg.eigh(ChargeBlocks(lrep).block(label))
         sigma = np.arange(label.dim)
         delta = (frame.energies[frame.state_index(sigma, 0)]
                  - frame.energies[frame.state_index(sigma ^ label.flip, 0)])
@@ -133,12 +138,11 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
     norm = math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
     a = a / norm
 
-    master = to_master(lrep)
     if grid is None:
         if gap_estimate is None:
             used = {c.coupling_index: c.coupling for c in lrep.components}
             expected = commutant_dimension(used.values(), model.hamiltonian())
-            gap_estimate = gap_from_blocks(master, expected_kernel=expected).gap
+            gap_estimate = gap_from_blocks(lrep, expected_kernel=expected).gap
         grid = default_time_grid(gap_estimate)
     grid = np.asarray(grid, dtype=float)
     bad = grid[~(np.isfinite(grid) & (grid >= 0))]
@@ -153,7 +157,7 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
         else [op for _, op in observable.terms]
     blocks = []
     for block in dict.fromkeys(block_label_of(frame, p) for p in terms):
-        prop = BlockPropagator.of(master, block)
+        prop = BlockPropagator.of(lrep, block)
         blocks.append((prop, prop.basis.conj().T @ x_vec,
                        prop.basis.conj().T @ y_vec))
     captured = sum(float(np.vdot(x, x).real) for _, x, _ in blocks)

@@ -13,8 +13,9 @@ spectrum; the identity survives as the kernel vector rho^{1/2}.
 Blocks: conjugation by any stabilizer or logical operator commutes with the
 generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
-small (2^k with k independent stabilizers), which is what makes desk-scale
-gap certification cheap.
+small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
+straight from the jump components, and the full K of ``to_master`` is kept
+only as the full-space reference.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class MasterHamiltonian:
     def matrix(self):
         return self.rep.matrix
 
-    @property
-    def frame(self) -> StabilizerFrame:
-        return self.rep.frame
-
     def component(self, i: int) -> sp.csr_matrix:
         """Materialize one positive-frequency summand of K."""
         comp = self._components[i]
@@ -82,23 +79,20 @@ def to_master(lrep: SuperOperatorRep) -> MasterHamiltonian:
         raise GeneratorError("generator lacks Gibbs weights or basis frame")
     dim = lrep.frame.dim
     k = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    used = []
-    comps = []
-    for comp in lrep.components:
-        if comp.omega < -1e-12:
-            continue  # covered by the adjoint of the positive-frequency term
+    # negative frequencies are covered by the adjoint of the positive ones
+    comps = [c for c in lrep.components if c.omega >= -1e-12]
+    for comp in comps:
         eta = math.exp(-lrep.beta * comp.omega / 2.0)
         k = k + _g_weight(comp.rate, comp.omega) * _component_k(comp.matrix, eta)
-        used.append((comp.coupling_index, comp.omega))
-        comps.append(comp)
 
     witness = np.zeros(dim * dim, dtype=complex)
     witness[np.arange(dim) * (dim + 1)] = np.sqrt(lrep.rho)
     rep = SuperOperatorRep(matrix=k.tocsr(), space="hilbert-schmidt",
                            beta=lrep.beta, frame=lrep.frame, rho=lrep.rho,
                            components=lrep.components, meta=dict(lrep.meta))
-    master = MasterHamiltonian(rep=rep, kernel_witness=witness,
-                               component_index=used)
+    master = MasterHamiltonian(
+        rep=rep, kernel_witness=witness,
+        component_index=[(c.coupling_index, c.omega) for c in comps])
     master._components = comps
     return master
 
@@ -163,75 +157,135 @@ def block_label_of(frame: StabilizerFrame, pauli: PauliString) -> BlockLabel:
                       n_logical=frame.n_logical)
 
 
-def _logical_x_chain(frame: StabilizerFrame, u: int, subset: int):
-    """Apply the X logicals in `subset` to state u; returns (state, phase)."""
-    phase = 1.0 + 0.0j
-    for i in range(frame.n_logical):
-        if (subset >> i) & 1:
-            phase *= frame.x_phase[i][u]
-            u = int(frame.x_perm[i][u])
-    return u, phase
+def _x_phases(frame: StabilizerFrame) -> np.ndarray:
+    """phase[S, u] with X_S |u> = phase[S, u] |u ^ (S << k)>, X_S applying the
+    X logicals in the bit set S in index order; each X logical must flip
+    exactly its own logical bit."""
+    k, u = frame.n_indep, np.arange(frame.dim)
+    phase = np.ones((1 << frame.n_logical, frame.dim), dtype=complex)
+    for subset in range(1, len(phase)):
+        i = subset.bit_length() - 1
+        rest = subset ^ (1 << i)
+        if not np.array_equal(frame.x_perm[i], u ^ (1 << (k + i))):
+            raise GeneratorError(f"X logical {i + 1} does not flip logical bit {i + 1}")
+        phase[subset] = phase[rest] * frame.x_phase[i][u ^ (rest << k)]
+    return phase
 
 
-def block_basis(frame: StabilizerFrame, label: BlockLabel) -> sp.csc_matrix:
-    """Orthonormal isometry from the block onto operator space.
+def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip: int,
+                      mu: int) -> np.ndarray:
+    """v[nu, u]: the one entry of row u of W[nu] (see ``sector_isometries``).
 
-    Column sigma is the logical-charge projection of the matrix unit
-    |sigma, 0><sigma ^ flip, mu|, an eigenvector of every stabilizer and
-    logical conjugation with the charges encoded in the label.
+    Row u = S * 2^k + sigma holds the X_S-image of |sigma><sigma ^ flip, mu|
+    with its phase and the logical-Z charge (-1)^|S & nu|.
     """
-    k, ell = frame.n_indep, frame.n_logical
-    dim = frame.dim
-    ncols = 1 << k
-    scale = 2.0 ** (-ell / 2.0)
-    rows, cols, vals = [], [], []
-    for sigma in range(ncols):
-        u0 = frame.state_index(sigma, 0)
-        v0 = frame.state_index(sigma ^ label.flip, label.mu)
-        for subset in range(1 << ell):
-            sign = 1.0 - 2.0 * ((subset & label.nu).bit_count() & 1)
-            u, pu = _logical_x_chain(frame, u0, subset)
-            v, pv = _logical_x_chain(frame, v0, subset)
-            rows.append(frame.vec_index(u, v))
-            cols.append(sigma)
-            vals.append(scale * sign * pu * np.conj(pv))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(dim * dim, ncols))
+    s = np.arange(len(x_phase))
+    sigma = np.arange(1 << frame.n_indep)
+    phase = x_phase[:, sigma] * x_phase[:, frame.state_index(sigma ^ flip, mu)].conj()
+    signs = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s[None, :]) & 1)
+    return (signs[:, :, None] * phase[None]).reshape(len(s), -1) / np.sqrt(len(s))
+
+
+def sector_index(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
+    """Operator-space positions u + dim * (u ^ delta) of the sector's matrix
+    units |u><u ^ delta|, delta = state_index(flip, mu), in ket order u."""
+    u = np.arange(frame.dim)
+    return u + frame.dim * (u ^ frame.state_index(flip, mu))
+
+
+def sector_isometries(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
+    """W[nu], a (dim, 2^k) isometry for each logical-Z sector nu.
+
+    Column sigma of W[nu] is the logical-charge symmetrisation of the matrix
+    unit |sigma, 0><sigma ^ flip, mu| over its X-logical images, in the
+    coordinates of ``sector_index``.  Together the W[nu] are a unitary.
+    """
+    v = _isometry_entries(frame, _x_phases(frame), flip, mu)
+    u = np.arange(frame.dim)
+    w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
+    w[:, u, u % w.shape[2]] = v
+    return w
+
+
+def _masked_permutation(matrix) -> tuple:
+    """(d, s) with matrix |u> = s_u |u ^ d>; raises unless that is its shape."""
+    m = sp.csc_matrix(matrix)
+    m.eliminate_zeros()
+    counts = np.diff(m.indptr)
+    if counts.max(initial=0) > 1:
+        raise GeneratorError("jump component has a column with more than one "
+                             "nonzero; it is not a masked generalized permutation")
+    cols = np.repeat(np.arange(m.shape[1]), counts)
+    flips = np.unique(m.indices ^ cols)
+    if flips.size > 1:
+        raise GeneratorError(f"jump component flips {flips.size} different "
+                             "patterns; expected one")
+    s = np.zeros(m.shape[1], dtype=complex)
+    s[cols] = m.data
+    return (int(flips[0]) if flips.size else 0), s
+
+
+class ChargeBlocks:
+    """The charge blocks of K, assembled from the jump components of -L.
+
+    In the stabilizer frame every positive-frequency component is a masked
+    generalized permutation S|u> = s_u |u ^ d>, so K maps the matrix units
+    |u><u ^ delta| of one sector delta into the same sector.  The sector
+    matrix has the diagonal g (D_u + D_{u^delta}), D = |s|^2 + eta^2 |s[. ^ d]|^2,
+    and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
+    at row u ^ d of column u; the ``sector_isometries`` split it into the
+    (flip, mu, nu) blocks.
+    """
+
+    def __init__(self, lrep: SuperOperatorRep):
+        if lrep.space != "liouville":
+            raise GeneratorError("charge blocks are assembled from a Liouville-space generator")
+        frame = self.frame = lrep.frame
+        self._u = np.arange(frame.dim)
+        self._x_phase = _x_phases(frame)
+        self.diagonal = np.zeros(frame.dim)
+        cross: dict = {}
+        for comp in lrep.components:
+            if comp.omega < -1e-12:
+                continue  # covered by the adjoint of the positive-frequency term
+            d, s = _masked_permutation(comp.matrix)
+            eta = math.exp(-lrep.beta * comp.omega / 2.0)
+            g = _g_weight(comp.rate, comp.omega)
+            self.diagonal += g * (np.abs(s) ** 2 + eta ** 2 * np.abs(s[self._u ^ d]) ** 2)
+            cross.setdefault(d, []).append((2.0 * eta * g, s))
+        self._cross = [(d, np.array([w for w, _ in terms]), np.array([s for _, s in terms]))
+                       for d, terms in cross.items()]
+
+    def sector_matrix(self, flip: int, mu: int) -> np.ndarray:
+        """K on the sector's matrix units, in the coordinates of ``sector_index``."""
+        u = self._u
+        ud = u ^ self.frame.state_index(flip, mu)
+        m = np.zeros((u.size, u.size), dtype=complex)
+        m[u, u] = self.diagonal + self.diagonal[ud]
+        for d, weights, s in self._cross:
+            p = weights @ (s * s[:, ud].conj())
+            m[u ^ d, u] -= p + p[u ^ d].conj()
+        return m
+
+    def sector_blocks(self, flip: int, mu: int) -> np.ndarray:
+        """W[nu]^dag K_delta W[nu] for every nu, as a (2^ell, 2^k, 2^k) stack.
+
+        Row u of W[nu] has its one entry v[nu, u] in column u mod 2^k; the stack
+        is real when its imaginary part vanishes exactly (faster eigensolvers)."""
+        v = _isometry_entries(self.frame, self._x_phase, flip, mu)
+        nl, nk = len(v), 1 << self.frame.n_indep
+        kw = (self.sector_matrix(flip, mu) * v[:, None, :]).reshape(nl, -1, nl, nk).sum(axis=2)
+        blocks = (v.conj()[:, :, None] * kw).reshape(nl, nl, nk, nk).sum(axis=1)
+        return blocks if blocks.imag.any() else blocks.real
+
+    def block(self, label: BlockLabel) -> np.ndarray:
+        return self.sector_blocks(label.flip, label.mu)[label.nu]
 
 
 def block_matrix(rep_matrix, basis: sp.csc_matrix) -> np.ndarray:
     m = basis.conj().T @ (rep_matrix @ basis)
     m = m.toarray() if sp.issparse(m) else np.asarray(m)
     return (m + m.conj().T) / 2.0
-
-
-def block_decompose(k_or_rep, model: ModelSpec = None) -> list:
-    """All (BlockLabel, SuperOperatorRep) pairs of a Hilbert-Schmidt operator.
-
-    The direct sum of the returned blocks is unitarily equal to the input;
-    per-block matrices are dense Hermitian of size 2^(independent stabilizers).
-    """
-    rep = k_or_rep.rep if isinstance(k_or_rep, MasterHamiltonian) else k_or_rep
-    if rep.space != "hilbert-schmidt":
-        raise GeneratorError("block decomposition acts on Hilbert-Schmidt reps")
-    frame = rep.frame
-    out = []
-    for label in block_labels(frame):
-        basis = block_basis(frame, label)
-        sub = block_matrix(rep.matrix, basis)
-        out.append((label, SuperOperatorRep(
-            matrix=sub, space="hilbert-schmidt", beta=rep.beta, frame=frame,
-            rho=rep.rho, meta={"block": label.describe()})))
-    return out
-
-
-def block_offdiagonal_defect(rep, label: BlockLabel, seed: int = 0) -> float:
-    """|| K b - B (B^dag K b) || for a random block vector b; zero if invariant."""
-    basis = block_basis(rep.frame, label)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(basis.shape[1])
-    v = basis @ coeff
-    w = rep.matrix @ v
-    return float(np.linalg.norm(w - basis @ (basis.conj().T @ w)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +416,8 @@ class _ToricBlockBasis:
                     * self.snake_flip_operator(m ^ mp)
                     * sector)
 
-        cols = []
-        for alpha in range(1 << len(self.star_idx)):
-            for m in range(1 << len(self.plaq_idx)):
-                for mp in range(1 << len(self.plaq_idx)):
-                    cols.append(self._vec(build(alpha, m, mp)))
-        return sp.hstack(cols, format="csc")
+        return sp.hstack([self._assemble(lambda m, mp: build(alpha, m, mp))
+                          for alpha in range(1 << len(self.star_idx))], format="csc")
 
     def _assemble(self, build) -> sp.csc_matrix:
         cols = []

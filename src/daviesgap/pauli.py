@@ -106,9 +106,6 @@ class PauliString:
         mask = self.x_mask | self.z_mask
         return tuple(j for j in range(self.n) if (mask >> j) & 1)
 
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase == 0
 
@@ -162,11 +159,6 @@ class PauliString:
         return f"PauliString({self.to_label()!r})"
 
 
-def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact product p*q with full phase tracking."""
-    return p * q
-
-
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the symplectic form x_p.z_q + z_p.x_q is even."""
     if p.n != q.n:
@@ -197,10 +189,6 @@ class PauliSum:
         if not terms:
             raise PauliError("empty term list; use PauliSum(n, [])")
         return cls(terms[0][1].n, terms)
-
-    @classmethod
-    def zero(cls, n: int) -> "PauliSum":
-        return cls(n, [])
 
     @classmethod
     def identity(cls, n: int, coeff: float = 1.0) -> "PauliSum":
@@ -266,11 +254,6 @@ class PauliSum:
         for c, op in self.terms:
             out = out + c * op.matrix()
         return out
-
-
-def to_matrix(a) -> sp.csr_matrix:
-    """Sparse matrix of a PauliString or PauliSum."""
-    return a.matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +375,3 @@ def read_coo_text(path) -> sp.csr_matrix:
             cols.append(int(c))
             vals.append(float(re) + 1j * float(im))
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def hermiticity_defect(matrix) -> float:
-    """Largest |M - M^dag| entry, for hermitian_flag style checks."""
-    d = matrix - matrix.conj().T
-    if sp.issparse(d):
-        return float(abs(d).max()) if d.nnz else 0.0
-    return float(np.abs(d).max()) if d.size else 0.0

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +22,7 @@ import scipy.sparse.linalg as spla
 from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
-from .master import MasterHamiltonian, to_master, block_labels, block_basis, \
-    block_matrix
+from .master import ChargeBlocks, MasterHamiltonian, to_master, block_labels
 from .models import ModelSpec
 from .pauli import commutant_dimension, PauliString
 
@@ -389,51 +386,51 @@ def lemma3_bound(y: float, x: complex, z: float, u: float,
 # Certification
 # ---------------------------------------------------------------------------
 
-def gap_from_blocks(master: MasterHamiltonian, expected_kernel=None,
+def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
                     inventory: bool = False) -> GapReport:
     """Full-spectrum gap via the charge-sector blocks (exact partition).
 
-    With ``inventory`` the report carries one entry per block (label,
-    dimension, kernel count, smallest eigenvalue above the kernel).
+    The blocks are assembled directly from the jump components of the
+    Liouville-space generator ``lrep``; ``extras["min_block"]`` names the
+    block that holds the gap.  With ``inventory`` the report also carries one
+    entry per block (label, dimension, kernel count, smallest eigenvalue
+    above the kernel).
     """
     t0 = time.time()
-    frame = master.frame
-    all_vals = []
-    blocks = []
-    for label in block_labels(frame):
-        basis = block_basis(frame, label)
-        sub = block_matrix(master.matrix, basis)
-        vals, vecs = np.linalg.eigh(sub)
-        all_vals.append(vals)
-        blocks.append((label, basis, sub, vals, vecs))
-    vals = np.sort(np.concatenate(all_vals))
-    scale = max(abs(vals[-1]), 1e-300)
+    frame = lrep.frame
+    charge = ChargeBlocks(lrep)
+    labels = block_labels(frame)
+    vals = np.concatenate([np.linalg.eigvalsh(charge.sector_blocks(flip, mu))
+                           for flip in range(1 << frame.n_indep)
+                           for mu in range(1 << frame.n_logical)])
+    scale = max(abs(vals.max()), 1e-300)
     thr = KERNEL_RTOL * scale
-    kdim = int(np.sum(vals < thr))
-    if kdim == len(vals):
+    above = vals >= thr
+    kdim = int(np.sum(~above))
+    if kdim == vals.size:
         raise SolverConvergenceError("no spectrum above the kernel")
-    g = float(vals[kdim])
-
-    residual = 0.0
-    for label, basis, sub, bvals, bvecs in blocks:
-        idx = np.argmin(np.abs(bvals - g))
-        if abs(bvals[idx] - g) < 1e-14 * scale:
-            v = bvecs[:, idx]
-            residual = float(np.linalg.norm(sub @ v - bvals[idx] * v) / scale)
-            break
-    near = (float(vals[kdim - 1]) if kdim else float("-inf"), g)
-    report = GapReport(kernel_dim=kdim, gap=g, solver="blocks", residual=residual,
-                       near_threshold=near, elapsed=time.time() - t0)
-    if inventory:
-        report.extras["blocks"] = [
-            {"flip": label.flip, "sector": label.sector, "dim": label.dim,
-             "kernel_dim": int(np.sum(bvals < thr)),
-             "gap": float(bvals[int(np.sum(bvals < thr))])
-             if int(np.sum(bvals < thr)) < len(bvals) else float("inf")}
-            for label, _, _, bvals, _ in blocks]
+    block_gaps = np.where(above, vals, np.inf).min(axis=1)
+    g = float(block_gaps.min())
+    near = (float(vals[~above].max()) if kdim else float("-inf"), g)
     if expected_kernel is not None and kdim != expected_kernel:
         raise KernelMismatchError(
-            f"kernel dimension {kdim} != expected {expected_kernel}")
+            f"kernel dimension {kdim} != expected {expected_kernel} "
+            f"(eigenvalues around threshold: {near})")
+
+    label = labels[int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])]
+    sub = charge.block(label)
+    bvals, bvecs = np.linalg.eigh(sub)
+    idx = int(np.argmin(np.abs(bvals - g)))
+    v = bvecs[:, idx]
+    residual = float(np.linalg.norm(sub @ v - bvals[idx] * v) / scale)
+    report = GapReport(kernel_dim=kdim, gap=g, solver="blocks", residual=residual,
+                       near_threshold=near, elapsed=time.time() - t0,
+                       extras={"min_block": label.describe()})
+    if inventory:
+        report.extras["blocks"] = [
+            {"flip": lab.flip, "sector": lab.sector, "dim": lab.dim,
+             "kernel_dim": int(np.sum(~ok)), "gap": float(bg)}
+            for lab, ok, bg in zip(labels, above, block_gaps)]
     return report
 
 
@@ -478,25 +475,25 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None,
     """
     t0 = time.time()
     if model.n_sites > 8:
-        raise ValueError("full-superoperator certification is capped at 8 sites "
-                         "(65536-dimensional operator space)")
+        raise ValueError("certification is capped at 8 sites: build_generator "
+                         "assembles the full Liouville operator (65536-dimensional "
+                         "operator space at 8 sites)")
     if couplings is None:
         couplings = default_couplings(model)
     if frame is None:
         frame = build_frame(model)
     lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
-    master = to_master(lrep)
-    expected = commutant_dimension(couplings, model.hamiltonian()) \
-        if model.n_sites <= 8 else None
+    expected = commutant_dimension(couplings, model.hamiltonian())
 
     if method == "blocks":
-        report = gap_from_blocks(master, expected_kernel=expected,
+        report = gap_from_blocks(lrep, expected_kernel=expected,
                                  inventory=inventory)
     elif method == "dense":
+        master = to_master(lrep)
         report = gap(master, expected_kernel=expected, dense_cap=master.matrix.shape[0])
     elif method == "iterative":
         basis = kernel_vectors_from_commutant(model, frame, lrep.rho, couplings)
-        report = gap(master, expected_kernel=expected, kernel_basis=basis,
+        report = gap(to_master(lrep), expected_kernel=expected, kernel_basis=basis,
                      dense_cap=0, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -526,28 +523,18 @@ def _model_size(model: ModelSpec) -> int:
 
 def sweep(model_kind: str, sizes, betaJs, coupling: float = 1.0,
           coupling_letters: str = None, method: str = "blocks",
-          workers: int = None, seed: int = 0) -> list:
+          seed: int = 0) -> list:
     """Gap certification over a (size x betaJ) grid; deterministic order."""
-    if workers is None:
-        workers = int(os.environ.get("DAVIESGAP_WORKERS", "1"))
-    jobs = []
+    reports = []
     for size in sizes:
         model = build_ising_or_toric(model_kind, size, coupling)
         frame = build_frame(model)
         couplings = default_couplings(model, coupling_letters)
         for betaJ in betaJs:
             tp = ThermalParams.from_betaJ(betaJ, coupling)
-            jobs.append((model, frame, couplings, tp))
-
-    def run(job):
-        model, frame, couplings, tp = job
-        return certify(model, tp, couplings=couplings, method=method,
-                       frame=frame, seed=seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
-    return [run(j) for j in jobs]
+            reports.append(certify(model, tp, couplings=couplings, method=method,
+                                   frame=frame, seed=seed))
+    return reports
 
 
 def build_ising_or_toric(kind: str, size: int, coupling: float = 1.0) -> ModelSpec:

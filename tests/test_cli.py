@@ -65,6 +65,28 @@ class TestGap:
         assert trivial["kernel_dim"] == 1
 
 
+    def test_json_names_min_block(self, tmp_path, capsys):
+        path = tmp_path / "gap.json"
+        run_cli(["gap", "--model", "ising", "--size", "3", "--betaJ", "0.25",
+                 "--json", str(path)])
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        assert set(doc["min_block"]) == {"flip", "sector", "dim"}
+        assert doc["min_block"]["dim"] == 4
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_block_inventory_needs_blocks_method(self, tmp_path, capsys,
+                                                 method):
+        path = tmp_path / "blocks.json"
+        code = run_cli(["gap", "--model", "ising", "--size", "3",
+                        "--betaJ", "0.25", "--method", method,
+                        "--blocks-out", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--blocks-out" in err and f"--method {method}" in err
+        assert not path.exists()
+
+
 class TestSweep:
     def test_csv_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

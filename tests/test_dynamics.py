@@ -25,7 +25,7 @@ def ising3_rep(ising3, ising3_frame):
 @pytest.fixture(scope="module")
 def ising3_props(ising3_rep):
     master = to_master(ising3_rep)
-    return master, [BlockPropagator.of(master, label)
+    return master, [BlockPropagator.of(ising3_rep, label)
                     for label in block_labels(ising3_rep.frame)]
 
 

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from daviesgap.davies import ThermalParams, build_generator, GeneratorError
-from daviesgap.master import (XBlockSpec, block_basis, block_decompose,
-                              block_label_of, block_labels,
-                              block_offdiagonal_defect, sign_flip_restriction,
-                              to_master)
-from daviesgap.models import build_ising_ring
-from daviesgap.pauli import PauliString
+from daviesgap.master import (ChargeBlocks, XBlockSpec, block_label_of,
+                              block_labels, sector_index, sector_isometries,
+                              sign_flip_restriction, to_master)
+from daviesgap.models import build_ising_ring, build_toric_code
+from daviesgap.pauli import PauliString, PauliSum
 
 
 @pytest.fixture(scope="module")
@@ -80,18 +78,27 @@ class TestBlockDecomposition:
 
     def test_bases_are_isometries_and_invariant(self, ising3_master,
                                                 ising3_frame):
+        # the first 8 blocks: the isometry, embedded in operator space, is
+        # orthonormal, and K maps its span into itself
         _, master = ising3_master
+        k = master.matrix.tocsc()
+        dim = ising3_frame.dim
         for label in block_labels(ising3_frame)[:8]:
-            basis = block_basis(ising3_frame, label)
-            gram = (basis.conj().T @ basis).toarray()
+            w = sector_isometries(ising3_frame, label.flip, label.mu)[label.nu]
+            basis = np.zeros((dim * dim, label.dim), dtype=complex)
+            basis[sector_index(ising3_frame, label.flip, label.mu)] = w
+            gram = basis.conj().T @ basis
             assert np.abs(gram - np.eye(label.dim)).max() < 1e-12
-            assert block_offdiagonal_defect(master.rep, label) < 1e-12
+            coeff = np.random.default_rng(0).standard_normal(label.dim)
+            image = k @ (basis @ coeff)
+            assert np.linalg.norm(image - basis @ (basis.conj().T @ image)) < 1e-12
 
     def test_block_spectra_reproduce_full_spectrum(self, ising3_master):
-        _, master = ising3_master
-        blocks = block_decompose(master)
+        lrep, master = ising3_master
+        charge = ChargeBlocks(lrep)
         vals = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(rep.dense()) for _, rep in blocks]))
+            [np.linalg.eigvalsh(charge.block(label))
+             for label in block_labels(lrep.frame)]))
         full = np.linalg.eigvalsh(master.rep.dense())
         assert np.abs(vals - full).max() < 1e-10
 
@@ -100,7 +107,7 @@ class TestBlockDecomposition:
         m = build_ising_ring(5)
         lrep = build_generator(m, tp=ThermalParams.from_betaJ(0.25))
         master = to_master(lrep)
-        by_blocks = gap_from_blocks(master)
+        by_blocks = gap_from_blocks(lrep)
         dense = gap(master)
         assert abs(by_blocks.gap - dense.gap) < 1e-10
         assert by_blocks.kernel_dim == dense.kernel_dim == 1
@@ -124,12 +131,16 @@ class TestBlockLabelOf:
     def assert_lookup_matches_projection(frame, strings):
         """block_label_of is the only block a string projects onto."""
         labels = block_labels(frame)
-        every = sp.hstack([block_basis(frame, l) for l in labels], format="csc")
+        sectors = {(l.flip, l.mu): (sector_index(frame, l.flip, l.mu),
+                                    sector_isometries(frame, l.flip, l.mu))
+                   for l in labels}
         for p in strings:
             v = frame.matrix_of(p).toarray().reshape(-1, order="F")
-            coeff = every.conj().T @ v
-            hit = {labels[c // labels[0].dim]
-                   for c in np.flatnonzero(np.abs(coeff) > 1e-9)}
+            hit = set()
+            for label in labels:
+                index, w = sectors[label.flip, label.mu]
+                if np.abs(w[label.nu].conj().T @ v[index]).max() > 1e-9:
+                    hit.add(label)
             assert hit == {block_label_of(frame, p)}, p.to_label()
 
     def test_every_string_on_ring3(self, ising3_frame):
@@ -143,6 +154,89 @@ class TestBlockLabelOf:
         self.assert_lookup_matches_projection(
             toric2_frame, [PauliString(8, int(c) & 0xFF, int(c) >> 8, 0)
                            for c in codes])
+
+
+def _x_couplings(n):
+    return [PauliString.single(n, j, "X") for j in range(n)]
+
+
+# ring N=3..6 and the torus at betaJ 0.25, plus the degenerate coupling sets
+# of criterion 8
+ASSEMBLY_CASES = {
+    "ring3": (lambda: build_ising_ring(3), None),
+    "ring4": (lambda: build_ising_ring(4), None),
+    "ring5": (lambda: build_ising_ring(5), None),
+    "ring6": (lambda: build_ising_ring(6), None),
+    "torus2": (lambda: build_toric_code(2), None),
+    "ring3-x": (lambda: build_ising_ring(3), _x_couplings(3)),
+    "ring3-z": (lambda: build_ising_ring(3),
+                [PauliString.single(3, j, "Z") for j in range(3)]),
+    "torus2-x": (lambda: build_toric_code(2), _x_couplings(8)),
+}
+
+
+class TestDirectAssembly:
+    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+    def test_sectors_match_full_master(self, case):
+        build, couplings = ASSEMBLY_CASES[case]
+        lrep = build_generator(build(), couplings=couplings,
+                               tp=ThermalParams.from_betaJ(0.25))
+        frame = lrep.frame
+        k = to_master(lrep).matrix.tocsc()
+        charge = ChargeBlocks(lrep)
+        covered = np.zeros(frame.dim ** 2, dtype=bool)
+        for flip in range(1 << frame.n_indep):
+            for mu in range(1 << frame.n_logical):
+                index = sector_index(frame, flip, mu)
+                columns = k[:, index]
+                # K has no entry leaving the sector's matrix units
+                assert np.isin(columns.tocoo().row, index).all()
+                direct = charge.sector_matrix(flip, mu)
+                assert np.abs(columns[index].toarray() - direct).max() < 1e-12
+                # the nu-isometries are orthonormal and together complete
+                w = sector_isometries(frame, flip, mu)
+                unitary = np.concatenate(list(w), axis=1)
+                assert unitary.shape == (frame.dim, frame.dim)
+                assert np.abs(unitary.conj().T @ unitary
+                              - np.eye(frame.dim)).max() < 1e-12
+                for nu, block in enumerate(charge.sector_blocks(flip, mu)):
+                    assert np.abs(w[nu].conj().T @ direct @ w[nu]
+                                  - block).max() < 1e-12
+                covered[index] = True
+        assert covered.all()
+
+    def test_component_with_two_nonzeros_per_column_rejected(self, ising3,
+                                                             ising3_frame):
+        lrep = build_generator(ising3, tp=ThermalParams.from_betaJ(0.25),
+                               frame=ising3_frame)
+        x0, x1 = _x_couplings(3)[:2]
+        positive = next(c for c in lrep.components if c.omega > 0)
+        positive.matrix = ising3_frame.matrix_of(
+            PauliSum.from_terms([(1.0, x0), (1.0, x1)]))
+        with pytest.raises(GeneratorError, match="more than one nonzero"):
+            ChargeBlocks(lrep)
+
+    def test_component_flipping_two_patterns_rejected(self, ising3,
+                                                      ising3_frame):
+        # X0 on the +1 eigenspace of a stabilizer, X1 on its -1 eigenspace:
+        # one nonzero per column, but two different flip patterns
+        lrep = build_generator(ising3, tp=ThermalParams.from_betaJ(0.25),
+                               frame=ising3_frame)
+        x0, x1 = _x_couplings(3)[:2]
+        stab, ident = ising3.stabilizers[0], PauliString.identity(3)
+        masked = (PauliSum.from_terms([(1.0, x0)])
+                  * PauliSum.from_terms([(0.5, ident), (0.5, stab)])
+                  + PauliSum.from_terms([(1.0, x1)])
+                  * PauliSum.from_terms([(0.5, ident), (-0.5, stab)]))
+        positive = next(c for c in lrep.components if c.omega > 0)
+        positive.matrix = ising3_frame.matrix_of(masked)
+        with pytest.raises(GeneratorError, match="flips 2 different patterns"):
+            ChargeBlocks(lrep)
+
+    def test_requires_liouville_input(self, ising3_master):
+        _, master = ising3_master
+        with pytest.raises(GeneratorError):
+            ChargeBlocks(master.rep)
 
 
 class TestMixedUnitEigenaction:

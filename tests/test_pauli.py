@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from daviesgap.pauli import (PauliString, PauliSum, PauliError, commutes,
-                             pauli_multiply, commutant_dimension, gf2_rank,
-                             gf2_solve, write_coo_text, read_coo_text,
-                             hermiticity_defect)
+                             commutant_dimension, gf2_rank, gf2_solve,
+                             write_coo_text, read_coo_text)
 
 X = PauliString.single(1, 0, "X")
 Y = PauliString.single(1, 0, "Y")
@@ -38,7 +37,7 @@ class TestSingleSiteAlgebra:
 
     def test_size_mismatch_raises(self):
         with pytest.raises(PauliError):
-            pauli_multiply(X, PauliString.identity(2))
+            X * PauliString.identity(2)
         with pytest.raises(PauliError):
             commutes(X, PauliString.identity(2))
 
@@ -241,8 +240,3 @@ class TestCooText(object):
         assert header.split()[0] == "4"
         back = read_coo_text(path)
         assert np.allclose(back.toarray(), m.toarray())
-
-    def test_hermiticity_defect(self):
-        h = PauliString.from_label("+XZ").matrix()
-        assert hermiticity_defect(h) < 1e-14
-        assert hermiticity_defect(1j * h.toarray()) > 1.0

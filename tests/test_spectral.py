@@ -106,12 +106,10 @@ class TestBondPairChain:
         couplings = [PauliString.single(4, j, "X") for j in range(1, 4)]
         lrep = build_generator(ising4, couplings=couplings, tp=tp,
                                frame=ising4_frame)
-        master = to_master(lrep)
-        from daviesgap.master import block_basis, block_labels, block_matrix
+        from daviesgap.master import ChargeBlocks, block_labels
         label = next(l for l in block_labels(ising4_frame)
                      if l.flip == 0 and l.sector == "I")
-        basis = block_basis(ising4_frame, label)
-        sub = 0.5 * block_matrix(master.matrix, basis)  # chain blocks carry 1/2
+        sub = 0.5 * ChargeBlocks(lrep).block(label)  # chain blocks carry 1/2
         ev_block = np.linalg.eigvalsh(sub)
         chain = abelian_chain_hamiltonian(4, tp).matrix.toarray()
         bits = np.arange(16)
@@ -207,14 +205,13 @@ class TestLemmaCheckers:
         tp = ThermalParams.from_betaJ(0.4)
         reduced = [PauliString.single(4, j, "X") for j in range(1, 4)]
         boundary = [PauliString.single(4, 0, "X")]
-        from daviesgap.master import block_basis, block_labels, block_matrix
+        from daviesgap.master import ChargeBlocks, block_labels
         label = next(l for l in block_labels(ising4_frame)
                      if l.flip == 0 and l.sector == "Z")
-        basis = block_basis(ising4_frame, label)
-        a = block_matrix(to_master(build_generator(
-            ising4, couplings=reduced, tp=tp, frame=ising4_frame)).matrix, basis)
-        b = block_matrix(to_master(build_generator(
-            ising4, couplings=boundary, tp=tp, frame=ising4_frame)).matrix, basis)
+        a = ChargeBlocks(build_generator(
+            ising4, couplings=reduced, tp=tp, frame=ising4_frame)).block(label)
+        b = ChargeBlocks(build_generator(
+            ising4, couplings=boundary, tp=tp, frame=ising4_frame)).block(label)
         bound = lemma2_bound(a, b)
         floor = tp.h_minus ** 2 / (tp.h_minus / 2.0 + 2.0)
         assert bound >= floor - 1e-12
@@ -246,9 +243,30 @@ class TestCertify:
         couplings = [PauliString.single(3, j, "X") for j in range(3)]
         tp = ThermalParams.from_betaJ(0.25)
         lrep = build_generator(ising3, couplings=couplings, tp=tp)
-        master = to_master(lrep)
-        r = gap_from_blocks(master, expected_kernel=2)
+        r = gap_from_blocks(lrep, expected_kernel=2)
         assert r.kernel_dim == 2
+
+    def test_kernel_mismatch_states_threshold_eigenvalues(self, ising3):
+        couplings = [PauliString.single(3, j, "X") for j in range(3)]
+        lrep = build_generator(ising3, couplings=couplings,
+                               tp=ThermalParams.from_betaJ(0.25))
+        r = gap_from_blocks(lrep)
+        with pytest.raises(KernelMismatchError) as err:
+            gap_from_blocks(lrep, expected_kernel=1)
+        assert "kernel dimension 2 != expected 1" in str(err.value)
+        assert f"eigenvalues around threshold: {r.near_threshold}" \
+            in str(err.value)
+        assert r.near_threshold[1] == r.gap
+
+    def test_min_block_holds_the_gap(self, ising3):
+        lrep = build_generator(ising3, tp=ThermalParams.from_betaJ(0.25))
+        r = gap_from_blocks(lrep, inventory=True)
+        block = r.extras["min_block"]
+        inventory = {(b["flip"], b["sector"]): b for b in r.extras["blocks"]}
+        assert inventory[block["flip"], block["sector"]]["gap"] == r.gap
+        assert block["dim"] == 4
+        assert certify(ising3, ThermalParams.from_betaJ(0.25)) \
+            .to_json_dict()["min_block"] == block
 
     def test_commutant_basis_matches_dimension(self, ising3):
         couplings = [PauliString.single(3, j, "X") for j in range(3)]
@@ -260,8 +278,7 @@ class TestCertify:
         tp = ThermalParams.from_betaJ(0.0)
         tiny = {(a, w): 1e-6 for a in range(9) for w in (-4.0, 0.0, 4.0)}
         lrep = build_generator(ising3, tp=tp, frame=ising3_frame, rates=tiny)
-        master = to_master(lrep)
-        r = gap_from_blocks(master)
+        r = gap_from_blocks(lrep)
         assert r.gap < 1.0 / 3.0  # the raw ingredient certify would reject
         with pytest.raises(BoundViolationError):
             _certify_with_rates(ising3, tp, tiny, ising3_frame)
@@ -270,8 +287,7 @@ class TestCertify:
 def _certify_with_rates(model, tp, rates, frame):
     from daviesgap.spectral import analytic_bounds, gap_from_blocks
     lrep = build_generator(model, tp=tp, frame=frame, rates=rates)
-    master = to_master(lrep)
-    r = gap_from_blocks(master)
+    r = gap_from_blocks(lrep)
     bound = analytic_bounds(model.kind, tp)["generator_gap"]
     if r.gap < bound:
         raise BoundViolationError("gap below certified bound")
@@ -297,20 +313,19 @@ class TestGapLemmaInvariants:
         tp = ThermalParams.from_betaJ(0.25)
         cx = [PauliString.single(8, j, "X") for j in range(8)]
         cz = [PauliString.single(8, j, "Z") for j in range(8)]
-        kx = to_master(build_generator(toric2, couplings=cx, tp=tp,
-                                       frame=toric2_frame))
-        kz = to_master(build_generator(toric2, couplings=cz, tp=tp,
-                                       frame=toric2_frame))
-        kfull = to_master(build_generator(toric2, couplings=cx + cz, tp=tp,
-                                          frame=toric2_frame))
+        lx = build_generator(toric2, couplings=cx, tp=tp, frame=toric2_frame)
+        lz = build_generator(toric2, couplings=cz, tp=tp, frame=toric2_frame)
+        lfull = build_generator(toric2, couplings=cx + cz, tp=tp,
+                                frame=toric2_frame)
+        kx, kz = to_master(lx), to_master(lz)
         # the two halves commute
         rng = np.random.default_rng(0)
         v = rng.standard_normal(kx.matrix.shape[0])
         comm = kx.matrix @ (kz.matrix @ v) - kz.matrix @ (kx.matrix @ v)
         assert np.linalg.norm(comm) < 1e-10 * np.linalg.norm(v)
-        g_x = gap_from_blocks(kx)
-        g_z = gap_from_blocks(kz)
-        g_full = gap_from_blocks(kfull)
+        g_x = gap_from_blocks(lx)
+        g_z = gap_from_blocks(lz)
+        g_full = gap_from_blocks(lfull)
         assert g_full.gap >= min(g_x.gap, g_z.gap) - 1e-10
         assert g_x.kernel_dim == g_z.kernel_dim == 32
         assert g_full.kernel_dim == 1
@@ -334,7 +349,7 @@ class TestGapLemmaInvariants:
         couplings += [PauliString.single(3, j, "Z") for j in range(3)]
         lrep = build_generator(ising3, couplings=couplings,
                                tp=ThermalParams(beta=0.0), frame=ising3_frame)
-        r = gap_from_blocks(to_master(lrep), expected_kernel=1)
+        r = gap_from_blocks(lrep, expected_kernel=1)
         assert r.kernel_dim == 1
 
 
