@@ -7,7 +7,7 @@ from .models import (ModelSpec, SnakeCombPartition, ModelReport,
 from .basis import StabilizerFrame, build_frame
 from .davies import (ThermalParams, JumpOperatorSet, JumpComponent,
                      SuperOperatorRep, fourier_decompose, build_generator,
-                     default_couplings, detailed_balance_residual,
+                     liouville_matrix, default_couplings, detailed_balance_residual,
                      dissipativity_identity_check, stationarity_residual,
                      reconstruction_residual)
 from .master import (MasterHamiltonian, BlockLabel, ChargeBlocks, XBlockSpec,

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .davies import ThermalParams, build_generator, default_couplings, \
-    detailed_balance_residual
+    detailed_balance_residual, liouville_matrix
 from .dynamics import autocorrelation, relaxation_time, EvolutionError
 from .models import verify_model
 from .pauli import write_coo_text
@@ -153,14 +153,22 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _logical_of(model, which: str):
+    """The logical named X<i> or Z<i>, i in 1..n_logical; a bare letter is pair 1."""
+    labels = [f"{kind}{i}" for i in range(1, model.n_logical + 1) for kind in "XZ"]
+    name = which.upper() + ("1" if len(which) == 1 else "")
+    if name not in labels:
+        raise ValueError(f"unknown observable {which!r}; allowed: "
+                         f"{', '.join(labels)} (a bare X or Z means pair 1)")
+    return model.logicals[int(name[1:]) - 1][0 if name[0] == "X" else 1]
+
+
 def _cmd_dynamics(args) -> int:
     cfg = _merge(args)
     model = _model_of(cfg)
     tp = ThermalParams.from_betaJ(_betaJ_of(cfg), cfg["coupling"])
     couplings = default_couplings(model, cfg.get("coupling_letters"))
-    which = cfg.get("observable", "Z1")
-    pair = int(which[1:]) - 1 if len(which) > 1 else 0
-    observable = model.logicals[pair][0 if which[0].upper() == "X" else 1]
+    observable = _logical_of(model, cfg.get("observable", "Z1"))
     trace = autocorrelation(model, tp, couplings=couplings, observable=observable)
     tau = relaxation_time(trace)
     out = cfg.get("out", "trace.csv")
@@ -193,10 +201,11 @@ def _cmd_export_generator(args) -> int:
     tp = ThermalParams.from_betaJ(_betaJ_of(cfg), cfg["coupling"])
     couplings = default_couplings(model, cfg.get("coupling_letters"))
     rep = build_generator(model, couplings=couplings, tp=tp)
+    neg_l = liouville_matrix(rep)
     out = cfg.get("out", "generator.coo")
-    write_coo_text(rep.matrix, out)
+    write_coo_text(neg_l, out)
     _write_json(cfg, rep.meta)  # provenance: couplings, constants, basis
-    print(f"wrote {out} ({rep.matrix.nnz} nonzeros); "
+    print(f"wrote {out} ({neg_l.nnz} nonzeros); "
           f"detailed balance residual "
           f"{detailed_balance_residual(rep, samples=10, seed=cfg['seed']):.3e}")
     return EXIT_OK

@@ -156,15 +156,16 @@ class JumpComponent:
 
 @dataclass
 class SuperOperatorRep:
-    """A sparse operator on the 4^n-dimensional operator space.
+    """An operator on the 4^n-dimensional operator space.
 
-    space 'liouville': the matrix is -L in the matrix-unit basis over the
-    stabilizer eigenbasis; it is self-adjoint for the beta-weighted inner
-    product carried by `rho` (not entrywise Hermitian).  space
+    space 'liouville': -L, held as its jump components (``matrix`` is None);
+    ``liouville_matrix`` materializes it in the matrix-unit basis over the
+    stabilizer eigenbasis, where it is self-adjoint for the beta-weighted
+    inner product carried by `rho` (not entrywise Hermitian).  space
     'hilbert-schmidt': the matrix is Hermitian positive semidefinite.
     """
 
-    matrix: object             # scipy sparse or ndarray
+    matrix: object             # scipy sparse, ndarray, or None (liouville)
     space: str                 # 'liouville' | 'hilbert-schmidt'
     beta: float
     frame: StabilizerFrame | None = None
@@ -172,12 +173,10 @@ class SuperOperatorRep:
     components: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def dense(self) -> np.ndarray:
         m = self.matrix
+        if m is None:
+            raise GeneratorError("no matrix held; liouville_matrix(rep) builds -L")
         return m.toarray() if sp.issparse(m) else np.asarray(m)
 
     def gram_diag(self) -> np.ndarray:
@@ -207,11 +206,12 @@ def default_couplings(model: ModelSpec, letters: str = None) -> list:
 def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
                     frame: StabilizerFrame = None, rates: dict = None,
                     freq_tol: float = None) -> SuperOperatorRep:
-    """Assemble minus the dissipative generator in Liouville space.
+    """Minus the dissipative generator as its jump components.
 
     Each frequency component contributes a jump term
     rate * (A^dag X A - {A^dag A, X}/2); an optional `rates` table keyed by
-    (coupling_index, omega) overrides the thermal defaults.
+    (coupling_index, omega) overrides the thermal defaults.  The full
+    Liouville matrix is left to ``liouville_matrix``.
     """
     if tp is None:
         tp = ThermalParams(beta=0.0, coupling=model.coupling)
@@ -219,10 +219,7 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
         couplings = default_couplings(model)
     if frame is None:
         frame = build_frame(model)
-    dim = frame.dim
-    ident = sp.identity(dim, format="csr", dtype=complex)
 
-    neg_l = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     comps = []
     for alpha, coupling in enumerate(couplings):
         jset = fourier_decompose(coupling, model, freq_tol=freq_tol)
@@ -232,22 +229,34 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
                 rate = rates.get((alpha, omega), rate)
             if rate < 0:
                 raise GeneratorError("rates must be nonnegative")
-            a = frame.matrix_of(op)
-            ad = a.conj().T.tocsr()
-            ada = (ad @ a).tocsr()
-            # column-major vec:  vec(PXQ) = (Q^T kron P) vec(X)
-            dissip = sp.kron(a.T, ad, format="csr") \
-                - 0.5 * (sp.kron(ident, ada, format="csr")
-                         + sp.kron(ada.T, ident, format="csr"))
-            neg_l = neg_l - rate * dissip
             comps.append(JumpComponent(coupling_index=alpha, coupling=coupling,
-                                       omega=omega, rate=rate, op=op, matrix=a))
+                                       omega=omega, rate=rate, op=op,
+                                       matrix=frame.matrix_of(op)))
 
     return SuperOperatorRep(
-        matrix=neg_l.tocsr(), space="liouville", beta=tp.beta, frame=frame,
+        matrix=None, space="liouville", beta=tp.beta, frame=frame,
         rho=frame.gibbs(tp.beta), components=comps,
         meta={"couplings": [c.to_label() for c in couplings],
               "thermal": thermal_provenance(tp)})
+
+
+def liouville_matrix(rep: SuperOperatorRep) -> sp.csr_matrix:
+    """-L as a sparse 4^n x 4^n matrix on column-major vectorized operators."""
+    if rep.space != "liouville":
+        raise GeneratorError("liouville_matrix expects a Liouville-space generator")
+    dim = rep.frame.dim
+    ident = sp.identity(dim, format="csr", dtype=complex)
+    neg_l = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    for comp in rep.components:
+        a = comp.matrix
+        ad = a.conj().T.tocsr()
+        ada = (ad @ a).tocsr()
+        # column-major vec:  vec(PXQ) = (Q^T kron P) vec(X)
+        dissip = sp.kron(a.T, ad, format="csr") \
+            - 0.5 * (sp.kron(ident, ada, format="csr")
+                     + sp.kron(ada.T, ident, format="csr"))
+        neg_l = neg_l - comp.rate * dissip
+    return neg_l.tocsr()
 
 
 def thermal_provenance(tp: ThermalParams) -> dict:
@@ -270,8 +279,24 @@ def _beta_inner(rho, x, y) -> complex:
     return np.sum(x.conj() * y * rho[None, :])
 
 
-def _apply(rep_matrix, x, dim) -> np.ndarray:
-    return (rep_matrix @ x.flatten(order="F")).reshape((dim, dim), order="F")
+def _generator_action(components):
+    """X -> sum_c rate_c (A_c^dag X A_c - {A_c^dag A_c, X}/2), i.e. L(X).
+
+    A^dag X A is summed entry by entry over pairs of nonzeros a_p = A[r_p, c_p]:
+    conj(a_p) X[r_p, r_q] a_q lands on (c_p, c_q); a jump component has at
+    most dim nonzeros, so this avoids dense-times-sparse products.
+    """
+    terms = [(c.rate, sp.coo_matrix(c.matrix)) for c in components]
+    decay = sum(rate * (a.conj().T @ a) for rate, a in terms)
+
+    def apply(x):
+        out = -0.5 * (decay @ x + x @ decay)
+        for rate, a in terms:
+            block = rate * a.data.conj()[:, None] * x[np.ix_(a.row, a.row)] * a.data
+            np.add.at(out, np.ix_(a.col, a.col), block)
+        return out
+
+    return apply
 
 
 def detailed_balance_residual(rep: SuperOperatorRep, samples: int = 50,
@@ -282,14 +307,15 @@ def detailed_balance_residual(rep: SuperOperatorRep, samples: int = 50,
     rng = np.random.default_rng(seed)
     rho = rep.rho
     d = rep.frame.dim
+    apply = _generator_action(rep.components)
     worst = 0.0
     for _ in range(samples):
         x = next(_random_operators(d, 1, rng))
         y = next(_random_operators(d, 1, rng))
         x /= math.sqrt(abs(_beta_inner(rho, x, x)))
         y /= math.sqrt(abs(_beta_inner(rho, y, y)))
-        lx = _apply(rep.matrix, x, d)
-        ly = _apply(rep.matrix, y, d)
+        lx = apply(x)
+        ly = apply(y)
         worst = max(worst, abs(_beta_inner(rho, y, lx) - _beta_inner(rho, ly, x)))
     return worst
 
@@ -300,10 +326,11 @@ def stationarity_residual(rep: SuperOperatorRep, samples: int = 50,
     rng = np.random.default_rng(seed)
     rho = rep.rho
     d = rep.frame.dim
+    apply = _generator_action(rep.components)
     worst = 0.0
     for x in _random_operators(d, samples, rng):
         x /= math.sqrt(abs(_beta_inner(rho, x, x)))
-        lx = _apply(rep.matrix, x, d)
+        lx = apply(x)
         worst = max(worst, abs(np.sum(rho * np.diagonal(lx))))
     return worst
 
@@ -334,16 +361,9 @@ def _component_pairs(rep: SuperOperatorRep, coupling_index: int, omega=None,
 def apply_component(rep: SuperOperatorRep, coupling_index: int, x: np.ndarray,
                     omega=None) -> np.ndarray:
     """L_{alpha w}(X) for one positive frequency (or the whole coupling)."""
-    out = np.zeros_like(x, dtype=complex)
-    for c, partner in _component_pairs(rep, coupling_index, omega):
-        a = c.matrix
-        ad = a.conj().T
-        out += c.rate * (ad @ x @ a - 0.5 * (ad @ a @ x + x @ (ad @ a)))
-        if partner is not None:
-            b = partner.matrix
-            bd = b.conj().T
-            out += partner.rate * (bd @ x @ b - 0.5 * (bd @ b @ x + x @ (bd @ b)))
-    return out
+    comps = [c for pair in _component_pairs(rep, coupling_index, omega)
+             for c in pair if c is not None]
+    return _generator_action(comps)(x)
 
 
 def dissipativity_identity_check(rep: SuperOperatorRep, coupling_index: int,

@@ -54,15 +54,20 @@ def _component_k(matrix: sp.csr_matrix, eta: float) -> sp.csr_matrix:
 class MasterHamiltonian:
     rep: SuperOperatorRep
     kernel_witness: np.ndarray
-    component_index: list = field(default_factory=list)  # (coupling_index, omega)
+    components: list = field(default_factory=list)  # positive-frequency JumpComponents
 
     @property
     def matrix(self):
         return self.rep.matrix
 
+    @property
+    def component_index(self) -> list:
+        """(coupling_index, omega) of each positive-frequency summand of K."""
+        return [(c.coupling_index, c.omega) for c in self.components]
+
     def component(self, i: int) -> sp.csr_matrix:
         """Materialize one positive-frequency summand of K."""
-        comp = self._components[i]
+        comp = self.components[i]
         eta = math.exp(-self.rep.beta * comp.omega / 2.0)
         return _g_weight(comp.rate, comp.omega) * _component_k(comp.matrix, eta)
 
@@ -90,11 +95,7 @@ def to_master(lrep: SuperOperatorRep) -> MasterHamiltonian:
     rep = SuperOperatorRep(matrix=k.tocsr(), space="hilbert-schmidt",
                            beta=lrep.beta, frame=lrep.frame, rho=lrep.rho,
                            components=lrep.components, meta=dict(lrep.meta))
-    master = MasterHamiltonian(
-        rep=rep, kernel_witness=witness,
-        component_index=[(c.coupling_index, c.omega) for c in comps])
-    master._components = comps
-    return master
+    return MasterHamiltonian(rep=rep, kernel_witness=witness, components=comps)
 
 
 # ---------------------------------------------------------------------------

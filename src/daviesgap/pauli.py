@@ -146,14 +146,13 @@ class PauliString:
 
     def matrix(self) -> sp.csr_matrix:
         """Sparse 2**n matrix; exactly 2**n nonzeros."""
-        if self.n > MATRIX_SITE_CAP:
-            raise PauliError(f"n={self.n} exceeds matrix cap {MATRIX_SITE_CAP}")
-        dim = 1 << self.n
-        cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ self.x_mask
+        return PauliSum(self.n, [(1.0, self)]).matrix()
+
+    def _columns(self):
+        """(perm, phase) with self|u> = phase[u] |perm[u]> on basis states."""
+        cols = np.arange(1 << self.n, dtype=np.int64)
         signs = 1.0 - 2.0 * (np.bitwise_count(cols & self.z_mask) & 1)
-        vals = self.phase_value * signs.astype(complex)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        return cols ^ self.x_mask, self.phase_value * signs
 
     def __repr__(self):
         return f"PauliString({self.to_label()!r})"
@@ -247,13 +246,23 @@ class PauliSum:
         return f"PauliSum[{body}{more}]"
 
     def matrix(self) -> sp.csr_matrix:
+        """One COO build over every term's entries, duplicates summed."""
         if self.n > MATRIX_SITE_CAP:
             raise PauliError(f"n={self.n} exceeds matrix cap {MATRIX_SITE_CAP}")
-        dim = 1 << self.n
-        out = sp.csr_matrix((dim, dim), dtype=complex)
-        for c, op in self.terms:
-            out = out + c * op.matrix()
-        return out
+        return genperm_sum(1 << self.n, [(c, *op._columns()) for c, op in self.terms])
+
+
+def genperm_sum(dim: int, terms) -> sp.csr_matrix:
+    """sum_t c_t P_t for (c_t, perm_t, phase_t), P_t|u> = phase_t[u] |perm_t[u]>.
+
+    One COO build over all terms, duplicates summed and exact zeros dropped.
+    """
+    rows = np.array([perm for _, perm, _ in terms], dtype=np.int64).reshape(-1)
+    vals = np.array([c * phase for c, _, phase in terms], dtype=complex).reshape(-1)
+    cols = np.tile(np.arange(dim), len(terms))
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    m.eliminate_zeros()
+    return m
 
 
 # ---------------------------------------------------------------------------

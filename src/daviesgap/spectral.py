@@ -475,9 +475,9 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None,
     """
     t0 = time.time()
     if model.n_sites > 8:
-        raise ValueError("certification is capped at 8 sites: build_generator "
-                         "assembles the full Liouville operator (65536-dimensional "
-                         "operator space at 8 sites)")
+        raise ValueError("certification is capped at 8 sites, the tested range; "
+                         "methods 'dense' and 'iterative' build the 4^n-dimensional "
+                         "master operator (65536 at 8 sites)")
     if couplings is None:
         couplings = default_couplings(model)
     if frame is None:

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from daviesgap.cli import main
+from daviesgap.davies import ThermalParams, build_generator, liouville_matrix
+from daviesgap.models import build_ising_ring
+from daviesgap.pauli import read_coo_text
 
 
 def run_cli(args):
@@ -120,6 +123,28 @@ class TestDynamics:
                                                       rel=1e-12)
         assert payload["relaxation_time"] == 1.0 / payload["fitted_rate"]
 
+    @pytest.mark.parametrize("model,size,which,label", [
+        ("ising", "3", "Z1", "+ZII"), ("ising", "3", "X", "+XXX"),
+        ("ising", "3", "z1", "+ZII"), ("toric", "2", "Z2", "+ZIZIIIII")])
+    def test_observable_names_a_logical(self, tmp_path, capsys, model, size,
+                                        which, label):
+        code = run_cli(["dynamics", "--model", model, "--size", size,
+                        "--betaJ", "0.25", "--observable", which,
+                        "--out", str(tmp_path / "trace.csv")])
+        assert code == 0
+        assert f"observable={label} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("which", ["Z0", "Q1", "Z3", "X2", "ZZ", ""])
+    def test_unknown_observable_rejected(self, tmp_path, capsys, which):
+        out = tmp_path / "trace.csv"
+        code = run_cli(["dynamics", "--model", "ising", "--size", "3",
+                        "--betaJ", "0.25", "--observable", which,
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown observable {which!r}" in err and "allowed: X1, Z1" in err
+        assert not out.exists()
+
 
 class TestExport:
     def test_model_json(self, tmp_path, capsys):
@@ -138,6 +163,12 @@ class TestExport:
         capsys.readouterr()
         dim, nnz = out.read_text().splitlines()[0].split()
         assert dim == "64"
+        got = read_coo_text(out)
+        want = liouville_matrix(build_generator(
+            build_ising_ring(3), tp=ThermalParams.from_betaJ(0.25)))
+        assert got.shape == want.shape == (64, 64)
+        assert got.nnz == want.nnz == int(nnz)
+        assert abs(got - want).max() == 0.0
 
     def test_oversized_export_refused(self, capsys):
         code = run_cli(["export-generator", "--model", "ising", "--size", "9",

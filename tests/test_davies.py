@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import daviesgap.davies as davies
+import daviesgap.dynamics as dynamics
+import daviesgap.master as master
+import daviesgap.spectral as spectral
 from daviesgap.davies import (GeneratorError, ThermalParams, apply_component,
                               build_generator, default_couplings,
                               detailed_balance_residual,
                               dissipativity_identity_check, fourier_decompose,
+                              liouville_matrix,
                               reconstruction_residual, stationarity_residual,
                               _beta_inner)
 from daviesgap.pauli import PauliString, PauliSum
@@ -94,7 +99,7 @@ class TestGeneratorStructure:
     def test_beta_zero_kernel_is_one_dimensional(self, ising3, ising3_frame):
         rep = build_generator(ising3, tp=ThermalParams(beta=0.0),
                               frame=ising3_frame)
-        dense = rep.dense()
+        dense = liouville_matrix(rep).toarray()
         assert np.abs(dense - dense.conj().T).max() < 1e-12
         evals = np.linalg.eigvalsh(dense)
         assert evals[0] > -1e-10 * evals[-1]
@@ -104,7 +109,8 @@ class TestGeneratorStructure:
         tp = ThermalParams.from_betaJ(0.5)
         rep = build_generator(ising3, tp=tp, frame=ising3_frame)
         g = rep.gram_diag()
-        sym = np.sqrt(g)[:, None] * rep.dense() * (1 / np.sqrt(g))[None, :]
+        neg_l = liouville_matrix(rep).toarray()
+        sym = np.sqrt(g)[:, None] * neg_l * (1 / np.sqrt(g))[None, :]
         evals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
         assert evals[0] > -1e-10 * evals[-1]
 
@@ -127,7 +133,7 @@ class TestGeneratorStructure:
         tp = ThermalParams.from_betaJ(0.4)
         rep = build_generator(ising3, tp=tp, frame=ising3_frame)
         delta = np.diag(rep.delta_diagonal())
-        l = rep.dense()
+        l = liouville_matrix(rep).toarray()
         assert np.abs(delta @ l - l @ delta).max() < 1e-10 * np.abs(l).max()
 
     def test_dissipativity_identity(self, ising3, ising3_frame):
@@ -171,7 +177,7 @@ class TestGeneratorStructure:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         x = x + x.conj().T
-        prop = sla.expm(-40.0 * rep.dense())
+        prop = sla.expm(-40.0 * liouville_matrix(rep).toarray())
         evolved = (prop @ x.reshape(-1, order="F")).reshape((8, 8), order="F")
         mean = np.sum(rep.rho * np.diagonal(x))
         assert np.abs(evolved - mean * np.eye(8)).max() < 1e-6
@@ -183,7 +189,7 @@ class TestGeneratorStructure:
         rep = build_generator(ising3, tp=tp, frame=ising3_frame, rates=rates)
         assert all(abs(c.rate - 1.0) < 1e-15 for c in rep.components)
         # kernel structure unchanged by rescaling the rates
-        dense = rep.dense()
+        dense = liouville_matrix(rep).toarray()
         evals = np.sort(np.linalg.eigvals(dense).real)
         assert int(np.sum(np.abs(evals) < 1e-10 * evals[-1])) == 1
 
@@ -202,3 +208,42 @@ class TestToricGenerator:
         assert dissipativity_identity_check(rep, 0, samples=5) < 1e-12
         for alpha in (0, 9):
             assert reconstruction_residual(rep, alpha) < 1e-10
+
+
+class TestLiouvilleMatrix:
+    def test_generator_holds_only_components(self, ising3, ising3_frame):
+        rep = build_generator(ising3, frame=ising3_frame)
+        assert rep.matrix is None
+        with pytest.raises(GeneratorError, match="liouville_matrix"):
+            rep.dense()
+        assert liouville_matrix(rep).shape == (64, 64)
+
+    @pytest.mark.parametrize("name", ["ising3", "toric2"])
+    def test_component_action_matches_matrix(self, request, name):
+        # the residual checks apply L through the components; -L is the oracle
+        model = request.getfixturevalue(name)
+        rep = build_generator(model, tp=ThermalParams.from_betaJ(0.25),
+                              frame=request.getfixturevalue(name + "_frame"))
+        d = rep.frame.dim
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        want = -(liouville_matrix(rep) @ x.reshape(-1, order="F"))
+        got = davies._generator_action(rep.components)(x)
+        assert np.abs(got.reshape(-1, order="F") - want).max() < 1e-12
+
+    def test_rejects_hilbert_schmidt_input(self, ising3, ising3_frame):
+        rep = master.to_master(build_generator(ising3, frame=ising3_frame)).rep
+        with pytest.raises(GeneratorError):
+            liouville_matrix(rep)
+
+    def test_blocks_path_never_builds_it(self, monkeypatch, ising4, toric2):
+        def refuse(rep):
+            raise AssertionError("the Liouville matrix was built")
+
+        for module in (davies, master, spectral, dynamics):
+            monkeypatch.setattr(module, "liouville_matrix", refuse, raising=False)
+        tp = ThermalParams.from_betaJ(0.25)
+        for model in (ising4, toric2):
+            assert spectral.certify(model, tp, method="blocks").kernel_dim == 1
+        trace = dynamics.autocorrelation(ising4, tp)
+        assert trace.fitted_rate > 0

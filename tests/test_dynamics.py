@@ -6,7 +6,8 @@ import scipy.linalg as sla
 
 import daviesgap.dynamics as dynamics
 import daviesgap.spectral as spectral
-from daviesgap.davies import GeneratorError, ThermalParams, build_generator
+from daviesgap.davies import (GeneratorError, ThermalParams, build_generator,
+                              liouville_matrix)
 from daviesgap.dynamics import (BlockPropagator, EvolutionError,
                                 autocorrelation, default_time_grid,
                                 fit_decay_rate, relaxation_time)
@@ -43,7 +44,7 @@ def _dense_traces(lrep, observable, times):
     gram = lrep.gram_diag()
     a_vec = a.reshape(-1, order="F")
     adag_vec = a.conj().T.reshape(-1, order="F")
-    neg_l = lrep.dense()
+    neg_l = liouville_matrix(lrep).toarray()
     full_gen = np.diag(1j * lrep.delta_diagonal()) - neg_l
     full = [np.sum(a_vec.conj() * gram * (sla.expm(t * full_gen) @ adag_vec))
             for t in times]
@@ -139,7 +140,7 @@ class TestAutocorrelation:
         tr = autocorrelation(ising3, tp, observable=ising3.logicals[0][1],
                              gap_estimate=report.gap)
         norm_l = np.abs(np.linalg.eigvals(
-            build_generator(ising3, tp=tp).dense())).max()
+            liouville_matrix(build_generator(ising3, tp=tp)).toarray())).max()
         assert report.gap - 1e-6 <= tr.fitted_rate <= norm_l + 1e-6
 
     def test_spectral_sandwich_on_dissipative_trace(self, ising3):
@@ -147,7 +148,7 @@ class TestAutocorrelation:
         tp = ThermalParams.from_betaJ(0.25)
         report = certify(ising3, tp)
         lrep = build_generator(ising3, tp=tp)
-        norm_l = np.abs(np.linalg.eigvals(lrep.dense())).max()
+        norm_l = np.abs(np.linalg.eigvals(liouville_matrix(lrep).toarray())).max()
         tr = autocorrelation(ising3, tp, observable=ising3.logicals[0][1],
                              gap_estimate=report.gap, lrep=lrep)
         upper = np.exp(-report.gap * tr.times)
