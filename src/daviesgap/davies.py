@@ -284,16 +284,21 @@ def _generator_action(components):
 
     A^dag X A is summed entry by entry over pairs of nonzeros a_p = A[r_p, c_p]:
     conj(a_p) X[r_p, r_q] a_q lands on (c_p, c_q); a jump component has at
-    most dim nonzeros, so this avoids dense-times-sparse products.
+    most one nonzero per column, so the targets never repeat and this avoids
+    dense-times-sparse products.
     """
     terms = [(c.rate, sp.coo_matrix(c.matrix)) for c in components]
+    for _, a in terms:
+        if np.unique(a.col).size != a.col.size:
+            raise GeneratorError("jump component has a column with more than one "
+                                 "nonzero; it is not a masked generalized permutation")
     decay = sum(rate * (a.conj().T @ a) for rate, a in terms)
 
     def apply(x):
         out = -0.5 * (decay @ x + x @ decay)
         for rate, a in terms:
             block = rate * a.data.conj()[:, None] * x[np.ix_(a.row, a.row)] * a.data
-            np.add.at(out, np.ix_(a.col, a.col), block)
+            out[np.ix_(a.col, a.col)] += block
         return out
 
     return apply

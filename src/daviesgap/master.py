@@ -15,7 +15,9 @@ generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
 small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
 straight from the jump components, and the full K of ``to_master`` is kept
-only as the full-space reference.
+only as the full-space reference.  The torus sign-flip restriction is read
+from sign-flipped charge blocks and checked against the unsigned ones, so it
+builds no 4^n-dimensional operator either.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from .basis import StabilizerFrame
 from .davies import SuperOperatorRep, GeneratorError
 from .models import ModelSpec
-from .pauli import PauliString, PauliSum, gf2_solve
+from .pauli import PauliString, gf2_solve
 
 
 def _g_weight(rate: float, omega: float, tol: float = 1e-12) -> float:
@@ -235,10 +238,12 @@ class ChargeBlocks:
     matrix has the diagonal g (D_u + D_{u^delta}), D = |s|^2 + eta^2 |s[. ^ d]|^2,
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the ``sector_isometries`` split it into the
-    (flip, mu, nu) blocks.
+    (flip, mu, nu) blocks.  Optional per-site ``signs`` multiply each cross
+    weight by the sign of its component's site (every coupling must then act
+    on one site): the sign-flipped operator of ``sign_flip_restriction``.
     """
 
-    def __init__(self, lrep: SuperOperatorRep):
+    def __init__(self, lrep: SuperOperatorRep, signs: np.ndarray = None):
         if lrep.space != "liouville":
             raise GeneratorError("charge blocks are assembled from a Liouville-space generator")
         frame = self.frame = lrep.frame
@@ -253,7 +258,13 @@ class ChargeBlocks:
             eta = math.exp(-lrep.beta * comp.omega / 2.0)
             g = _g_weight(comp.rate, comp.omega)
             self.diagonal += g * (np.abs(s) ** 2 + eta ** 2 * np.abs(s[self._u ^ d]) ** 2)
-            cross.setdefault(d, []).append((2.0 * eta * g, s))
+            weight = 2.0 * eta * g
+            if signs is not None:
+                site = comp.coupling.support()
+                if len(site) != 1:
+                    raise GeneratorError("sign-flip rule needs single-site couplings")
+                weight *= signs[site[0]]
+            cross.setdefault(d, []).append((weight, s))
         self._cross = [(d, np.array([w for w, _ in terms]), np.array([s for _, s in terms]))
                        for d, terms in cross.items()]
 
@@ -283,12 +294,6 @@ class ChargeBlocks:
         return self.sector_blocks(label.flip, label.mu)[label.nu]
 
 
-def block_matrix(rep_matrix, basis: sp.csc_matrix) -> np.ndarray:
-    m = basis.conj().T @ (rep_matrix @ basis)
-    m = m.toarray() if sp.issparse(m) else np.asarray(m)
-    return (m + m.conj().T) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Sign-flipped restriction for the torus x-type generator
 # ---------------------------------------------------------------------------
@@ -306,164 +311,94 @@ class XBlockSpec:
     mu: int = 0
 
 
-def _sandwich_signs(model: ModelSpec, block: XBlockSpec) -> np.ndarray:
+def _flip_mask(model: ModelSpec, block: XBlockSpec) -> int:
+    """z mask of F = Z_F Z_L^nu: the star-flip string times the block's Z logicals."""
     zmask = 0
     for j in block.star_flip_sites:
         zmask ^= 1 << j
     for i in range(model.n_logical):
         if (block.nu >> i) & 1:
             zmask ^= model.logicals[i][1].z_mask
-    signs = np.ones(model.n_sites)
-    for j in range(model.n_sites):
-        if (zmask >> j) & 1:
-            signs[j] = -1.0
-    return signs
+    return zmask
 
 
-def _signed_master(lrep: SuperOperatorRep, signs: np.ndarray) -> sp.csr_matrix:
-    """K with the left-right cross (sandwich) terms sign-flipped per site."""
-    dim = lrep.frame.dim
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    for comp in lrep.components:
-        if comp.omega < -1e-12:
-            continue
-        site = comp.coupling.support()
-        if len(site) != 1:
-            raise GeneratorError("sign-flip rule needs single-site couplings")
-        sgn = signs[site[0]]
-        eta = math.exp(-lrep.beta * comp.omega / 2.0)
-        s = comp.matrix
-        sd = s.conj().T.tocsr()
-        d = (sd @ s + eta ** 2 * (s @ sd)).tocsr()
-        diag = sp.kron(ident, d, format="csr") + sp.kron(d.T, ident, format="csr")
-        cross = 2.0 * eta * (sp.kron(s.T, sd, format="csr")
-                             + sp.kron(s.conj(), s, format="csr"))
-        total = total + _g_weight(comp.rate, comp.omega) * (diag - sgn * cross)
-    return total.tocsr()
+def _sandwich_signs(model: ModelSpec, block: XBlockSpec) -> np.ndarray:
+    """-1 on the sites of F (where sigma_x anticommutes with F), +1 elsewhere."""
+    return 1.0 - 2.0 * ((_flip_mask(model, block) >> np.arange(model.n_sites)) & 1)
 
 
-class _ToricBlockBasis:
-    """Operator-product bases for the fine x-type blocks of a torus model."""
-
-    def __init__(self, frame: StabilizerFrame):
-        model = frame.model
-        if model.kind != "toric" or model.partition is None:
-            raise GeneratorError("x-type blocks require a toric model")
-        self.frame = frame
-        self.model = model
-        L = model.geometry["L"]
-        indep = frame.indep
-        self.star_idx = [i for i in indep if model.stabilizers[i].z_mask == 0]
-        self.plaq_idx = [i for i in indep if model.stabilizers[i].x_mask == 0]
-        self.snake = list(model.partition.snake)
-        # per-independent-plaquette rows of the snake flip system
-        rows = []
-        for p in self.plaq_idx:
-            row = 0
-            for pos, j in enumerate(self.snake):
-                sx = PauliString.single(model.n_sites, j, "X")
-                if not sx.commutes_with(model.stabilizers[p]):
-                    row |= 1 << pos
-            rows.append(row)
-        self.flip_rows = rows
-
-    def snake_flip_operator(self, pattern: int) -> PauliString:
-        subset = gf2_solve(self.flip_rows,
-                           [(pattern >> i) & 1 for i in range(len(self.plaq_idx))],
-                           len(self.snake))
+def _snake_strings(frame: StabilizerFrame) -> list:
+    """sigma_x on a subset of the snake, one string per flip pattern p of the
+    independent plaquettes (bit i of p flips the i-th one)."""
+    model = frame.model
+    snake = list(model.partition.snake)
+    plaquettes = [model.stabilizers[i] for i in frame.indep
+                  if model.stabilizers[i].x_mask == 0]
+    rows = [sum(1 << pos for pos, j in enumerate(snake)
+                if not PauliString.single(model.n_sites, j, "X").commutes_with(plaq))
+            for plaq in plaquettes]
+    out = []
+    for p in range(1 << len(plaquettes)):
+        subset = gf2_solve(rows, [(p >> i) & 1 for i in range(len(plaquettes))],
+                           len(snake))
         if subset is None:
             raise GeneratorError("snake does not span the requested flip")
-        sites = [self.snake[pos] for pos in range(len(self.snake))
-                 if (subset >> pos) & 1]
-        return PauliString.from_sites(self.model.n_sites, "X", sites)
-
-    def _projector(self, idx_list, pattern: int) -> PauliSum:
-        n = self.model.n_sites
-        proj = PauliSum.identity(n)
-        for pos, i in enumerate(idx_list):
-            eps = 1.0 - 2.0 * ((pattern >> pos) & 1)
-            half = PauliSum(n, [(0.5, PauliString.identity(n)),
-                                (0.5 * eps, self.model.stabilizers[i])])
-            proj = proj * half
-        return proj
-
-    def sector_operator(self, block: XBlockSpec) -> PauliSum:
-        n = self.model.n_sites
-        op = PauliSum.identity(n)
-        for i in range(self.model.n_logical):
-            if (block.nu >> i) & 1:
-                op = op * self.model.logicals[i][1]
-        for i in range(self.model.n_logical):
-            if (block.mu >> i) & 1:
-                op = op * self.model.logicals[i][0]
-        return op
-
-    def plaquette_factor_basis(self) -> sp.csc_matrix:
-        """Columns (m, m'): normalized vec of P_plaq(m) * U_snake(m ^ m')."""
-        return self._assemble(lambda m, mp: self._projector(self.plaq_idx, m)
-                              * self.snake_flip_operator(m ^ mp))
-
-    def full_block_basis(self, block: XBlockSpec) -> sp.csc_matrix:
-        """Columns (alpha, m, m') spanning the fine block."""
-        n = self.model.n_sites
-        flip_op = PauliString.from_sites(n, "Z", block.star_flip_sites)
-        sector = self.sector_operator(block)
-
-        def build(alpha, m, mp):
-            return (self._projector(self.star_idx, alpha)
-                    * PauliSum(n, [(1.0, flip_op)])
-                    * self._projector(self.plaq_idx, m)
-                    * self.snake_flip_operator(m ^ mp)
-                    * sector)
-
-        return sp.hstack([self._assemble(lambda m, mp: build(alpha, m, mp))
-                          for alpha in range(1 << len(self.star_idx))], format="csc")
-
-    def _assemble(self, build) -> sp.csc_matrix:
-        cols = []
-        for m in range(1 << len(self.plaq_idx)):
-            for mp in range(1 << len(self.plaq_idx)):
-                cols.append(self._vec(build(m, mp)))
-        return sp.hstack(cols, format="csc")
-
-    def _vec(self, op: PauliSum) -> sp.csc_matrix:
-        m = self.frame.matrix_of(op)
-        v = sp.csc_matrix(m.toarray().reshape((-1, 1), order="F"))
-        nrm = sp.linalg.norm(v)
-        if nrm < 1e-12:
-            raise GeneratorError("degenerate block basis vector")
-        return v / nrm
+        out.append(PauliString.from_sites(
+            model.n_sites, "X", [j for pos, j in enumerate(snake) if (subset >> pos) & 1]))
+    return out
 
 
-def sign_flip_restriction(master_x: MasterHamiltonian, block: XBlockSpec,
+def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
                           check: bool = True, atol: float = 1e-12) -> SuperOperatorRep:
     """Restriction of the torus sigma_x master operator to one fine block.
 
-    Sites carrying a sigma_z of the block's star-flip or Z-logical content get
-    their sandwich terms sign-flipped; everything else is unchanged.  With
-    ``check`` the result is compared against the directly projected block of
-    the untouched operator, which must agree to ``atol``.
+    The fine block is spanned by F P_star P_plaq U(p) X_L^mu, with
+    F = Z_F Z_L^nu (``_flip_mask``) and U(p) the snake string flipping
+    plaquette pattern p.  K(F X) = F K^sigma(X), where K^sigma has its
+    sandwich (cross) terms sign-flipped on the sites of F; and on the charge
+    block of U(p) X_L^mu, K^sigma is kron(b_p, I) with the identity on the
+    star bits.  The result is the direct sum of the b_p, read from the signed
+    charge blocks; no 4^n-dimensional operator is built.  With ``check`` both
+    identities are verified entry by entry on every sector of the fine block
+    and must hold to ``atol``.
     """
-    lrep = master_x.rep
-    model = lrep.frame.model
-    helper = _ToricBlockBasis(lrep.frame)
-    signs = _sandwich_signs(model, block)
-    signed = _signed_master(lrep, signs)
-    w_p = helper.plaquette_factor_basis()
-    direct = block_matrix(signed, w_p)
-
+    frame = lrep.frame
+    model = frame.model
+    if model.kind != "toric" or model.partition is None:
+        raise GeneratorError("x-type blocks require a toric model")
+    signed = ChargeBlocks(lrep, signs=_sandwich_signs(model, block))
+    x_mu = PauliString.identity(model.n_sites)
+    for i in range(model.n_logical):
+        if (block.mu >> i) & 1:
+            x_mu = x_mu * model.logicals[i][0]
+    n_star = 1 << len(frame.x_masks)
     if check:
-        w_full = helper.full_block_basis(block)
-        projected = block_matrix(lrep.matrix, w_full)
-        n_star = 1 << len(helper.star_idx)
-        want = np.kron(np.eye(n_star), direct)
-        defect = np.abs(projected - want).max()
-        if defect > atol:
-            raise GeneratorError(
-                f"sign-flip restriction defect {defect:.3e} exceeds {atol:.1e}")
+        charge = ChargeBlocks(lrep)
+        # F|u> = phi_u |perm_u> carries sector delta onto delta ^ (F's label)
+        flip_string = PauliString(model.n_sites, 0, _flip_mask(model, block))
+        perm, phi = frame.genperm_of(flip_string)
+        moved = block_label_of(frame, flip_string)
 
-    return SuperOperatorRep(matrix=direct, space="hilbert-schmidt",
-                            beta=lrep.beta, frame=lrep.frame, rho=lrep.rho,
+    parts = []
+    for p, snake in enumerate(_snake_strings(frame)):
+        label = block_label_of(frame, snake * x_mu)
+        signed_block = signed.block(label)
+        b_p = signed_block[::n_star, ::n_star]
+        parts.append(b_p)
+        if not check:
+            continue
+        target = charge.sector_matrix(label.flip ^ moved.flip, label.mu ^ moved.mu)
+        defect = np.abs(target[np.ix_(perm, perm)] * phi[None, :]
+                        - phi[:, None] * signed.sector_matrix(label.flip, label.mu)).max()
+        if defect > atol:
+            raise GeneratorError(f"sign-flip intertwining defect {defect:.3e} exceeds "
+                                 f"{atol:.1e} (plaquette flip {p})")
+        defect = np.abs(signed_block - np.kron(b_p, np.eye(n_star))).max()
+        if defect > atol:
+            raise GeneratorError(f"signed block differs from kron(b_p, I) by {defect:.3e}, "
+                                 f"above {atol:.1e} (plaquette flip {p})")
+
+    return SuperOperatorRep(matrix=block_diag(*parts), space="hilbert-schmidt",
+                            beta=lrep.beta, frame=frame, rho=lrep.rho,
                             meta={"x_block": {"star_flip_sites": list(block.star_flip_sites),
                                               "nu": block.nu, "mu": block.mu}})

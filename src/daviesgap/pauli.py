@@ -314,20 +314,39 @@ def gf2_solve(rows, rhs, nvars: int):
     return x
 
 
+def gf2_nullspace(rows, nvars: int) -> list:
+    """Basis of {x : parity(row & x) == 0 for every row} over nvars bits.
+
+    The rows are brought to reduced echelon form; each free bit gives one
+    basis vector, itself plus the pivot bits of the rows that contain it.
+    """
+    pivots: dict = {}  # pivot bit -> row with no other pivot bit set
+    for row in rows:
+        for pbit, prow in pivots.items():
+            if (row >> pbit) & 1:
+                row ^= prow
+        if row:
+            pbit = row.bit_length() - 1
+            for b, prow in pivots.items():
+                if (prow >> pbit) & 1:
+                    pivots[b] = prow ^ row
+            pivots[pbit] = row
+    return [(1 << free) | sum(1 << pbit for pbit, prow in pivots.items()
+                              if (prow >> free) & 1)
+            for free in range(nvars) if free not in pivots]
+
+
 # ---------------------------------------------------------------------------
 # Commutant of a generating set
 # ---------------------------------------------------------------------------
-
-_SCAN_SITE_CAP = 8
-
 
 def commutant_dimension(generators, hamiltonian) -> int:
     """Count Pauli strings commuting with every generator and H term.
 
     ``hamiltonian`` is a PauliSum whose terms must mutually commute; distinct
     Pauli strings are linearly independent, so the count *is* the dimension of
-    the commutant algebra spanned by them.  Exhaustive symplectic scan up to
-    8 sites, GF(2) nullity count beyond.
+    the commutant algebra spanned by them: 2^(2n - rank) of the GF(2)
+    symplectic rows.
     """
     if isinstance(hamiltonian, PauliSum):
         h_ops = [op for _, op in hamiltonian.terms]
@@ -343,22 +362,8 @@ def commutant_dimension(generators, hamiltonian) -> int:
     n = ops[0].n
     if any(op.n != n for op in ops):
         raise PauliError("site counts differ")
-    if n <= _SCAN_SITE_CAP:
-        return _commutant_by_scan(ops, n)
     rows = [(op.x_mask << n) | op.z_mask for op in ops]
     return 1 << (2 * n - gf2_rank(rows))
-
-
-def _commutant_by_scan(ops, n: int) -> int:
-    idx = np.arange(1 << (2 * n), dtype=np.uint64)
-    cand_x = idx & np.uint64((1 << n) - 1)
-    cand_z = idx >> np.uint64(n)
-    ok = np.ones(idx.shape, dtype=bool)
-    for op in ops:
-        form = (np.bitwise_count(cand_x & np.uint64(op.z_mask))
-                + np.bitwise_count(cand_z & np.uint64(op.x_mask)))
-        ok &= (form & 1) == 0
-    return int(ok.sum())
 
 
 # ---------------------------------------------------------------------------

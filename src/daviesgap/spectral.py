@@ -1,11 +1,10 @@
 """Spectral gaps, analytic lower bounds, and certification.
 
 The gap of a positive semidefinite operator is its smallest eigenvalue above
-the kernel.  Dense instances are fully diagonalized; large instances use a
-Lanczos-type iteration (ARPACK) on the operator with every known kernel
-vector deflated away by an explicit rank-k shift, plus residual verification
-of the reported eigenpair.  Certification asserts gap >= exp(-8*beta*J)/3 and
-reports the margin.
+the kernel.  Dense instances are fully diagonalized; large instances use
+shift-inverted Lanczos (ARPACK) just below zero, with two independent starts
+that must agree and residual verification of the reported eigenpair.
+Certification asserts gap >= exp(-8*beta*J)/3 and reports the margin.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
 from .master import ChargeBlocks, MasterHamiltonian, to_master, block_labels
 from .models import ModelSpec
-from .pauli import commutant_dimension, PauliString
+from .pauli import commutant_dimension, gf2_nullspace, PauliString
 
 DENSE_DIM_CAP = 4096
 KERNEL_RTOL = 1e-10
@@ -87,9 +86,9 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     """Kernel dimension and smallest nonzero eigenvalue of a PSD operator.
 
     Eigenvalues below KERNEL_RTOL times the largest one count as kernel.
-    The iterative path deflates ``kernel_basis`` (orthonormalized here) and
-    falls back to a shifted LOBPCG run if ARPACK stalls; non-convergence is
-    raised, never silently ignored.
+    Above ``dense_cap`` the operator (made sparse if it is not) goes to
+    shift-inverted Lanczos, which asks for the rank of ``kernel_basis`` plus
+    ``n_eigs`` eigenpairs; non-convergence is raised, never silently ignored.
     """
     matrix = _as_matrix(rep)
     t0 = time.time()
@@ -124,14 +123,15 @@ def _dense_gap(matrix) -> GapReport:
                      near_threshold=near)
 
 
-def _orthonormal(columns) -> np.ndarray:
-    q, r = np.linalg.qr(np.column_stack(columns))
-    keep = np.abs(np.diagonal(r)) > 1e-12
-    return q[:, keep]
+def _rank(columns) -> int:
+    r = np.linalg.qr(np.column_stack(columns), mode="r")
+    return int(np.sum(np.abs(np.diagonal(r)) > 1e-12))
 
 
 def _iterative_gap(matrix, kernel_basis, seed=0, n_eigs=8) -> GapReport:
     dim = matrix.shape[0]
+    if not sp.issparse(matrix):
+        matrix = sp.csr_matrix(matrix)
     maxiter = int(10 * math.sqrt(dim)) + 200
     try:
         lam_max = float(spla.eigsh(matrix, k=1, which="LA", tol=1e-6,
@@ -139,11 +139,9 @@ def _iterative_gap(matrix, kernel_basis, seed=0, n_eigs=8) -> GapReport:
     except spla.ArpackNoConvergence as exc:
         raise SolverConvergenceError("norm estimation did not converge") from exc
     thr = KERNEL_RTOL * lam_max
-
-    defl = None
+    n_kernel = 1
     if kernel_basis is not None and len(kernel_basis) > 0:
-        defl = _orthonormal(kernel_basis)
-    n_kernel = defl.shape[1] if defl is not None else 1
+        n_kernel = _rank(kernel_basis)
 
     # Shift-inverted Lanczos around zero is the only variant that finds a
     # clustered lowest eigenvalue reliably here (plain smallest-algebraic
@@ -153,9 +151,8 @@ def _iterative_gap(matrix, kernel_basis, seed=0, n_eigs=8) -> GapReport:
     tol = max(1e-9 * lam_max, 1e-12)
     results = []
     for attempt in range(5):
-        results.append(_bottom_spectrum_pass(matrix, defl, n_kernel, lam_max,
-                                             thr, maxiter, seed + 101 * attempt,
-                                             n_eigs))
+        results.append(_bottom_spectrum_pass(matrix, n_kernel, lam_max, thr,
+                                             maxiter, seed + 101 * attempt, n_eigs))
         best = min(results, key=lambda r: r.gap)
         confirmations = sum(abs(r.gap - best.gap) <= tol for r in results)
         if confirmations >= 2:
@@ -165,56 +162,23 @@ def _iterative_gap(matrix, kernel_basis, seed=0, n_eigs=8) -> GapReport:
         + ", ".join(f"{r.gap:.12g}" for r in results))
 
 
-def _bottom_spectrum_pass(matrix, defl, n_kernel, lam_max, thr, maxiter, seed,
+def _bottom_spectrum_pass(matrix, n_kernel, lam_max, thr, maxiter, seed,
                           n_eigs) -> GapReport:
     dim = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
+    v0 = np.random.default_rng(seed).standard_normal(dim)
     k = min(n_kernel + n_eigs, dim - 2)
-    solver = "iterative"
-    vals = vecs = None
-    if sp.issparse(matrix):
-        try:
-            # small enough to keep the spectral contrast of the inverse, but
-            # far above the numerical dust of a PSD matrix, so A - sigma is PD
-            sigma = -1e-8 * lam_max
-            vals, vecs = spla.eigsh(matrix.tocsc(), k=k, sigma=sigma,
-                                    which="LM", tol=1e-11, maxiter=maxiter,
-                                    v0=v0)
-        except (spla.ArpackNoConvergence, RuntimeError):
-            vals = vecs = None
-
-    if vals is None:
-        # deflate the known kernel upward and go after the smallest values
-        solver = "iterative-deflated"
-        if defl is not None:
-            shift = 2.0 * lam_max
-
-            def matvec(x):
-                return matrix @ x + shift * (defl @ (defl.conj().T @ x))
-
-            op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-            v0 = v0 - (defl @ (defl.conj().T @ v0)).real
-        else:
-            op = matrix
-        ncv = min(dim, max(4 * k + 1, 41))
-        try:
-            vals, vecs = spla.eigsh(op, k=k, which="SA", tol=1e-11, ncv=ncv,
-                                    maxiter=maxiter, v0=v0)
-        except spla.ArpackNoConvergence:
-            solver = "iterative-lobpcg"
-            x0 = rng.standard_normal((dim, k))
-            vals, vecs = spla.lobpcg(matrix, x0, Y=defl, tol=1e-10,
-                                     maxiter=2000, largest=False)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if defl is not None:
-            # the deflated kernel sits far up; re-count it explicitly
-            vals = np.concatenate([np.zeros(defl.shape[1]), vals])
-            vecs = np.column_stack([defl, vecs])
+    try:
+        # small enough to keep the spectral contrast of the inverse, but
+        # far above the numerical dust of a PSD matrix, so A - sigma is PD
+        sigma = -1e-8 * lam_max
+        vals, vecs = spla.eigsh(matrix.tocsc(), k=k, sigma=sigma, which="LM",
+                                tol=1e-11, maxiter=maxiter, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverConvergenceError(
+            f"shift-invert Lanczos did not converge (dim {dim}, k {k}, "
+            f"seed {seed})") from exc
 
     extra = int(np.sum(vals < thr))
-    kdim = extra
     if extra >= len(vals):
         raise SolverConvergenceError("all computed eigenvalues sit in the kernel; "
                                      "increase n_eigs")
@@ -225,7 +189,7 @@ def _bottom_spectrum_pass(matrix, defl, n_kernel, lam_max, thr, maxiter, seed,
         raise SolverConvergenceError(
             f"eigenpair residual {residual:.3e} above tolerance")
     near = (float(vals[extra - 1]) if extra else float("-inf"), g)
-    return GapReport(kernel_dim=kdim, gap=g, solver=solver, residual=residual,
+    return GapReport(kernel_dim=extra, gap=g, solver="iterative", residual=residual,
                      near_threshold=near)
 
 
@@ -448,19 +412,19 @@ def kernel_vectors_from_commutant(model: ModelSpec, frame, rho,
 
 
 def commutant_basis(generators, model: ModelSpec) -> list:
-    """Pauli strings commuting with all generators and Hamiltonian terms."""
+    """Pauli strings commuting with all generators and Hamiltonian terms.
+
+    The span of the GF(2) nullspace of the symplectic rows, with each string
+    encoded as x_mask | z_mask << n and listed in increasing order.
+    """
     n = model.n_sites
-    if n > 8:
-        raise GeneratorError("commutant basis scan capped at 8 sites")
-    ops = list(generators) + [s for s in model.stabilizers]
-    out = []
-    for idx in range(1 << (2 * n)):
-        x = idx & ((1 << n) - 1)
-        z = idx >> n
-        cand = PauliString(n, x, z, 0)
-        if all(cand.commutes_with(op) for op in ops):
-            out.append(cand)
-    return out
+    ops = list(generators) + list(model.stabilizers)
+    rows = [op.z_mask | (op.x_mask << n) for op in ops]
+    span = np.zeros(1, dtype=np.int64)
+    for vec in gf2_nullspace(rows, 2 * n):
+        span = np.concatenate([span, span ^ vec])
+    full = (1 << n) - 1
+    return [PauliString(n, int(v) & full, int(v) >> n, 0) for v in np.sort(span)]
 
 
 def certify(model: ModelSpec, tp: ThermalParams, couplings=None,
@@ -469,8 +433,8 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None,
     """Compute the generator gap and assert the exp(-8*beta*J)/3 lower bound.
 
     method 'blocks' takes the exact minimum over charge sectors; 'dense'
-    diagonalizes the full master operator; 'iterative' runs the deflated
-    Lanczos path on the full space.  A bound violation raises; it is never
+    diagonalizes the full master operator; 'iterative' runs shift-inverted
+    Lanczos on the full space.  A bound violation raises; it is never
     downgraded to a warning.
     """
     t0 = time.time()

@@ -121,7 +121,7 @@ def test_criterion_5_torus_certification(acceptance, toric2, toric2_frame):
     acceptance("criterion 5",
                min(margins) > 0 and max(split) < 1e-8 and elapsed < 1200.0,
                f"torus gap certified on the 65536-dim space: min margin "
-               f"{min(margins):.4f}, blocks vs deflated-iterative "
+               f"{min(margins):.4f}, blocks vs shift-invert iterative "
                f"{max(split):.2e} (tol 1e-8), {elapsed:.1f}s (budget 1200s)")
 
 

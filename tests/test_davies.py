@@ -231,19 +231,34 @@ class TestLiouvilleMatrix:
         got = davies._generator_action(rep.components)(x)
         assert np.abs(got.reshape(-1, order="F") - want).max() < 1e-12
 
+    def test_component_action_rejects_repeated_columns(self, ising3,
+                                                       ising3_frame):
+        lrep = build_generator(ising3, frame=ising3_frame)
+        two = PauliSum.from_terms([(1.0, PauliString.single(3, 0, "X")),
+                                   (1.0, PauliString.single(3, 1, "X"))])
+        lrep.components[0].matrix = ising3_frame.matrix_of(two)
+        with pytest.raises(GeneratorError, match="more than one nonzero"):
+            davies._generator_action(lrep.components)
+
     def test_rejects_hilbert_schmidt_input(self, ising3, ising3_frame):
         rep = master.to_master(build_generator(ising3, frame=ising3_frame)).rep
         with pytest.raises(GeneratorError):
             liouville_matrix(rep)
 
     def test_blocks_path_never_builds_it(self, monkeypatch, ising4, toric2):
-        def refuse(rep):
-            raise AssertionError("the Liouville matrix was built")
+        # neither the Liouville matrix nor the full master operator K
+        for name in ("liouville_matrix", "to_master", "_component_k"):
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name} was called")
 
-        for module in (davies, master, spectral, dynamics):
-            monkeypatch.setattr(module, "liouville_matrix", refuse, raising=False)
+            for module in (davies, master, spectral, dynamics):
+                monkeypatch.setattr(module, name, refuse, raising=False)
         tp = ThermalParams.from_betaJ(0.25)
         for model in (ising4, toric2):
             assert spectral.certify(model, tp, method="blocks").kernel_dim == 1
         trace = dynamics.autocorrelation(ising4, tp)
         assert trace.fitted_rate > 0
+        x_couplings = [PauliString.single(8, j, "X") for j in range(8)]
+        lrep = build_generator(toric2, couplings=x_couplings, tp=tp)
+        rep = master.sign_flip_restriction(lrep, master.XBlockSpec(nu=1))
+        assert rep.matrix.shape == (64, 64)

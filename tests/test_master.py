@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
 from daviesgap.master import (ChargeBlocks, XBlockSpec, block_label_of,
@@ -261,35 +262,83 @@ class TestMixedUnitEigenaction:
 
 
 @pytest.fixture(scope="module")
-def toric_x_master(toric2, toric2_frame):
+def toric_x_lrep(toric2, toric2_frame):
     tp = ThermalParams.from_betaJ(0.25)
     couplings = [PauliString.single(8, j, "X") for j in range(8)]
-    lrep = build_generator(toric2, couplings=couplings, tp=tp,
-                           frame=toric2_frame)
-    return to_master(lrep)
+    return build_generator(toric2, couplings=couplings, tp=tp, frame=toric2_frame)
+
+
+def _x_block_specs(toric2):
+    comb = toric2.partition.comb
+    return {"trivial": XBlockSpec(), "nu1": XBlockSpec(nu=1),
+            "nu2": XBlockSpec(nu=2), "nu3": XBlockSpec(nu=3),
+            "star-flip": XBlockSpec(star_flip_sites=(comb[0],)),
+            "two-flips-nu1-mu2": XBlockSpec(star_flip_sites=tuple(comb[:2]),
+                                            nu=1, mu=2)}
+
+
+def _fine_block_labels(model, frame, spec):
+    """Charge blocks of F * U * X_L^mu over every sigma_x string U on the snake,
+    F the block's star-flip string times its Z logicals."""
+    n = model.n_sites
+    f = PauliString.from_sites(n, "Z", spec.star_flip_sites)
+    x_mu = PauliString.identity(n)
+    for i, (lx, lz) in enumerate(model.logicals):
+        if (spec.nu >> i) & 1:
+            f = f * lz
+        if (spec.mu >> i) & 1:
+            x_mu = x_mu * lx
+    snake = model.partition.snake
+    return {block_label_of(frame, f * PauliString.from_sites(
+                n, "X", [j for pos, j in enumerate(snake) if (s >> pos) & 1]) * x_mu)
+            for s in range(1 << len(snake))}
 
 
 class TestSignFlipRestriction:
-    def test_trivial_block_unmodified(self, toric_x_master):
-        rep = sign_flip_restriction(toric_x_master, XBlockSpec(), check=True)
+    def test_trivial_block_unmodified(self, toric_x_lrep):
+        rep = sign_flip_restriction(toric_x_lrep, XBlockSpec(), check=True)
         assert rep.matrix.shape == (64, 64)
         evals = np.linalg.eigvalsh(rep.matrix)
         assert evals[0] > -1e-12 * evals[-1]
 
-    def test_z1_block_matches_projection(self, toric_x_master, toric2):
-        rep0 = sign_flip_restriction(toric_x_master, XBlockSpec(), check=False)
-        rep1 = sign_flip_restriction(toric_x_master, XBlockSpec(nu=1),
+    def test_z1_block_matches_projection(self, toric_x_lrep, toric2):
+        rep0 = sign_flip_restriction(toric_x_lrep, XBlockSpec(), check=False)
+        rep1 = sign_flip_restriction(toric_x_lrep, XBlockSpec(nu=1),
                                      check=True)
         # the d1 loop sites flip sandwich signs, so the block changes
         assert np.abs(rep0.dense() - rep1.dense()).max() > 1e-6
 
-    def test_star_flip_block_matches_projection(self, toric_x_master, toric2):
+    def test_star_flip_block_matches_projection(self, toric_x_lrep, toric2):
         comb_site = toric2.partition.comb[0]
-        sign_flip_restriction(toric_x_master,
+        sign_flip_restriction(toric_x_lrep,
                               XBlockSpec(star_flip_sites=(comb_site,)),
                               check=True)
 
     def test_flip_on_ising_rejected(self, ising3_master):
-        _, master = ising3_master
+        lrep, _ = ising3_master
         with pytest.raises(GeneratorError):
-            sign_flip_restriction(master, XBlockSpec(), check=False)
+            sign_flip_restriction(lrep, XBlockSpec(), check=False)
+
+    @pytest.mark.parametrize("name", ["nu1", "star-flip"])
+    def test_unsigned_rule_rejected(self, monkeypatch, toric_x_lrep, toric2,
+                                    name):
+        # with every sandwich sign +1 the intertwining identity must fail
+        monkeypatch.setattr(master_module, "_sandwich_signs",
+                            lambda model, block: np.ones(model.n_sites))
+        with pytest.raises(GeneratorError, match="intertwining defect"):
+            sign_flip_restriction(toric_x_lrep, _x_block_specs(toric2)[name],
+                                  check=True)
+
+    @pytest.mark.parametrize("name", ["trivial", "nu1", "nu2", "nu3",
+                                      "star-flip", "two-flips-nu1-mu2"])
+    def test_spectrum_equals_fine_block(self, toric_x_lrep, toric2,
+                                        toric2_frame, name):
+        spec = _x_block_specs(toric2)[name]
+        labels = _fine_block_labels(toric2, toric2_frame, spec)
+        assert len(labels) == 8
+        charge = ChargeBlocks(toric_x_lrep)
+        fine = np.sort(np.concatenate([np.linalg.eigvalsh(charge.block(label))
+                                       for label in labels]))
+        rep = sign_flip_restriction(toric_x_lrep, spec, check=False)
+        want = np.linalg.eigvalsh(np.kron(np.eye(8), rep.dense()))
+        assert np.abs(fine - want).max() < 1e-12

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from daviesgap.pauli import (PauliString, PauliSum, PauliError, commutes,
-                             commutant_dimension, gf2_rank, gf2_solve,
-                             write_coo_text, read_coo_text)
+                             commutant_dimension, gf2_nullspace, gf2_rank,
+                             gf2_solve, write_coo_text, read_coo_text)
 
 X = PauliString.single(1, 0, "X")
 Y = PauliString.single(1, 0, "Y")
@@ -228,6 +228,16 @@ class TestGF2:
     def test_solve_inconsistent(self):
         # x0 = 0 and x0 = 1
         assert gf2_solve([1, 1], [0, 1], 1) is None
+
+    def test_nullspace(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            nvars = 10
+            rows = [int(rng.integers(0, 1 << nvars)) for _ in range(6)]
+            basis = gf2_nullspace(rows, nvars)
+            assert len(basis) == nvars - gf2_rank(rows)
+            assert gf2_rank(basis) == len(basis)
+            assert all(bin(r & x).count("1") % 2 == 0 for r in rows for x in basis)
 
 
 class TestCooText(object):

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from daviesgap.davies import ThermalParams, build_generator
+from daviesgap.davies import ThermalParams, build_generator, default_couplings
 from daviesgap.master import to_master
-from daviesgap.models import build_ising_ring
-from daviesgap.pauli import PauliString
+from daviesgap.models import build_ising_ring, build_toric_code
+from daviesgap.pauli import PauliString, commutant_dimension
 from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
-                                LemmaCheckError, abelian_chain_hamiltonian,
+                                LemmaCheckError, SolverConvergenceError,
+                                abelian_chain_hamiltonian,
                                 abelian_chain_kernel, analytic_bounds,
                                 bond_pair_block, certify, commutant_basis,
                                 gap, gap_from_blocks, lemma1_check,
@@ -43,10 +45,63 @@ class TestGap:
         assert abs(dense_r.gap - iter_r.gap) < 1e-8 * dense_r.gap
         assert dense_r.kernel_dim == iter_r.kernel_dim == 4
         assert iter_r.residual < 1e-8
+        # a dense array above the cap takes the same shift-invert path
+        from_dense = gap(a.toarray(), kernel_basis=basis, dense_cap=10)
+        assert from_dense.solver == iter_r.solver == "iterative"
+        assert from_dense.gap == iter_r.gap
+
+    def test_shift_invert_failure_names_the_run(self, monkeypatch):
+        real_eigsh = spla.eigsh
+
+        def stalled(matrix, *args, **kwargs):
+            if "sigma" not in kwargs:
+                return real_eigsh(matrix, *args, **kwargs)
+            raise spla.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        a = sp.diags(np.arange(200.0)).tocsr()
+        with pytest.raises(SolverConvergenceError,
+                           match=r"dim 200, k 9, seed 7"):
+            gap(a, dense_cap=10, seed=7)
 
     def test_reports_near_threshold_pair(self):
         r = gap(np.diag([0.0, 2.0, 3.0]))
         assert r.near_threshold == (0.0, 2.0)
+
+
+def _commutant_by_scan(ops, n):
+    """Every x | z << n whose Pauli string commutes with all ops (4^n scan)."""
+    idx = np.arange(1 << (2 * n), dtype=np.int64)
+    ok = np.ones(idx.shape, dtype=bool)
+    for op in ops:
+        form = (np.bitwise_count(idx & op.z_mask)
+                + np.bitwise_count((idx >> n) & op.x_mask))
+        ok &= (form & 1) == 0
+    return idx[ok]
+
+
+def _coupling_set(model, name):
+    n = model.n_sites
+    if name == "default":
+        return default_couplings(model)
+    if name == "mixed":
+        return [PauliString.single(n, j, "XYZ"[j % 3]) for j in range(n)]
+    return [PauliString.single(n, j, name) for j in range(n)]
+
+
+class TestCommutantByNullspace:
+    @pytest.mark.parametrize("coupling_set", ["default", "X", "Z", "mixed"])
+    @pytest.mark.parametrize("size", ["ring3", "ring4", "ring5", "torus2"])
+    def test_matches_brute_force_scan(self, size, coupling_set):
+        model = (build_toric_code(2) if size == "torus2"
+                 else build_ising_ring(int(size[-1])))
+        n = model.n_sites
+        couplings = _coupling_set(model, coupling_set)
+        want = _commutant_by_scan(couplings + list(model.stabilizers), n)
+        assert commutant_dimension(couplings, model.hamiltonian()) == want.size
+        got = [p.x_mask | (p.z_mask << n)
+               for p in commutant_basis(couplings, model)]
+        assert got == want.tolist()
 
 
 class TestAnalyticBounds:
