@@ -10,9 +10,9 @@ from .davies import (ThermalParams, JumpOperatorSet, JumpComponent,
                      liouville_matrix, default_couplings, detailed_balance_residual,
                      dissipativity_identity_check, stationarity_residual,
                      reconstruction_residual)
-from .master import (MasterHamiltonian, BlockLabel, ChargeBlocks, XBlockSpec,
-                     to_master, block_labels, block_label_of, sector_index,
-                     sector_isometries, sign_flip_restriction)
+from .master import (BlockLabel, ChargeBlocks, XBlockSpec, block_labels,
+                     block_label_of, sector_index, sector_isometries,
+                     sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
                        abelian_chain_hamiltonian, abelian_chain_kernel,
                        bond_pair_block, lemma1_check, lemma2_bound,

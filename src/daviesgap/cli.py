@@ -87,6 +87,14 @@ def _betaJ_of(cfg) -> float:
     return float(cfg["betaJ"])
 
 
+def _check_method(cfg) -> None:
+    """``blocks`` is the only gap method; config values bypass argparse choices."""
+    method = cfg.get("method", "blocks")
+    if method != "blocks":
+        raise ValueError(f"unsupported --method {method!r}: gaps are certified "
+                         "on charge blocks only (--method blocks)")
+
+
 def _write_json(cfg, payload) -> None:
     if cfg.get("json_out"):
         with open(cfg["json_out"], "w") as fh:
@@ -117,15 +125,12 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_gap(args) -> int:
     cfg = _merge(args)
+    _check_method(cfg)
     model = _model_of(cfg)
     tp = ThermalParams.from_betaJ(_betaJ_of(cfg), cfg["coupling"])
-    method = cfg.get("method", "blocks")
-    if cfg.get("blocks_out") and method != "blocks":
-        raise ValueError(f"--blocks-out needs --method blocks (got --method {method}): "
-                         "only the blocks method makes a block inventory")
     couplings = default_couplings(model, cfg.get("coupling_letters"))
-    report = certify(model, tp, couplings=couplings, method=method,
-                     seed=cfg["seed"], inventory=bool(cfg.get("blocks_out")))
+    report = certify(model, tp, couplings=couplings,
+                     inventory=bool(cfg.get("blocks_out")))
     if cfg.get("blocks_out"):
         with open(cfg["blocks_out"], "w") as fh:
             json.dump(report.extras.get("blocks", []), fh, indent=1)
@@ -140,10 +145,10 @@ def _cmd_gap(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _merge(args)
+    _check_method(cfg)
     reports = sweep(cfg["model"], _parse_ints(cfg["sizes"]),
                     _parse_floats(cfg["betaJs"]), coupling=cfg["coupling"],
-                    coupling_letters=cfg.get("coupling_letters"),
-                    method=cfg.get("method", "blocks"), seed=cfg["seed"])
+                    coupling_letters=cfg.get("coupling_letters"))
     out = cfg.get("out", "sweep.csv")
     write_sweep_csv(reports, out)
     print(f"wrote {len(reports)} rows to {out}; "
@@ -230,16 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="certify the generator gap at one point")
     _add_common(p)
     p.add_argument("--betaJ")
-    p.add_argument("--method", choices=["blocks", "dense", "iterative"])
+    p.add_argument("--method", help="gap method; only 'blocks' (the default)")
     p.add_argument("--blocks-out", dest="blocks_out",
-                   help="write the per-block inventory as JSON (blocks method)")
+                   help="write the per-block inventory as JSON")
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("sweep", help="certify over a size x betaJ grid (CSV)")
     _add_common(p)
     p.add_argument("--sizes", required=True, help="comma list, e.g. 3,4,5")
     p.add_argument("--betaJs", required=True, help="comma list, e.g. 0,0.25")
-    p.add_argument("--method", choices=["blocks", "dense", "iterative"])
+    p.add_argument("--method", help="gap method; only 'blocks' (the default)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 

@@ -383,20 +383,23 @@ def dissipativity_identity_check(rep: SuperOperatorRep, coupling_index: int,
     rng = np.random.default_rng(seed)
     rho = rep.rho
     d = rep.frame.dim
-    beta = rep.beta
+    pairs = _component_pairs(rep, coupling_index, omega)
+    apply = _generator_action([c for pair in pairs for c in pair if c is not None])
+    terms = []
+    for c, _ in pairs:
+        s = c.matrix.toarray()
+        g = c.rate / (2.0 if c.omega > 1e-12 else 4.0)
+        terms.append((s, s.conj().T, g, g * math.exp(-rep.beta * c.omega)))
     worst = 0.0
     for x in _random_operators(d, samples, rng):
         x /= math.sqrt(abs(_beta_inner(rho, x, x)))
-        lhs = -_beta_inner(rho, x, apply_component(rep, coupling_index, x, omega))
+        lhs = -_beta_inner(rho, x, apply(x))
         rhs = 0.0
-        for c, _ in _component_pairs(rep, coupling_index, omega):
-            s = c.matrix.toarray()
-            g = c.rate / (2.0 if c.omega > 1e-12 else 4.0)
+        for s, sd, g, g_d in terms:
             com = s @ x - x @ s
             rhs += g * _beta_inner(rho, com, com)
-            sd = s.conj().T
             com_d = sd @ x - x @ sd
-            rhs += g * math.exp(-beta * c.omega) * _beta_inner(rho, com_d, com_d)
+            rhs += g_d * _beta_inner(rho, com_d, com_d)
         worst = max(worst, abs(lhs - rhs))
     return worst
 

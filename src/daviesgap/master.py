@@ -14,16 +14,15 @@ Blocks: conjugation by any stabilizer or logical operator commutes with the
 generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
 small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
-straight from the jump components, and the full K of ``to_master`` is kept
-only as the full-space reference.  The torus sign-flip restriction is read
-from sign-flipped charge blocks and checked against the unsigned ones, so it
-builds no 4^n-dimensional operator either.
+straight from the jump components, and no code here builds the full
+4^n-dimensional K.  The torus sign-flip restriction is read from
+sign-flipped charge blocks and checked against the unsigned ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,68 +36,6 @@ from .pauli import PauliString, gf2_solve
 
 def _g_weight(rate: float, omega: float, tol: float = 1e-12) -> float:
     return rate / 2.0 if omega > tol else rate / 4.0
-
-
-def _component_k(matrix: sp.csr_matrix, eta: float) -> sp.csr_matrix:
-    """(S_L - eta S_R)*(S_L - eta S_R) + (Sd_R - eta Sd_L)*(Sd_R - eta Sd_L).
-
-    Both factors annihilate rho^{1/2}: S rho^{1/2} = eta rho^{1/2} S and
-    Sd rho^{1/2} = eta^{-1} rho^{1/2} Sd for a component at frequency w.
-    """
-    dim = matrix.shape[0]
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    adj = matrix.conj().T.tocsr()
-    a = sp.kron(ident, matrix, format="csr") - eta * sp.kron(matrix.T, ident, format="csr")
-    b = sp.kron(matrix.conj(), ident, format="csr") - eta * sp.kron(ident, adj, format="csr")
-    return (a.conj().T @ a + b.conj().T @ b).tocsr()
-
-
-@dataclass
-class MasterHamiltonian:
-    rep: SuperOperatorRep
-    kernel_witness: np.ndarray
-    components: list = field(default_factory=list)  # positive-frequency JumpComponents
-
-    @property
-    def matrix(self):
-        return self.rep.matrix
-
-    @property
-    def component_index(self) -> list:
-        """(coupling_index, omega) of each positive-frequency summand of K."""
-        return [(c.coupling_index, c.omega) for c in self.components]
-
-    def component(self, i: int) -> sp.csr_matrix:
-        """Materialize one positive-frequency summand of K."""
-        comp = self.components[i]
-        eta = math.exp(-self.rep.beta * comp.omega / 2.0)
-        return _g_weight(comp.rate, comp.omega) * _component_k(comp.matrix, eta)
-
-    def kernel_residual(self) -> float:
-        v = self.kernel_witness
-        return float(np.linalg.norm(self.matrix @ v))
-
-
-def to_master(lrep: SuperOperatorRep) -> MasterHamiltonian:
-    """Unitarily transport -L to Hilbert-Schmidt space via X -> X rho^{1/2}."""
-    if lrep.space != "liouville":
-        raise GeneratorError("to_master expects a Liouville-space generator")
-    if lrep.rho is None or lrep.frame is None:
-        raise GeneratorError("generator lacks Gibbs weights or basis frame")
-    dim = lrep.frame.dim
-    k = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    # negative frequencies are covered by the adjoint of the positive ones
-    comps = [c for c in lrep.components if c.omega >= -1e-12]
-    for comp in comps:
-        eta = math.exp(-lrep.beta * comp.omega / 2.0)
-        k = k + _g_weight(comp.rate, comp.omega) * _component_k(comp.matrix, eta)
-
-    witness = np.zeros(dim * dim, dtype=complex)
-    witness[np.arange(dim) * (dim + 1)] = np.sqrt(lrep.rho)
-    rep = SuperOperatorRep(matrix=k.tocsr(), space="hilbert-schmidt",
-                           beta=lrep.beta, frame=lrep.frame, rho=lrep.rho,
-                           components=lrep.components, meta=dict(lrep.meta))
-    return MasterHamiltonian(rep=rep, kernel_witness=witness, components=comps)
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,23 @@ class TestGap:
         assert set(doc["min_block"]) == {"flip", "sector", "dim"}
         assert doc["min_block"]["dim"] == 4
 
-    @pytest.mark.parametrize("method", ["dense", "iterative"])
-    def test_block_inventory_needs_blocks_method(self, tmp_path, capsys,
-                                                 method):
-        path = tmp_path / "blocks.json"
-        code = run_cli(["gap", "--model", "ising", "--size", "3",
-                        "--betaJ", "0.25", "--method", method,
-                        "--blocks-out", str(path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--blocks-out" in err and f"--method {method}" in err
-        assert not path.exists()
+    @pytest.mark.parametrize("source, method", [
+        ("flag", "dense"), ("flag", "iterative"), ("config", "dense")],
+        ids=["flag-dense", "flag-iterative", "config-dense"])
+    def test_full_space_methods_rejected(self, tmp_path, capsys, source,
+                                         method):
+        blocks, report = tmp_path / "blocks.json", tmp_path / "gap.json"
+        argv = ["gap", "--model", "ising", "--size", "3", "--betaJ", "0.25",
+                "--blocks-out", str(blocks), "--json", str(report)]
+        if source == "flag":
+            argv += ["--method", method]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"method = {method}\n")
+            argv += ["--config", str(config)]
+        assert run_cli(argv) == 2
+        assert repr(method) in capsys.readouterr().err
+        assert not blocks.exists() and not report.exists()
 
 
 class TestSweep:

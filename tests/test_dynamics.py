@@ -11,10 +11,11 @@ from daviesgap.davies import (GeneratorError, ThermalParams, build_generator,
 from daviesgap.dynamics import (BlockPropagator, EvolutionError,
                                 autocorrelation, default_time_grid,
                                 fit_decay_rate, relaxation_time)
-from daviesgap.master import BlockLabel, block_labels, to_master
+from daviesgap.master import BlockLabel, block_labels
 from daviesgap.models import build_ising_ring
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import certify
+from oracles import to_master
 
 
 @pytest.fixture(scope="module")

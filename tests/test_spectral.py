@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from daviesgap.davies import ThermalParams, build_generator, default_couplings
-from daviesgap.master import to_master
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, commutant_dimension
 from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
@@ -15,8 +15,9 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 abelian_chain_kernel, analytic_bounds,
                                 bond_pair_block, certify, commutant_basis,
                                 gap, gap_from_blocks, lemma1_check,
-                                lemma2_bound, lemma3_bound, power_norm, sweep,
+                                lemma2_bound, lemma3_bound, sweep,
                                 write_sweep_csv)
+from oracles import full_space_gap, to_master
 
 
 class TestGap:
@@ -248,12 +249,6 @@ class TestLemmaCheckers:
             eps = np.linalg.eigvalsh(np.array([[y, x], [np.conj(x), z + u]]))[0]
             assert eps >= bound - 1e-12
 
-    def test_power_norm(self):
-        rng = np.random.default_rng(3)
-        c = rng.standard_normal((30, 30))
-        b = c @ c.T
-        assert abs(power_norm(b) - np.linalg.eigvalsh(b)[-1]) < 1e-8
-
     def test_lemma2_on_reduced_generator_blocks(self, ising4, ising4_frame):
         # A = reduced couplings on the Z sector, B = the boundary site term;
         # the combined bound dominates h_minus^2/(h_minus/2 + 2).
@@ -277,16 +272,32 @@ class TestCertify:
         r = certify(ising3, ThermalParams(beta=0.0))
         assert r.kernel_dim == 1
         assert r.gap >= 1.0 / 3.0
-        dense = certify(ising3, ThermalParams(beta=0.0), method="dense")
+        dense = full_space_gap(build_generator(ising3, tp=ThermalParams(beta=0.0)),
+                               expected_kernel=1)
         assert abs(r.gap - dense.gap) < 1e-10
 
     def test_methods_agree(self, ising4):
         tp = ThermalParams.from_betaJ(0.25)
-        r_blocks = certify(ising4, tp, method="blocks")
-        r_dense = certify(ising4, tp, method="dense")
-        r_iter = certify(ising4, tp, method="iterative")
+        lrep = build_generator(ising4, tp=tp)
+        r_blocks = certify(ising4, tp)
+        r_dense = full_space_gap(lrep, expected_kernel=1)
+        r_iter = full_space_gap(lrep, expected_kernel=1, iterative=True)
         assert abs(r_blocks.gap - r_dense.gap) < 1e-9
         assert abs(r_blocks.gap - r_iter.gap) < 1e-8
+
+    def test_size_cap_names_the_sector_matrices(self):
+        with pytest.raises(ValueError) as err:
+            certify(build_ising_ring(9), ThermalParams.from_betaJ(0.25))
+        assert "capped at 8 sites, the tested range" in str(err.value)
+        assert "fills 2^n dense sector matrices of size 2^n x 2^n" \
+            in str(err.value)
+        assert "dense'" not in str(err.value)
+        assert "iterative" not in str(err.value)
+
+    def test_one_gap_path(self):
+        for fn in (certify, sweep):
+            params = inspect.signature(fn).parameters
+            assert "method" not in params and "seed" not in params
 
     def test_size_independence_evidence(self):
         tp = ThermalParams.from_betaJ(0.25)
@@ -421,8 +432,8 @@ class TestSweep:
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(sweep("ising", [3], [0.25], seed=7), a)
-        write_sweep_csv(sweep("ising", [3], [0.25], seed=7), b)
+        write_sweep_csv(sweep("ising", [3], [0.25]), a)
+        write_sweep_csv(sweep("ising", [3], [0.25]), b)
         ta, tb = a.read_text(), b.read_text()
         # timing column differs; compare everything else
         strip = lambda text: [",".join(l.split(",")[:-1]) for l in text.splitlines()]
