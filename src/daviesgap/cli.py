@@ -54,7 +54,10 @@ def _add_common(p):
     p.add_argument("--coupling", type=float, default=None, help="J (default 1)")
     p.add_argument("--couplings", dest="coupling_letters", default=None,
                    help="coupling letters, e.g. xyz or xz")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="feeds only export-generator's detailed-balance "
+                        "residual; the other commands, gap and sweep among "
+                        "them, accept it and ignore it")
     p.add_argument("--json", dest="json_out", default=None,
                    help="write a JSON report here")
 

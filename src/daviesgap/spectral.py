@@ -1,23 +1,24 @@
 """Spectral gaps, analytic lower bounds, and certification.
 
 The gap of a positive semidefinite operator is its smallest eigenvalue above
-the kernel.  ``gap`` diagonalizes dense instances fully; large ones (the bond
-chain) use shift-inverted Lanczos (ARPACK) just below zero, with two
-independent starts that must agree and residual verification of the reported
-eigenpair.  Certification takes the generator gap as the exact minimum over
-its charge blocks, asserts gap >= exp(-8*beta*J)/3 and reports the margin.
+the kernel.  Both gap paths split the operator exactly into invariant blocks
+and solve each densely: ``gap`` the connected components of its nonzero
+pattern (the bond chain splits by parity), ``gap_from_blocks`` the charge
+blocks of a generator.  Certification takes the generator gap as the exact
+minimum over its charge blocks, asserts gap >= exp(-8*beta*J)/3 and reports
+the margin.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
@@ -81,119 +82,76 @@ def _as_matrix(rep):
 
 
 def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
-        seed: int = 0, n_eigs: int = 8) -> GapReport:
+        seed: int = 0) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of a PSD operator.
 
-    Eigenvalues below KERNEL_RTOL times the largest one count as kernel.
-    Above ``dense_cap`` the operator (made sparse if it is not) goes to
-    shift-inverted Lanczos, which asks for the rank of ``kernel_basis`` plus
-    ``n_eigs`` eigenpairs from starts drawn from ``seed``; non-convergence is
-    raised, never silently ignored.
+    The operator splits exactly into the connected components of its nonzero
+    pattern, and each component is diagonalized densely; one larger than
+    ``dense_cap`` raises ValueError before any eigensolve.  Eigenvalues below
+    KERNEL_RTOL times the largest one count as kernel.  Every vector v of
+    ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL * lambda_max * ||v||.
+    ``seed`` is accepted and unused: no step is randomized.
     """
-    matrix = _as_matrix(rep)
     t0 = time.time()
-    dim = matrix.shape[0]
-    if dim <= dense_cap:
-        report = _dense_gap(matrix)
-    else:
-        report = _iterative_gap(matrix, kernel_basis, seed=seed, n_eigs=n_eigs)
+    matrix = sp.csr_matrix(_as_matrix(rep))
+    # the nonzero pattern, with no cast to real: an imaginary entry is an edge
+    n_comp, comp = connected_components(matrix != 0, directed=False)
+    sizes = np.bincount(comp)
+    if sizes.max() > dense_cap:
+        raise ValueError(f"largest invariant component has dimension "
+                         f"{sizes.max()}, above dense_cap {dense_cap}")
+    order = np.argsort(comp, kind="stable")
+    permuted = matrix[order][:, order]
+    starts = np.cumsum(sizes) - sizes
+
+    def block(i):
+        return permuted[starts[i]:starts[i] + sizes[i],
+                        starts[i]:starts[i] + sizes[i]].toarray()
+
+    vals = np.concatenate([np.linalg.eigvalsh(block(i)) for i in range(n_comp)])
+    report, win, _, _ = _kernel_and_gap(vals, starts, block, expected_kernel)
+    if kernel_basis is not None and len(kernel_basis) > 0:
+        res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
+               for v in kernel_basis]
+        worst = int(np.argmax(res))
+        if res[worst] > KERNEL_RTOL:
+            raise KernelMismatchError(
+                f"kernel_basis vector {worst} has ||A v|| / (lambda_max ||v||) "
+                f"= {res[worst]:.3e}, above {KERNEL_RTOL:g}")
     report.elapsed = time.time() - t0
-    if expected_kernel is not None and report.kernel_dim != expected_kernel:
-        raise KernelMismatchError(
-            f"kernel dimension {report.kernel_dim} != expected {expected_kernel} "
-            f"(eigenvalues around threshold: {report.near_threshold})")
+    report.extras.update({"components": int(n_comp),
+                          "largest_component": int(sizes.max()),
+                          "min_component_dim": int(sizes[win])})
     return report
 
 
-def _dense_gap(matrix) -> GapReport:
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    if np.abs(dense.imag).max(initial=0.0) < 1e-14:
-        dense = dense.real
-    vals, vecs = np.linalg.eigh(dense)
-    scale = max(abs(vals[-1]), 1e-300)
-    thr = KERNEL_RTOL * scale
-    kdim = int(np.sum(vals < thr))
-    if kdim == len(vals):
-        raise SolverConvergenceError("operator has no spectrum above the kernel")
-    g = float(vals[kdim])
-    v = vecs[:, kdim]
-    residual = float(np.linalg.norm(dense @ v - g * v) / scale)
-    near = (float(vals[kdim - 1]) if kdim else float("-inf"), g)
-    return GapReport(kernel_dim=kdim, gap=g, solver="dense", residual=residual,
-                     near_threshold=near)
+def _kernel_and_gap(vals, starts, block, expected_kernel):
+    """Kernel count and gap from the concatenated ascending block spectra.
 
+    Block i starts at ``vals[starts[i]]`` and ``block(i)`` is its matrix.  Returns
+    the report, the first block within 1e-14*scale of the minimum (its one
+    eigenpair gives the residual), and each block's gap and kernel count."""
+    scale = max(abs(vals.max()), 1e-300)
+    above = vals >= KERNEL_RTOL * scale
+    kdim = int(np.sum(~above))
+    if kdim == vals.size:
+        raise SolverConvergenceError("no spectrum above the kernel")
+    block_gaps = np.minimum.reduceat(np.where(above, vals, np.inf), starts)
+    kernel_counts = np.add.reduceat(~above, starts)
+    g = float(block_gaps.min())
+    near = (float(vals[~above].max()) if kdim else float("-inf"), g)
+    if expected_kernel is not None and kdim != expected_kernel:
+        raise KernelMismatchError(
+            f"kernel dimension {kdim} != expected {expected_kernel} "
+            f"(eigenvalues around threshold: {near})")
 
-def _rank(columns) -> int:
-    r = np.linalg.qr(np.column_stack(columns), mode="r")
-    return int(np.sum(np.abs(np.diagonal(r)) > 1e-12))
-
-
-def _iterative_gap(matrix, kernel_basis, seed=0, n_eigs=8) -> GapReport:
-    dim = matrix.shape[0]
-    if not sp.issparse(matrix):
-        matrix = sp.csr_matrix(matrix)
-    maxiter = int(10 * math.sqrt(dim)) + 200
-    # a seeded start: the norm sets sigma, so an unseeded one would change
-    # the gap's last bits from call to call
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    try:
-        lam_max = float(spla.eigsh(matrix, k=1, which="LA", tol=1e-6, v0=v0,
-                                   maxiter=maxiter, return_eigenvectors=False)[0])
-    except spla.ArpackNoConvergence as exc:
-        raise SolverConvergenceError("norm estimation did not converge") from exc
-    thr = KERNEL_RTOL * lam_max
-    n_kernel = 1
-    if kernel_basis is not None and len(kernel_basis) > 0:
-        n_kernel = _rank(kernel_basis)
-
-    # Shift-inverted Lanczos around zero is the only variant that finds a
-    # clustered lowest eigenvalue reliably here (plain smallest-algebraic
-    # restarts can lose the whole cluster); the factorization is cheap
-    # because the matrix graph splits into small charge blocks.  Two
-    # independent starts must still agree on the minimum.
-    tol = max(1e-9 * lam_max, 1e-12)
-    results = []
-    for attempt in range(5):
-        results.append(_bottom_spectrum_pass(matrix, n_kernel, lam_max, thr,
-                                             maxiter, seed + 101 * attempt, n_eigs))
-        best = min(results, key=lambda r: r.gap)
-        confirmations = sum(abs(r.gap - best.gap) <= tol for r in results)
-        if confirmations >= 2:
-            return best
-    raise SolverConvergenceError(
-        "independent runs never agreed on the smallest nonzero eigenvalue: "
-        + ", ".join(f"{r.gap:.12g}" for r in results))
-
-
-def _bottom_spectrum_pass(matrix, n_kernel, lam_max, thr, maxiter, seed,
-                          n_eigs) -> GapReport:
-    dim = matrix.shape[0]
-    v0 = np.random.default_rng(seed).standard_normal(dim)
-    k = min(n_kernel + n_eigs, dim - 2)
-    try:
-        # small enough to keep the spectral contrast of the inverse, but
-        # far above the numerical dust of a PSD matrix, so A - sigma is PD
-        sigma = -1e-8 * lam_max
-        vals, vecs = spla.eigsh(matrix.tocsc(), k=k, sigma=sigma, which="LM",
-                                tol=1e-11, maxiter=maxiter, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverConvergenceError(
-            f"shift-invert Lanczos did not converge (dim {dim}, k {k}, "
-            f"seed {seed})") from exc
-
-    extra = int(np.sum(vals < thr))
-    if extra >= len(vals):
-        raise SolverConvergenceError("all computed eigenvalues sit in the kernel; "
-                                     "increase n_eigs")
-    g = float(vals[extra])
-    v = vecs[:, extra]
-    residual = float(np.linalg.norm(matrix @ v - g * v) / lam_max)
-    if residual > 1e-8:
-        raise SolverConvergenceError(
-            f"eigenpair residual {residual:.3e} above tolerance")
-    near = (float(vals[extra - 1]) if extra else float("-inf"), g)
-    return GapReport(kernel_dim=extra, gap=g, solver="iterative", residual=residual,
-                     near_threshold=near)
+    win = int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])
+    sub = block(win)
+    k = int(kernel_counts[win])
+    w, v = sla.eigh(sub, subset_by_index=[k, k])
+    residual = float(np.linalg.norm(sub @ v[:, 0] - w[0] * v[:, 0]) / scale)
+    return (GapReport(kernel_dim=kdim, gap=g, residual=residual, near_threshold=near),
+            win, block_gaps, kernel_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -348,37 +306,20 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     frame = lrep.frame
     charge = ChargeBlocks(lrep)
     labels = block_labels(frame)
-    vals = np.concatenate([np.linalg.eigvalsh(charge.sector_blocks(flip, mu))
+    vals = np.concatenate([np.linalg.eigvalsh(charge.sector_blocks(flip, mu)).ravel()
                            for flip in range(1 << frame.n_indep)
                            for mu in range(1 << frame.n_logical)])
-    scale = max(abs(vals.max()), 1e-300)
-    thr = KERNEL_RTOL * scale
-    above = vals >= thr
-    kdim = int(np.sum(~above))
-    if kdim == vals.size:
-        raise SolverConvergenceError("no spectrum above the kernel")
-    block_gaps = np.where(above, vals, np.inf).min(axis=1)
-    g = float(block_gaps.min())
-    near = (float(vals[~above].max()) if kdim else float("-inf"), g)
-    if expected_kernel is not None and kdim != expected_kernel:
-        raise KernelMismatchError(
-            f"kernel dimension {kdim} != expected {expected_kernel} "
-            f"(eigenvalues around threshold: {near})")
-
-    label = labels[int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])]
-    sub = charge.block(label)
-    bvals, bvecs = np.linalg.eigh(sub)
-    idx = int(np.argmin(np.abs(bvals - g)))
-    v = bvecs[:, idx]
-    residual = float(np.linalg.norm(sub @ v - bvals[idx] * v) / scale)
-    report = GapReport(kernel_dim=kdim, gap=g, solver="blocks", residual=residual,
-                       near_threshold=near, elapsed=time.time() - t0,
-                       extras={"min_block": label.describe()})
+    starts = np.cumsum([0] + [lab.dim for lab in labels[:-1]])
+    report, win, block_gaps, kernel_counts = _kernel_and_gap(
+        vals, starts, lambda i: charge.block(labels[i]), expected_kernel)
+    report.solver = "blocks"
+    report.elapsed = time.time() - t0
+    report.extras["min_block"] = labels[win].describe()
     if inventory:
         report.extras["blocks"] = [
             {"flip": lab.flip, "sector": lab.sector, "dim": lab.dim,
-             "kernel_dim": int(np.sum(~ok)), "gap": float(bg)}
-            for lab, ok, bg in zip(labels, above, block_gaps)]
+             "kernel_dim": int(kd), "gap": float(bg)}
+            for lab, kd, bg in zip(labels, kernel_counts, block_gaps)]
     return report
 
 

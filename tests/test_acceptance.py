@@ -21,7 +21,7 @@ from daviesgap.spectral import (abelian_chain_hamiltonian,
                                 abelian_chain_kernel, bond_pair_block,
                                 certify, gap, gap_from_blocks, lemma2_bound,
                                 lemma3_bound)
-from oracles import to_master
+from oracles import full_space_gap, to_master
 
 GAMMAS = (0.2, 0.5, 1.0)
 
@@ -107,9 +107,8 @@ def test_criterion_5_torus_certification(acceptance, toric2, toric2_frame):
         tp = ThermalParams.from_betaJ(betaJ)
         lrep = build_generator(toric2, couplings=couplings, tp=tp,
                                frame=toric2_frame)
-        master = to_master(lrep)
         blocks = gap_from_blocks(lrep, expected_kernel=1)
-        iterative = gap(master.rep, expected_kernel=1, dense_cap=0)
+        iterative = full_space_gap(lrep, expected_kernel=1, iterative=True)
         bound = math.exp(-8 * betaJ) / 3.0
         margins.append(min(blocks.gap, iterative.gap) - bound)
         split.append(abs(blocks.gap - iterative.gap))

@@ -17,7 +17,7 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 gap, gap_from_blocks, lemma1_check,
                                 lemma2_bound, lemma3_bound, sweep,
                                 write_sweep_csv)
-from oracles import full_space_gap, to_master
+from oracles import dense_gap, full_space_gap, iterative_gap, to_master
 
 
 class TestGap:
@@ -39,15 +39,15 @@ class TestGap:
         rng = np.random.default_rng(0)
         b = rng.standard_normal((200, 196))
         a = sp.csr_matrix(b @ b.T)  # PSD, 4-dim kernel
-        dense_r = gap(a)
+        dense_r = dense_gap(a)
         vals, vecs = np.linalg.eigh(a.toarray())
         basis = [vecs[:, i].astype(complex) for i in range(4)]
-        iter_r = gap(a, kernel_basis=basis, dense_cap=10)
+        iter_r = iterative_gap(a, kernel_basis=basis)
         assert abs(dense_r.gap - iter_r.gap) < 1e-8 * dense_r.gap
         assert dense_r.kernel_dim == iter_r.kernel_dim == 4
         assert iter_r.residual < 1e-8
-        # a dense array above the cap takes the same shift-invert path
-        from_dense = gap(a.toarray(), kernel_basis=basis, dense_cap=10)
+        # a dense array takes the same shift-invert path
+        from_dense = iterative_gap(a.toarray(), kernel_basis=basis)
         assert from_dense.solver == iter_r.solver == "iterative"
         assert from_dense.gap == iter_r.gap
 
@@ -63,7 +63,55 @@ class TestGap:
         a = sp.diags(np.arange(200.0)).tocsr()
         with pytest.raises(SolverConvergenceError,
                            match=r"dim 200, k 9, seed 7"):
-            gap(a, dense_cap=10, seed=7)
+            iterative_gap(a, seed=7)
+
+    def test_permuted_blocks_split_into_components(self):
+        rng = np.random.default_rng(3)
+        blocks = []
+        for d in (4, 1, 6, 3, 5):
+            w = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
+            blocks.append(w @ w.conj().T)  # PSD, one kernel vector
+        # coupled only through purely imaginary entries: eigenvalues 0 and 2
+        blocks.append(np.array([[1.0, 1j], [-1j, 1.0]]))
+        perm = rng.permutation(sum(len(b) for b in blocks))
+        a = sp.block_diag(blocks).toarray()[np.ix_(perm, perm)]
+        r = gap(a)
+        want = dense_gap(a)
+        assert r.extras["components"] == 6
+        assert r.extras["largest_component"] == 6
+        block_gaps = [min(np.linalg.eigvalsh(b)[1:], default=np.inf) for b in blocks]
+        assert r.extras["min_component_dim"] == len(blocks[int(np.argmin(block_gaps))])
+        assert r.kernel_dim == want.kernel_dim == 6
+        assert abs(r.gap - want.gap) < 1e-12 * want.gap
+        assert r.near_threshold[1] == r.gap
+        assert r.residual < 1e-12
+
+    def test_chain_splits_by_parity_and_checks_its_kernel(self):
+        tp = ThermalParams.from_betaJ(0.35)
+        for n in range(3, 13):
+            r = gap(abelian_chain_hamiltonian(n, tp),
+                    kernel_basis=abelian_chain_kernel(n, tp.gamma))
+            assert r.extras["components"] == 2
+            assert r.extras["largest_component"] == 1 << (n - 1)
+            assert r.extras["min_component_dim"] == 1 << (n - 1)
+            assert r.kernel_dim == 2 and r.solver == "dense"
+
+    def test_perturbed_kernel_vector_raises(self):
+        tp = ThermalParams.from_betaJ(0.35)
+        kernel = abelian_chain_kernel(6, tp.gamma)
+        kernel[1] = kernel[1] + 1e-3 * np.eye(64)[5]
+        with pytest.raises(KernelMismatchError,
+                           match=r"kernel_basis vector 1 has .* = \d\.\d+e-0\d"):
+            gap(abelian_chain_hamiltonian(6, tp), kernel_basis=kernel)
+
+    def test_component_above_cap_raises_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        with pytest.raises(ValueError, match=r"dimension 32, above dense_cap 31"):
+            gap(chain, dense_cap=31)
 
     def test_reports_near_threshold_pair(self):
         r = gap(np.diag([0.0, 2.0, 3.0]))
