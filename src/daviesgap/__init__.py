@@ -3,16 +3,17 @@
 from .pauli import (PauliString, PauliSum, commutes, commutant_dimension,
                     write_coo_text, read_coo_text)
 from .models import (ModelSpec, SnakeCombPartition, ModelReport,
-                     build_ising_ring, build_toric_code, verify_model)
+                     build_ising_ring, build_toric_code, lattice_symmetries,
+                     verify_model)
 from .basis import StabilizerFrame, build_frame
 from .davies import (ThermalParams, JumpOperatorSet, JumpComponent,
                      SuperOperatorRep, fourier_decompose, build_generator,
                      liouville_matrix, default_couplings, detailed_balance_residual,
                      dissipativity_identity_check, stationarity_residual,
                      reconstruction_residual)
-from .master import (BlockLabel, ChargeBlocks, XBlockSpec, block_labels,
-                     block_label_of, sector_index, sector_isometries,
-                     sign_flip_restriction)
+from .master import (BlockLabel, BlockOrbits, ChargeBlocks, XBlockSpec,
+                     block_labels, block_label_of, block_orbits, sector_index,
+                     sector_isometries, sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
                        abelian_chain_hamiltonian, abelian_chain_kernel,
                        bond_pair_block, lemma1_check, lemma2_bound,

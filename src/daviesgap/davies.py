@@ -279,26 +279,46 @@ def _beta_inner(rho, x, y) -> complex:
     return np.sum(x.conj() * y * rho[None, :])
 
 
+def _masked_permutation(matrix) -> tuple:
+    """(d, s) with matrix |u> = s_u |u ^ d>; raises unless that is its shape."""
+    m = sp.csc_matrix(matrix)
+    m.eliminate_zeros()
+    counts = np.diff(m.indptr)
+    if counts.max(initial=0) > 1:
+        raise GeneratorError("jump component has a column with more than one "
+                             "nonzero; it is not a masked generalized permutation")
+    cols = np.repeat(np.arange(m.shape[1]), counts)
+    flips = np.unique(m.indices ^ cols)
+    if flips.size > 1:
+        raise GeneratorError(f"jump component flips {flips.size} different "
+                             "patterns; expected one")
+    s = np.zeros(m.shape[1], dtype=complex)
+    s[cols] = m.data
+    return (int(flips[0]) if flips.size else 0), s
+
+
 def _generator_action(components):
     """X -> sum_c rate_c (A_c^dag X A_c - {A_c^dag A_c, X}/2), i.e. L(X).
 
-    A^dag X A is summed entry by entry over pairs of nonzeros a_p = A[r_p, c_p]:
-    conj(a_p) X[r_p, r_q] a_q lands on (c_p, c_q); a jump component has at
-    most one nonzero per column, so the targets never repeat and this avoids
-    dense-times-sparse products.
+    A component is a masked permutation A|u> = s_u |u ^ d>, so
+    (A^dag X A)[u, v] = conj(s_u) X[u^d, v^d] s_v and A^dag A is the diagonal
+    |s|^2.  The components sharing a flip pattern d therefore add up to one
+    elementwise product W_d o X[u^d, v^d], W_d = sum_c rate_c conj(s_c) s_c^T,
+    and the anticommutator, elementwise as well, joins W_0.
     """
-    terms = [(c.rate, sp.coo_matrix(c.matrix)) for c in components]
-    for _, a in terms:
-        if np.unique(a.col).size != a.col.size:
-            raise GeneratorError("jump component has a column with more than one "
-                                 "nonzero; it is not a masked generalized permutation")
-    decay = sum(rate * (a.conj().T @ a) for rate, a in terms)
+    weights, decay = {}, 0.0
+    for c in components:
+        d, s = _masked_permutation(c.matrix)
+        weights[d] = weights.get(d, 0.0) + c.rate * np.outer(s.conj(), s)
+        decay = decay + c.rate * np.abs(s) ** 2
+    unmoved = weights.pop(0, 0.0) - 0.5 * np.add.outer(decay, decay)
 
     def apply(x):
-        out = -0.5 * (decay @ x + x @ decay)
-        for rate, a in terms:
-            block = rate * a.data.conj()[:, None] * x[np.ix_(a.row, a.row)] * a.data
-            out[np.ix_(a.col, a.col)] += block
+        out = np.multiply(unmoved, x, dtype=complex)
+        # flat position of (u ^ d, v ^ d) is (u * dim + v) ^ (d * (dim + 1))
+        flat = np.arange(x.size).reshape(x.shape)
+        for d, w in weights.items():
+            out += w * np.take(x, flat ^ (d * (x.shape[0] + 1)))
         return out
 
     return apply

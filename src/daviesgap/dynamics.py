@@ -24,7 +24,7 @@ from .master import BlockLabel, ChargeBlocks, block_label_of, sector_index, \
     sector_isometries
 from .models import ModelSpec
 from .pauli import PauliString, commutant_dimension
-from .spectral import gap_from_blocks
+from . import spectral
 
 
 class EvolutionError(RuntimeError):
@@ -142,7 +142,8 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
         if gap_estimate is None:
             used = {c.coupling_index: c.coupling for c in lrep.components}
             expected = commutant_dimension(used.values(), model.hamiltonian())
-            gap_estimate = gap_from_blocks(lrep, expected_kernel=expected).gap
+            # looked up on spectral at call time, so wrappers placed there see it
+            gap_estimate = spectral.gap_from_blocks(lrep, expected_kernel=expected).gap
         grid = default_time_grid(gap_estimate)
     grid = np.asarray(grid, dtype=float)
     bad = grid[~(np.isfinite(grid) & (grid >= 0))]

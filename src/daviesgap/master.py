@@ -15,8 +15,12 @@ generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
 small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
 straight from the jump components, and no code here builds the full
-4^n-dimensional K.  The torus sign-flip restriction is read from
-sign-flipped charge blocks and checked against the unsigned ones.
+4^n-dimensional K.  A lattice symmetry of the model (``lattice_symmetries``)
+that leaves H and the jump components unchanged carries each block unitarily
+onto another; ``block_orbits`` checks each symmetry against the generator
+and groups the blocks into orbits of equal spectrum.  The torus sign-flip
+restriction is read from sign-flipped charge blocks and checked against the
+unsigned ones.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import block_diag
+from scipy.sparse.csgraph import connected_components
 
-from .basis import StabilizerFrame
-from .davies import SuperOperatorRep, GeneratorError
-from .models import ModelSpec
+from .basis import StabilizerFrame, _unit_solutions
+from .davies import SuperOperatorRep, GeneratorError, _masked_permutation
+from .models import ModelSpec, lattice_symmetries
 from .pauli import PauliString, gf2_solve
 
 
@@ -60,6 +65,11 @@ class BlockLabel:
     @property
     def dim(self) -> int:
         return 1 << self.n_indep
+
+    @property
+    def index(self) -> int:
+        """Position in ``block_labels`` order: the bits nu, then mu, then flip."""
+        return (((self.flip << self.n_logical) | self.mu) << self.n_logical) | self.nu
 
     @property
     def sector(self) -> str:
@@ -96,6 +106,87 @@ def block_label_of(frame: StabilizerFrame, pauli: PauliString) -> BlockLabel:
              if not pauli.commutes_with(lx))
     return BlockLabel(flip=flip, mu=mu, nu=nu, n_indep=frame.n_indep,
                       n_logical=frame.n_logical)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry orbits of the charge blocks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BlockOrbits:
+    """The charge blocks grouped by the lattice symmetries of one generator.
+
+    generators: the site permutations of ``lattice_symmetries`` that leave the
+                Hamiltonian and the jump components unchanged;
+    images:     images[g, i], the index of the block that generators[g] maps
+                block i onto (indices in ``block_labels`` order);
+    rep:        rep[i], the first block of block i's orbit in that order.
+    """
+
+    generators: list
+    images: np.ndarray
+    rep: np.ndarray
+
+
+def _is_symmetry(lrep: SuperOperatorRep, perm) -> bool:
+    """True if ``perm`` maps every stabilizer onto one with an equal
+    coefficient and the jump components onto themselves: the permuted
+    coupling, the same frequency within the default grouping tolerance of
+    ``fourier_decompose`` and the same rate."""
+    model = lrep.frame.model
+    coeff = dict(zip(model.stabilizers, model.coefficients))
+    if any(coeff.get(s.permuted(perm)) != c for s, c in coeff.items()):
+        return False
+
+    moved = {c.coupling: c.coupling.permuted(perm) for c in lrep.components}
+
+    def keys(coupling_of):
+        out = []
+        for c in lrep.components:
+            p = coupling_of(c.coupling)
+            out.append((p.x_mask, p.z_mask, p.phase, c.omega, c.rate))
+        return sorted(out)
+
+    freq_tol = 1e-9 * model.coupling
+    return all(a[:3] == b[:3] and abs(a[3] - b[3]) <= freq_tol
+               and math.isclose(a[4], b[4], rel_tol=1e-12)
+               for a, b in zip(keys(lambda p: p), keys(moved.__getitem__)))
+
+
+def block_orbits(lrep: SuperOperatorRep) -> BlockOrbits:
+    """Orbits of the charge blocks under the lattice symmetries of ``lrep``.
+
+    A site permutation that leaves H and the jump components unchanged
+    commutes with K and carries each charge block unitarily onto another, so
+    blocks in one orbit share their spectrum exactly.  The label map of a
+    kept permutation is GF(2)-linear: it is read off the blocks of the
+    permuted images of k + 2*ell strings with unit labels, found with
+    ``gf2_solve`` against the symplectic rows of the X logicals, the Z
+    logicals and the independent stabilizers.
+    """
+    frame = lrep.frame
+    model = frame.model
+    n, ell = model.n_sites, frame.n_logical
+    kept = [perm for perm in lattice_symmetries(model) if _is_symmetry(lrep, perm)]
+    # bit b of a block index (nu bits, then mu, then flip) is set by
+    # anticommuting with ops[b]; units[b] anticommutes with ops[b] alone
+    ops = ([lx for lx, _ in model.logicals] + [lz for _, lz in model.logicals]
+           + [model.stabilizers[s] for s in frame.indep])
+    units = [PauliString(n, sol & ((1 << n) - 1), sol >> n)
+             for sol in _unit_solutions([op.z_mask | (op.x_mask << n) for op in ops],
+                                        2 * n, "charge label system")]
+    index = np.arange(1 << (frame.n_indep + 2 * ell))
+    images = np.zeros((len(kept), index.size), dtype=np.int64)
+    for g, perm in enumerate(kept):
+        for b, unit in enumerate(units):
+            image = block_label_of(frame, unit.permuted(perm)).index
+            images[g] ^= np.where((index >> b) & 1, image, 0)
+    graph = sp.csr_matrix((np.ones(images.size),
+                           (np.tile(index, len(kept)), images.ravel())),
+                          shape=(index.size, index.size))
+    orbit = connected_components(graph, directed=False)[1]
+    first = np.unique(orbit, return_index=True)[1]
+    return BlockOrbits(generators=kept, images=images, rep=first[orbit])
 
 
 def _x_phases(frame: StabilizerFrame) -> np.ndarray:
@@ -146,24 +237,6 @@ def sector_isometries(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
     w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
     w[:, u, u % w.shape[2]] = v
     return w
-
-
-def _masked_permutation(matrix) -> tuple:
-    """(d, s) with matrix |u> = s_u |u ^ d>; raises unless that is its shape."""
-    m = sp.csc_matrix(matrix)
-    m.eliminate_zeros()
-    counts = np.diff(m.indptr)
-    if counts.max(initial=0) > 1:
-        raise GeneratorError("jump component has a column with more than one "
-                             "nonzero; it is not a masked generalized permutation")
-    cols = np.repeat(np.arange(m.shape[1]), counts)
-    flips = np.unique(m.indices ^ cols)
-    if flips.size > 1:
-        raise GeneratorError(f"jump component flips {flips.size} different "
-                             "patterns; expected one")
-    s = np.zeros(m.shape[1], dtype=complex)
-    s[cols] = m.data
-    return (int(flips[0]) if flips.size else 0), s
 
 
 class ChargeBlocks:

@@ -230,6 +230,43 @@ def build_toric_code(L: int, coupling: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
+# Lattice symmetries
+# ---------------------------------------------------------------------------
+
+def lattice_symmetries(model: ModelSpec) -> list:
+    """Generating site permutations of the model's lattice; perm[j] is the
+    site that site j moves to.
+
+    Ring: the rotation j -> j+1 and the reflection j -> -j (mod N).  Torus:
+    the two unit translations, the 90-degree rotation H(r,c) -> V(c,-r),
+    V(r,c) -> H(c,-r-1) and the reflection H(r,c) <-> V(c,r).  Whether one is
+    a symmetry of a given Hamiltonian and coupling set is for the caller to
+    check (``master.block_orbits``); other model kinds have none.
+    """
+    n = model.n_sites
+    if model.kind == "ising":
+        j = np.arange(n)
+        return [(j + 1) % n, (-j) % n]
+    if model.kind != "toric":
+        return []
+    L = model.geometry["L"]
+
+    def perm(move):
+        out = np.empty(n, dtype=np.int64)
+        for r in range(L):
+            for c in range(L):
+                for o in (HORIZONTAL, VERTICAL):
+                    out[torus_site(L, r, c, o)] = torus_site(L, *move(r, c, o))
+        return out
+
+    return [perm(lambda r, c, o: (r + 1, c, o)),
+            perm(lambda r, c, o: (r, c + 1, o)),
+            perm(lambda r, c, o: (c, -r, VERTICAL) if o == HORIZONTAL
+                 else (c, -r - 1, HORIZONTAL)),
+            perm(lambda r, c, o: (c, r, 1 - o))]
+
+
+# ---------------------------------------------------------------------------
 # Model verification
 # ---------------------------------------------------------------------------
 

@@ -133,6 +133,14 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         return commutes(self, other)
 
+    def permuted(self, perm) -> "PauliString":
+        """The string with its factor on site j moved to site perm[j]."""
+        x = z = 0
+        for j, target in enumerate(perm):
+            x |= ((self.x_mask >> j) & 1) << int(target)
+            z |= ((self.z_mask >> j) & 1) << int(target)
+        return PauliString(self.n, x, z, self.phase)
+
     # -- conversions -------------------------------------------------------
 
     def to_label(self) -> str:

@@ -4,9 +4,9 @@ The gap of a positive semidefinite operator is its smallest eigenvalue above
 the kernel.  Both gap paths split the operator exactly into invariant blocks
 and solve each densely: ``gap`` the connected components of its nonzero
 pattern (the bond chain splits by parity), ``gap_from_blocks`` the charge
-blocks of a generator.  Certification takes the generator gap as the exact
-minimum over its charge blocks, asserts gap >= exp(-8*beta*J)/3 and reports
-the margin.
+blocks of a generator, one block per lattice-symmetry orbit.  Certification
+takes the generator gap as the exact minimum over its charge blocks, asserts
+gap >= exp(-8*beta*J)/3 and reports the margin.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
-from .master import ChargeBlocks, block_labels
+from .master import ChargeBlocks, block_labels, block_orbits
 from .models import ModelSpec
 from .pauli import commutant_dimension, gf2_nullspace, PauliString
 
@@ -297,24 +297,38 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     """Full-spectrum gap via the charge-sector blocks (exact partition).
 
     The blocks are assembled directly from the jump components of the
-    Liouville-space generator ``lrep``; ``extras["min_block"]`` names the
-    block that holds the gap.  With ``inventory`` the report also carries one
-    entry per block (label, dimension, kernel count, smallest eigenvalue
-    above the kernel).
+    Liouville-space generator ``lrep``.  Blocks in one lattice-symmetry orbit
+    (``block_orbits``) share their spectrum exactly, so only the first block
+    of each orbit is assembled and diagonalized and the others take its
+    eigenvalues; ``extras`` counts the blocks solved, the blocks in total and
+    the symmetry generators kept, and ``extras["min_block"]`` names the block
+    that holds the gap.  With ``inventory`` the report also carries one entry
+    per block (label, dimension, kernel count, smallest eigenvalue above the
+    kernel).
     """
     t0 = time.time()
     frame = lrep.frame
     charge = ChargeBlocks(lrep)
     labels = block_labels(frame)
-    vals = np.concatenate([np.linalg.eigvalsh(charge.sector_blocks(flip, mu)).ravel()
-                           for flip in range(1 << frame.n_indep)
-                           for mu in range(1 << frame.n_logical)])
-    starts = np.cumsum([0] + [lab.dim for lab in labels[:-1]])
+    orbits = block_orbits(lrep)
+    reps = np.unique(orbits.rep)
+    n_nu = 1 << frame.n_logical
+    sectors = reps // n_nu
+    spectra = np.empty((reps.size, labels[0].dim))
+    for sector in np.unique(sectors):
+        solve = np.flatnonzero(sectors == sector)
+        blocks = charge.sector_blocks(sector // n_nu, sector % n_nu)
+        spectra[solve] = np.linalg.eigvalsh(blocks[reps[solve] % n_nu])
+    vals = spectra[np.searchsorted(reps, orbits.rep)].ravel()
+    starts = np.arange(len(labels)) * labels[0].dim
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
         vals, starts, lambda i: charge.block(labels[i]), expected_kernel)
     report.solver = "blocks"
     report.elapsed = time.time() - t0
-    report.extras["min_block"] = labels[win].describe()
+    report.extras.update({"min_block": labels[win].describe(),
+                          "blocks_solved": int(reps.size),
+                          "blocks_total": len(labels),
+                          "symmetry_generators": len(orbits.generators)})
     if inventory:
         report.extras["blocks"] = [
             {"flip": lab.flip, "sector": lab.sector, "dim": lab.dim,
@@ -350,8 +364,10 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None, frame=None,
     t0 = time.time()
     if model.n_sites > 8:
         raise ValueError("certification is capped at 8 sites, the tested range; "
-                         "the blocks path fills 2^n dense sector matrices of "
-                         "size 2^n x 2^n (256 x 256 at 8 sites)")
+                         "the blocks path fills a dense 2^n x 2^n sector matrix "
+                         "for each sector holding a lattice-symmetry orbit "
+                         "representative (at 8 sites: 256 x 256, with 60 of 512 "
+                         "blocks solved on the ring and 116 of 1024 on the torus)")
     if couplings is None:
         couplings = default_couplings(model)
     if frame is None:

@@ -6,7 +6,9 @@ certifies gaps on charge blocks only; the tests compare those blocks, their
 spectra and the dynamics built from them against this K.  ``dense_gap``
 (one ``eigh`` of the whole matrix) and ``iterative_gap`` (shift-inverted
 Lanczos) solve a matrix without splitting it, as references for
-``spectral.gap`` and ``gap_from_blocks``.
+``spectral.gap`` and ``gap_from_blocks``.  ``block_spectra`` and
+``unreduced_block_gap`` diagonalize every charge block, with no symmetry
+reduction, as references for the orbit reduction of ``gap_from_blocks``.
 """
 
 import math
@@ -18,9 +20,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from daviesgap.davies import SuperOperatorRep, GeneratorError
-from daviesgap.master import _g_weight
+from daviesgap.master import ChargeBlocks, _g_weight, block_labels
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
-                                SolverConvergenceError)
+                                SolverConvergenceError, _kernel_and_gap)
 
 
 def _component_k(matrix: sp.csr_matrix, eta: float) -> sp.csr_matrix:
@@ -96,6 +98,29 @@ def full_space_gap(lrep: SuperOperatorRep, expected_kernel=None,
         raise KernelMismatchError(
             f"kernel dimension {report.kernel_dim} != expected {expected_kernel} "
             f"(eigenvalues around threshold: {report.near_threshold})")
+    return report
+
+
+def block_spectra(lrep: SuperOperatorRep) -> np.ndarray:
+    """Ascending eigenvalues of every charge block, one row per block in
+    ``block_labels`` order, each block assembled and solved."""
+    frame = lrep.frame
+    charge = ChargeBlocks(lrep)
+    return np.concatenate([np.linalg.eigvalsh(charge.sector_blocks(flip, mu))
+                           for flip in range(1 << frame.n_indep)
+                           for mu in range(1 << frame.n_logical)])
+
+
+def unreduced_block_gap(lrep: SuperOperatorRep, expected_kernel=None) -> GapReport:
+    """``gap_from_blocks`` with no symmetry reduction: every block solved."""
+    labels = block_labels(lrep.frame)
+    spectra = block_spectra(lrep)
+    charge = ChargeBlocks(lrep)
+    report, win, _, _ = _kernel_and_gap(
+        spectra.ravel(), np.arange(len(labels)) * spectra.shape[1],
+        lambda i: charge.block(labels[i]), expected_kernel)
+    report.solver = "blocks"
+    report.extras["min_block"] = labels[win].describe()
     return report
 
 

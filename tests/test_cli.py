@@ -68,6 +68,18 @@ class TestGap:
         assert trivial["kernel_dim"] == 1
 
 
+    @pytest.mark.parametrize("model, size, solved, total", [
+        ("ising", 8, 60, 512), ("toric", 2, 116, 1024)])
+    def test_json_counts_blocks_solved(self, tmp_path, capsys, model, size,
+                                       solved, total):
+        path = tmp_path / "gap.json"
+        run_cli(["gap", "--model", model, "--size", str(size), "--betaJ", "0.25",
+                 "--json", str(path)])
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        assert (doc["blocks_solved"], doc["blocks_total"]) == (solved, total)
+        assert doc["symmetry_generators"] == (2 if model == "ising" else 4)
+
     def test_json_names_min_block(self, tmp_path, capsys):
         path = tmp_path / "gap.json"
         run_cli(["gap", "--model", "ising", "--size", "3", "--betaJ", "0.25",

@@ -204,6 +204,20 @@ class TestAutocorrelation:
         monkeypatch.undo()
         assert tr.meta["gap_estimate"] == certify(ising3, tp).gap
 
+    def test_default_grid_looks_up_gap_from_blocks_on_spectral(self, ising3,
+                                                              monkeypatch):
+        calls = []
+        solve = spectral.gap_from_blocks
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "gap_from_blocks", counting_solve)
+        autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                        observable=ising3.logicals[0][1])
+        assert len(calls) == 1
+
 
 class TestRelaxationTime:
     def test_size_independence_window(self):

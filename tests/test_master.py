@@ -5,11 +5,11 @@ import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
 from daviesgap.master import (ChargeBlocks, XBlockSpec, block_label_of,
-                              block_labels, sector_index, sector_isometries,
-                              sign_flip_restriction)
+                              block_labels, block_orbits, sector_index,
+                              sector_isometries, sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
-from oracles import full_space_gap, to_master
+from oracles import block_spectra, full_space_gap, to_master
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +239,55 @@ class TestDirectAssembly:
         _, master = ising3_master
         with pytest.raises(GeneratorError):
             ChargeBlocks(master.rep)
+
+
+ORBIT_CASES = {**{f"ring{n}": (lambda n=n: build_ising_ring(n)) for n in range(3, 9)},
+               "torus2": lambda: build_toric_code(2)}
+
+
+def _orbit_lrep(case):
+    return build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(0.25))
+
+
+class TestBlockOrbits:
+    def test_label_index_is_inventory_order(self, ising4_frame, toric2_frame):
+        for frame in (ising4_frame, toric2_frame):
+            labels = block_labels(frame)
+            assert [label.index for label in labels] == list(range(len(labels)))
+
+    @pytest.mark.parametrize("case", list(ORBIT_CASES))
+    def test_members_share_the_representative_spectrum(self, case):
+        # brute force: every block solved, against its orbit's first block
+        lrep = _orbit_lrep(case)
+        spectra = block_spectra(lrep)
+        orbits = block_orbits(lrep)
+        assert len(orbits.generators) == (4 if case == "torus2" else 2)
+        assert np.abs(spectra - spectra[orbits.rep]).max() \
+            <= 1e-12 * np.abs(spectra).max()
+
+    @pytest.mark.parametrize("case, solved, total", [
+        ("ring7", 36, 256), ("ring8", 60, 512), ("torus2", 116, 1024)])
+    def test_orbit_counts(self, case, solved, total):
+        rep = block_orbits(_orbit_lrep(case)).rep
+        assert rep.size == total
+        assert np.unique(rep).size == solved
+        # each representative is the first block of its orbit
+        assert (rep <= np.arange(total)).all()
+        assert (rep[rep] == rep).all()
+
+    @pytest.mark.parametrize("case", ["ring3", "ring6", "ring8", "torus2"])
+    def test_label_map_follows_permuted_strings(self, case):
+        lrep = _orbit_lrep(case)
+        frame = lrep.frame
+        n = frame.model.n_sites
+        orbits = block_orbits(lrep)
+        codes = np.random.default_rng(29).integers(0, 1 << (2 * n), size=40)
+        for code in codes:
+            p = PauliString(n, int(code) & ((1 << n) - 1), int(code) >> n, 0)
+            start = block_label_of(frame, p).index
+            for g, perm in enumerate(orbits.generators):
+                assert orbits.images[g, start] \
+                    == block_label_of(frame, p.permuted(perm)).index, p.to_label()
 
 
 class TestMixedUnitEigenaction:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from daviesgap.models import (ModelError, build_ising_ring, build_toric_code,
-                              verify_model, torus_site)
+                              lattice_symmetries, verify_model, torus_site)
 from daviesgap.pauli import PauliString, commutes
 
 
@@ -111,6 +111,28 @@ class TestToricCode:
     def test_too_small_rejected(self):
         with pytest.raises(ModelError):
             build_toric_code(1)
+
+
+class TestLatticeSymmetries:
+    @pytest.mark.parametrize("model", [build_ising_ring(n) for n in (3, 4, 7, 8)]
+                             + [build_toric_code(L) for L in (2, 3)],
+                             ids=lambda m: f"ring{m.n_sites}" if m.kind == "ising"
+                             else f"torus{m.geometry['L']}")
+    def test_generators_map_stabilizers_onto_stabilizers(self, model):
+        perms = lattice_symmetries(model)
+        assert len(perms) == (2 if model.kind == "ising" else 4)
+        stabilizers = set(model.stabilizers)
+        for perm in perms:
+            assert sorted(perm) == list(range(model.n_sites))
+            assert {s.permuted(perm) for s in model.stabilizers} == stabilizers
+
+    def test_torus_rotation_and_reflection(self):
+        L = 3
+        rotation, reflection = lattice_symmetries(build_toric_code(L))[2:]
+        assert rotation[torus_site(L, 1, 2, 0)] == torus_site(L, 2, -1, 1)
+        assert rotation[torus_site(L, 1, 2, 1)] == torus_site(L, 2, -2, 0)
+        assert reflection[torus_site(L, 1, 2, 0)] == torus_site(L, 2, 1, 1)
+        assert reflection[torus_site(L, 2, 1, 1)] == torus_site(L, 1, 2, 0)
 
 
 class TestExport:

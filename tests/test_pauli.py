@@ -74,6 +74,17 @@ class TestPhaseTracking:
             assert np.allclose(p.adjoint().matrix().toarray(),
                                dense_n(p).conj().T)
 
+    def test_permuted_moves_each_letter(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            p = random_string(rng, 4)
+            perm = rng.permutation(4)
+            label = p.to_label()
+            moved = [""] * 4
+            for j, letter in enumerate(label[-4:]):
+                moved[perm[j]] = letter
+            assert p.permuted(perm).to_label() == label[:-4] + "".join(moved)
+
     def test_hermitian_square_is_plus_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(200):

@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import daviesgap.master as master
 from daviesgap.davies import ThermalParams, build_generator, default_couplings
-from daviesgap.models import build_ising_ring, build_toric_code
+from daviesgap.master import block_orbits
+from daviesgap.models import build_ising_ring, build_toric_code, lattice_symmetries
 from daviesgap.pauli import PauliString, commutant_dimension
 from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 LemmaCheckError, SolverConvergenceError,
@@ -17,7 +19,8 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 gap, gap_from_blocks, lemma1_check,
                                 lemma2_bound, lemma3_bound, sweep,
                                 write_sweep_csv)
-from oracles import dense_gap, full_space_gap, iterative_gap, to_master
+from oracles import (block_spectra, dense_gap, full_space_gap, iterative_gap,
+                     to_master, unreduced_block_gap)
 
 
 class TestGap:
@@ -337,8 +340,9 @@ class TestCertify:
         with pytest.raises(ValueError) as err:
             certify(build_ising_ring(9), ThermalParams.from_betaJ(0.25))
         assert "capped at 8 sites, the tested range" in str(err.value)
-        assert "fills 2^n dense sector matrices of size 2^n x 2^n" \
-            in str(err.value)
+        assert "fills a dense 2^n x 2^n sector matrix for each sector " \
+            "holding a lattice-symmetry orbit representative" in str(err.value)
+        assert "60 of 512 blocks solved on the ring" in str(err.value)
         assert "dense'" not in str(err.value)
         assert "iterative" not in str(err.value)
 
@@ -396,6 +400,52 @@ class TestCertify:
         assert r.gap < 1.0 / 3.0  # the raw ingredient certify would reject
         with pytest.raises(BoundViolationError):
             _certify_with_rates(ising3, tp, tiny, ising3_frame)
+
+
+# ring N=6 with one broken symmetry each; the reflection j -> -j survives
+BROKEN_SYMMETRY = {
+    "nonuniform-coefficients": {"coefficients": [2.0, 1.0, 1.0, 1.0, 1.0, 2.0]},
+    "x-subset": {"couplings": [PauliString.single(6, j, "X") for j in (0, 1, 5)]
+                 + [PauliString.single(6, j, "Z") for j in range(6)]},
+    "rates-override": {"rates": {(0, 4.0): 0.5}},
+}
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("case", list(BROKEN_SYMMETRY))
+    def test_broken_symmetry_drops_its_generators(self, case, monkeypatch):
+        spec = BROKEN_SYMMETRY[case]
+        model = build_ising_ring(6, coefficients=spec.get("coefficients"))
+        couplings = spec.get("couplings", default_couplings(model))
+        lrep = build_generator(model, couplings=couplings, rates=spec.get("rates"),
+                               tp=ThermalParams.from_betaJ(0.25))
+        expected = commutant_dimension(couplings, model.hamiltonian())
+        reflection = lattice_symmetries(model)[1]
+        kept = block_orbits(lrep).generators
+        assert len(kept) == 1 and np.array_equal(kept[0], reflection)
+
+        r = gap_from_blocks(lrep, expected_kernel=expected)
+        ref = unreduced_block_gap(lrep, expected_kernel=expected)
+        assert r.extras["symmetry_generators"] == 1
+        assert r.extras["blocks_solved"] < r.extras["blocks_total"] == 128
+        assert r.kernel_dim == ref.kernel_dim == expected
+        assert abs(r.gap - ref.gap) <= 1e-12 * ref.gap
+        assert r.extras["min_block"] == ref.extras["min_block"]
+
+        # the dropped rotation is no symmetry: kept anyway, it joins blocks
+        # whose spectra differ
+        monkeypatch.setattr(master, "_is_symmetry", lambda lrep, perm: True)
+        spectra = block_spectra(lrep)
+        assert np.abs(spectra - spectra[block_orbits(lrep).rep]).max() > 1e-6
+
+    def test_full_symmetry_matches_unreduced_solve(self):
+        for model in (build_ising_ring(5), build_toric_code(2)):
+            lrep = build_generator(model, tp=ThermalParams.from_betaJ(1.0))
+            r = gap_from_blocks(lrep, expected_kernel=1, inventory=True)
+            ref = unreduced_block_gap(lrep, expected_kernel=1)
+            assert abs(r.gap - ref.gap) <= 1e-12 * ref.gap
+            assert r.extras["min_block"] == ref.extras["min_block"]
+            assert len(r.extras["blocks"]) == r.extras["blocks_total"]
 
 
 def _certify_with_rates(model, tp, rates, frame):
