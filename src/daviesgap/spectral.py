@@ -3,8 +3,10 @@
 The gap of a positive semidefinite operator is its smallest eigenvalue above
 the kernel.  Both gap paths split the operator exactly into invariant blocks
 and solve each densely: ``gap`` the connected components of its nonzero
-pattern (the bond chain splits by parity), ``gap_from_blocks`` the charge
-blocks of a generator, one block per lattice-symmetry orbit.  Certification
+pattern, each folded into its even and odd blocks under an involutive index
+symmetry the operator declares (the bond chain splits by parity, then by
+reversal), ``gap_from_blocks`` the charge blocks of a generator, one block
+per lattice-symmetry orbit.  Certification
 takes the generator gap as the exact minimum over its charge blocks, asserts
 gap >= exp(-8*beta*J)/3 and reports the margin.
 """
@@ -25,7 +27,7 @@ from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
 from .master import ChargeBlocks, block_labels, block_orbits
 from .models import ModelSpec
-from .pauli import commutant_dimension, gf2_nullspace, PauliString
+from .pauli import commutant_dimension
 
 DENSE_DIM_CAP = 4096
 KERNEL_RTOL = 1e-10
@@ -86,11 +88,18 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     """Kernel dimension and smallest nonzero eigenvalue of a PSD operator.
 
     The operator splits exactly into the connected components of its nonzero
-    pattern, and each component is diagonalized densely; one larger than
-    ``dense_cap`` raises ValueError before any eigensolve.  Eigenvalues below
+    pattern; one larger than ``dense_cap`` raises ValueError before any
+    eigensolve.  An operator may declare an involutive index symmetry p,
+    ``meta["symmetry"]`` (the bond chain declares bit reversal), under which
+    it must be exactly invariant, ``A[p][:, p] == A``; each component then
+    splits again into its even and odd blocks under p (``_symmetry_blocks``),
+    and each block is diagonalized densely.  Without a declared symmetry p is
+    the identity and the blocks are the components.  Eigenvalues below
     KERNEL_RTOL times the largest one count as kernel.  Every vector v of
-    ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL * lambda_max * ||v||.
-    ``seed`` is accepted and unused: no step is randomized.
+    ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL * lambda_max * ||v||,
+    checked on the whole operator.  ``seed`` is accepted and unused: no step
+    is randomized.  ``extras`` counts the components and symmetry blocks and
+    gives the dimensions of the largest ones and of those holding the gap.
     """
     t0 = time.time()
     matrix = sp.csr_matrix(_as_matrix(rep))
@@ -100,15 +109,17 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     if sizes.max() > dense_cap:
         raise ValueError(f"largest invariant component has dimension "
                          f"{sizes.max()}, above dense_cap {dense_cap}")
-    order = np.argsort(comp, kind="stable")
-    permuted = matrix[order][:, order]
-    starts = np.cumsum(sizes) - sizes
+    meta = getattr(rep, "meta", None) or {}
+    perm = meta.get("symmetry")
+    perm = np.arange(len(comp)) if perm is None else _checked_symmetry(matrix, perm)
+    group, blocks = _symmetry_blocks(matrix, comp, perm)
+    dims = np.array([b.shape[0] for b in blocks])
+    starts = np.cumsum(dims) - dims
 
     def block(i):
-        return permuted[starts[i]:starts[i] + sizes[i],
-                        starts[i]:starts[i] + sizes[i]].toarray()
+        return blocks[i].toarray()
 
-    vals = np.concatenate([np.linalg.eigvalsh(block(i)) for i in range(n_comp)])
+    vals = np.concatenate([np.linalg.eigvalsh(block(i)) for i in range(len(blocks))])
     report, win, _, _ = _kernel_and_gap(vals, starts, block, expected_kernel)
     if kernel_basis is not None and len(kernel_basis) > 0:
         res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
@@ -121,8 +132,68 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     report.elapsed = time.time() - t0
     report.extras.update({"components": int(n_comp),
                           "largest_component": int(sizes.max()),
-                          "min_component_dim": int(sizes[win])})
+                          "min_component_dim": int(sizes[group[win]]),
+                          "symmetry_blocks": len(blocks),
+                          "largest_block": int(dims.max()),
+                          "min_block_dim": int(dims[win])})
     return report
+
+
+def _checked_symmetry(matrix, perm) -> np.ndarray:
+    """The declared index symmetry, once it is an involution leaving ``matrix``
+    exactly invariant; ValueError otherwise, naming the mismatches."""
+    dim = matrix.shape[0]
+    perm = np.asarray(perm)
+    if perm.shape != (dim,) or perm.min() < 0 or perm.max() >= dim:
+        raise ValueError(f"declared symmetry must map the {dim} indices into "
+                         f"range(0, {dim})")
+    moved = np.flatnonzero(perm[perm] != np.arange(dim))
+    if moved.size:
+        raise ValueError(f"declared symmetry is not an involution: "
+                         f"p[p[i]] != i at {moved.size} of {dim} indices, "
+                         f"largest |p[p[i]] - i| = "
+                         f"{np.abs(perm[perm[moved]] - moved).max()}")
+    image = matrix[perm][:, perm]
+    mismatched = (image != matrix).nnz
+    if mismatched:
+        raise ValueError(f"operator is not invariant under its declared "
+                         f"symmetry: {mismatched} entries of A[p][:, p] differ "
+                         f"from A, largest deviation "
+                         f"{abs(image - matrix).max():.3e}")
+    return perm
+
+
+# entry weights of the even block by the number of fixed points among its row
+# and column representatives: e_r for a fixed point, (e_r + e_p(r))/sqrt(2)
+# otherwise; with none moving every weight is the exact 1/2 of A + A
+_EVEN_WEIGHTS = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])
+
+
+def _symmetry_blocks(matrix, comp, perm):
+    """Even and odd blocks of ``matrix`` under the involution ``perm``, per
+    connected component (or per pair of components that ``perm`` swaps).
+
+    On the representatives r <= p(r) of a component, taken in ascending order,
+    the even block is A[r][:, r] + A[r][:, p(r)] weighted by ``_EVEN_WEIGHTS``,
+    and the odd block is A[m][:, m] - A[m][:, p(m)] on the moving
+    representatives m < p(m).  Returns each block's component label and the
+    nonempty blocks as sparse matrices, even before odd, in component order.
+    With the identity the blocks are the components, bit for bit.
+    """
+    reps = np.flatnonzero(np.arange(perm.size) <= perm)
+    group = np.minimum(comp, comp[perm])[reps]
+    order = np.argsort(group, kind="stable")
+    labels, blocks = [], []
+    for idx in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        r = reps[idx]
+        fix = (r == perm[r]).astype(int)
+        even = (matrix[r][:, r] + matrix[r][:, perm[r]]).tocoo()
+        even.data = even.data * _EVEN_WEIGHTS[fix[even.row] + fix[even.col]]
+        m = r[fix == 0]
+        parts = [even] if not m.size else [even, matrix[m][:, m] - matrix[m][:, perm[m]]]
+        labels += [group[idx[0]]] * len(parts)
+        blocks += [sp.csr_matrix(b) for b in parts]
+    return np.array(labels), blocks
 
 
 def _kernel_and_gap(vals, starts, block, expected_kernel):
@@ -189,19 +260,34 @@ def bond_pair_block(gamma: float) -> np.ndarray:
 def abelian_chain_hamiltonian(n: int, tp: ThermalParams) -> SuperOperatorRep:
     """Sum of pair blocks along an open chain of n bond variables.
 
-    Acts on the 2^n-dimensional diagonal space; sites 2..n of the ring each
-    contribute the block on bond pair (j-1, j).
+    Acts on the 2^n-dimensional diagonal space, bond j on bit n-1-j of the
+    index with 0 for '+'; sites 2..n of the ring each contribute the block on
+    bond pair (j-1, j).  Built from the bond labels: the diagonal is
+    (#'++' pairs)*gamma^2/d + (#'--' pairs)/d + (#mixed pairs)/2 with
+    d = 1 + gamma^2, and flipping both bonds of an adjacent pair gives one
+    entry, -gamma/d on an equal pair and -1/2 on a mixed one.  Every entry
+    depends on the pair counts only, so the matrix is exactly invariant under
+    reversing the chain, and ``meta["symmetry"]`` declares that bit reversal.
     """
     if n < 3:
         raise GeneratorError("chain needs at least 3 bonds")
-    k = sp.csr_matrix(bond_pair_block(tp.gamma))
-    total = sp.csr_matrix((1 << n, 1 << n))
-    for j in range(n - 1):
-        left = sp.identity(1 << j, format="csr")
-        right = sp.identity(1 << (n - 2 - j), format="csr")
-        total = total + sp.kron(sp.kron(left, k, format="csr"), right, format="csr")
-    return SuperOperatorRep(matrix=total.tocsr(), space="hilbert-schmidt",
-                            beta=tp.beta, meta={"chain_bonds": n, "gamma": tp.gamma})
+    gamma = tp.gamma
+    d = 1.0 + gamma ** 2
+    index = np.arange(1 << n)
+    pairs = (index[:, None] >> np.arange(n - 1)) & 3
+    plus, minus = pairs == 0, pairs == 3
+    n_plus, n_minus = plus.sum(axis=1), minus.sum(axis=1)
+    diagonal = n_plus * (gamma ** 2 / d) + n_minus * (1.0 / d) \
+        + (n - 1 - n_plus - n_minus) * 0.5
+    flipped = index[:, None] ^ (3 << np.arange(n - 1))
+    rows = np.concatenate([index, np.repeat(index, n - 1)])
+    cols = np.concatenate([index, flipped.ravel()])
+    data = np.concatenate([diagonal, np.where(plus | minus, -gamma / d, -0.5).ravel()])
+    matrix = sp.csr_matrix((data, (rows, cols)), shape=(1 << n, 1 << n))
+    reversal = sum(((index >> j) & 1) << (n - 1 - j) for j in range(n))
+    return SuperOperatorRep(matrix=matrix, space="hilbert-schmidt", beta=tp.beta,
+                            meta={"chain_bonds": n, "gamma": gamma,
+                                  "symmetry": reversal})
 
 
 def abelian_chain_kernel(n: int, gamma: float) -> list:
@@ -335,22 +421,6 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
              "kernel_dim": int(kd), "gap": float(bg)}
             for lab, kd, bg in zip(labels, kernel_counts, block_gaps)]
     return report
-
-
-def commutant_basis(generators, model: ModelSpec) -> list:
-    """Pauli strings commuting with all generators and Hamiltonian terms.
-
-    The span of the GF(2) nullspace of the symplectic rows, with each string
-    encoded as x_mask | z_mask << n and listed in increasing order.
-    """
-    n = model.n_sites
-    ops = list(generators) + list(model.stabilizers)
-    rows = [op.z_mask | (op.x_mask << n) for op in ops]
-    span = np.zeros(1, dtype=np.int64)
-    for vec in gf2_nullspace(rows, 2 * n):
-        span = np.concatenate([span, span ^ vec])
-    full = (1 << n) - 1
-    return [PauliString(n, int(v) & full, int(v) >> n, 0) for v in np.sort(span)]
 
 
 def certify(model: ModelSpec, tp: ThermalParams, couplings=None, frame=None,

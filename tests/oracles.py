@@ -9,6 +9,10 @@ Lanczos) solve a matrix without splitting it, as references for
 ``spectral.gap`` and ``gap_from_blocks``.  ``block_spectra`` and
 ``unreduced_block_gap`` diagonalize every charge block, with no symmetry
 reduction, as references for the orbit reduction of ``gap_from_blocks``.
+``kron_chain_hamiltonian`` sums the bond chain's pair blocks by Kronecker
+products, the reference for the label-built ``abelian_chain_hamiltonian``;
+``commutant_basis`` lists the commutant's Pauli strings, the reference for
+``commutant_dimension``.
 """
 
 import math
@@ -21,8 +25,11 @@ import scipy.sparse.linalg as spla
 
 from daviesgap.davies import SuperOperatorRep, GeneratorError
 from daviesgap.master import ChargeBlocks, _g_weight, block_labels
+from daviesgap.models import ModelSpec
+from daviesgap.pauli import PauliString, gf2_nullspace
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
-                                SolverConvergenceError, _kernel_and_gap)
+                                SolverConvergenceError, _kernel_and_gap,
+                                bond_pair_block)
 
 
 def _component_k(matrix: sp.csr_matrix, eta: float) -> sp.csr_matrix:
@@ -220,3 +227,30 @@ def _bottom_spectrum_pass(matrix, n_kernel, lam_max, thr, maxiter, seed,
     near = (float(vals[extra - 1]) if extra else float("-inf"), g)
     return GapReport(kernel_dim=extra, gap=g, solver="iterative", residual=residual,
                      near_threshold=near)
+
+
+def kron_chain_hamiltonian(n: int, gamma: float) -> sp.csr_matrix:
+    """The bond chain as the sum over j of I_{2^j} (x) pair block (x) I_{2^(n-2-j)}."""
+    k = sp.csr_matrix(bond_pair_block(gamma))
+    total = sp.csr_matrix((1 << n, 1 << n))
+    for j in range(n - 1):
+        left = sp.identity(1 << j, format="csr")
+        right = sp.identity(1 << (n - 2 - j), format="csr")
+        total = total + sp.kron(sp.kron(left, k, format="csr"), right, format="csr")
+    return total.tocsr()
+
+
+def commutant_basis(generators, model: ModelSpec) -> list:
+    """Pauli strings commuting with all generators and Hamiltonian terms.
+
+    The span of the GF(2) nullspace of the symplectic rows, with each string
+    encoded as x_mask | z_mask << n and listed in increasing order.
+    """
+    n = model.n_sites
+    ops = list(generators) + list(model.stabilizers)
+    rows = [op.z_mask | (op.x_mask << n) for op in ops]
+    span = np.zeros(1, dtype=np.int64)
+    for vec in gf2_nullspace(rows, 2 * n):
+        span = np.concatenate([span, span ^ vec])
+    full = (1 << n) - 1
+    return [PauliString(n, int(v) & full, int(v) >> n, 0) for v in np.sort(span)]

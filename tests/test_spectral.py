@@ -1,13 +1,18 @@
+import dataclasses
 import inspect
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import daviesgap.master as master
-from daviesgap.davies import ThermalParams, build_generator, default_couplings
+from daviesgap.davies import (SuperOperatorRep, ThermalParams, build_generator,
+                              default_couplings)
 from daviesgap.master import block_orbits
 from daviesgap.models import build_ising_ring, build_toric_code, lattice_symmetries
 from daviesgap.pauli import PauliString, commutant_dimension
@@ -15,12 +20,13 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 LemmaCheckError, SolverConvergenceError,
                                 abelian_chain_hamiltonian,
                                 abelian_chain_kernel, analytic_bounds,
-                                bond_pair_block, certify, commutant_basis,
-                                gap, gap_from_blocks, lemma1_check,
-                                lemma2_bound, lemma3_bound, sweep,
-                                write_sweep_csv)
-from oracles import (block_spectra, dense_gap, full_space_gap, iterative_gap,
-                     to_master, unreduced_block_gap)
+                                bond_pair_block, certify, gap,
+                                gap_from_blocks, lemma1_check, lemma2_bound,
+                                lemma3_bound, sweep, write_sweep_csv,
+                                _symmetry_blocks)
+from oracles import (block_spectra, commutant_basis, dense_gap, full_space_gap,
+                     iterative_gap, kron_chain_hamiltonian, to_master,
+                     unreduced_block_gap)
 
 
 class TestGap:
@@ -88,6 +94,16 @@ class TestGap:
         assert abs(r.gap - want.gap) < 1e-12 * want.gap
         assert r.near_threshold[1] == r.gap
         assert r.residual < 1e-12
+        # with no declared symmetry the blocks are the components, bit for bit,
+        # and the gap is the one the unfolded component solve gives
+        matrix = sp.csr_matrix(a)
+        _, comp = connected_components(matrix != 0, directed=False)
+        _, folded = _symmetry_blocks(matrix, comp, np.arange(len(a)))
+        for c, b in enumerate(folded):
+            idx = np.flatnonzero(comp == c)
+            assert np.array_equal(b.toarray(), a[np.ix_(idx, idx)])
+        assert r.extras["symmetry_blocks"] == 6
+        assert repr(r.gap) == "0.45994350876813767"
 
     def test_chain_splits_by_parity_and_checks_its_kernel(self):
         tp = ThermalParams.from_betaJ(0.35)
@@ -98,6 +114,46 @@ class TestGap:
             assert r.extras["largest_component"] == 1 << (n - 1)
             assert r.extras["min_component_dim"] == 1 << (n - 1)
             assert r.kernel_dim == 2 and r.solver == "dense"
+            # bit reversal splits each parity component into its even and odd
+            # blocks; the palindromes are its fixed points
+            palindromes = [1 << (n // 2), 0] if n % 2 == 0 else [1 << (n // 2)] * 2
+            dims = {(1 << (n - 1)) + k * f for f in palindromes for k in (1, -1)}
+            assert r.extras["symmetry_blocks"] == 4
+            assert r.extras["largest_block"] == max(dims) // 2
+            assert 2 * r.extras["min_block_dim"] in dims
+            if n <= 9:
+                unfolded = gap(abelian_chain_hamiltonian(n, tp).matrix)
+                assert unfolded.extras["symmetry_blocks"] == 2
+                assert abs(r.gap - unfolded.gap) < 1e-12 * unfolded.gap
+        assert r.extras["largest_block"] == 1056
+
+    def test_chain_from_labels_matches_kron_sum(self):
+        for betaJ in (0.0, 0.35, 1.0):
+            tp = ThermalParams.from_betaJ(betaJ)
+            for n in range(3, 13):
+                chain = abelian_chain_hamiltonian(n, tp)
+                a, want = chain.matrix, kron_chain_hamiltonian(n, tp.gamma)
+                assert ((a != 0) != (want != 0)).nnz == 0
+                # relative to the largest entry: the kron sum rounds once per
+                # pair, and the diagonal grows with n
+                assert abs(a - want).max() <= 1e-15 * abs(want).max()
+                p = chain.meta["symmetry"]
+                assert (a[p][:, p] != a).nnz == 0
+
+    def test_broken_symmetry_raises_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        perturbed = chain.matrix.copy()
+        perturbed[0, 3] += 1e-9  # flips bonds 4 and 5; its mirror flips 0 and 1
+        with pytest.raises(ValueError, match=r"2 entries of A\[p\]\[:, p\] differ "
+                                             r"from A, largest deviation 1\.000e-09"):
+            gap(dataclasses.replace(chain, matrix=perturbed))
+        shift = dataclasses.replace(chain, meta={"symmetry": np.roll(np.arange(64), 1)})
+        with pytest.raises(ValueError, match=r"not an involution: .* at 64 of 64"):
+            gap(shift)
 
     def test_perturbed_kernel_vector_raises(self):
         tp = ThermalParams.from_betaJ(0.35)
@@ -116,9 +172,60 @@ class TestGap:
         with pytest.raises(ValueError, match=r"dimension 32, above dense_cap 31"):
             gap(chain, dense_cap=31)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           orbits=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                                     st.integers(1, 3)), max_size=3))
+    def test_folded_gap_matches_dense_solve(self, seed, orbits):
+        """Random Hermitian PSD operators invariant under a random involution
+        with fixed points: the folded solve matches one dense ``eigh``."""
+        rng = np.random.default_rng(seed)
+        # each orbit of components: one component that p maps onto itself
+        # (f fixed points, q swapped pairs), assembled from random even and
+        # odd blocks, or two equal components that p exchanges
+        parts, perms, offset = [], [], 0
+        for swap, f, q in [(False, 1, 0)] + orbits:
+            if swap:
+                block = _random_psd(rng, q + f)
+                parts += [block, block]
+                local = np.roll(np.arange(2 * (q + f)), q + f)
+            else:
+                local = np.concatenate([np.arange(f), f + q + np.arange(q),
+                                        f + np.arange(q)])
+                basis = sla.block_diag(np.eye(f), np.kron([[1.0, 1.0], [1.0, -1.0]],
+                                                          np.eye(q)) / np.sqrt(2.0))
+                inner = sla.block_diag(_random_psd(rng, f + q),
+                                       _random_psd(rng, q) if q else np.zeros((0, 0)))
+                parts.append(basis @ inner @ basis.T)
+            perms.append(offset + local)
+            offset += local.size
+        a = sla.block_diag(*parts)
+        p = np.concatenate(perms)
+        a = (a + a[np.ix_(p, p)]) / 2.0  # exactly invariant; moves eigenvalues ~1e-16
+        relabel = rng.permutation(offset)
+        a = a[np.ix_(relabel, relabel)]
+        p = np.argsort(relabel)[p[relabel]]
+        r = gap(SuperOperatorRep(matrix=a, space="hilbert-schmidt", beta=0.0,
+                                 meta={"symmetry": p}))
+        want = dense_gap(a)
+        assert r.kernel_dim == want.kernel_dim
+        assert abs(r.gap - want.gap) <= 1e-12 * want.gap
+        assert r.residual < 1e-12
+
     def test_reports_near_threshold_pair(self):
         r = gap(np.diag([0.0, 2.0, 3.0]))
         assert r.near_threshold == (0.0, 2.0)
+
+
+def _random_psd(rng, dim):
+    """Complex Hermitian PSD matrix with eigenvalues 0 or in [1, 2], at least
+    one of them nonzero."""
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    vals = np.where(rng.random(dim) < 0.4, 0.0, rng.uniform(1.0, 2.0, dim))
+    vals[0] = 1.5
+    a = (u * vals) @ u.conj().T
+    return (a + a.conj().T) / 2.0
 
 
 def _commutant_by_scan(ops, n):
