@@ -6,11 +6,10 @@ from .models import (ModelSpec, SnakeCombPartition, ModelReport,
                      build_ising_ring, build_toric_code, lattice_symmetries,
                      verify_model)
 from .basis import StabilizerFrame, build_frame
-from .davies import (ThermalParams, JumpOperatorSet, JumpComponent,
-                     SuperOperatorRep, fourier_decompose, build_generator,
-                     liouville_matrix, default_couplings, detailed_balance_residual,
-                     dissipativity_identity_check, stationarity_residual,
-                     reconstruction_residual)
+from .davies import (ThermalParams, JumpComponent, SuperOperatorRep,
+                     build_generator, liouville_matrix, default_couplings,
+                     detailed_balance_residual, dissipativity_identity_check,
+                     stationarity_residual, reconstruction_residual)
 from .master import (BlockLabel, BlockOrbits, ChargeBlocks, XBlockSpec,
                      block_labels, block_label_of, block_orbits, sector_index,
                      sector_isometries, sign_flip_restriction)

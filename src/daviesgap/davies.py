@@ -1,10 +1,13 @@
 """Thermal generator assembly for commuting-Pauli models.
 
-Couplings are Fourier-decomposed algebraically: a single-Pauli coupling S
-either commutes or anticommutes with each stabilizer, so its component at
-transition frequency w is S times a spectral projector of the stabilizers it
-anticommutes with.  The dissipator is assembled in the stabilizer eigenbasis
-as a sum of jump terms with thermal rates
+A single-Pauli coupling S either commutes or anticommutes with each
+stabilizer, so its component at transition frequency w is S times a spectral
+projector of the stabilizers it anticommutes with.  Both factors are read
+from the stabilizer frame's labels: S is one generalized permutation
+S|u> = c_u |u ^ d>, and the projector keeps the states whose image carries a
+sign pattern of frequency w on those stabilizers.  Each jump component is
+therefore a masked generalized permutation, held as its flip pattern d and
+its weights.  The dissipator is a sum of jump terms with thermal rates
 
     rate(w) = 2 / (1 + exp(-beta*w)),
 
@@ -22,7 +25,7 @@ import scipy.sparse as sp
 
 from .basis import StabilizerFrame, build_frame
 from .models import ModelSpec
-from .pauli import PauliString, PauliSum, commutes
+from .pauli import PauliString, commutes
 
 
 class GeneratorError(ValueError):
@@ -67,91 +70,33 @@ class ThermalParams:
 
 
 # ---------------------------------------------------------------------------
-# Fourier decomposition of coupling operators
-# ---------------------------------------------------------------------------
-
-@dataclass
-class JumpOperatorSet:
-    """The frequency components of one coupling operator."""
-
-    coupling: PauliString
-    components: list  # [(omega, PauliSum)], sorted by omega
-
-    def frequencies(self):
-        return [w for w, _ in self.components]
-
-    def component(self, omega: float, tol: float = 1e-9):
-        for w, op in self.components:
-            if abs(w - omega) <= tol:
-                return op
-        raise KeyError(f"no component at frequency {omega}")
-
-    def sum_rule_defect(self) -> int:
-        """Terms left after subtracting the coupling from the component sum."""
-        total = PauliSum(self.coupling.n, [])
-        for _, op in self.components:
-            total = total + op
-        return len(total - PauliSum(self.coupling.n, [(1.0, self.coupling)]))
-
-
-def fourier_decompose(coupling: PauliString, model: ModelSpec,
-                      freq_tol: float = None) -> JumpOperatorSet:
-    """Split a Pauli coupling into eigenoperators of the model Hamiltonian.
-
-    With T the stabilizers anticommuting with the coupling, the component at
-    omega = 2 * sum_{b in T} J_b * eps_b collects the projector onto the
-    joint eigenvalue pattern eps, multiplied (from the left) into the
-    coupling.  Grouping of nearby frequencies only matters for generic
-    per-term coefficients.
-    """
-    if coupling.n != model.n_sites:
-        raise GeneratorError("coupling acts outside the model register")
-    if freq_tol is None:
-        freq_tol = 1e-9 * model.coupling
-    flips = [i for i, s in enumerate(model.stabilizers) if not commutes(coupling, s)]
-    if len(flips) > 12:
-        raise GeneratorError("coupling anticommutes with too many stabilizers")
-
-    n = model.n_sites
-    groups: dict = {}
-    for pattern in range(1 << len(flips)):
-        omega = 0.0
-        for pos, i in enumerate(flips):
-            eps = 1.0 - 2.0 * ((pattern >> pos) & 1)
-            omega += 2.0 * model.coefficients[i] * eps
-        for key in groups:
-            if abs(key - omega) <= freq_tol:
-                omega = key
-                break
-        # projector Prod (1 + eps_b S_b)/2 expanded over stabilizer subsets
-        terms = []
-        for subset in range(1 << len(flips)):
-            sign = 1.0
-            op = PauliString.identity(n)
-            for pos, i in enumerate(flips):
-                if (subset >> pos) & 1:
-                    op = op * model.stabilizers[i]
-                    if (pattern >> pos) & 1:
-                        sign = -sign
-            terms.append((sign / (1 << len(flips)), op * coupling))
-        groups.setdefault(omega, []).extend(terms)
-
-    components = [(w, PauliSum(n, terms)) for w, terms in sorted(groups.items())]
-    return JumpOperatorSet(coupling=coupling, components=components)
-
-
-# ---------------------------------------------------------------------------
 # Superoperator representation
 # ---------------------------------------------------------------------------
 
 @dataclass
 class JumpComponent:
+    """The jump operator S_alpha(w) in the stabilizer eigenbasis.
+
+    A masked generalized permutation: S_alpha(w)|u> = weights[u] |u ^ flip>,
+    with weights[u] the coupling's phase where the image state's stabilizer
+    signs give frequency w, and 0 elsewhere.  ``matrix`` builds it as a
+    sparse matrix on request.
+    """
+
     coupling_index: int
     coupling: PauliString
     omega: float
     rate: float
-    op: PauliSum
-    matrix: sp.csr_matrix  # in the stabilizer eigenbasis
+    flip: int
+    weights: np.ndarray
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        u = np.arange(self.weights.size)
+        m = sp.csr_matrix((self.weights, (u ^ self.flip, u)),
+                          shape=(u.size, u.size))
+        m.eliminate_zeros()
+        return m
 
 
 @dataclass
@@ -208,9 +153,12 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
                     freq_tol: float = None) -> SuperOperatorRep:
     """Minus the dissipative generator as its jump components.
 
-    Each frequency component contributes a jump term
+    Each component is read from the frame's labels (``_frequency_masks``):
+    one generalized permutation per coupling, masked per frequency by the
+    stabilizer signs of the image state.  It contributes a jump term
     rate * (A^dag X A - {A^dag A, X}/2); an optional `rates` table keyed by
-    (coupling_index, omega) overrides the thermal defaults.  The full
+    (coupling_index, omega) overrides the thermal defaults, and frequencies
+    within ``freq_tol`` (default 1e-9 * J) share one component.  The full
     Liouville matrix is left to ``liouville_matrix``.
     """
     if tp is None:
@@ -219,25 +167,71 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
         couplings = default_couplings(model)
     if frame is None:
         frame = build_frame(model)
+    if freq_tol is None:
+        freq_tol = 1e-9 * model.coupling
 
     comps = []
     for alpha, coupling in enumerate(couplings):
-        jset = fourier_decompose(coupling, model, freq_tol=freq_tol)
-        for omega, op in jset.components:
+        flip, masks = _frequency_masks(alpha, coupling, frame, freq_tol)
+        for omega, weights in masks:
             rate = tp.rate(omega)
             if rates is not None:
                 rate = rates.get((alpha, omega), rate)
             if rate < 0:
                 raise GeneratorError("rates must be nonnegative")
             comps.append(JumpComponent(coupling_index=alpha, coupling=coupling,
-                                       omega=omega, rate=rate, op=op,
-                                       matrix=frame.matrix_of(op)))
+                                       omega=omega, rate=rate, flip=flip,
+                                       weights=weights))
 
     return SuperOperatorRep(
         matrix=None, space="liouville", beta=tp.beta, frame=frame,
         rho=frame.gibbs(tp.beta), components=comps,
         meta={"couplings": [c.to_label() for c in couplings],
               "thermal": thermal_provenance(tp)})
+
+
+def _frequency_masks(alpha: int, coupling: PauliString, frame: StabilizerFrame,
+                     freq_tol: float) -> tuple:
+    """(d, [(omega, weights)]) of one coupling, sorted by omega.
+
+    The coupling acts as S|u> = c_u |u ^ d>.  With T the stabilizers it
+    anticommutes with, the component at omega = 2 * sum_{b in T} J_b * eps_b
+    is S followed by the projector onto the sign pattern eps on T, so its
+    weights are c_u where the image u ^ d carries a pattern of that
+    frequency and 0 elsewhere.  Patterns within ``freq_tol`` of an earlier
+    one join its frequency.
+    """
+    model = frame.model
+    if coupling.n != model.n_sites:
+        raise GeneratorError("coupling acts outside the model register")
+    flips = [i for i, s in enumerate(model.stabilizers) if not commutes(coupling, s)]
+    if len(flips) > 12:
+        raise GeneratorError("coupling anticommutes with too many stabilizers")
+    perm, phase = frame.genperm_of(coupling)
+    u = np.arange(frame.dim)
+    d = int(perm[0])
+    moved = np.flatnonzero(perm != u ^ d)
+    if moved.size:
+        raise GeneratorError(
+            f"coupling {alpha} ({coupling.to_label()}) does not flip one label "
+            f"pattern: perm[u] != u ^ {d} at {moved.size} of {u.size} states")
+    # bit pos of pattern[u] is set where the image of u has sign -1 on flips[pos]
+    bits = (1 - frame.stab_signs[flips][:, perm]) // 2
+    pattern = (bits << np.arange(len(flips))[:, None]).sum(axis=0)
+
+    keys, group = [], np.empty(1 << len(flips), dtype=np.int64)
+    for p in range(group.size):
+        omega = 0.0
+        for pos, i in enumerate(flips):
+            eps = 1.0 - 2.0 * ((p >> pos) & 1)
+            omega += 2.0 * model.coefficients[i] * eps
+        group[p] = next((k for k, key in enumerate(keys)
+                         if abs(key - omega) <= freq_tol), len(keys))
+        if group[p] == len(keys):
+            keys.append(omega)
+    which = group[pattern]
+    return d, [(keys[k], np.where(which == k, phase, 0))
+               for k in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def liouville_matrix(rep: SuperOperatorRep) -> sp.csr_matrix:
@@ -279,24 +273,6 @@ def _beta_inner(rho, x, y) -> complex:
     return np.sum(x.conj() * y * rho[None, :])
 
 
-def _masked_permutation(matrix) -> tuple:
-    """(d, s) with matrix |u> = s_u |u ^ d>; raises unless that is its shape."""
-    m = sp.csc_matrix(matrix)
-    m.eliminate_zeros()
-    counts = np.diff(m.indptr)
-    if counts.max(initial=0) > 1:
-        raise GeneratorError("jump component has a column with more than one "
-                             "nonzero; it is not a masked generalized permutation")
-    cols = np.repeat(np.arange(m.shape[1]), counts)
-    flips = np.unique(m.indices ^ cols)
-    if flips.size > 1:
-        raise GeneratorError(f"jump component flips {flips.size} different "
-                             "patterns; expected one")
-    s = np.zeros(m.shape[1], dtype=complex)
-    s[cols] = m.data
-    return (int(flips[0]) if flips.size else 0), s
-
-
 def _generator_action(components):
     """X -> sum_c rate_c (A_c^dag X A_c - {A_c^dag A_c, X}/2), i.e. L(X).
 
@@ -308,8 +284,8 @@ def _generator_action(components):
     """
     weights, decay = {}, 0.0
     for c in components:
-        d, s = _masked_permutation(c.matrix)
-        weights[d] = weights.get(d, 0.0) + c.rate * np.outer(s.conj(), s)
+        s = c.weights
+        weights[c.flip] = weights.get(c.flip, 0.0) + c.rate * np.outer(s.conj(), s)
         decay = decay + c.rate * np.abs(s) ** 2
     unmoved = weights.pop(0, 0.0) - 0.5 * np.add.outer(decay, decay)
 
@@ -407,18 +383,21 @@ def dissipativity_identity_check(rep: SuperOperatorRep, coupling_index: int,
     apply = _generator_action([c for pair in pairs for c in pair if c is not None])
     terms = []
     for c, _ in pairs:
-        s = c.matrix.toarray()
         g = c.rate / (2.0 if c.omega > 1e-12 else 4.0)
-        terms.append((s, s.conj().T, g, g * math.exp(-rep.beta * c.omega)))
+        terms.append((c.flip, c.weights, g, g * math.exp(-rep.beta * c.omega)))
+    u = np.arange(d)
     worst = 0.0
     for x in _random_operators(d, samples, rng):
         x /= math.sqrt(abs(_beta_inner(rho, x, x)))
         lhs = -_beta_inner(rho, x, apply(x))
         rhs = 0.0
-        for s, sd, g, g_d in terms:
-            com = s @ x - x @ s
+        for flip, s, g, g_d in terms:
+            # S|u> = s_u |u ^ flip>, so (S X)[u ^ flip] = s_u X[u] and
+            # (X S)[:, u] = X[:, u ^ flip] s_u; likewise for S^dag
+            idx = u ^ flip
+            com = (s[:, None] * x)[idx] - x[:, idx] * s[None, :]
             rhs += g * _beta_inner(rho, com, com)
-            com_d = sd @ x - x @ sd
+            com_d = s.conj()[:, None] * x[idx] - x[:, idx] * s.conj()[idx][None, :]
             rhs += g_d * _beta_inner(rho, com_d, com_d)
         worst = max(worst, abs(lhs - rhs))
     return worst

@@ -34,7 +34,7 @@ from scipy.linalg import block_diag
 from scipy.sparse.csgraph import connected_components
 
 from .basis import StabilizerFrame, _unit_solutions
-from .davies import SuperOperatorRep, GeneratorError, _masked_permutation
+from .davies import SuperOperatorRep, GeneratorError
 from .models import ModelSpec, lattice_symmetries
 from .pauli import PauliString, gf2_solve
 
@@ -132,7 +132,7 @@ def _is_symmetry(lrep: SuperOperatorRep, perm) -> bool:
     """True if ``perm`` maps every stabilizer onto one with an equal
     coefficient and the jump components onto themselves: the permuted
     coupling, the same frequency within the default grouping tolerance of
-    ``fourier_decompose`` and the same rate."""
+    ``build_generator`` and the same rate."""
     model = lrep.frame.model
     coeff = dict(zip(model.stabilizers, model.coefficients))
     if any(coeff.get(s.permuted(perm)) != c for s, c in coeff.items()):
@@ -264,7 +264,7 @@ class ChargeBlocks:
         for comp in lrep.components:
             if comp.omega < -1e-12:
                 continue  # covered by the adjoint of the positive-frequency term
-            d, s = _masked_permutation(comp.matrix)
+            d, s = comp.flip, comp.weights
             eta = math.exp(-lrep.beta * comp.omega / 2.0)
             g = _g_weight(comp.rate, comp.omega)
             self.diagonal += g * (np.abs(s) ** 2 + eta ** 2 * np.abs(s[self._u ^ d]) ** 2)

@@ -388,33 +388,48 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     of each orbit is assembled and diagonalized and the others take its
     eigenvalues; ``extras`` counts the blocks solved, the blocks in total and
     the symmetry generators kept, and ``extras["min_block"]`` names the block
-    that holds the gap.  With ``inventory`` the report also carries one entry
+    that holds the gap.  ``extras["stages"]`` gives the seconds spent
+    assembling charge blocks (``ChargeBlocks`` and the solved sectors),
+    grouping the blocks into orbits, in ``eigvalsh`` and on the winning
+    block's residual.  With ``inventory`` the report also carries one entry
     per block (label, dimension, kernel count, smallest eigenvalue above the
     kernel).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     frame = lrep.frame
     charge = ChargeBlocks(lrep)
+    t_charge = time.perf_counter()
     labels = block_labels(frame)
     orbits = block_orbits(lrep)
     reps = np.unique(orbits.rep)
+    t_orbits = time.perf_counter()
     n_nu = 1 << frame.n_logical
     sectors = reps // n_nu
     spectra = np.empty((reps.size, labels[0].dim))
+    assembly = eigensolve = 0.0
     for sector in np.unique(sectors):
         solve = np.flatnonzero(sectors == sector)
+        t_sector = time.perf_counter()
         blocks = charge.sector_blocks(sector // n_nu, sector % n_nu)
+        t_solve = time.perf_counter()
         spectra[solve] = np.linalg.eigvalsh(blocks[reps[solve] % n_nu])
+        assembly += t_solve - t_sector
+        eigensolve += time.perf_counter() - t_solve
     vals = spectra[np.searchsorted(reps, orbits.rep)].ravel()
     starts = np.arange(len(labels)) * labels[0].dim
+    t_residual = time.perf_counter()
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
         vals, starts, lambda i: charge.block(labels[i]), expected_kernel)
     report.solver = "blocks"
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     report.extras.update({"min_block": labels[win].describe(),
                           "blocks_solved": int(reps.size),
                           "blocks_total": len(labels),
-                          "symmetry_generators": len(orbits.generators)})
+                          "symmetry_generators": len(orbits.generators),
+                          "stages": {"charge_blocks_s": t_charge - t0 + assembly,
+                                     "orbits_s": t_orbits - t_charge,
+                                     "eigensolve_s": eigensolve,
+                                     "residual_s": time.perf_counter() - t_residual}})
     if inventory:
         report.extras["blocks"] = [
             {"flip": lab.flip, "sector": lab.sector, "dim": lab.dim,
@@ -430,6 +445,8 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None, frame=None,
     The gap is the exact minimum over the charge blocks (``gap_from_blocks``),
     with the kernel dimension required to equal the commutant's.  A bound
     violation raises; it is never downgraded to a warning.
+    ``extras["stages"]`` adds the seconds of ``build_generator``
+    (``generator_s``) to the stages of ``gap_from_blocks``.
     """
     t0 = time.time()
     if model.n_sites > 8:
@@ -442,10 +459,13 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None, frame=None,
         couplings = default_couplings(model)
     if frame is None:
         frame = build_frame(model)
+    t_generator = time.perf_counter()
     lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
+    t_generator = time.perf_counter() - t_generator
     expected = commutant_dimension(couplings, model.hamiltonian())
 
     report = gap_from_blocks(lrep, expected_kernel=expected, inventory=inventory)
+    report.extras["stages"] = {"generator_s": t_generator, **report.extras["stages"]}
 
     bound = analytic_bounds(model.kind, tp)["generator_gap"]
     report.analytic_bound = bound

@@ -12,7 +12,10 @@ reduction, as references for the orbit reduction of ``gap_from_blocks``.
 ``kron_chain_hamiltonian`` sums the bond chain's pair blocks by Kronecker
 products, the reference for the label-built ``abelian_chain_hamiltonian``;
 ``commutant_basis`` lists the commutant's Pauli strings, the reference for
-``commutant_dimension``.
+``commutant_dimension``.  ``fourier_decompose`` expands each jump component
+into a ``PauliSum`` of stabilizer products times the coupling, and
+``reference_components`` reads their frame matrices as (flip, weights): the
+reference for the label-built components of ``build_generator``.
 """
 
 import math
@@ -23,10 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from daviesgap.davies import SuperOperatorRep, GeneratorError
+from daviesgap.davies import SuperOperatorRep, GeneratorError, ThermalParams
 from daviesgap.master import ChargeBlocks, _g_weight, block_labels
 from daviesgap.models import ModelSpec
-from daviesgap.pauli import PauliString, gf2_nullspace
+from daviesgap.pauli import PauliString, PauliSum, commutes, gf2_nullspace
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
                                 bond_pair_block)
@@ -254,3 +257,103 @@ def commutant_basis(generators, model: ModelSpec) -> list:
         span = np.concatenate([span, span ^ vec])
     full = (1 << n) - 1
     return [PauliString(n, int(v) & full, int(v) >> n, 0) for v in np.sort(span)]
+
+
+@dataclass
+class JumpOperatorSet:
+    """The frequency components of one coupling operator."""
+
+    coupling: PauliString
+    components: list  # [(omega, PauliSum)], sorted by omega
+
+    def frequencies(self):
+        return [w for w, _ in self.components]
+
+    def component(self, omega: float, tol: float = 1e-9):
+        for w, op in self.components:
+            if abs(w - omega) <= tol:
+                return op
+        raise KeyError(f"no component at frequency {omega}")
+
+    def sum_rule_defect(self) -> int:
+        """Terms left after subtracting the coupling from the component sum."""
+        total = PauliSum(self.coupling.n, [])
+        for _, op in self.components:
+            total = total + op
+        return len(total - PauliSum(self.coupling.n, [(1.0, self.coupling)]))
+
+
+def fourier_decompose(coupling: PauliString, model: ModelSpec,
+                      freq_tol: float = None) -> JumpOperatorSet:
+    """Split a Pauli coupling into eigenoperators of the model Hamiltonian.
+
+    With T the stabilizers anticommuting with the coupling, the component at
+    omega = 2 * sum_{b in T} J_b * eps_b collects the projector onto the
+    joint eigenvalue pattern eps, expanded over the 2^|T| stabilizer
+    products and multiplied (from the left) into the coupling.
+    """
+    if coupling.n != model.n_sites:
+        raise GeneratorError("coupling acts outside the model register")
+    if freq_tol is None:
+        freq_tol = 1e-9 * model.coupling
+    flips = [i for i, s in enumerate(model.stabilizers) if not commutes(coupling, s)]
+    if len(flips) > 12:
+        raise GeneratorError("coupling anticommutes with too many stabilizers")
+
+    n = model.n_sites
+    groups: dict = {}
+    for pattern in range(1 << len(flips)):
+        omega = 0.0
+        for pos, i in enumerate(flips):
+            eps = 1.0 - 2.0 * ((pattern >> pos) & 1)
+            omega += 2.0 * model.coefficients[i] * eps
+        for key in groups:
+            if abs(key - omega) <= freq_tol:
+                omega = key
+                break
+        # projector Prod (1 + eps_b S_b)/2 expanded over stabilizer subsets
+        terms = []
+        for subset in range(1 << len(flips)):
+            sign = 1.0
+            op = PauliString.identity(n)
+            for pos, i in enumerate(flips):
+                if (subset >> pos) & 1:
+                    op = op * model.stabilizers[i]
+                    if (pattern >> pos) & 1:
+                        sign = -sign
+            terms.append((sign / (1 << len(flips)), op * coupling))
+        groups.setdefault(omega, []).extend(terms)
+
+    components = [(w, PauliSum(n, terms)) for w, terms in sorted(groups.items())]
+    return JumpOperatorSet(coupling=coupling, components=components)
+
+
+def masked_permutation(matrix) -> tuple:
+    """(d, s) with matrix |u> = s_u |u ^ d>; raises unless that is its shape."""
+    m = sp.csc_matrix(matrix)
+    m.eliminate_zeros()
+    counts = np.diff(m.indptr)
+    if counts.max(initial=0) > 1:
+        raise GeneratorError("matrix has a column with more than one nonzero")
+    cols = np.repeat(np.arange(m.shape[1]), counts)
+    flips = np.unique(m.indices ^ cols)
+    if flips.size > 1:
+        raise GeneratorError(f"matrix flips {flips.size} different patterns")
+    s = np.zeros(m.shape[1], dtype=complex)
+    s[cols] = m.data
+    return (int(flips[0]) if flips.size else 0), s
+
+
+def reference_components(model: ModelSpec, couplings, frame, tp: ThermalParams,
+                         rates: dict = None) -> list:
+    """(coupling_index, omega, rate, flip, weights, matrix) per jump component:
+    ``fourier_decompose`` -> ``frame.matrix_of``, in ``build_generator`` order."""
+    out = []
+    for alpha, coupling in enumerate(couplings):
+        for omega, op in fourier_decompose(coupling, model).components:
+            rate = tp.rate(omega)
+            if rates is not None:
+                rate = rates.get((alpha, omega), rate)
+            matrix = frame.matrix_of(op)
+            out.append((alpha, omega, rate, *masked_permutation(matrix), matrix))
+    return out

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from daviesgap.basis import build_frame
-from daviesgap.davies import default_couplings, fourier_decompose
+from daviesgap.davies import default_couplings
 from daviesgap.models import ModelError, build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, gf2_solve
+from oracles import fourier_decompose
 
 SNAP = 1e-10
 

@@ -55,6 +55,17 @@ class TestGap:
         assert doc["kernel_dim"] == 1
         assert doc["gap"] >= doc["analytic_bound"]
 
+    def test_json_stage_timings(self, tmp_path, capsys):
+        path = tmp_path / "gap.json"
+        run_cli(["gap", "--model", "toric", "--size", "2", "--betaJ", "0.25",
+                 "--json", str(path)])
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        stages = doc["stages"]
+        assert set(stages) == {"generator_s", "charge_blocks_s", "orbits_s",
+                               "eigensolve_s", "residual_s"}
+        assert all(isinstance(v, float) and v >= 0 for v in stages.values())
+
     def test_block_inventory(self, tmp_path, capsys):
         path = tmp_path / "blocks.json"
         run_cli(["gap", "--model", "ising", "--size", "3", "--betaJ", "0.25",

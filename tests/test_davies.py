@@ -14,12 +14,13 @@ import daviesgap.spectral as spectral
 from daviesgap.davies import (GeneratorError, ThermalParams, apply_component,
                               build_generator, default_couplings,
                               detailed_balance_residual,
-                              dissipativity_identity_check, fourier_decompose,
-                              liouville_matrix,
+                              dissipativity_identity_check, liouville_matrix,
                               reconstruction_residual, stationarity_residual,
                               _beta_inner)
+from daviesgap.basis import StabilizerFrame, build_frame
+from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
-from oracles import to_master
+from oracles import fourier_decompose, reference_components, to_master
 
 
 class TestThermalParams:
@@ -214,6 +215,84 @@ class TestToricGenerator:
             assert reconstruction_residual(rep, alpha) < 1e-10
 
 
+COMPONENT_CASES = {**{f"ring{n}": (lambda n=n: build_ising_ring(n)) for n in range(3, 9)},
+                   "torus2": lambda: build_toric_code(2),
+                   "ring4-nonuniform": lambda: build_ising_ring(
+                       4, coefficients=[1.0, 2.0, 0.5, 1.5])}
+
+
+def _assert_matches_reference(lrep, reference):
+    assert len(lrep.components) == len(reference)
+    for comp, (alpha, omega, rate, flip, weights, _) in zip(lrep.components,
+                                                            reference):
+        assert (comp.coupling_index, comp.omega, comp.rate, comp.flip) \
+            == (alpha, omega, rate, flip)
+        assert np.array_equal(comp.weights, weights)
+
+
+class TestLabelBuiltComponents:
+    """build_generator's components against the PauliSum expansion of
+    ``oracles.fourier_decompose`` read through ``frame.matrix_of``."""
+
+    @pytest.mark.parametrize("name", list(COMPONENT_CASES))
+    def test_match_the_pauli_sum_reference_bit_for_bit(self, name):
+        model = COMPONENT_CASES[name]()
+        frame = build_frame(model)
+        tp = ThermalParams.from_betaJ(0.25)
+        for letters in ("x", "z", "xz", "xyz"):
+            couplings = default_couplings(model, letters)
+            lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
+            _assert_matches_reference(
+                lrep, reference_components(model, couplings, frame, tp))
+
+    def test_match_the_reference_with_a_rate_table(self, ising4, ising4_frame):
+        tp = ThermalParams.from_betaJ(0.4)
+        couplings = default_couplings(ising4)
+        rates = {(alpha, w): 0.5 + alpha for alpha in range(0, 8, 2)
+                 for w in (-4.0, 4.0)}
+        lrep = build_generator(ising4, couplings=couplings, tp=tp,
+                               frame=ising4_frame, rates=rates)
+        reference = reference_components(ising4, couplings, ising4_frame, tp, rates)
+        _assert_matches_reference(lrep, reference)
+        assert sum(c.rate == 0.5 + c.coupling_index for c in lrep.components) == 8
+
+    @pytest.mark.parametrize("name", ["ising3", "toric2"])
+    def test_matrix_equals_the_reference_matrix(self, request, name):
+        model = request.getfixturevalue(name)
+        frame = request.getfixturevalue(name + "_frame")
+        tp = ThermalParams.from_betaJ(0.25)
+        couplings = default_couplings(model, "xyz")
+        lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
+        reference = reference_components(model, couplings, frame, tp)
+        for comp, ref in zip(lrep.components, reference):
+            got, want = comp.matrix, ref[-1]
+            assert got.shape == want.shape and got.nnz == want.nnz
+            assert (got != want).nnz == 0
+
+    def test_wrong_register_rejected(self, ising4, ising4_frame):
+        with pytest.raises(GeneratorError, match="outside the model register"):
+            build_generator(ising4, couplings=[PauliString.single(5, 0, "X")],
+                            frame=ising4_frame)
+
+    def test_coupling_that_is_not_one_flip_rejected(self, monkeypatch, ising3,
+                                                    ising3_frame):
+        # a permutation of the states that no XOR pattern u -> u ^ d gives
+        genperm_of = StabilizerFrame.genperm_of
+
+        def scrambled(frame, p):
+            perm, phase = genperm_of(frame, p)
+            perm = perm.copy()
+            perm[[1, 2]] = perm[[2, 1]]
+            return perm, phase
+
+        monkeypatch.setattr(StabilizerFrame, "genperm_of", scrambled)
+        couplings = default_couplings(ising3)
+        with pytest.raises(GeneratorError,
+                           match=r"coupling 0 \(\+XII\) does not flip one label "
+                                 r"pattern: perm\[u\] != u \^ \d+ at 2 of 8"):
+            build_generator(ising3, couplings=couplings, frame=ising3_frame)
+
+
 class TestLiouvilleMatrix:
     def test_generator_holds_only_components(self, ising3, ising3_frame):
         rep = build_generator(ising3, frame=ising3_frame)
@@ -234,15 +313,6 @@ class TestLiouvilleMatrix:
         want = -(liouville_matrix(rep) @ x.reshape(-1, order="F"))
         got = davies._generator_action(rep.components)(x)
         assert np.abs(got.reshape(-1, order="F") - want).max() < 1e-12
-
-    def test_component_action_rejects_repeated_columns(self, ising3,
-                                                       ising3_frame):
-        lrep = build_generator(ising3, frame=ising3_frame)
-        two = PauliSum.from_terms([(1.0, PauliString.single(3, 0, "X")),
-                                   (1.0, PauliString.single(3, 1, "X"))])
-        lrep.components[0].matrix = ising3_frame.matrix_of(two)
-        with pytest.raises(GeneratorError, match="more than one nonzero"):
-            davies._generator_action(lrep.components)
 
     def test_rejects_hilbert_schmidt_input(self, ising3, ising3_frame):
         rep = to_master(build_generator(ising3, frame=ising3_frame)).rep
