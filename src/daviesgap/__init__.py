@@ -1,7 +1,7 @@
 """Thermal generators for commuting-Pauli models and their spectral gaps."""
 
 from .pauli import (PauliString, PauliSum, commutes, commutant_dimension,
-                    write_coo_text, read_coo_text)
+                    write_coo_text)
 from .models import (ModelSpec, SnakeCombPartition, ModelReport,
                      build_ising_ring, build_toric_code, lattice_symmetries,
                      verify_model)
@@ -12,7 +12,7 @@ from .davies import (ThermalParams, JumpComponent, SuperOperatorRep,
                      stationarity_residual, reconstruction_residual)
 from .master import (BlockLabel, BlockOrbits, ChargeBlocks, XBlockSpec,
                      block_labels, block_label_of, block_orbits, sector_index,
-                     sector_isometries, sign_flip_restriction)
+                     sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
                        abelian_chain_hamiltonian, abelian_chain_kernel,
                        bond_pair_block, lemma1_check, lemma2_bound,

@@ -8,6 +8,7 @@ supplies defaults; command-line flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -272,8 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_main_parser = functools.cache(build_parser)  # one per process: a build leaves cyclic garbage
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BoundViolationError, KernelMismatchError) as exc:

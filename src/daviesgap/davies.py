@@ -124,18 +124,6 @@ class SuperOperatorRep:
             raise GeneratorError("no matrix held; liouville_matrix(rep) builds -L")
         return m.toarray() if sp.issparse(m) else np.asarray(m)
 
-    def gram_diag(self) -> np.ndarray:
-        """Diagonal of the beta inner product over matrix units (column-major)."""
-        if self.rho is None:
-            raise GeneratorError("no Gibbs weights attached")
-        return np.repeat(self.rho, self.frame.dim)
-
-    def delta_diagonal(self) -> np.ndarray:
-        """Eigenvalues E_u - E_v of the Hamiltonian derivation, column-major."""
-        e = self.frame.energies
-        d = self.frame.dim
-        return np.tile(e, d) - np.repeat(e, d)
-
 
 def default_couplings(model: ModelSpec, letters: str = None) -> list:
     """Single-site couplings per model: xyz for the ring, xz for the torus."""
@@ -359,14 +347,6 @@ def _component_pairs(rep: SuperOperatorRep, coupling_index: int, omega=None,
     return pairs
 
 
-def apply_component(rep: SuperOperatorRep, coupling_index: int, x: np.ndarray,
-                    omega=None) -> np.ndarray:
-    """L_{alpha w}(X) for one positive frequency (or the whole coupling)."""
-    comps = [c for pair in _component_pairs(rep, coupling_index, omega)
-             for c in pair if c is not None]
-    return _generator_action(comps)(x)
-
-
 def dissipativity_identity_check(rep: SuperOperatorRep, coupling_index: int,
                                  omega=None, samples: int = 20,
                                  seed: int = 0) -> float:
@@ -405,21 +385,27 @@ def dissipativity_identity_check(rep: SuperOperatorRep, coupling_index: int,
 
 def reconstruction_residual(rep: SuperOperatorRep, coupling_index: int,
                             times=(0.1, 0.7, 1.3)) -> float:
-    """max_t || e^{itH} S e^{-itH} - sum_w e^{-iwt} S(w) || (spectral norm)."""
+    """max_t || e^{itH} S e^{-itH} - sum_w e^{-iwt} S(w) || (spectral norm):
+    the difference maps |u> to a multiple of |u ^ d>, so its norm is its
+    largest entry modulus.  A component whose flip d is not its coupling's
+    raises GeneratorError."""
     frame = rep.frame
     comps = [c for c in rep.components if c.coupling_index == coupling_index]
     if not comps:
         raise GeneratorError(f"no components for coupling {coupling_index}")
-    s_full = frame.matrix_of(comps[0].coupling).toarray()
-    energies = frame.energies
-    scale = 1.0 / rep.frame.model.coupling
+    perm, phase = frame.genperm_of(comps[0].coupling)
+    u = np.arange(frame.dim)
+    for c in comps:
+        if not np.array_equal(perm, u ^ c.flip):
+            raise GeneratorError(
+                f"component omega={c.omega:g} of coupling {coupling_index} "
+                f"({c.coupling.to_label()}) flips {c.flip}, its coupling does not: perm[u] "
+                f"!= u ^ {c.flip} at {np.count_nonzero(perm != u ^ c.flip)} of {u.size} states")
     worst = 0.0
     for t in times:
-        t = t * scale
-        phases = np.exp(1j * t * energies)
-        evolved = phases[:, None] * s_full * phases.conj()[None, :]
-        recon = np.zeros_like(evolved)
+        t = t / frame.model.coupling
+        diff = np.exp(1j * t * (frame.energies[perm] - frame.energies)) * phase
         for c in comps:
-            recon += np.exp(-1j * c.omega * t) * c.matrix.toarray()
-        worst = max(worst, np.linalg.norm(evolved - recon, 2))
+            diff -= np.exp(-1j * c.omega * t) * c.weights
+        worst = max(worst, float(np.abs(diff).max()))
     return worst

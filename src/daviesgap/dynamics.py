@@ -20,8 +20,8 @@ import scipy.sparse as sp
 from .basis import build_frame
 from .davies import SuperOperatorRep, ThermalParams, build_generator, \
     default_couplings, GeneratorError
-from .master import BlockLabel, ChargeBlocks, block_label_of, sector_index, \
-    sector_isometries
+from .master import BlockLabel, ChargeBlocks, _isometry_entries, _x_phases, \
+    block_label_of, sector_index
 from .models import ModelSpec
 from .pauli import PauliString, commutant_dimension
 from . import spectral
@@ -53,12 +53,11 @@ class BlockPropagator:
     @classmethod
     def of(cls, lrep: SuperOperatorRep, label: BlockLabel) -> "BlockPropagator":
         frame = lrep.frame
-        w = sector_isometries(frame, label.flip, label.mu)[label.nu]
-        rows, cols = np.nonzero(w)
+        v = _isometry_entries(frame, _x_phases(frame), label.flip, label.mu)[label.nu]
         basis = sp.csc_matrix(
-            (w[rows, cols], (sector_index(frame, label.flip, label.mu)[rows], cols)),
+            (v, (sector_index(frame, label.flip, label.mu), np.arange(frame.dim) % label.dim)),
             shape=(frame.dim ** 2, label.dim))
-        vals, vecs = np.linalg.eigh(ChargeBlocks(lrep).block(label))
+        vals, vecs = np.linalg.eigh(ChargeBlocks(lrep).block(label).toarray())
         sigma = np.arange(label.dim)
         delta = (frame.energies[frame.state_index(sigma, 0)]
                  - frame.energies[frame.state_index(sigma ^ label.flip, 0)])

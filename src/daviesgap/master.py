@@ -14,13 +14,13 @@ Blocks: conjugation by any stabilizer or logical operator commutes with the
 generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
 small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
-straight from the jump components, and no code here builds the full
-4^n-dimensional K.  A lattice symmetry of the model (``lattice_symmetries``)
-that leaves H and the jump components unchanged carries each block unitarily
-onto another; ``block_orbits`` checks each symmetry against the generator
-and groups the blocks into orbits of equal spectrum.  The torus sign-flip
-restriction is read from sign-flipped charge blocks and checked against the
-unsigned ones.
+sparse, straight from the jump components; no code here builds the full
+4^n-dimensional K or a dense sector matrix.  A lattice symmetry of the model
+(``lattice_symmetries``) that leaves H and the jump components unchanged
+carries each block unitarily onto another; ``block_orbits`` checks each
+symmetry against the generator and groups the blocks into orbits of equal
+spectrum.  The torus sign-flip restriction is read from sign-flipped charge
+blocks and checked against the unsigned ones.
 """
 
 from __future__ import annotations
@@ -206,11 +206,12 @@ def _x_phases(frame: StabilizerFrame) -> np.ndarray:
 
 def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip: int,
                       mu: int) -> np.ndarray:
-    """v[nu, u]: the one entry of row u of W[nu] (see ``sector_isometries``).
+    """v[nu, u]: the one entry, in column u mod 2^k, of row u of W[nu].
 
-    Row u = S * 2^k + sigma holds the X_S-image of |sigma><sigma ^ flip, mu|
-    with its phase and the logical-Z charge (-1)^|S & nu|.
-    """
+    The (dim, 2^k) isometries W[nu], one per logical-Z sector nu and together
+    a unitary in ``sector_index`` coordinates, symmetrise |sigma, 0><sigma ^
+    flip, mu| over its X-logical images: row u = S * 2^k + sigma holds the
+    X_S-image with its phase and the logical-Z charge (-1)^|S & nu|."""
     s = np.arange(len(x_phase))
     sigma = np.arange(1 << frame.n_indep)
     phase = x_phase[:, sigma] * x_phase[:, frame.state_index(sigma ^ flip, mu)].conj()
@@ -225,20 +226,6 @@ def sector_index(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
     return u + frame.dim * (u ^ frame.state_index(flip, mu))
 
 
-def sector_isometries(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
-    """W[nu], a (dim, 2^k) isometry for each logical-Z sector nu.
-
-    Column sigma of W[nu] is the logical-charge symmetrisation of the matrix
-    unit |sigma, 0><sigma ^ flip, mu| over its X-logical images, in the
-    coordinates of ``sector_index``.  Together the W[nu] are a unitary.
-    """
-    v = _isometry_entries(frame, _x_phases(frame), flip, mu)
-    u = np.arange(frame.dim)
-    w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
-    w[:, u, u % w.shape[2]] = v
-    return w
-
-
 class ChargeBlocks:
     """The charge blocks of K, assembled from the jump components of -L.
 
@@ -247,10 +234,11 @@ class ChargeBlocks:
     |u><u ^ delta| of one sector delta into the same sector.  The sector
     matrix has the diagonal g (D_u + D_{u^delta}), D = |s|^2 + eta^2 |s[. ^ d]|^2,
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
-    at row u ^ d of column u; the ``sector_isometries`` split it into the
-    (flip, mu, nu) blocks.  Optional per-site ``signs`` multiply each cross
-    weight by the sign of its component's site (every coupling must then act
-    on one site): the sign-flipped operator of ``sign_flip_restriction``.
+    at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
+    split it into the sparse (flip, mu, nu) blocks.  Optional per-site
+    ``signs`` multiply each cross weight by the sign of its component's site
+    (every coupling must then act on one site): the sign-flipped operator of
+    ``sign_flip_restriction``.
     """
 
     def __init__(self, lrep: SuperOperatorRep, signs: np.ndarray = None):
@@ -278,29 +266,49 @@ class ChargeBlocks:
         self._cross = [(d, np.array([w for w, _ in terms]), np.array([s for _, s in terms]))
                        for d, terms in cross.items()]
 
-    def sector_matrix(self, flip: int, mu: int) -> np.ndarray:
-        """K on the sector's matrix units, in the coordinates of ``sector_index``."""
+    def _sector_entries(self, flip: int, mu: int) -> tuple:
+        """(rows, cols, data) of K's nonzero entries on the sector: diagonal, then cross."""
         u = self._u
         ud = u ^ self.frame.state_index(flip, mu)
-        m = np.zeros((u.size, u.size), dtype=complex)
-        m[u, u] = self.diagonal + self.diagonal[ud]
+        rows, data = [u], [self.diagonal + self.diagonal[ud]]
         for d, weights, s in self._cross:
             p = weights @ (s * s[:, ud].conj())
-            m[u ^ d, u] -= p + p[u ^ d].conj()
+            rows.append(u ^ d)
+            data.append(-(p + p[u ^ d].conj()))
+        rows, cols, data = np.concatenate(rows), np.tile(u, len(rows)), np.concatenate(data)
+        return rows[data != 0], cols[data != 0], data[data != 0]
+
+    def sector_matrix(self, flip: int, mu: int) -> sp.csr_matrix:
+        """K on the sector's matrix units, with no stored zeros."""
+        rows, cols, data = self._sector_entries(flip, mu)
+        m = sp.csr_matrix((data, (rows, cols)), shape=(self._u.size,) * 2)
+        m.eliminate_zeros()
         return m
 
-    def sector_blocks(self, flip: int, mu: int) -> np.ndarray:
-        """W[nu]^dag K_delta W[nu] for every nu, as a (2^ell, 2^k, 2^k) stack.
+    def sector_blocks(self, flip: int, mu: int) -> list:
+        """W[nu]^dag K_delta W[nu] for every nu, as sparse 2^k x 2^k matrices.
 
-        Row u of W[nu] has its one entry v[nu, u] in column u mod 2^k; the stack
-        is real when its imaginary part vanishes exactly (faster eigensolvers)."""
+        The sector entry K[r, c] adds conj(v[nu, r]) K[r, c] v[nu, c] at
+        (r mod 2^k, c mod 2^k).  A block stores no zeros; it is real when its
+        imaginary part vanishes exactly (faster eigensolvers)."""
         v = _isometry_entries(self.frame, self._x_phase, flip, mu)
-        nl, nk = len(v), 1 << self.frame.n_indep
-        kw = (self.sector_matrix(flip, mu) * v[:, None, :]).reshape(nl, -1, nl, nk).sum(axis=2)
-        blocks = (v.conj()[:, :, None] * kw).reshape(nl, nl, nk, nk).sum(axis=1)
-        return blocks if blocks.imag.any() else blocks.real
+        nk = 1 << self.frame.n_indep
+        rows, cols, data = self._sector_entries(flip, mu)
+        # every block sums over the same positions, row by row: sort them once
+        key = (rows % nk) * nk + cols % nk
+        order = np.argsort(key, kind="stable")
+        heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+        key = key[order][heads]
+        blocks = []
+        for entries in np.add.reduceat((v[:, rows].conj() * data * v[:, cols])[:, order],
+                                       heads, axis=1):
+            at, entries = key[entries != 0], entries[entries != 0]
+            blocks.append(sp.csr_matrix(
+                (entries if entries.imag.any() else entries.real.copy(), at % nk,
+                 np.searchsorted(at, np.arange(0, nk * nk + 1, nk))), shape=(nk, nk)))
+        return blocks
 
-    def block(self, label: BlockLabel) -> np.ndarray:
+    def block(self, label: BlockLabel) -> sp.csr_matrix:
         return self.sector_blocks(label.flip, label.mu)[label.nu]
 
 
@@ -369,8 +377,8 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     block of U(p) X_L^mu, K^sigma is kron(b_p, I) with the identity on the
     star bits.  The result is the direct sum of the b_p, read from the signed
     charge blocks; no 4^n-dimensional operator is built.  With ``check`` both
-    identities are verified entry by entry on every sector of the fine block
-    and must hold to ``atol``.
+    identities are verified entry by entry, on the sparse forms, on every
+    sector of the fine block and must hold to ``atol``.
     """
     frame = lrep.frame
     model = frame.model
@@ -393,17 +401,17 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     for p, snake in enumerate(_snake_strings(frame)):
         label = block_label_of(frame, snake * x_mu)
         signed_block = signed.block(label)
-        b_p = signed_block[::n_star, ::n_star]
+        b_p = signed_block[::n_star, ::n_star].toarray()
         parts.append(b_p)
         if not check:
             continue
         target = charge.sector_matrix(label.flip ^ moved.flip, label.mu ^ moved.mu)
-        defect = np.abs(target[np.ix_(perm, perm)] * phi[None, :]
-                        - phi[:, None] * signed.sector_matrix(label.flip, label.mu)).max()
+        defect = abs(target[perm][:, perm] @ sp.diags(phi)
+                     - sp.diags(phi) @ signed.sector_matrix(label.flip, label.mu)).max()
         if defect > atol:
             raise GeneratorError(f"sign-flip intertwining defect {defect:.3e} exceeds "
                                  f"{atol:.1e} (plaquette flip {p})")
-        defect = np.abs(signed_block - np.kron(b_p, np.eye(n_star))).max()
+        defect = abs(signed_block - sp.kron(b_p, sp.identity(n_star))).max()
         if defect > atol:
             raise GeneratorError(f"signed block differs from kron(b_p, I) by {defect:.3e}, "
                                  f"above {atol:.1e} (plaquette flip {p})")

@@ -75,27 +75,6 @@ class PauliString:
             op = op * cls.single(n, s, kind)
         return op
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse text like ``+XIZY`` or ``-iZZ`` (site 0 = leftmost letter)."""
-        body = label
-        sign = 0
-        for prefix, k in (("+i", 1), ("-i", 3), ("+", 0), ("-", 2)):
-            if label.startswith(prefix):
-                body = label[len(prefix):]
-                sign = k
-                break
-        if not body or any(c not in "IXYZ" for c in body):
-            raise PauliError(f"bad Pauli label {label!r}")
-        x = z = 0
-        phase = sign
-        for j, c in enumerate(body):
-            bx, bz, bp = _BITS_OF_LETTER[c]
-            x |= bx << j
-            z |= bz << j
-            phase += bp
-        return cls(len(body), x, z, phase % 4)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -190,17 +169,6 @@ class PauliSum:
         self.n = n
         self.terms = self._canonicalize(terms)
 
-    @classmethod
-    def from_terms(cls, terms) -> "PauliSum":
-        terms = list(terms)
-        if not terms:
-            raise PauliError("empty term list; use PauliSum(n, [])")
-        return cls(terms[0][1].n, terms)
-
-    @classmethod
-    def identity(cls, n: int, coeff: float = 1.0) -> "PauliSum":
-        return cls(n, [(coeff, PauliString.identity(n))])
-
     def _canonicalize(self, terms):
         acc: dict = {}
         for coeff, op in terms:
@@ -227,10 +195,7 @@ class PauliSum:
         return PauliSum(self.n, list(self.terms) + list(other.terms))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "PauliSum":
-        return PauliSum(self.n, [(factor * c, op) for c, op in self.terms])
+        return PauliSum(self.n, list(self.terms) + [(-c, op) for c, op in other.terms])
 
     def __mul__(self, other) -> "PauliSum":
         if isinstance(other, PauliString):
@@ -241,9 +206,6 @@ class PauliSum:
 
     def adjoint(self) -> "PauliSum":
         return PauliSum(self.n, [(c, op.adjoint()) for c, op in self.terms])
-
-    def is_hermitian(self) -> bool:
-        return all(op.is_hermitian() for _, op in self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -385,15 +347,3 @@ def write_coo_text(matrix, path) -> None:
         fh.write(f"{m.shape[0]} {m.nnz}\n")
         for r, c, v in zip(m.row, m.col, m.data):
             fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def read_coo_text(path) -> sp.csr_matrix:
-    with open(path) as fh:
-        dim, nnz = (int(t) for t in fh.readline().split())
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            r, c, re, im = fh.readline().split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(re) + 1j * float(im))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))

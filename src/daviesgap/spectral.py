@@ -1,13 +1,14 @@
 """Spectral gaps, analytic lower bounds, and certification.
 
 The gap of a positive semidefinite operator is its smallest eigenvalue above
-the kernel.  Both gap paths split the operator exactly into invariant blocks
-and solve each densely: ``gap`` the connected components of its nonzero
-pattern, each folded into its even and odd blocks under an involutive index
-symmetry the operator declares (the bond chain splits by parity, then by
-reversal), ``gap_from_blocks`` the charge blocks of a generator, one block
-per lattice-symmetry orbit.  Certification
-takes the generator gap as the exact minimum over its charge blocks, asserts
+the kernel.  Both gap paths split the operator exactly into invariant sparse
+blocks and solve them densely on their pieces (``_piece_spectra``), under one
+size limit, the dense cap on a piece: ``gap`` the connected components of
+its nonzero pattern, each folded into its even and odd blocks under an
+involutive index symmetry the operator declares (the bond chain splits by
+parity, then by reversal), ``gap_from_blocks`` the charge blocks of a
+generator, one block per lattice-symmetry orbit.  Certification takes the
+generator gap as the exact minimum over its charge blocks, asserts
 gap >= exp(-8*beta*J)/3 and reports the margin.
 """
 
@@ -30,6 +31,7 @@ from .models import ModelSpec
 from .pauli import commutant_dimension
 
 DENSE_DIM_CAP = 4096
+_BATCH_NODES = 1 << 15  # gap_from_blocks solves its blocks in batches of this many nodes
 KERNEL_RTOL = 1e-10
 
 
@@ -88,39 +90,33 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     """Kernel dimension and smallest nonzero eigenvalue of a PSD operator.
 
     The operator splits exactly into the connected components of its nonzero
-    pattern; one larger than ``dense_cap`` raises ValueError before any
-    eigensolve.  An operator may declare an involutive index symmetry p,
+    pattern.  An operator may declare an involutive index symmetry p,
     ``meta["symmetry"]`` (the bond chain declares bit reversal), under which
     it must be exactly invariant, ``A[p][:, p] == A``; each component then
-    splits again into its even and odd blocks under p (``_symmetry_blocks``),
-    and each block is diagonalized densely.  Without a declared symmetry p is
-    the identity and the blocks are the components.  Eigenvalues below
-    KERNEL_RTOL times the largest one count as kernel.  Every vector v of
-    ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL * lambda_max * ||v||,
-    checked on the whole operator.  ``seed`` is accepted and unused: no step
-    is randomized.  ``extras`` counts the components and symmetry blocks and
-    gives the dimensions of the largest ones and of those holding the gap.
+    splits again into its even and odd blocks under p (``_symmetry_blocks``).
+    Without a declared symmetry p is the identity and the blocks are the
+    components.  The blocks are solved on their pieces (``_piece_spectra``);
+    one above ``dense_cap`` raises ValueError before any eigensolve.
+    Eigenvalues below KERNEL_RTOL times the largest one count as kernel.
+    Every vector v of ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL *
+    lambda_max * ||v||, checked on the whole operator.  ``seed`` is unused.
+    ``extras`` counts the components, symmetry blocks and pieces and gives
+    the dimensions of the largest ones and of those holding the gap.
     """
     t0 = time.time()
     matrix = sp.csr_matrix(_as_matrix(rep))
     # the nonzero pattern, with no cast to real: an imaginary entry is an edge
     n_comp, comp = connected_components(matrix != 0, directed=False)
     sizes = np.bincount(comp)
-    if sizes.max() > dense_cap:
-        raise ValueError(f"largest invariant component has dimension "
-                         f"{sizes.max()}, above dense_cap {dense_cap}")
     meta = getattr(rep, "meta", None) or {}
     perm = meta.get("symmetry")
     perm = np.arange(len(comp)) if perm is None else _checked_symmetry(matrix, perm)
     group, blocks = _symmetry_blocks(matrix, comp, perm)
     dims = np.array([b.shape[0] for b in blocks])
-    starts = np.cumsum(dims) - dims
-
-    def block(i):
-        return blocks[i].toarray()
-
-    vals = np.concatenate([np.linalg.eigvalsh(block(i)) for i in range(len(blocks))])
-    report, win, _, _ = _kernel_and_gap(vals, starts, block, expected_kernel)
+    vals, first, pieces = _piece_spectra(blocks, dense_cap)
+    report, win, _, _ = _kernel_and_gap(
+        vals, np.cumsum(dims) - dims, first,
+        lambda i, node: _piece_of(blocks[i], node), expected_kernel)
     if kernel_basis is not None and len(kernel_basis) > 0:
         res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
                for v in kernel_basis]
@@ -135,7 +131,7 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
                           "min_component_dim": int(sizes[group[win]]),
                           "symmetry_blocks": len(blocks),
                           "largest_block": int(dims.max()),
-                          "min_block_dim": int(dims[win])})
+                          "min_block_dim": int(dims[win]), **pieces})
     return report
 
 
@@ -196,19 +192,79 @@ def _symmetry_blocks(matrix, comp, perm):
     return np.array(labels), blocks
 
 
-def _kernel_and_gap(vals, starts, block, expected_kernel):
-    """Kernel count and gap from the concatenated ascending block spectra.
+def _piece_spectra(blocks, cap) -> tuple:
+    """Each sparse block's ascending spectrum, solved on its pieces.
 
-    Block i starts at ``vals[starts[i]]`` and ``block(i)`` is its matrix.  Returns
-    the report, the first block within 1e-14*scale of the minimum (its one
-    eigenpair gives the residual), and each block's gap and kernel count."""
+    A piece, a connected component of the nonzero pattern (an imaginary entry
+    is an edge) with its nodes in ascending order, is an exact invariant
+    subspace; one above ``cap`` raises ValueError before any eigensolve.
+    Pieces of one size share a stacked ``eigvalsh``; no stack holds more
+    entries than the largest piece or 256^2.  Returns the concatenated
+    spectra, each eigenvalue's piece as its first node in the block, and
+    the piece count and largest piece.
+    """
+    # the block-diagonal union from CSR arrays: sp.block_diag goes through COO
+    dims = np.array([b.shape[0] for b in blocks])
+    shift, nnz = np.cumsum(dims) - dims, np.cumsum([0] + [b.nnz for b in blocks])
+    union = sp.csr_matrix((np.concatenate([b.data for b in blocks]),
+                           np.concatenate([b.indices + i for b, i in zip(blocks, shift)]),
+                           np.concatenate([[0]] + [b.indptr[1:] + i for b, i in zip(blocks, nnz)])),
+                          shape=(dims.sum(),) * 2)
+    union.eliminate_zeros()
+    n_pieces, piece = connected_components(union != 0, directed=False)
+    size = np.bincount(piece)
+    largest = int(size.max())
+    if largest > cap:
+        raise ValueError(f"largest invariant piece has dimension {largest}, "
+                         f"above the dense cap {cap}")
+    # nodes by piece size, then piece: the nodes of each piece in ascending order
+    nodes = np.lexsort((piece, size[piece]))
+    slot = np.argsort(nodes)
+    entries = union.tocoo()
+    order = np.argsort(slot[entries.row], kind="stable")
+    row, col, data = slot[entries.row][order], slot[entries.col][order], entries.data[order]
+    spectrum, a = np.empty(nodes.size), 0
+    for d, count in zip(*np.unique(size, return_counts=True)):
+        per = max(1, max(largest, 256) ** 2 // d ** 2)  # few calls for small pieces
+        for c in range(0, count, per):
+            b = a + min(per, count - c) * d
+            lo, hi = np.searchsorted(row, [a, b])
+            stack = np.zeros(((b - a) // d, d, d), dtype=union.dtype)
+            stack[(row[lo:hi] - a) // d, (row[lo:hi] - a) % d, (col[lo:hi] - a) % d] = data[lo:hi]
+            if np.iscomplexobj(stack) and not stack.imag.any():
+                stack = stack.real
+            spectrum[a:b], a = np.linalg.eigvalsh(stack).ravel(), b
+            del stack  # before the next one is allocated: peak memory is one stack
+    # eigenvalue j of a piece sits on its node j; sort within each block
+    vals = spectrum[slot]
+    offset = np.repeat(shift, dims)
+    order = np.lexsort((vals, offset))
+    first = np.unique(piece, return_index=True)[1][piece] - offset
+    return vals[order], first[order], {"pieces": int(n_pieces), "largest_piece": largest}
+
+
+def _piece_of(block, node: int) -> np.ndarray:
+    """The dense piece of the sparse ``block`` that holds ``node``."""
+    _, piece = connected_components(block != 0, directed=False)
+    idx = np.flatnonzero(piece == piece[node])
+    return block[idx][:, idx].toarray()
+
+
+def _kernel_and_gap(vals, starts, first, piece, expected_kernel, of=None):
+    """Kernel count and gap from the ascending spectra of the solved blocks,
+    solved block r at ``vals[starts[r]:]``; block i has the spectrum of solved
+    block ``of[i]`` (default i).  Returns the report, the first block within
+    1e-14*scale of the minimum, and each block's gap and kernel count.  The
+    residual is the gap's eigenpair's, solved on ``piece(r, first[j])``."""
     scale = max(abs(vals.max()), 1e-300)
     above = vals >= KERNEL_RTOL * scale
-    kdim = int(np.sum(~above))
-    if kdim == vals.size:
+    solved_gaps = np.minimum.reduceat(np.where(above, vals, np.inf), starts)
+    solved_counts = np.add.reduceat(~above, starts)
+    of = np.arange(len(starts)) if of is None else of
+    block_gaps, kernel_counts = solved_gaps[of], solved_counts[of]
+    if np.isinf(block_gaps).all():
         raise SolverConvergenceError("no spectrum above the kernel")
-    block_gaps = np.minimum.reduceat(np.where(above, vals, np.inf), starts)
-    kernel_counts = np.add.reduceat(~above, starts)
+    kdim = int(kernel_counts.sum())
     g = float(block_gaps.min())
     near = (float(vals[~above].max()) if kdim else float("-inf"), g)
     if expected_kernel is not None and kdim != expected_kernel:
@@ -217,8 +273,10 @@ def _kernel_and_gap(vals, starts, block, expected_kernel):
             f"(eigenvalues around threshold: {near})")
 
     win = int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])
-    sub = block(win)
-    k = int(kernel_counts[win])
+    r = of[win]
+    j = starts[r] + solved_counts[r]
+    sub = piece(r, first[j])
+    k = int(np.count_nonzero(first[starts[r]:j] == first[j]))
     w, v = sla.eigh(sub, subset_by_index=[k, k])
     residual = float(np.linalg.norm(sub @ v[:, 0] - w[0] * v[:, 0]) / scale)
     return (GapReport(kernel_dim=kdim, gap=g, residual=residual, near_threshold=near),
@@ -382,18 +440,18 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
                     inventory: bool = False) -> GapReport:
     """Full-spectrum gap via the charge-sector blocks (exact partition).
 
-    The blocks are assembled directly from the jump components of the
-    Liouville-space generator ``lrep``.  Blocks in one lattice-symmetry orbit
-    (``block_orbits``) share their spectrum exactly, so only the first block
-    of each orbit is assembled and diagonalized and the others take its
-    eigenvalues; ``extras`` counts the blocks solved, the blocks in total and
-    the symmetry generators kept, and ``extras["min_block"]`` names the block
-    that holds the gap.  ``extras["stages"]`` gives the seconds spent
-    assembling charge blocks (``ChargeBlocks`` and the solved sectors),
-    grouping the blocks into orbits, in ``eigvalsh`` and on the winning
-    block's residual.  With ``inventory`` the report also carries one entry
-    per block (label, dimension, kernel count, smallest eigenvalue above the
-    kernel).
+    Blocks in one lattice-symmetry orbit (``block_orbits``) share their
+    spectrum exactly, so only the first block of each orbit is assembled,
+    sparse, from the jump components of ``lrep`` and solved on its pieces
+    (``_piece_spectra`` in batches; a piece above DENSE_DIM_CAP raises
+    ValueError before its batch is solved).  ``extras`` counts the blocks
+    solved and in total, the symmetry generators kept and the pieces, gives
+    the largest piece and names the ``min_block`` holding the gap;
+    ``stages`` gives the seconds of assembling charge blocks (``ChargeBlocks``
+    and the solved sectors), of grouping them into orbits, of the piece
+    eigensolve and of the gap's eigenpair residual.  With ``inventory`` the
+    report carries one entry per block (label, dimension, kernel count,
+    smallest eigenvalue above the kernel).
     """
     t0 = time.perf_counter()
     frame = lrep.frame
@@ -403,32 +461,31 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     orbits = block_orbits(lrep)
     reps = np.unique(orbits.rep)
     t_orbits = time.perf_counter()
-    n_nu = 1 << frame.n_logical
-    sectors = reps // n_nu
-    spectra = np.empty((reps.size, labels[0].dim))
-    assembly = eigensolve = 0.0
-    for sector in np.unique(sectors):
-        solve = np.flatnonzero(sectors == sector)
-        t_sector = time.perf_counter()
+    n_nu, dim = 1 << frame.n_logical, labels[0].dim
+    solved = []
+    for sector in np.unique(reps // n_nu):
         blocks = charge.sector_blocks(sector // n_nu, sector % n_nu)
-        t_solve = time.perf_counter()
-        spectra[solve] = np.linalg.eigvalsh(blocks[reps[solve] % n_nu])
-        assembly += t_solve - t_sector
-        eigensolve += time.perf_counter() - t_solve
-    vals = spectra[np.searchsorted(reps, orbits.rep)].ravel()
-    starts = np.arange(len(labels)) * labels[0].dim
+        solved += [blocks[nu] for nu in reps[reps // n_nu == sector] % n_nu]
+    t_solve = time.perf_counter()
+    per = max(1, _BATCH_NODES // dim)
+    vals, first, info = zip(*(_piece_spectra(solved[i:i + per], DENSE_DIM_CAP)
+                              for i in range(0, len(solved), per)))
     t_residual = time.perf_counter()
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
-        vals, starts, lambda i: charge.block(labels[i]), expected_kernel)
+        np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(first),
+        lambda r, node: _piece_of(solved[r], node), expected_kernel,
+        of=np.searchsorted(reps, orbits.rep))
     report.solver = "blocks"
     report.elapsed = time.perf_counter() - t0
     report.extras.update({"min_block": labels[win].describe(),
                           "blocks_solved": int(reps.size),
                           "blocks_total": len(labels),
                           "symmetry_generators": len(orbits.generators),
-                          "stages": {"charge_blocks_s": t_charge - t0 + assembly,
+                          "pieces": sum(i["pieces"] for i in info),
+                          "largest_piece": max(i["largest_piece"] for i in info),
+                          "stages": {"charge_blocks_s": t_charge - t0 + t_solve - t_orbits,
                                      "orbits_s": t_orbits - t_charge,
-                                     "eigensolve_s": eigensolve,
+                                     "eigensolve_s": t_residual - t_solve,
                                      "residual_s": time.perf_counter() - t_residual}})
     if inventory:
         report.extras["blocks"] = [
@@ -443,18 +500,13 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None, frame=None,
     """Compute the generator gap and assert the exp(-8*beta*J)/3 lower bound.
 
     The gap is the exact minimum over the charge blocks (``gap_from_blocks``),
-    with the kernel dimension required to equal the commutant's.  A bound
-    violation raises; it is never downgraded to a warning.
+    with the kernel dimension required to equal the commutant's.  The one
+    size limit is the piece cap of ``gap_from_blocks``, DENSE_DIM_CAP.  A
+    bound violation raises; it is never downgraded to a warning.
     ``extras["stages"]`` adds the seconds of ``build_generator``
     (``generator_s``) to the stages of ``gap_from_blocks``.
     """
     t0 = time.time()
-    if model.n_sites > 8:
-        raise ValueError("certification is capped at 8 sites, the tested range; "
-                         "the blocks path fills a dense 2^n x 2^n sector matrix "
-                         "for each sector holding a lattice-symmetry orbit "
-                         "representative (at 8 sites: 256 x 256, with 60 of 512 "
-                         "blocks solved on the ring and 116 of 1024 on the torus)")
     if couplings is None:
         couplings = default_couplings(model)
     if frame is None:

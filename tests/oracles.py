@@ -15,7 +15,12 @@ products, the reference for the label-built ``abelian_chain_hamiltonian``;
 ``commutant_dimension``.  ``fourier_decompose`` expands each jump component
 into a ``PauliSum`` of stabilizer products times the coupling, and
 ``reference_components`` reads their frame matrices as (flip, weights): the
-reference for the label-built components of ``build_generator``.
+reference for the label-built components of ``build_generator``.  The rest
+are helpers only the tests use: the dense charge-sector isometries
+``sector_isometries``, one coupling's generator action ``apply_component``,
+the operator-space diagonals ``gram_diag`` and ``delta_diagonal``, the
+label parser ``pauli_from_label`` and the reader ``read_coo_text`` of the
+coordinate-text export.
 """
 
 import math
@@ -26,13 +31,52 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from daviesgap.davies import SuperOperatorRep, GeneratorError, ThermalParams
-from daviesgap.master import ChargeBlocks, _g_weight, block_labels
+from daviesgap.davies import (SuperOperatorRep, GeneratorError, ThermalParams,
+                              _component_pairs, _generator_action)
+from daviesgap.master import (ChargeBlocks, _g_weight, _isometry_entries, _x_phases,
+                              block_labels)
 from daviesgap.models import ModelSpec
-from daviesgap.pauli import PauliString, PauliSum, commutes, gf2_nullspace
+from daviesgap.pauli import PauliError, PauliString, PauliSum, commutes, gf2_nullspace
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
                                 bond_pair_block)
+
+
+def pauli_from_label(label: str) -> PauliString:
+    """Parse text like ``+XIZY`` or ``-iZZ`` (site 0 = leftmost letter), the
+    inverse of ``PauliString.to_label``; sigma_y = i * X * Z."""
+    body, sign = label, 0
+    for prefix, k in (("+i", 1), ("-i", 3), ("+", 0), ("-", 2)):
+        if label.startswith(prefix):
+            body, sign = label[len(prefix):], k
+            break
+    if not body or any(c not in "IXYZ" for c in body):
+        raise PauliError(f"bad Pauli label {label!r}")
+    x = sum(1 << j for j, c in enumerate(body) if c in "XY")
+    z = sum(1 << j for j, c in enumerate(body) if c in "YZ")
+    return PauliString(len(body), x, z, sign + body.count("Y"))
+
+
+def sector_isometries(frame, flip: int, mu: int) -> np.ndarray:
+    """W[nu] of ``master._isometry_entries`` as a dense (dim, 2^k) array per nu."""
+    v = _isometry_entries(frame, _x_phases(frame), flip, mu)
+    u = np.arange(frame.dim)
+    w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
+    w[:, u, u % w.shape[2]] = v
+    return w
+
+
+def read_coo_text(path) -> sp.csr_matrix:
+    """The matrix ``pauli.write_coo_text`` wrote."""
+    with open(path) as fh:
+        dim, nnz = (int(t) for t in fh.readline().split())
+        rows, cols, vals = [], [], []
+        for _ in range(nnz):
+            r, c, re, im = fh.readline().split()
+            rows.append(int(r))
+            cols.append(int(c))
+            vals.append(float(re) + 1j * float(im))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def _component_k(matrix: sp.csr_matrix, eta: float) -> sp.csr_matrix:
@@ -97,6 +141,25 @@ def to_master(lrep: SuperOperatorRep) -> MasterHamiltonian:
     return MasterHamiltonian(rep=rep, kernel_witness=witness, components=comps)
 
 
+def apply_component(rep: SuperOperatorRep, coupling_index: int, x: np.ndarray,
+                    omega=None) -> np.ndarray:
+    """L_{alpha w}(X) for one positive frequency (or the whole coupling)."""
+    comps = [c for pair in _component_pairs(rep, coupling_index, omega)
+             for c in pair if c is not None]
+    return _generator_action(comps)(x)
+
+
+def gram_diag(rep: SuperOperatorRep) -> np.ndarray:
+    """Diagonal of the beta inner product over matrix units (column-major)."""
+    return np.repeat(rep.rho, rep.frame.dim)
+
+
+def delta_diagonal(rep: SuperOperatorRep) -> np.ndarray:
+    """Eigenvalues E_u - E_v of the Hamiltonian derivation, column-major."""
+    e, d = rep.frame.energies, rep.frame.dim
+    return np.tile(e, d) - np.repeat(e, d)
+
+
 def full_space_gap(lrep: SuperOperatorRep, expected_kernel=None,
                    iterative: bool = False) -> GapReport:
     """Gap of the full K: dense ``eigh``, or shift-invert Lanczos with ``iterative``."""
@@ -116,7 +179,8 @@ def block_spectra(lrep: SuperOperatorRep) -> np.ndarray:
     ``block_labels`` order, each block assembled and solved."""
     frame = lrep.frame
     charge = ChargeBlocks(lrep)
-    return np.concatenate([np.linalg.eigvalsh(charge.sector_blocks(flip, mu))
+    return np.concatenate([np.linalg.eigvalsh(np.array([b.toarray() for b in
+                                                        charge.sector_blocks(flip, mu)]))
                            for flip in range(1 << frame.n_indep)
                            for mu in range(1 << frame.n_logical)])
 
@@ -126,9 +190,11 @@ def unreduced_block_gap(lrep: SuperOperatorRep, expected_kernel=None) -> GapRepo
     labels = block_labels(lrep.frame)
     spectra = block_spectra(lrep)
     charge = ChargeBlocks(lrep)
+    # each whole block is one piece, with first node 0
     report, win, _, _ = _kernel_and_gap(
         spectra.ravel(), np.arange(len(labels)) * spectra.shape[1],
-        lambda i: charge.block(labels[i]), expected_kernel)
+        np.zeros(spectra.size, dtype=int),
+        lambda i, node: charge.block(labels[i]).toarray(), expected_kernel)
     report.solver = "blocks"
     report.extras["min_block"] = labels[win].describe()
     return report

@@ -17,7 +17,7 @@ from daviesgap.basis import build_frame
 from daviesgap.davies import default_couplings
 from daviesgap.models import ModelError, build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, gf2_solve
-from oracles import fourier_decompose
+from oracles import fourier_decompose, pauli_from_label
 
 SNAP = 1e-10
 
@@ -122,7 +122,7 @@ class TestAgainstDenseFrame:
 class TestFrameRejections:
     def test_non_css_stabilizer(self, ising3):
         bad = dataclasses.replace(
-            ising3, stabilizers=[PauliString.from_label("YYI")] + ising3.stabilizers[1:])
+            ising3, stabilizers=[pauli_from_label("YYI")] + ising3.stabilizers[1:])
         with pytest.raises(ModelError, match="pure-x/pure-z"):
             build_frame(bad)
 

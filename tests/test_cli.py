@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from daviesgap.cli import main
 from daviesgap.davies import ThermalParams, build_generator, liouville_matrix
 from daviesgap.models import build_ising_ring
-from daviesgap.pauli import read_coo_text
+from oracles import read_coo_text
 
 
 def run_cli(args):
@@ -24,6 +26,21 @@ class TestBounds:
         capsys.readouterr()
         doc = json.loads(path.read_text())
         assert abs(doc["generator_gap"] - 0.045111761078871046) < 1e-12
+
+    def test_parser_left_as_no_garbage(self, capsys):
+        # the parser is built once per process, not once per call
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(2):
+                assert run_cli(["bounds", "--betaJ", "0.25"]) == 0
+            gc.collect()
+            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert parsers == []
 
 
 class TestVerify:
@@ -65,6 +82,14 @@ class TestGap:
         assert set(stages) == {"generator_s", "charge_blocks_s", "orbits_s",
                                "eigensolve_s", "residual_s"}
         assert all(isinstance(v, float) and v >= 0 for v in stages.values())
+
+    def test_json_counts_pieces(self, tmp_path, capsys):
+        path = tmp_path / "gap.json"
+        run_cli(["gap", "--model", "ising", "--size", "8", "--betaJ", "0.25",
+                 "--json", str(path)])
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        assert (doc["pieces"], doc["largest_piece"]) == (3652, 128)
 
     def test_block_inventory(self, tmp_path, capsys):
         path = tmp_path / "blocks.json"

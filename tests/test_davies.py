@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -11,7 +12,7 @@ import daviesgap.davies as davies
 import daviesgap.dynamics as dynamics
 import daviesgap.master as master
 import daviesgap.spectral as spectral
-from daviesgap.davies import (GeneratorError, ThermalParams, apply_component,
+from daviesgap.davies import (GeneratorError, ThermalParams,
                               build_generator, default_couplings,
                               detailed_balance_residual,
                               dissipativity_identity_check, liouville_matrix,
@@ -20,7 +21,8 @@ from daviesgap.davies import (GeneratorError, ThermalParams, apply_component,
 from daviesgap.basis import StabilizerFrame, build_frame
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
-from oracles import fourier_decompose, reference_components, to_master
+from oracles import (apply_component, delta_diagonal, fourier_decompose, gram_diag,
+                     reference_components, to_master)
 
 
 class TestThermalParams:
@@ -99,6 +101,36 @@ class TestFourierDecompose:
         for alpha in range(0, n_couplings, 5):
             assert reconstruction_residual(rep, alpha) < 1e-10
 
+    def test_reconstruction_matches_dense_norm(self, ising4, ising4_frame):
+        # a perturbed component: the largest entry modulus of the difference
+        # is its spectral norm
+        rep = build_generator(ising4, tp=ThermalParams.from_betaJ(0.3),
+                              frame=ising4_frame)
+        i = next(i for i, c in enumerate(rep.components) if c.coupling_index == 2)
+        comps = list(rep.components)
+        comps[i] = dataclasses.replace(comps[i], weights=1.25 * comps[i].weights)
+        rep = dataclasses.replace(rep, components=comps)
+        s = ising4_frame.matrix_of(comps[i].coupling).toarray()
+        e = ising4_frame.energies
+        worst = 0.0
+        for t in (0.1, 0.7, 1.3):
+            evolved = np.exp(1j * t * e)[:, None] * s * np.exp(-1j * t * e)[None, :]
+            recon = sum(np.exp(-1j * c.omega * t) * c.matrix.toarray()
+                        for c in comps if c.coupling_index == 2)
+            worst = max(worst, np.linalg.norm(evolved - recon, 2))
+        assert worst > 0.1
+        assert abs(reconstruction_residual(rep, 2) - worst) < 1e-12
+
+    def test_reconstruction_rejects_a_foreign_flip(self, ising4, ising4_frame):
+        rep = build_generator(ising4, tp=ThermalParams.from_betaJ(0.3),
+                              frame=ising4_frame)
+        comps = list(rep.components)
+        i = next(i for i, c in enumerate(comps) if c.coupling_index == 1)
+        comps[i] = dataclasses.replace(comps[i], flip=comps[i].flip ^ 1)
+        with pytest.raises(GeneratorError, match=rf"component omega={comps[i].omega:g} "
+                                                 r"of coupling 1 \(.*\) flips"):
+            reconstruction_residual(dataclasses.replace(rep, components=comps), 1)
+
 
 class TestGeneratorStructure:
     def test_beta_zero_kernel_is_one_dimensional(self, ising3, ising3_frame):
@@ -113,7 +145,7 @@ class TestGeneratorStructure:
     def test_positive_semidefinite_in_weighted_sense(self, ising3, ising3_frame):
         tp = ThermalParams.from_betaJ(0.5)
         rep = build_generator(ising3, tp=tp, frame=ising3_frame)
-        g = rep.gram_diag()
+        g = gram_diag(rep)
         neg_l = liouville_matrix(rep).toarray()
         sym = np.sqrt(g)[:, None] * neg_l * (1 / np.sqrt(g))[None, :]
         evals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
@@ -137,7 +169,7 @@ class TestGeneratorStructure:
     def test_hamiltonian_part_commutes_with_dissipator(self, ising3, ising3_frame):
         tp = ThermalParams.from_betaJ(0.4)
         rep = build_generator(ising3, tp=tp, frame=ising3_frame)
-        delta = np.diag(rep.delta_diagonal())
+        delta = np.diag(delta_diagonal(rep))
         l = liouville_matrix(rep).toarray()
         assert np.abs(delta @ l - l @ delta).max() < 1e-10 * np.abs(l).max()
 

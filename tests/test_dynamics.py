@@ -15,7 +15,7 @@ from daviesgap.master import BlockLabel, block_labels
 from daviesgap.models import build_ising_ring
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import certify
-from oracles import to_master
+from oracles import delta_diagonal, gram_diag, to_master
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +42,11 @@ def _dense_traces(lrep, observable, times):
     frame, rho = lrep.frame, lrep.rho
     a = frame.matrix_of(observable).toarray()
     a = a / math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
-    gram = lrep.gram_diag()
+    gram = gram_diag(lrep)
     a_vec = a.reshape(-1, order="F")
     adag_vec = a.conj().T.reshape(-1, order="F")
     neg_l = liouville_matrix(lrep).toarray()
-    full_gen = np.diag(1j * lrep.delta_diagonal()) - neg_l
+    full_gen = np.diag(1j * delta_diagonal(lrep)) - neg_l
     full = [np.sum(a_vec.conj() * gram * (sla.expm(t * full_gen) @ adag_vec))
             for t in times]
     dissip = [np.sum(a_vec.conj() * gram * (sla.expm(-t * neg_l) @ adag_vec)).real
@@ -63,8 +63,8 @@ class TestExponentialAction:
                 < 1e-12 * np.linalg.norm(x)
 
     def test_matches_dense_exponential(self, ising3, ising3_rep):
-        mixed = PauliSum.from_terms([(1.0, PauliString.single(3, 0, "X")),
-                                     (0.5, PauliString.single(3, 1, "Y"))])
+        mixed = PauliSum(3, [(1.0, PauliString.single(3, 0, "X")),
+                             (0.5, PauliString.single(3, 1, "Y"))])
         times = [0.0, 0.05, 0.9, 4.0, 20.0]
         for observable in (ising3.logicals[0][1], ising3.logicals[0][0], mixed):
             tr = autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
@@ -129,8 +129,8 @@ class TestAutocorrelation:
     def test_schwarz_inequality_for_coherent_observable(self, ising3):
         # an energy-off-diagonal observable exercises the phase factor
         tp = ThermalParams.from_betaJ(0.3)
-        obs = PauliSum.from_terms([(1.0, PauliString.single(3, 0, "X")),
-                                   (0.5, PauliString.single(3, 1, "Y"))])
+        obs = PauliSum(3, [(1.0, PauliString.single(3, 0, "X")),
+                           (0.5, PauliString.single(3, 1, "Y"))])
         tr = autocorrelation(ising3, tp, observable=obs, gap_estimate=2.0)
         assert np.abs(tr.values_full.imag).max() > 1e-6
         assert tr.schwarz_slack() >= -1e-10
@@ -167,7 +167,7 @@ class TestAutocorrelation:
 
     def test_nonzero_mean_rejected(self, ising3):
         tp = ThermalParams.from_betaJ(0.25)
-        bad = PauliSum.identity(3)
+        bad = PauliSum(3, [(1.0, PauliString.identity(3))])
         with pytest.raises(GeneratorError):
             autocorrelation(ising3, tp, observable=bad, gap_estimate=1.0)
 

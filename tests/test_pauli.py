@@ -5,7 +5,8 @@ import pytest
 
 from daviesgap.pauli import (PauliString, PauliSum, PauliError, commutes,
                              commutant_dimension, gf2_nullspace, gf2_rank,
-                             gf2_solve, write_coo_text, read_coo_text)
+                             gf2_solve, write_coo_text)
+from oracles import pauli_from_label, read_coo_text
 
 X = PauliString.single(1, 0, "X")
 Y = PauliString.single(1, 0, "Y")
@@ -27,7 +28,7 @@ class TestSingleSiteAlgebra:
             assert (p * p).to_label() == "+I"
 
     def test_xx_zz_gives_minus_yy(self):
-        p = PauliString.from_label("XX") * PauliString.from_label("ZZ")
+        p = pauli_from_label("XX") * pauli_from_label("ZZ")
         assert p.to_label() == "-YY"
 
     def test_matrices_match_convention(self):
@@ -138,17 +139,17 @@ class TestCommutation:
 class TestLabels:
     @pytest.mark.parametrize("label", ["+XIZY", "-iZZ", "+iYXI", "-X", "+I"])
     def test_roundtrip(self, label):
-        assert PauliString.from_label(label).to_label() == label
+        assert pauli_from_label(label).to_label() == label
 
     def test_bad_labels(self):
         for bad in ("", "+", "AB", "+iQ"):
             with pytest.raises(PauliError):
-                PauliString.from_label(bad)
+                pauli_from_label(bad)
 
 
 class TestPauliSum:
     def test_identity_sum_matrix(self):
-        s = PauliSum.identity(3)
+        s = PauliSum(3, [(1.0, PauliString.identity(3))])
         assert np.allclose(s.matrix().toarray(), np.eye(8))
 
     def test_ising_hamiltonian_spectrum(self, ising3):
@@ -156,29 +157,27 @@ class TestPauliSum:
         assert np.allclose(np.sort(evals), [-3, -3, 1, 1, 1, 1, 1, 1])
 
     def test_each_string_contributes_full_diagonal_of_nonzeros(self):
-        p = PauliString.from_label("+XZY")
+        p = pauli_from_label("+XZY")
         assert p.matrix().nnz == 8
 
     def test_cancellation_drops_terms(self):
-        s = PauliSum.from_terms([(1.0, X), (-1.0, X)])
+        s = PauliSum(1, [(1.0, X), (-1.0, X)])
         assert len(s) == 0
 
     def test_merging_respects_phase(self):
-        s = PauliSum.from_terms([(1.0, X * Z), (1.0, X * Z)])  # -2i Y
+        s = PauliSum(1, [(1.0, X * Z), (1.0, X * Z)])  # -2i Y
         assert len(s) == 1
         assert np.allclose(s.matrix().toarray(), -2j * dense_n(Y))
 
     def test_off_axis_weight_rejected(self):
         # X plus i*X accumulates the weight 1+i on one mask pair
         with pytest.raises(PauliError):
-            PauliSum.from_terms([(1.0, X), (1.0, PauliString(1, 1, 0, 1))])
+            PauliSum(1, [(1.0, X), (1.0, PauliString(1, 1, 0, 1))])
 
     def test_product_distributes(self):
         rng = np.random.default_rng(2)
-        a = PauliSum.from_terms([(0.5, random_string(rng, 2)),
-                                 (-1.5, random_string(rng, 2))])
-        b = PauliSum.from_terms([(2.0, random_string(rng, 2)),
-                                 (0.25, random_string(rng, 2))])
+        a = PauliSum(2, [(0.5, random_string(rng, 2)), (-1.5, random_string(rng, 2))])
+        b = PauliSum(2, [(2.0, random_string(rng, 2)), (0.25, random_string(rng, 2))])
         assert np.allclose((a * b).matrix().toarray(),
                            a.matrix().toarray() @ b.matrix().toarray())
 
@@ -206,7 +205,7 @@ class TestCommutant:
 
     def test_invariant_under_conjugation(self, ising3):
         gens = [PauliString.single(3, j, "X") for j in range(3)]
-        c = PauliString.from_label("+YZX")
+        c = pauli_from_label("+YZX")
         conj = [c * g * c.adjoint() for g in gens]
         h_conj = PauliSum(3, [(-1.0, c * s * c.adjoint())
                               for s in ising3.stabilizers])
@@ -214,7 +213,7 @@ class TestCommutant:
             commutant_dimension(conj, h_conj)
 
     def test_noncommuting_hamiltonian_rejected(self):
-        h = PauliSum.from_terms([(1.0, X), (1.0, Z)])
+        h = PauliSum(1, [(1.0, X), (1.0, Z)])
         with pytest.raises(PauliError):
             commutant_dimension([X], h)
 
@@ -253,8 +252,8 @@ class TestGF2:
 
 class TestCooText(object):
     def test_roundtrip(self, tmp_path):
-        m = (PauliString.from_label("+XZ").matrix()
-             + 0.5j * PauliString.from_label("+YI").matrix())
+        m = (pauli_from_label("+XZ").matrix()
+             + 0.5j * pauli_from_label("+YI").matrix())
         path = tmp_path / "m.coo"
         write_coo_text(m, path)
         header = path.read_text().splitlines()[0]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import daviesgap.master as master
+import daviesgap.spectral as spectral
 from daviesgap.davies import (SuperOperatorRep, ThermalParams, build_generator,
                               default_couplings)
 from daviesgap.master import block_orbits
@@ -23,7 +24,7 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 bond_pair_block, certify, gap,
                                 gap_from_blocks, lemma1_check, lemma2_bound,
                                 lemma3_bound, sweep, write_sweep_csv,
-                                _symmetry_blocks)
+                                _piece_spectra, _symmetry_blocks)
 from oracles import (block_spectra, commutant_basis, dense_gap, full_space_gap,
                      iterative_gap, kron_chain_hamiltonian, to_master,
                      unreduced_block_gap)
@@ -168,9 +169,14 @@ class TestGap:
             raise AssertionError("eigensolver called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        # the cap bounds the pieces: the folded even blocks (20), not the
+        # parity components (32)
         chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
-        with pytest.raises(ValueError, match=r"dimension 32, above dense_cap 31"):
-            gap(chain, dense_cap=31)
+        with pytest.raises(ValueError, match=r"piece has dimension 20, "
+                                             r"above the dense cap 19"):
+            gap(chain, dense_cap=19)
+        monkeypatch.undo()
+        assert gap(chain, dense_cap=20).extras["largest_piece"] == 20
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -323,7 +329,7 @@ class TestBondPairChain:
         from daviesgap.master import ChargeBlocks, block_labels
         label = next(l for l in block_labels(ising4_frame)
                      if l.flip == 0 and l.sector == "I")
-        sub = 0.5 * ChargeBlocks(lrep).block(label)  # chain blocks carry 1/2
+        sub = 0.5 * ChargeBlocks(lrep).block(label).toarray()  # chain blocks carry 1/2
         ev_block = np.linalg.eigvalsh(sub)
         chain = abelian_chain_hamiltonian(4, tp).matrix.toarray()
         bits = np.arange(16)
@@ -443,15 +449,27 @@ class TestCertify:
         assert abs(r_blocks.gap - r_dense.gap) < 1e-9
         assert abs(r_blocks.gap - r_iter.gap) < 1e-8
 
-    def test_size_cap_names_the_sector_matrices(self):
-        with pytest.raises(ValueError) as err:
-            certify(build_ising_ring(9), ThermalParams.from_betaJ(0.25))
-        assert "capped at 8 sites, the tested range" in str(err.value)
-        assert "fills a dense 2^n x 2^n sector matrix for each sector " \
-            "holding a lattice-symmetry orbit representative" in str(err.value)
-        assert "60 of 512 blocks solved on the ring" in str(err.value)
-        assert "dense'" not in str(err.value)
-        assert "iterative" not in str(err.value)
+    def test_rings_9_and_10_certify_past_eight_sites(self):
+        want = {0.0: 4.0, 0.25: 2.15153137096, 1.0: 0.143889679697}
+        for n in (9, 10):
+            for betaJ, g in want.items():
+                r = certify(build_ising_ring(n), ThermalParams.from_betaJ(betaJ))
+                assert r.kernel_dim == 1
+                assert abs(r.gap - g) <= 1e-9 * g
+                assert r.extras["largest_piece"] == 1 << (n - 1)
+
+    def test_piece_cap_raises_before_solving(self, monkeypatch):
+        lrep = build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(0.25))
+        assert gap_from_blocks(lrep).extras["largest_piece"] == 32
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        monkeypatch.setattr(spectral, "DENSE_DIM_CAP", 31)
+        with pytest.raises(ValueError, match=r"piece has dimension 32, "
+                                             r"above the dense cap 31"):
+            gap_from_blocks(lrep)
 
     def test_one_gap_path(self):
         for fn in (certify, sweep):
@@ -555,6 +573,58 @@ class TestSymmetryReduction:
             assert len(r.extras["blocks"]) == r.extras["blocks_total"]
 
 
+PIECE_MODELS = {**{f"ring{n}": (lambda n=n: build_ising_ring(n)) for n in range(3, 9)},
+                "torus2": lambda: build_toric_code(2)}
+
+
+class TestPieceSpectra:
+    @pytest.mark.parametrize("betaJ", [0.25, 1.0])
+    @pytest.mark.parametrize("name", list(PIECE_MODELS))
+    def test_pieces_match_whole_blocks(self, name, betaJ):
+        lrep = build_generator(PIECE_MODELS[name](), tp=ThermalParams.from_betaJ(betaJ))
+        labels = master.block_labels(lrep.frame)
+        reps = np.unique(block_orbits(lrep).rep)
+        charge = master.ChargeBlocks(lrep)
+        vals, first, info = _piece_spectra([charge.block(labels[r]) for r in reps],
+                                           spectral.DENSE_DIM_CAP)
+        want = block_spectra(lrep)[reps]
+        scale = np.abs(want).max()
+        assert np.abs(vals.reshape(want.shape) - want).max() <= 1e-12 * scale
+        r = gap_from_blocks(lrep)
+        assert (r.extras["pieces"], r.extras["largest_piece"]) == \
+            (info["pieces"], info["largest_piece"])
+        assert len(reps) <= info["pieces"] <= want.size
+
+    def test_no_stack_exceeds_the_largest_piece(self, monkeypatch):
+        stacks = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            stacks.append(a.shape)
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        for op in (abelian_chain_hamiltonian(12, ThermalParams.from_betaJ(0.35)),
+                   build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(0.25))):
+            stacks.clear()
+            fn = gap if op.space == "hilbert-schmidt" else gap_from_blocks
+            extras = fn(op).extras
+            # the chain's four pieces one at a time; small pieces in 256^2 stacks
+            bound = max(extras["largest_piece"], 256) ** 2
+            assert all(np.prod(shape) <= bound for shape in stacks)
+            # every piece solved once
+            assert sum(shape[0] for shape in stacks) == extras["pieces"]
+
+    def test_gap_counts_pieces(self):
+        r = gap(np.diag([0.0, 5.0, 7.0]))
+        assert (r.extras["pieces"], r.extras["largest_piece"]) == (3, 1)
+        chain = abelian_chain_hamiltonian(12, ThermalParams.from_betaJ(0.35))
+        r = gap(chain)
+        # the chain's folded blocks do not split further
+        assert r.extras["pieces"] == r.extras["symmetry_blocks"] == 4
+        assert r.extras["largest_piece"] == r.extras["largest_block"] == 1056
+
+
 def _certify_with_rates(model, tp, rates, frame):
     from daviesgap.spectral import analytic_bounds, gap_from_blocks
     lrep = build_generator(model, tp=tp, frame=frame, rates=rates)
@@ -603,10 +673,10 @@ class TestGapLemmaInvariants:
 
     def test_component_commutes_with_hamiltonian_part(self, ising3,
                                                       ising3_frame):
-        from daviesgap.davies import apply_component
+        from oracles import apply_component, delta_diagonal
         tp = ThermalParams.from_betaJ(0.3)
         lrep = build_generator(ising3, tp=tp, frame=ising3_frame)
-        delta = lrep.delta_diagonal().reshape((8, 8), order="F")
+        delta = delta_diagonal(lrep).reshape((8, 8), order="F")
         rng = np.random.default_rng(1)
         x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         lx = apply_component(lrep, 1, x, omega=4.0)
