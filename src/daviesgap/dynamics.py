@@ -53,7 +53,7 @@ class BlockPropagator:
     @classmethod
     def of(cls, lrep: SuperOperatorRep, label: BlockLabel) -> "BlockPropagator":
         frame = lrep.frame
-        v = _isometry_entries(frame, _x_phases(frame), label.flip, label.mu)[label.nu]
+        v = _isometry_entries(frame, _x_phases(frame), [label.flip], [label.mu], [label.nu])[0]
         basis = sp.csc_matrix(
             (v, (sector_index(frame, label.flip, label.mu), np.arange(frame.dim) % label.dim)),
             shape=(frame.dim ** 2, label.dim))

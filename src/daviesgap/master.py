@@ -38,6 +38,8 @@ from .davies import SuperOperatorRep, GeneratorError
 from .models import ModelSpec, lattice_symmetries
 from .pauli import PauliString, gf2_solve
 
+_PASS_ENTRIES = 1 << 12  # ChargeBlocks.union stacks sectors up to about this many products
+
 
 def _g_weight(rate: float, omega: float, tol: float = 1e-12) -> float:
     return rate / 2.0 if omega > tol else rate / 4.0
@@ -204,9 +206,10 @@ def _x_phases(frame: StabilizerFrame) -> np.ndarray:
     return phase
 
 
-def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip: int,
-                      mu: int) -> np.ndarray:
-    """v[nu, u]: the one entry, in column u mod 2^k, of row u of W[nu].
+def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip, mu,
+                      nu) -> np.ndarray:
+    """v[i, u]: the one entry, in column u mod 2^k, of row u of W[nu[i]] in the
+    sector (flip[i], mu[i]), for 1-d integer arrays flip, mu and nu.
 
     The (dim, 2^k) isometries W[nu], one per logical-Z sector nu and together
     a unitary in ``sector_index`` coordinates, symmetrise |sigma, 0><sigma ^
@@ -214,9 +217,10 @@ def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip: int,
     X_S-image with its phase and the logical-Z charge (-1)^|S & nu|."""
     s = np.arange(len(x_phase))
     sigma = np.arange(1 << frame.n_indep)
-    phase = x_phase[:, sigma] * x_phase[:, frame.state_index(sigma ^ flip, mu)].conj()
-    signs = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s[None, :]) & 1)
-    return (signs[:, :, None] * phase[None]).reshape(len(s), -1) / np.sqrt(len(s))
+    image = frame.state_index(sigma ^ np.asarray(flip)[:, None], np.asarray(mu)[:, None])
+    phase = (x_phase[:, None, sigma] * x_phase[:, image].conj()).swapaxes(0, 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.asarray(nu)[:, None] & s) & 1)
+    return (signs[:, :, None] * phase).reshape(len(signs), -1) / np.sqrt(len(s))
 
 
 def sector_index(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
@@ -235,10 +239,15 @@ class ChargeBlocks:
     matrix has the diagonal g (D_u + D_{u^delta}), D = |s|^2 + eta^2 |s[. ^ d]|^2,
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
-    split it into the sparse (flip, mu, nu) blocks.  Optional per-site
-    ``signs`` multiply each cross weight by the sign of its component's site
-    (every coupling must then act on one site): the sign-flipped operator of
-    ``sign_flip_restriction``.
+    split it into the sparse (flip, mu, nu) blocks.  ``union`` is the one
+    assembly routine: ``gap_from_blocks``, ``sector_blocks`` and ``block``
+    all call it.  The entries' positions depend on the flip patterns d only,
+    never on delta, so its scatter plan (each entry's position in its block
+    and their stable sort) is computed once here and serves every sector;
+    only the entries' values and the isometry entries are formed per
+    sector.  Optional per-site ``signs`` multiply each cross weight by the
+    sign of its component's site (every coupling must then act on one site):
+    the sign-flipped operator of ``sign_flip_restriction``.
     """
 
     def __init__(self, lrep: SuperOperatorRep, signs: np.ndarray = None):
@@ -265,51 +274,97 @@ class ChargeBlocks:
             cross.setdefault(d, []).append((weight, s))
         self._cross = [(d, np.array([w for w, _ in terms]), np.array([s for _, s in terms]))
                        for d, terms in cross.items()]
+        # entries at rows u (the diagonal), then u ^ d per flip pattern, of columns u
+        u, nk = self._u, 1 << frame.n_indep
+        self._rows = np.concatenate([u] + [u ^ d for d, _, _ in self._cross])
+        self._cols = np.tile(u, 1 + len(self._cross))
+        # every cross term, grouped by flip pattern: weight * s, conj(s), each
+        # pattern's first term and its rows u ^ d
+        weights = np.concatenate([w for _, w, _ in self._cross] or [[]])
+        stacked = np.concatenate([s for _, _, s in self._cross] or [np.zeros((0, u.size))])
+        self._weighted, self._conj = (weights[:, None] * stacked)[:, None], stacked.conj()
+        self._firsts = np.cumsum([0] + [len(w) for _, w, _ in self._cross])[:-1]
+        self._moved = self._rows[u.size:].reshape(len(self._cross), 1, u.size)
+        key = (self._rows % nk) * nk + self._cols % nk
+        self._order = np.argsort(key, kind="stable")
+        self._key = key[self._order]
 
-    def _sector_entries(self, flip: int, mu: int) -> tuple:
-        """(rows, cols, data) of K's nonzero entries on the sector: diagonal, then cross."""
-        u = self._u
-        ud = u ^ self.frame.state_index(flip, mu)
-        rows, data = [u], [self.diagonal + self.diagonal[ud]]
-        for d, weights, s in self._cross:
-            p = weights @ (s * s[:, ud].conj())
-            rows.append(u ^ d)
-            data.append(-(p + p[u ^ d].conj()))
-        rows, cols, data = np.concatenate(rows), np.tile(u, len(rows)), np.concatenate(data)
-        return rows[data != 0], cols[data != 0], data[data != 0]
+    def _sector_data(self, deltas: np.ndarray) -> np.ndarray:
+        """K's entries at (``_rows``, ``_cols``) on the sectors ``deltas``, one row each.
+
+        No BLAS call: a gemv over stacked sectors crosses OpenBLAS's threading
+        threshold, and threaded calls this small stall in some processes."""
+        ud = self._u ^ deltas[:, None]
+        data = np.empty((len(deltas), 1 + len(self._cross), self._u.size), dtype=complex)
+        data[:, 0] = self.diagonal + self.diagonal[ud]
+        if self._cross:
+            terms = self._conj[:, ud]
+            np.multiply(self._weighted, terms, out=terms)
+            p = np.add.reduceat(terms, self._firsts, axis=0)
+            data[:, 1:] = -(p + np.take_along_axis(p, self._moved, axis=2).conj()).swapaxes(0, 1)
+        return data.reshape(len(deltas), -1)
 
     def sector_matrix(self, flip: int, mu: int) -> sp.csr_matrix:
         """K on the sector's matrix units, with no stored zeros."""
-        rows, cols, data = self._sector_entries(flip, mu)
-        m = sp.csr_matrix((data, (rows, cols)), shape=(self._u.size,) * 2)
+        data = self._sector_data(np.array([self.frame.state_index(flip, mu)]))[0]
+        keep = data != 0
+        m = sp.csr_matrix((data[keep], (self._rows[keep], self._cols[keep])),
+                          shape=(self._u.size,) * 2)
         m.eliminate_zeros()
         return m
 
-    def sector_blocks(self, flip: int, mu: int) -> list:
-        """W[nu]^dag K_delta W[nu] for every nu, as sparse 2^k x 2^k matrices.
+    def union(self, index) -> sp.csr_matrix:
+        """The blocks W[nu]^dag K_delta W[nu] with ``block_labels`` indices
+        ``index``, in that order, as one block-diagonal sparse matrix.
 
         The sector entry K[r, c] adds conj(v[nu, r]) K[r, c] v[nu, c] at
-        (r mod 2^k, c mod 2^k).  A block stores no zeros; it is real when its
+        (r mod 2^k, c mod 2^k).  Sectors are stacked in passes of about
+        _PASS_ENTRIES products, a sector's blocks in one pass; a pass drops
+        the entries zero on all its sectors and writes its nonzero sums
+        straight into the union's CSR arrays.  The union is real when its
         imaginary part vanishes exactly (faster eigensolvers)."""
-        v = _isometry_entries(self.frame, self._x_phase, flip, mu)
-        nk = 1 << self.frame.n_indep
-        rows, cols, data = self._sector_entries(flip, mu)
-        # every block sums over the same positions, row by row: sort them once
-        key = (rows % nk) * nk + cols % nk
-        order = np.argsort(key, kind="stable")
-        heads = np.flatnonzero(np.diff(key[order], prepend=-1))
-        key = key[order][heads]
-        blocks = []
-        for entries in np.add.reduceat((v[:, rows].conj() * data * v[:, cols])[:, order],
-                                       heads, axis=1):
-            at, entries = key[entries != 0], entries[entries != 0]
-            blocks.append(sp.csr_matrix(
-                (entries if entries.imag.any() else entries.real.copy(), at % nk,
-                 np.searchsorted(at, np.arange(0, nk * nk + 1, nk))), shape=(nk, nk)))
-        return blocks
+        frame, nk = self.frame, 1 << self.frame.n_indep
+        ell = frame.n_logical
+        index = np.asarray(index)
+        nu, sector = index & ((1 << ell) - 1), index >> ell
+        flip, mu = sector >> ell, sector & ((1 << ell) - 1)
+        rows, cols = self._rows[self._order], self._cols[self._order]
+        # pass boundaries: the first pair of each run of one sector, counted
+        # in groups of _PASS_ENTRIES // len(rows) pairs, so no run is split
+        run_start = np.maximum.accumulate(
+            np.where(np.diff(sector, prepend=-1) != 0, np.arange(index.size), 0))
+        group = run_start // max(1, _PASS_ENTRIES // rows.size)
+        bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), index.size)
+        data, indices, counts = [], [], []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            deltas, at = np.unique(frame.state_index(flip[a:b], mu[a:b]), return_inverse=True)
+            values = self._sector_data(deltas)[:, self._order]
+            live = values.any(axis=0)  # an entry zero on every sector of the pass adds nothing
+            key = self._key[live]
+            heads = np.flatnonzero(np.diff(key, prepend=-1))
+            v = _isometry_entries(frame, self._x_phase, flip[a:b], mu[a:b], nu[a:b])
+            products = v.conj()[:, rows[live]]
+            products *= values[:, live][at]
+            products *= v[:, cols[live]]
+            sums = np.add.reduceat(products, heads, axis=1)
+            pair, at = np.nonzero(sums)
+            key = key[heads[at]]
+            data.append(sums[pair, at])
+            indices.append((a + pair) * nk + key % nk)
+            counts.append(np.bincount(pair * nk + key // nk, minlength=(b - a) * nk))
+        data = np.concatenate(data)
+        return sp.csr_matrix(
+            (data if data.imag.any() else data.real.copy(), np.concatenate(indices),
+             np.concatenate([[0], np.cumsum(np.concatenate(counts))])),
+            shape=(index.size * nk,) * 2)
+
+    def sector_blocks(self, flip: int, mu: int) -> list:
+        """The sector's blocks for every nu, each assembled by ``union``."""
+        first = ((flip << self.frame.n_logical) | mu) << self.frame.n_logical
+        return [self.union([i]) for i in range(first, first + (1 << self.frame.n_logical))]
 
     def block(self, label: BlockLabel) -> sp.csr_matrix:
-        return self.sector_blocks(label.flip, label.mu)[label.nu]
+        return self.union([label.index])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ size limit, the dense cap on a piece: ``gap`` the connected components of
 its nonzero pattern, each folded into its even and odd blocks under an
 involutive index symmetry the operator declares (the bond chain splits by
 parity, then by reversal), ``gap_from_blocks`` the charge blocks of a
-generator, one block per lattice-symmetry orbit.  Certification takes the
+generator, one block per lattice-symmetry orbit.  Each piece is factored by
+one eigensolver call only: the gap's residual comes from inverse iteration
+on the piece that holds it, shifted by the gap.  Certification takes the
 generator gap as the exact minimum over its charge blocks, asserts
 gap >= exp(-8*beta*J)/3 and reports the margin.
 """
@@ -101,9 +103,12 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     Every vector v of ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL *
     lambda_max * ||v||, checked on the whole operator.  ``seed`` is unused.
     ``extras`` counts the components, symmetry blocks and pieces and gives
-    the dimensions of the largest ones and of those holding the gap.
+    the dimensions of the largest ones and of those holding the gap;
+    ``stages`` gives the seconds of the split (components, symmetry fold and
+    their block-diagonal union), of the piece eigensolve and of the gap's
+    residual (``_residual``).
     """
-    t0 = time.time()
+    t0, t_split = time.time(), time.perf_counter()
     matrix = sp.csr_matrix(_as_matrix(rep))
     # the nonzero pattern, with no cast to real: an imaginary entry is an edge
     n_comp, comp = connected_components(matrix != 0, directed=False)
@@ -112,11 +117,19 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     perm = meta.get("symmetry")
     perm = np.arange(len(comp)) if perm is None else _checked_symmetry(matrix, perm)
     group, blocks = _symmetry_blocks(matrix, comp, perm)
+    # the block-diagonal union from CSR arrays: sp.block_diag goes through COO
     dims = np.array([b.shape[0] for b in blocks])
-    vals, first, pieces = _piece_spectra(blocks, dense_cap)
+    shift, nnz = np.cumsum(dims) - dims, np.cumsum([0] + [b.nnz for b in blocks])
+    union = sp.csr_matrix((np.concatenate([b.data for b in blocks]),
+                           np.concatenate([b.indices + i for b, i in zip(blocks, shift)]),
+                           np.concatenate([[0]] + [b.indptr[1:] + i for b, i in zip(blocks, nnz)])),
+                          shape=(dims.sum(),) * 2)
+    t_solve = time.perf_counter()
+    vals, first, pieces = _piece_spectra(union, dims, dense_cap)
+    t_residual = time.perf_counter()
     report, win, _, _ = _kernel_and_gap(
-        vals, np.cumsum(dims) - dims, first,
-        lambda i, node: _piece_of(blocks[i], node), expected_kernel)
+        vals, shift, first, lambda i, node: _piece_of(blocks[i], node), expected_kernel)
+    t_end = time.perf_counter()
     if kernel_basis is not None and len(kernel_basis) > 0:
         res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
                for v in kernel_basis]
@@ -131,7 +144,10 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
                           "min_component_dim": int(sizes[group[win]]),
                           "symmetry_blocks": len(blocks),
                           "largest_block": int(dims.max()),
-                          "min_block_dim": int(dims[win]), **pieces})
+                          "min_block_dim": int(dims[win]), **pieces,
+                          "stages": {"split_s": t_solve - t_split,
+                                     "eigensolve_s": t_residual - t_solve,
+                                     "residual_s": t_end - t_residual}})
     return report
 
 
@@ -192,24 +208,20 @@ def _symmetry_blocks(matrix, comp, perm):
     return np.array(labels), blocks
 
 
-def _piece_spectra(blocks, cap) -> tuple:
-    """Each sparse block's ascending spectrum, solved on its pieces.
+def _piece_spectra(union, dims, cap) -> tuple:
+    """The ascending spectrum of each block of the sparse block-diagonal
+    ``union``, whose diagonal blocks have dimensions ``dims``, solved on
+    their pieces.
 
     A piece, a connected component of the nonzero pattern (an imaginary entry
     is an edge) with its nodes in ascending order, is an exact invariant
     subspace; one above ``cap`` raises ValueError before any eigensolve.
     Pieces of one size share a stacked ``eigvalsh``; no stack holds more
-    entries than the largest piece or 256^2.  Returns the concatenated
-    spectra, each eigenvalue's piece as its first node in the block, and
-    the piece count and largest piece.
+    entries than the largest piece or 256^2.  Stored zeros of ``union`` are
+    dropped.  Returns the concatenated spectra, each eigenvalue's piece as
+    its first node in the block, and the piece count and largest piece.
     """
-    # the block-diagonal union from CSR arrays: sp.block_diag goes through COO
-    dims = np.array([b.shape[0] for b in blocks])
-    shift, nnz = np.cumsum(dims) - dims, np.cumsum([0] + [b.nnz for b in blocks])
-    union = sp.csr_matrix((np.concatenate([b.data for b in blocks]),
-                           np.concatenate([b.indices + i for b, i in zip(blocks, shift)]),
-                           np.concatenate([[0]] + [b.indptr[1:] + i for b, i in zip(blocks, nnz)])),
-                          shape=(dims.sum(),) * 2)
+    shift = np.cumsum(dims) - dims
     union.eliminate_zeros()
     n_pieces, piece = connected_components(union != 0, directed=False)
     size = np.bincount(piece)
@@ -243,11 +255,39 @@ def _piece_spectra(blocks, cap) -> tuple:
     return vals[order], first[order], {"pieces": int(n_pieces), "largest_piece": largest}
 
 
-def _piece_of(block, node: int) -> np.ndarray:
-    """The dense piece of the sparse ``block`` that holds ``node``."""
+def _piece_of(block, node: int):
+    """The sparse piece of the sparse ``block`` that holds ``node``."""
     _, piece = connected_components(block != 0, directed=False)
     idx = np.flatnonzero(piece == piece[node])
-    return block[idx][:, idx].toarray()
+    return block[idx][:, idx]
+
+
+def _residual(piece, g: float, scale: float) -> float:
+    """||B v - g v|| / ``scale`` for the sparse Hermitian piece B and the
+    vector v of two inverse-iteration steps at the shift g.
+
+    One symmetric-indefinite (Bunch-Kaufman LDL^H) factorization of B - g I,
+    of a Fortran-ordered dense copy in place; an exactly zero 1x1 pivot (g an
+    exact eigenvalue) is replaced by eps * ``scale``, as LAPACK's inverse
+    iteration does.  The residual is taken from the sparse B.  For unit v,
+    some eigenvalue of B lies within the returned value times ``scale`` of g.
+    """
+    a = piece.toarray(order="F")
+    a[np.diag_indices_from(a)] -= g
+    factor, solve = sla.get_lapack_funcs(
+        ("hetrf", "hetrs") if np.iscomplexobj(a) else ("sytrf", "sytrs"), (a,))
+    # 32 columns of workspace: blocked, yet touching far fewer BLAS buffer
+    # pages than LAPACK's default block of 64 (or than getrf)
+    ldu, ipiv, info = factor(a, lwork=32 * len(a), overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"LDL^H factorization rejected argument {-info}")
+    zero = np.flatnonzero((ldu.diagonal() == 0) & (ipiv > 0))
+    ldu[zero, zero] = np.finfo(ldu.dtype).eps * scale
+    v = np.random.default_rng(0).standard_normal(len(ldu)).astype(ldu.dtype)
+    for _ in range(2):
+        v, info = solve(ldu, ipiv, v)
+        v /= np.linalg.norm(v)
+    return float(np.linalg.norm(piece @ v - g * v) / scale)
 
 
 def _kernel_and_gap(vals, starts, first, piece, expected_kernel, of=None):
@@ -255,7 +295,9 @@ def _kernel_and_gap(vals, starts, first, piece, expected_kernel, of=None):
     solved block r at ``vals[starts[r]:]``; block i has the spectrum of solved
     block ``of[i]`` (default i).  Returns the report, the first block within
     1e-14*scale of the minimum, and each block's gap and kernel count.  The
-    residual is the gap's eigenpair's, solved on ``piece(r, first[j])``."""
+    residual is that of the reported gap g on the sparse piece
+    ``piece(r, first[j])`` that holds it (``_residual``): no eigensolver runs
+    again."""
     scale = max(abs(vals.max()), 1e-300)
     above = vals >= KERNEL_RTOL * scale
     solved_gaps = np.minimum.reduceat(np.where(above, vals, np.inf), starts)
@@ -274,11 +316,7 @@ def _kernel_and_gap(vals, starts, first, piece, expected_kernel, of=None):
 
     win = int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])
     r = of[win]
-    j = starts[r] + solved_counts[r]
-    sub = piece(r, first[j])
-    k = int(np.count_nonzero(first[starts[r]:j] == first[j]))
-    w, v = sla.eigh(sub, subset_by_index=[k, k])
-    residual = float(np.linalg.norm(sub @ v[:, 0] - w[0] * v[:, 0]) / scale)
+    residual = _residual(piece(r, first[starts[r] + solved_counts[r]]), g, scale)
     return (GapReport(kernel_dim=kdim, gap=g, residual=residual, near_threshold=near),
             win, block_gaps, kernel_counts)
 
@@ -442,16 +480,18 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
 
     Blocks in one lattice-symmetry orbit (``block_orbits``) share their
     spectrum exactly, so only the first block of each orbit is assembled,
-    sparse, from the jump components of ``lrep`` and solved on its pieces
-    (``_piece_spectra`` in batches; a piece above DENSE_DIM_CAP raises
-    ValueError before its batch is solved).  ``extras`` counts the blocks
-    solved and in total, the symmetry generators kept and the pieces, gives
-    the largest piece and names the ``min_block`` holding the gap;
-    ``stages`` gives the seconds of assembling charge blocks (``ChargeBlocks``
-    and the solved sectors), of grouping them into orbits, of the piece
-    eigensolve and of the gap's eigenpair residual.  With ``inventory`` the
-    report carries one entry per block (label, dimension, kernel count,
-    smallest eigenvalue above the kernel).
+    sparse, from the jump components of ``lrep``: ``ChargeBlocks.union``
+    writes each batch of _BATCH_NODES nodes straight into one block-diagonal
+    matrix, which ``_piece_spectra`` solves on its pieces (a piece above
+    DENSE_DIM_CAP raises ValueError before its batch is solved).  ``extras``
+    counts the blocks solved and in total, the symmetry generators kept and
+    the pieces, gives the largest piece and names the ``min_block`` holding
+    the gap; ``stages`` gives the seconds of assembling charge blocks
+    (``ChargeBlocks`` and the batch unions), of grouping them into orbits, of
+    the piece eigensolve and of the gap's residual (``_residual``, on the
+    piece that holds the gap).  With ``inventory`` the report carries one
+    entry per block (label, dimension, kernel count, smallest eigenvalue
+    above the kernel).
     """
     t0 = time.perf_counter()
     frame = lrep.frame
@@ -461,20 +501,21 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     orbits = block_orbits(lrep)
     reps = np.unique(orbits.rep)
     t_orbits = time.perf_counter()
-    n_nu, dim = 1 << frame.n_logical, labels[0].dim
-    solved = []
-    for sector in np.unique(reps // n_nu):
-        blocks = charge.sector_blocks(sector // n_nu, sector % n_nu)
-        solved += [blocks[nu] for nu in reps[reps // n_nu == sector] % n_nu]
-    t_solve = time.perf_counter()
+    dim = labels[0].dim
     per = max(1, _BATCH_NODES // dim)
-    vals, first, info = zip(*(_piece_spectra(solved[i:i + per], DENSE_DIM_CAP)
-                              for i in range(0, len(solved), per)))
+    unions = [charge.union(reps[i:i + per]) for i in range(0, reps.size, per)]
+    t_solve = time.perf_counter()
+    vals, first, info = zip(*(_piece_spectra(u, np.full(u.shape[0] // dim, dim), DENSE_DIM_CAP)
+                              for u in unions))
     t_residual = time.perf_counter()
+
+    def piece(r, node):
+        a = r % per * dim
+        return _piece_of(unions[r // per][a:a + dim, a:a + dim], node)
+
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
-        np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(first),
-        lambda r, node: _piece_of(solved[r], node), expected_kernel,
-        of=np.searchsorted(reps, orbits.rep))
+        np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(first), piece,
+        expected_kernel, of=np.searchsorted(reps, orbits.rep))
     report.solver = "blocks"
     report.elapsed = time.perf_counter() - t0
     report.extras.update({"min_block": labels[win].describe(),

@@ -33,8 +33,7 @@ import scipy.sparse.linalg as spla
 
 from daviesgap.davies import (SuperOperatorRep, GeneratorError, ThermalParams,
                               _component_pairs, _generator_action)
-from daviesgap.master import (ChargeBlocks, _g_weight, _isometry_entries, _x_phases,
-                              block_labels)
+from daviesgap.master import ChargeBlocks, _g_weight, _x_phases, block_labels
 from daviesgap.models import ModelSpec
 from daviesgap.pauli import PauliError, PauliString, PauliSum, commutes, gf2_nullspace
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
@@ -57,13 +56,53 @@ def pauli_from_label(label: str) -> PauliString:
     return PauliString(len(body), x, z, sign + body.count("Y"))
 
 
+def _sector_isometry_entries(frame, x_phase, flip: int, mu: int) -> np.ndarray:
+    """v[nu, u] of one sector, every nu: ``master._isometry_entries`` one
+    sector at a time."""
+    s = np.arange(len(x_phase))
+    sigma = np.arange(1 << frame.n_indep)
+    phase = x_phase[:, sigma] * x_phase[:, frame.state_index(sigma ^ flip, mu)].conj()
+    signs = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s[None, :]) & 1)
+    return (signs[:, :, None] * phase[None]).reshape(len(s), -1) / np.sqrt(len(s))
+
+
 def sector_isometries(frame, flip: int, mu: int) -> np.ndarray:
     """W[nu] of ``master._isometry_entries`` as a dense (dim, 2^k) array per nu."""
-    v = _isometry_entries(frame, _x_phases(frame), flip, mu)
+    v = _sector_isometry_entries(frame, _x_phases(frame), flip, mu)
     u = np.arange(frame.dim)
     w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
     w[:, u, u % w.shape[2]] = v
     return w
+
+
+def sector_blocks(charge: ChargeBlocks, flip: int, mu: int) -> list:
+    """W[nu]^dag K_delta W[nu] for every nu, one sector at a time, each block
+    real when its imaginary part vanishes exactly: the reference for
+    ``ChargeBlocks.union``, with the same arithmetic in the same order."""
+    frame = charge.frame
+    u = np.arange(frame.dim)
+    ud = u ^ frame.state_index(flip, mu)
+    rows, data = [u], [charge.diagonal + charge.diagonal[ud]]
+    for d, weights, s in charge._cross:
+        p = weights @ (s * s[:, ud].conj())
+        rows.append(u ^ d)
+        data.append(-(p + p[u ^ d].conj()))
+    rows, cols, data = np.concatenate(rows), np.tile(u, len(rows)), np.concatenate(data)
+    rows, cols, data = rows[data != 0], cols[data != 0], data[data != 0]
+    v = _sector_isometry_entries(frame, charge._x_phase, flip, mu)
+    nk = 1 << frame.n_indep
+    key = (rows % nk) * nk + cols % nk
+    order = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key = key[order][heads]
+    blocks = []
+    for entries in np.add.reduceat((v[:, rows].conj() * data * v[:, cols])[:, order],
+                                   heads, axis=1):
+        at, entries = key[entries != 0], entries[entries != 0]
+        blocks.append(sp.csr_matrix(
+            (entries if entries.imag.any() else entries.real.copy(), at % nk,
+             np.searchsorted(at, np.arange(0, nk * nk + 1, nk))), shape=(nk, nk)))
+    return blocks
 
 
 def read_coo_text(path) -> sp.csr_matrix:
@@ -194,7 +233,7 @@ def unreduced_block_gap(lrep: SuperOperatorRep, expected_kernel=None) -> GapRepo
     report, win, _, _ = _kernel_and_gap(
         spectra.ravel(), np.arange(len(labels)) * spectra.shape[1],
         np.zeros(spectra.size, dtype=int),
-        lambda i, node: charge.block(labels[i]).toarray(), expected_kernel)
+        lambda i, node: charge.block(labels[i]), expected_kernel)
     report.solver = "blocks"
     report.extras["min_block"] = labels[win].describe()
     return report

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
@@ -9,7 +10,8 @@ from daviesgap.master import (ChargeBlocks, XBlockSpec, block_label_of,
                               sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
-from oracles import block_spectra, full_space_gap, sector_isometries, to_master
+from oracles import (block_spectra, full_space_gap, sector_isometries, to_master,
+                     sector_blocks as oracle_sector_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +179,10 @@ ASSEMBLY_CASES = {
 }
 
 
+ORBIT_CASES = {**{f"ring{n}": (lambda n=n: build_ising_ring(n)) for n in range(3, 9)},
+               "torus2": lambda: build_toric_code(2)}
+
+
 class TestDirectAssembly:
     @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
     def test_sectors_match_full_master(self, case):
@@ -212,9 +218,25 @@ class TestDirectAssembly:
         with pytest.raises(GeneratorError):
             ChargeBlocks(master.rep)
 
-
-ORBIT_CASES = {**{f"ring{n}": (lambda n=n: build_ising_ring(n)) for n in range(3, 9)},
-               "torus2": lambda: build_toric_code(2)}
+    @pytest.mark.parametrize("betaJ", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("case", list(ORBIT_CASES))
+    def test_union_equals_per_sector_oracle_bit_for_bit(self, case, betaJ):
+        # every block alone, all blocks in one union and the orbit
+        # representatives that gap_from_blocks solves, against the
+        # per-sector assembly
+        lrep = build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(betaJ))
+        frame = lrep.frame
+        charge = ChargeBlocks(lrep)
+        want = [b for flip in range(1 << frame.n_indep) for mu in range(1 << frame.n_logical)
+                for b in oracle_sector_blocks(charge, flip, mu)]
+        reps = np.unique(block_orbits(lrep).rep)
+        pairs = [(charge.union(np.arange(len(want))), sp.block_diag(want, format="csr")),
+                 (charge.union(reps), sp.block_diag([want[r] for r in reps], format="csr"))]
+        pairs += zip((charge.block(label) for label in block_labels(frame)), want)
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 def _orbit_lrep(case):

@@ -585,7 +585,8 @@ class TestPieceSpectra:
         labels = master.block_labels(lrep.frame)
         reps = np.unique(block_orbits(lrep).rep)
         charge = master.ChargeBlocks(lrep)
-        vals, first, info = _piece_spectra([charge.block(labels[r]) for r in reps],
+        vals, first, info = _piece_spectra(charge.union(reps),
+                                           np.full(reps.size, labels[0].dim),
                                            spectral.DENSE_DIM_CAP)
         want = block_spectra(lrep)[reps]
         scale = np.abs(want).max()
@@ -623,6 +624,55 @@ class TestPieceSpectra:
         # the chain's folded blocks do not split further
         assert r.extras["pieces"] == r.extras["symmetry_blocks"] == 4
         assert r.extras["largest_piece"] == r.extras["largest_block"] == 1056
+        assert set(r.extras["stages"]) == {"split_s", "eigensolve_s", "residual_s"}
+
+    def test_torus_assembles_only_its_representatives(self, monkeypatch):
+        lrep = build_generator(build_toric_code(2), tp=ThermalParams.from_betaJ(0.25))
+        reps = np.unique(block_orbits(lrep).rep)
+        assembled = []
+        real_union = master.ChargeBlocks.union
+
+        def recording(self, index):
+            assembled.extend(np.asarray(index).tolist())
+            return real_union(self, index)
+
+        monkeypatch.setattr(master.ChargeBlocks, "union", recording)
+        r = gap_from_blocks(lrep)
+        assert r.extras["blocks_solved"] == reps.size == 116
+        assert assembled == reps.tolist()
+
+
+class TestResidual:
+    """The gap's residual comes from one LU of the piece shifted by the gap,
+    with no second eigensolver call."""
+
+    @pytest.fixture(autouse=True)
+    def no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(sla, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    @pytest.mark.parametrize("n, tp", [(8, ThermalParams.from_betaJ(0.35)),
+                                       (3, ThermalParams(beta=0.0))])  # gap exactly 1
+    def test_chain(self, n, tp):
+        r = gap(abelian_chain_hamiltonian(n, tp), expected_kernel=2)
+        assert r.residual < 1e-12
+
+    @pytest.mark.parametrize("model, betaJ", [(build_ising_ring(6), 0.25),
+                                              (build_toric_code(2), 0.25),
+                                              (build_ising_ring(3), 0.0)])  # gap exactly 4
+    def test_certify(self, model, betaJ):
+        r = certify(model, ThermalParams.from_betaJ(betaJ))
+        assert r.residual < 1e-12
+
+    @pytest.mark.parametrize("piece, g", [
+        (np.diag([0.0, 1.0, 4.0]), 1.0),
+        (np.array([[2.0, 1j], [-1j, 2.0]]), 1.0)])  # LU pivots 1, then exactly 0
+    def test_exact_eigenvalue_shift(self, piece, g):
+        # B - g I is exactly singular: the zero pivot becomes eps * scale
+        assert spectral._residual(sp.csr_matrix(piece), g, 4.0) < 1e-15
 
 
 def _certify_with_rates(model, tp, rates, frame):
