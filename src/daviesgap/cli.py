@@ -189,7 +189,8 @@ def _cmd_dynamics(args) -> int:
                       "exact_rate": trace.meta["exact_rate"],
                       "relaxation_time": tau,
                       "schwarz_slack": trace.schwarz_slack(),
-                      "gap_estimate": trace.meta.get("gap_estimate")})
+                      "gap_estimate": trace.meta["gap_estimate"],
+                      "stages": trace.meta["stages"]})
     return EXIT_OK
 
 

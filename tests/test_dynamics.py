@@ -11,10 +11,10 @@ from daviesgap.davies import (GeneratorError, ThermalParams, build_generator,
 from daviesgap.dynamics import (BlockPropagator, EvolutionError,
                                 autocorrelation, default_time_grid,
                                 fit_decay_rate, relaxation_time)
-from daviesgap.master import BlockLabel, block_labels
-from daviesgap.models import build_ising_ring
+from daviesgap.master import BlockLabel, ChargeBlocks, block_labels
+from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
-from daviesgap.spectral import certify
+from daviesgap.spectral import analytic_bounds, certify
 from oracles import delta_diagonal, gram_diag, to_master
 
 
@@ -26,8 +26,8 @@ def ising3_rep(ising3, ising3_frame):
 
 @pytest.fixture(scope="module")
 def ising3_props(ising3_rep):
-    master = to_master(ising3_rep)
-    return master, [BlockPropagator.of(ising3_rep, label)
+    master, charge = to_master(ising3_rep), ChargeBlocks(ising3_rep)
+    return master, [BlockPropagator.of(charge, label)
                     for label in block_labels(ising3_rep.frame)]
 
 
@@ -102,6 +102,15 @@ class TestExponentialAction:
             norms = [np.linalg.norm(prop.propagate(x, t))
                      for t in (0.0, 0.1, 1.0, 10.0)]
             assert np.all(np.diff(norms) <= 1e-12 * norms[0])
+
+    def test_grid_evaluation_matches_single_times(self, ising3_props):
+        _, props = ising3_props
+        times = np.array([0.0, 0.3, 2.0, 15.0])
+        for i, prop in enumerate(props):
+            x = _random_block_vector(prop, 200 + i)
+            columns = np.stack([prop.propagate(x, t) for t in times], axis=1)
+            assert np.abs(prop.propagate(x, times) - columns).max() \
+                < 1e-14 * np.linalg.norm(x)
 
 
 class TestAutocorrelation:
@@ -204,19 +213,28 @@ class TestAutocorrelation:
         monkeypatch.undo()
         assert tr.meta["gap_estimate"] == certify(ising3, tp).gap
 
-    def test_default_grid_looks_up_gap_from_blocks_on_spectral(self, ising3,
-                                                              monkeypatch):
-        calls = []
-        solve = spectral.gap_from_blocks
+    def test_default_grid_solves_only_the_observable_blocks(self, ising3,
+                                                          monkeypatch):
+        def no_global_solve(*args, **kwargs):
+            raise AssertionError("default grid solved every block")
 
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        unions = []
+        union = ChargeBlocks.union
 
-        monkeypatch.setattr(spectral, "gap_from_blocks", counting_solve)
-        autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
-                        observable=ising3.logicals[0][1])
-        assert len(calls) == 1
+        def counting_union(self, index):
+            unions.append(list(index))
+            return union(self, index)
+
+        monkeypatch.setattr(spectral, "gap_from_blocks", no_global_solve)
+        monkeypatch.setattr(ChargeBlocks, "union", counting_union)
+        mixed = PauliSum(3, [(1.0, PauliString.single(3, 0, "X")),
+                             (0.5, PauliString.single(3, 1, "Y"))])
+        for observable, blocks in ((ising3.logicals[0][1], 1), (mixed, 2)):
+            unions.clear()
+            tr = autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                                 observable=observable)
+            assert len(unions) == blocks and all(len(i) == 1 for i in unions)
+            assert set(tr.meta["stages"]) == {"generator_s", "blocks_s", "trace_s"}
 
 
 class TestRelaxationTime:
@@ -248,15 +266,52 @@ class TestRelaxationTime:
         assert tr.meta["exact_rate"] < 1e-12
         assert f"exact_rate={tr.meta['exact_rate']:.3e}" in str(err.value)
 
+    @pytest.mark.parametrize("couplings, pair", [("Z", 1), ("X", 0)])
+    def test_conserved_observable_detected_on_default_grid(self, ising3,
+                                                           couplings, pair):
+        # Z-only: the Z1 block holds only kernel, so the certified lower
+        # bound scales the grid; X-only: X1 overlaps only kernel in its block
+        tp = ThermalParams.from_betaJ(0.25)
+        tr = autocorrelation(
+            ising3, tp, couplings=[PauliString.single(3, j, couplings)
+                                   for j in range(3)],
+            observable=ising3.logicals[0][pair])
+        if couplings == "Z":
+            assert tr.meta["gap_estimate"] \
+                == analytic_bounds("ising", tp)["generator_gap"]
+        with pytest.raises(EvolutionError, match="does not decay"):
+            relaxation_time(tr)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_exact_rate_is_gap_and_fit_agrees(self, n):
         m = build_ising_ring(n)
         for betaJ in (0.0, 0.25, 1.0):
-            tr = autocorrelation(m, ThermalParams.from_betaJ(betaJ),
-                                 observable=m.logicals[0][1])
+            tp = ThermalParams.from_betaJ(betaJ)
+            tr = autocorrelation(m, tp, observable=m.logicals[0][1])
             exact = tr.meta["exact_rate"]
-            assert exact >= tr.meta["gap_estimate"] - 1e-12
+            assert exact >= certify(m, tp).gap - 1e-12
             assert abs(tr.fitted_rate / exact - 1.0) < 0.05
+
+    @pytest.mark.parametrize("kind, size, pairs, betaJs", [
+        ("ising", 3, (0,), (0.0, 0.25, 1.0)), ("ising", 4, (0,), (0.0, 0.25, 1.0)),
+        ("ising", 5, (0,), (0.0, 0.25, 1.0)), ("ising", 6, (0,), (0.0, 0.25, 1.0)),
+        ("toric", 2, (0, 1), (0.25, 1.0))])
+    def test_default_grid_matches_certified_gap_grid(self, kind, size, pairs,
+                                                     betaJs):
+        # a Z logical's block holds the generator gap, so its own rate places
+        # the grid where the certified gap did
+        m = build_ising_ring(size) if kind == "ising" else build_toric_code(size)
+        for betaJ in betaJs:
+            tp = ThermalParams.from_betaJ(betaJ)
+            gap = certify(m, tp).gap
+            for pair in pairs:
+                obs = m.logicals[pair][1]
+                own = autocorrelation(m, tp, observable=obs)
+                ref = autocorrelation(m, tp, observable=obs, gap_estimate=gap)
+                assert own.meta["gap_estimate"] == pytest.approx(gap, rel=1e-12)
+                assert own.fitted_rate == pytest.approx(ref.fitted_rate, rel=1e-12)
+                assert relaxation_time(own) \
+                    == pytest.approx(relaxation_time(ref), rel=1e-12)
 
     def test_fit_recovers_pure_exponential(self):
         t = np.linspace(0.1, 10, 40)
