@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .models import ModelSpec, ModelError
-from .pauli import PauliString, PauliSum, genperm_sum, gf2_solve
+from .pauli import _PHASE_VALUES, PauliSum, genperm_sum, gf2_solve, mask_arrays
 
 
 def _labels(values: np.ndarray, masks) -> np.ndarray:
@@ -75,12 +75,14 @@ class StabilizerFrame:
 
     def matrix_of(self, op) -> sp.csr_matrix:
         """op in the eigenbasis: one COO build of sum_c c * genperm over its terms."""
-        if isinstance(op, PauliString):
-            op = PauliSum(op.n, [(1.0, op)])
-        return genperm_sum(self.dim, [(c, *self.genperm_of(p)) for c, p in op.terms])
+        terms = op.terms if isinstance(op, PauliSum) else [(1.0, op)]
+        perm, phase = self.genperm_of(*mask_arrays(p for _, p in terms))
+        return genperm_sum(self.dim, list(zip((c for c, _ in terms), perm, phase)))
 
-    def genperm_of(self, p: PauliString):
-        """Permutation and phases of a single Pauli string: p|u> = c_u |perm_u>.
+    def genperm_of(self, x_mask, z_mask, phase):
+        """Permutations and phases of a stack of Pauli strings i^phase X(x_mask)
+        Z(z_mask), given as integer arrays of one shape s (scalars for one
+        string): p|u> = phase[..., u] |perm[..., u]>, both of shape s + (dim,).
 
         For p = i^phi X^x Z^z, p|u> = i^phi (-1)^{z.ref(u)} (-1)^{b.xs(u')} |u'>:
         u' has the z-type labels of ref(u) ^ x and the x syndrome xs(u) ^ t,
@@ -89,14 +91,14 @@ class StabilizerFrame:
         """
         kx = len(self.x_masks)
         u = np.arange(self.dim, dtype=np.int64)
+        x, z, phi = (np.asarray(a, dtype=np.int64)[..., None] for a in (x_mask, z_mask, phase))
         ref = self.ref[u >> kx]
-        moved = ref ^ p.x_mask
-        t = sum(((p.z_mask & m).bit_count() & 1) << i for i, m in enumerate(self.x_masks))
+        moved = ref ^ x
         z_labels = _labels(moved, self.z_rows)
-        x_synd = (u & ((1 << kx) - 1)) ^ t
+        x_synd = (u & ((1 << kx) - 1)) ^ _labels(z, self.x_masks)
         b = _labels(moved ^ self.ref[z_labels], self.x_duals)
-        sign = (np.bitwise_count(ref & p.z_mask) + np.bitwise_count(b & x_synd)) & 1
-        return (z_labels << kx) | x_synd, complex(p.phase_value) * (1.0 - 2.0 * sign)
+        sign = (np.bitwise_count(ref & z) + np.bitwise_count(b & x_synd)) & 1
+        return (z_labels << kx) | x_synd, np.array(_PHASE_VALUES)[phi & 3] * (1.0 - 2.0 * sign)
 
 
 def build_frame(model: ModelSpec) -> StabilizerFrame:
@@ -122,13 +124,18 @@ def build_frame(model: ModelSpec) -> StabilizerFrame:
                             x_duals=_unit_solutions(x_masks, n, "x-type generators"),
                             ref=ref)
 
-    frame.stab_signs = np.array([_eigenvalues(frame, s) for s in model.stabilizers])
-    z_signs = np.array([_eigenvalues(frame, lz) for _, lz in model.logicals])
-    frame.logical_bits = (1 - z_signs) // 2
+    # one stacked action: the stabilizers and Z logicals (diagonal), then the X logicals
+    diagonal = list(model.stabilizers) + [lz for _, lz in model.logicals]
+    perm, phase = frame.genperm_of(*mask_arrays(diagonal + [lx for lx, _ in model.logicals]))
+    nd, ns = len(diagonal), len(model.stabilizers)
+    off = (perm[:nd] != np.arange(frame.dim)).any(axis=1) | phase[:nd].imag.any(axis=1)
+    if off.any():
+        raise ModelError(f"{diagonal[np.argmax(off)].to_label()} is not diagonal in the frame")
+    signs = phase[:nd].real.astype(np.int64)
+    frame.stab_signs, frame.logical_bits = signs[:ns], (1 - signs[ns:]) // 2
     frame.energies = -np.einsum("b,bu->u", np.asarray(model.coefficients, dtype=float),
                                 frame.stab_signs.astype(float))
-    x_perm, x_phase = zip(*(frame.genperm_of(lx) for lx, _ in model.logicals))
-    frame.x_perm, frame.x_phase = np.array(x_perm), np.array(x_phase)
+    frame.x_perm, frame.x_phase = perm[nd:], phase[nd:]
     _check_labels(frame)
     return frame
 
@@ -142,24 +149,11 @@ def _unit_solutions(rows, nvars: int, what: str) -> list:
     return sols
 
 
-def _eigenvalues(frame: StabilizerFrame, pauli: PauliString) -> np.ndarray:
-    perm, phase = frame.genperm_of(pauli)
-    if not np.array_equal(perm, np.arange(frame.dim)) or phase.imag.any():
-        raise ModelError(f"{pauli.to_label()} is not diagonal in the frame")
-    return phase.real.astype(np.int64)
-
-
 def _check_labels(frame: StabilizerFrame) -> None:
     """Syndrome bits must reproduce independent stabilizer signs by index."""
     k = frame.n_indep
-    dim = frame.dim
-    u = np.arange(dim)
-    for pos, stab_idx in enumerate(frame.indep):
-        bits = (u >> pos) & 1
-        want = 1 - 2 * bits
-        if not np.array_equal(frame.stab_signs[stab_idx], want):
-            raise ModelError("syndrome labeling out of order")
-    for i in range(frame.n_logical):
-        bits = u >> k
-        if not np.array_equal(frame.logical_bits[i], (bits >> i) & 1):
-            raise ModelError("logical labeling out of order")
+    bits = (np.arange(frame.dim) >> np.arange(k + frame.n_logical)[:, None]) & 1
+    if not np.array_equal(frame.stab_signs[frame.indep], 1 - 2 * bits[:k]):
+        raise ModelError("syndrome labeling out of order")
+    if not np.array_equal(frame.logical_bits, bits[k:]):
+        raise ModelError("logical labeling out of order")

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .basis import StabilizerFrame, build_frame
 from .models import ModelSpec
-from .pauli import PauliString, commutes
+from .pauli import PauliString, mask_arrays
 
 
 class GeneratorError(ValueError):
@@ -141,12 +141,15 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
                     freq_tol: float = None) -> SuperOperatorRep:
     """Minus the dissipative generator as its jump components.
 
-    Each component is read from the frame's labels (``_frequency_masks``):
-    one generalized permutation per coupling, masked per frequency by the
-    stabilizer signs of the image state.  It contributes a jump term
+    One stacked ``genperm_of`` gives every coupling as S|u> = c_u |u ^ d>.
+    With T the stabilizers S anticommutes with (mask parities), the component
+    at omega = 2 * sum_{b in T} J_b * eps_b is S followed by the projector
+    onto the sign pattern eps on T: its weights are c_u where the image u ^ d
+    has a pattern of that frequency, else 0.  A pattern within ``freq_tol``
+    (default 1e-9 * J) of an earlier pattern's frequency joins it.  Each
+    component, per coupling in increasing omega, adds the jump term
     rate * (A^dag X A - {A^dag A, X}/2); an optional `rates` table keyed by
-    (coupling_index, omega) overrides the thermal defaults, and frequencies
-    within ``freq_tol`` (default 1e-9 * J) share one component.  The full
+    (coupling_index, omega) overrides the thermal defaults.  The full
     Liouville matrix is left to ``liouville_matrix``.
     """
     if tp is None:
@@ -157,69 +160,59 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
         frame = build_frame(model)
     if freq_tol is None:
         freq_tol = 1e-9 * model.coupling
+    if any(c.n != model.n_sites for c in couplings):
+        raise GeneratorError("coupling acts outside the model register")
 
+    cx, cz, cphase = mask_arrays(couplings)
+    sx, sz, _ = mask_arrays(model.stabilizers)
+    perm, phase = frame.genperm_of(cx, cz, cphase)
+    u = np.arange(frame.dim)
+    d = perm[:, 0]
+    moved = np.count_nonzero(perm != u ^ d[:, None], axis=1)
+    if moved.any():
+        alpha = int(np.argmax(moved > 0))
+        raise GeneratorError(
+            f"coupling {alpha} ({couplings[alpha].to_label()}) does not flip one label "
+            f"pattern: perm[u] != u ^ {d[alpha]} at {moved[alpha]} of {u.size} states")
+    # bit i of anti[alpha] is set where coupling alpha anticommutes with
+    # stabilizer i, of pattern[alpha, u] where the image of u also has sign -1 there
+    odd = (np.bitwise_count(cx[:, None] & sz) + np.bitwise_count(cz[:, None] & sx)) & 1
+    n_stab = odd.shape[1]
+    anti = (odd.astype(np.int64) << np.arange(n_stab)).sum(axis=1)
+    negative = (((1 - frame.stab_signs) // 2) << np.arange(n_stab)[:, None]).sum(axis=0)
+    pattern = negative[perm] & anti[:, None]
+    code = ((np.arange(len(couplings))[:, None] << n_stab) | pattern).ravel()
+    present = np.bincount(code) > 0  # the (coupling, pattern) codes that occur, in order
+    codes, which = np.flatnonzero(present), (np.cumsum(present) - 1)[code]
+    freq = np.zeros(codes.size)
+    for i, coeff in enumerate(model.coefficients):
+        eps = 1.0 - 2.0 * ((codes >> i) & 1)
+        freq += np.where((anti[codes >> n_stab] >> i) & 1, 2.0 * coeff * eps, 0.0)
+
+    # each pattern takes the frequency of the first earlier one within freq_tol
+    keys, terms = [[] for _ in couplings], []
+    for alpha, omega in zip((codes >> n_stab).tolist(), freq.tolist()):
+        key = next((key for key in keys[alpha] if abs(key - omega) <= freq_tol), None)
+        if key is None:
+            keys[alpha].append(key := omega)
+        terms.append((alpha, key))
+    # components in coupling order, each coupling's sorted by omega
+    slot = {term: i for i, term in enumerate(sorted(set(terms)))}
+    weights = np.zeros((len(slot), frame.dim), dtype=complex)
+    weights[np.array([slot[t] for t in terms])[which].reshape(perm.shape), u] = phase
     comps = []
-    for alpha, coupling in enumerate(couplings):
-        flip, masks = _frequency_masks(alpha, coupling, frame, freq_tol)
-        for omega, weights in masks:
-            rate = tp.rate(omega)
-            if rates is not None:
-                rate = rates.get((alpha, omega), rate)
-            if rate < 0:
-                raise GeneratorError("rates must be nonnegative")
-            comps.append(JumpComponent(coupling_index=alpha, coupling=coupling,
-                                       omega=omega, rate=rate, flip=flip,
-                                       weights=weights))
+    for (alpha, omega), w in zip(slot, weights):
+        rate = (rates or {}).get((alpha, omega), tp.rate(omega))
+        if rate < 0:
+            raise GeneratorError("rates must be nonnegative")
+        comps.append(JumpComponent(coupling_index=alpha, coupling=couplings[alpha],
+                                   omega=omega, rate=rate, flip=int(d[alpha]), weights=w))
 
     return SuperOperatorRep(
         matrix=None, space="liouville", beta=tp.beta, frame=frame,
         rho=frame.gibbs(tp.beta), components=comps,
         meta={"couplings": [c.to_label() for c in couplings],
               "thermal": thermal_provenance(tp)})
-
-
-def _frequency_masks(alpha: int, coupling: PauliString, frame: StabilizerFrame,
-                     freq_tol: float) -> tuple:
-    """(d, [(omega, weights)]) of one coupling, sorted by omega.
-
-    The coupling acts as S|u> = c_u |u ^ d>.  With T the stabilizers it
-    anticommutes with, the component at omega = 2 * sum_{b in T} J_b * eps_b
-    is S followed by the projector onto the sign pattern eps on T, so its
-    weights are c_u where the image u ^ d carries a pattern of that
-    frequency and 0 elsewhere.  Patterns within ``freq_tol`` of an earlier
-    one join its frequency.
-    """
-    model = frame.model
-    if coupling.n != model.n_sites:
-        raise GeneratorError("coupling acts outside the model register")
-    flips = [i for i, s in enumerate(model.stabilizers) if not commutes(coupling, s)]
-    if len(flips) > 12:
-        raise GeneratorError("coupling anticommutes with too many stabilizers")
-    perm, phase = frame.genperm_of(coupling)
-    u = np.arange(frame.dim)
-    d = int(perm[0])
-    moved = np.flatnonzero(perm != u ^ d)
-    if moved.size:
-        raise GeneratorError(
-            f"coupling {alpha} ({coupling.to_label()}) does not flip one label "
-            f"pattern: perm[u] != u ^ {d} at {moved.size} of {u.size} states")
-    # bit pos of pattern[u] is set where the image of u has sign -1 on flips[pos]
-    bits = (1 - frame.stab_signs[flips][:, perm]) // 2
-    pattern = (bits << np.arange(len(flips))[:, None]).sum(axis=0)
-
-    keys, group = [], np.empty(1 << len(flips), dtype=np.int64)
-    for p in range(group.size):
-        omega = 0.0
-        for pos, i in enumerate(flips):
-            eps = 1.0 - 2.0 * ((p >> pos) & 1)
-            omega += 2.0 * model.coefficients[i] * eps
-        group[p] = next((k for k, key in enumerate(keys)
-                         if abs(key - omega) <= freq_tol), len(keys))
-        if group[p] == len(keys):
-            keys.append(omega)
-    which = group[pattern]
-    return d, [(keys[k], np.where(which == k, phase, 0))
-               for k in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def liouville_matrix(rep: SuperOperatorRep) -> sp.csr_matrix:
@@ -393,7 +386,8 @@ def reconstruction_residual(rep: SuperOperatorRep, coupling_index: int,
     comps = [c for c in rep.components if c.coupling_index == coupling_index]
     if not comps:
         raise GeneratorError(f"no components for coupling {coupling_index}")
-    perm, phase = frame.genperm_of(comps[0].coupling)
+    coupling = comps[0].coupling
+    perm, phase = frame.genperm_of(coupling.x_mask, coupling.z_mask, coupling.phase)
     u = np.arange(frame.dim)
     for c in comps:
         if not np.array_equal(perm, u ^ c.flip):

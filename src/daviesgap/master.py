@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from .basis import StabilizerFrame, _unit_solutions
 from .davies import SuperOperatorRep, GeneratorError
 from .models import ModelSpec, lattice_symmetries
-from .pauli import PauliString, gf2_solve
+from .pauli import PauliString, gf2_solve, mask_arrays, permute_masks
 
 _PASS_ENTRIES = 1 << 12  # ChargeBlocks.union stacks sectors up to about this many products
 
@@ -64,6 +64,12 @@ class BlockLabel:
     n_indep: int
     n_logical: int
 
+    @classmethod
+    def at(cls, frame: StabilizerFrame, index: int) -> "BlockLabel":
+        """The label at ``block_labels`` position ``index``."""
+        ell, low = frame.n_logical, (1 << frame.n_logical) - 1
+        return cls(index >> (2 * ell), (index >> ell) & low, index & low, frame.n_indep, ell)
+
     @property
     def dim(self) -> int:
         return 1 << self.n_indep
@@ -86,28 +92,33 @@ class BlockLabel:
 
 
 def block_labels(frame: StabilizerFrame) -> list:
-    k, ell = frame.n_indep, frame.n_logical
-    return [BlockLabel(flip=f, mu=mu, nu=nu, n_indep=k, n_logical=ell)
-            for f in range(1 << k) for mu in range(1 << ell) for nu in range(1 << ell)]
+    return [BlockLabel.at(frame, i)
+            for i in range(1 << (frame.n_indep + 2 * frame.n_logical))]
+
+
+def _charge_ops(frame: StabilizerFrame) -> list:
+    """The strings that set the bits of a block index, in order: the X
+    logicals (nu), the Z logicals (mu), the independent stabilizers (flip)."""
+    model = frame.model
+    return ([lx for lx, _ in model.logicals] + [lz for _, lz in model.logicals]
+            + [model.stabilizers[s] for s in frame.indep])
+
+
+def _block_index(frame: StabilizerFrame, x_mask, z_mask) -> np.ndarray:
+    """``block_labels`` index of the block holding X(x_mask) Z(z_mask), elementwise
+    over integer arrays: bit b is set where it anticommutes with ``_charge_ops``[b]."""
+    ox, oz, _ = mask_arrays(_charge_ops(frame))
+    odd = (np.bitwise_count(np.asarray(x_mask)[..., None] & oz)
+           + np.bitwise_count(np.asarray(z_mask)[..., None] & ox)) & 1
+    return (odd.astype(np.int64) << np.arange(ox.size)).sum(axis=-1)
 
 
 def block_label_of(frame: StabilizerFrame, pauli: PauliString) -> BlockLabel:
-    """The block holding every operator proportional to ``pauli``.
-
-    Read off the anticommutation pattern: flip bit j with the independent
-    stabilizer ``frame.indep[j]``, mu bit i with logical Z_i (the string moves
-    logical bit i) and nu bit i with logical X_i (conjugation by X_i flips
-    its sign).
-    """
-    model = frame.model
-    flip = sum(1 << j for j, s in enumerate(frame.indep)
-               if not pauli.commutes_with(model.stabilizers[s]))
-    mu = sum(1 << i for i, (_, lz) in enumerate(model.logicals)
-             if not pauli.commutes_with(lz))
-    nu = sum(1 << i for i, (lx, _) in enumerate(model.logicals)
-             if not pauli.commutes_with(lx))
-    return BlockLabel(flip=flip, mu=mu, nu=nu, n_indep=frame.n_indep,
-                      n_logical=frame.n_logical)
+    """The block holding every operator proportional to ``pauli``: flip bit j
+    is set if it anticommutes with the independent stabilizer ``frame.indep[j]``,
+    mu bit i with logical Z_i (the string moves logical bit i) and nu bit i
+    with logical X_i (conjugation by X_i flips its sign)."""
+    return BlockLabel.at(frame, int(_block_index(frame, pauli.x_mask, pauli.z_mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +147,22 @@ def _is_symmetry(lrep: SuperOperatorRep, perm) -> bool:
     coupling, the same frequency within the default grouping tolerance of
     ``build_generator`` and the same rate."""
     model = lrep.frame.model
-    coeff = dict(zip(model.stabilizers, model.coefficients))
-    if any(coeff.get(s.permuted(perm)) != c for s, c in coeff.items()):
+    stabs = mask_arrays(model.stabilizers)
+    coeff = dict(zip(map(tuple, stabs.T.tolist()), model.coefficients))
+    moved = zip(*permute_masks(stabs[:2], perm).tolist(), stabs[2].tolist())
+    if any(coeff.get(key) != c for key, c in zip(moved, model.coefficients)):
         return False
 
-    moved = {c.coupling: c.coupling.permuted(perm) for c in lrep.components}
+    x, z, phase = mask_arrays(c.coupling for c in lrep.components)
+    rest = np.array([(c.omega, c.rate) for c in lrep.components]).reshape(-1, 2).T
 
-    def keys(coupling_of):
-        out = []
-        for c in lrep.components:
-            p = coupling_of(c.coupling)
-            out.append((p.x_mask, p.z_mask, p.phase, c.omega, c.rate))
-        return sorted(out)
+    def keys(x, z):  # rows x, z, phase, omega, rate; columns sorted as tuples
+        k = np.vstack([x, z, phase, rest])
+        return k[:, np.lexsort(k[::-1])]
 
-    freq_tol = 1e-9 * model.coupling
-    return all(a[:3] == b[:3] and abs(a[3] - b[3]) <= freq_tol
-               and math.isclose(a[4], b[4], rel_tol=1e-12)
-               for a, b in zip(keys(lambda p: p), keys(moved.__getitem__)))
+    a, b = keys(x, z), keys(*permute_masks([x, z], perm))
+    return bool((a[:3] == b[:3]).all() and (abs(a[3] - b[3]) <= 1e-9 * model.coupling).all()
+                and (abs(a[4] - b[4]) <= 1e-12 * np.maximum(abs(a[4]), abs(b[4]))).all())
 
 
 def block_orbits(lrep: SuperOperatorRep) -> BlockOrbits:
@@ -163,26 +173,22 @@ def block_orbits(lrep: SuperOperatorRep) -> BlockOrbits:
     blocks in one orbit share their spectrum exactly.  The label map of a
     kept permutation is GF(2)-linear: it is read off the blocks of the
     permuted images of k + 2*ell strings with unit labels, found with
-    ``gf2_solve`` against the symplectic rows of the X logicals, the Z
-    logicals and the independent stabilizers.
+    ``gf2_solve`` against the symplectic rows of ``_charge_ops``; each
+    permutation moves their masks in one bit-gather.
     """
     frame = lrep.frame
-    model = frame.model
-    n, ell = model.n_sites, frame.n_logical
-    kept = [perm for perm in lattice_symmetries(model) if _is_symmetry(lrep, perm)]
-    # bit b of a block index (nu bits, then mu, then flip) is set by
-    # anticommuting with ops[b]; units[b] anticommutes with ops[b] alone
-    ops = ([lx for lx, _ in model.logicals] + [lz for _, lz in model.logicals]
-           + [model.stabilizers[s] for s in frame.indep])
-    units = [PauliString(n, sol & ((1 << n) - 1), sol >> n)
-             for sol in _unit_solutions([op.z_mask | (op.x_mask << n) for op in ops],
-                                        2 * n, "charge label system")]
-    index = np.arange(1 << (frame.n_indep + 2 * ell))
+    n = frame.model.n_sites
+    kept = [perm for perm in lattice_symmetries(frame.model) if _is_symmetry(lrep, perm)]
+    # the unit string b anticommutes with _charge_ops(frame)[b] alone
+    units = np.array(_unit_solutions([op.z_mask | (op.x_mask << n) for op in _charge_ops(frame)],
+                                     2 * n, "charge label system"), dtype=np.int64)
+    units = np.stack([units & ((1 << n) - 1), units >> n])
+    index = np.arange(1 << (frame.n_indep + 2 * frame.n_logical))
+    bits = (index >> np.arange(units.shape[1])[:, None]) & 1
     images = np.zeros((len(kept), index.size), dtype=np.int64)
     for g, perm in enumerate(kept):
-        for b, unit in enumerate(units):
-            image = block_label_of(frame, unit.permuted(perm)).index
-            images[g] ^= np.where((index >> b) & 1, image, 0)
+        image = _block_index(frame, *permute_masks(units, perm))
+        images[g] = np.bitwise_xor.reduce(bits * image[:, None], axis=0)
     graph = sp.csr_matrix((np.ones(images.size),
                            (np.tile(index, len(kept)), images.ravel())),
                           shape=(index.size, index.size))
@@ -254,37 +260,37 @@ class ChargeBlocks:
         if lrep.space != "liouville":
             raise GeneratorError("charge blocks are assembled from a Liouville-space generator")
         frame = self.frame = lrep.frame
-        self._u = np.arange(frame.dim)
+        u = self._u = np.arange(frame.dim)
         self._x_phase = _x_phases(frame)
-        self.diagonal = np.zeros(frame.dim)
-        cross: dict = {}
-        for comp in lrep.components:
-            if comp.omega < -1e-12:
-                continue  # covered by the adjoint of the positive-frequency term
-            d, s = comp.flip, comp.weights
-            eta = math.exp(-lrep.beta * comp.omega / 2.0)
-            g = _g_weight(comp.rate, comp.omega)
-            self.diagonal += g * (np.abs(s) ** 2 + eta ** 2 * np.abs(s[self._u ^ d]) ** 2)
-            weight = 2.0 * eta * g
-            if signs is not None:
-                site = comp.coupling.support()
-                if len(site) != 1:
-                    raise GeneratorError("sign-flip rule needs single-site couplings")
-                weight *= signs[site[0]]
-            cross.setdefault(d, []).append((weight, s))
-        self._cross = [(d, np.array([w for w, _ in terms]), np.array([s for _, s in terms]))
-                       for d, terms in cross.items()]
+        # negative frequencies are covered by the adjoints of the positive-frequency terms
+        comps = [c for c in lrep.components if c.omega >= -1e-12]
+        s = np.array([c.weights for c in comps], dtype=complex).reshape(len(comps), u.size)
+        d = np.array([c.flip for c in comps], dtype=np.int64)
+        eta = [math.exp(-lrep.beta * c.omega / 2.0) for c in comps]
+        g, eta2 = np.array([(_g_weight(c.rate, c.omega), e ** 2)
+                            for c, e in zip(comps, eta)]).reshape(-1, 2).T
+        moved = np.take_along_axis(s, u ^ d[:, None], axis=1)
+        self.diagonal = (g[:, None] * (np.abs(s) ** 2
+                                       + eta2[:, None] * np.abs(moved) ** 2)).sum(axis=0)
+        weight = 2.0 * np.array(eta) * g
+        if signs is not None:
+            sites = np.bitwise_or(*mask_arrays(c.coupling for c in comps)[:2])
+            if (np.bitwise_count(sites) != 1).any():
+                raise GeneratorError("sign-flip rule needs single-site couplings")
+            weight = weight * signs[np.bitwise_count(sites - 1)]
+        # the cross terms grouped by flip pattern, the patterns in order of first appearance
+        _, at, inverse = np.unique(d, return_index=True, return_inverse=True)
+        first = at[inverse]  # each term's first term with the same flip pattern
+        order = np.argsort(first, kind="stable")
+        self._firsts = np.flatnonzero(np.diff(first[order], prepend=-1))
+        self._flips, self._weights, terms = d[order][self._firsts], weight[order], s[order]
         # entries at rows u (the diagonal), then u ^ d per flip pattern, of columns u
-        u, nk = self._u, 1 << frame.n_indep
-        self._rows = np.concatenate([u] + [u ^ d for d, _, _ in self._cross])
-        self._cols = np.tile(u, 1 + len(self._cross))
-        # every cross term, grouped by flip pattern: weight * s, conj(s), each
-        # pattern's first term and its rows u ^ d
-        weights = np.concatenate([w for _, w, _ in self._cross] or [[]])
-        stacked = np.concatenate([s for _, _, s in self._cross] or [np.zeros((0, u.size))])
-        self._weighted, self._conj = (weights[:, None] * stacked)[:, None], stacked.conj()
-        self._firsts = np.cumsum([0] + [len(w) for _, w, _ in self._cross])[:-1]
-        self._moved = self._rows[u.size:].reshape(len(self._cross), 1, u.size)
+        nk = 1 << frame.n_indep
+        self._rows = np.concatenate([u, (u ^ self._flips[:, None]).ravel()])
+        self._cols = np.tile(u, 1 + self._flips.size)
+        # every cross term, grouped by flip pattern: weight * s, conj(s) and its rows u ^ d
+        self._weighted, self._conj = (self._weights[:, None] * terms)[:, None], terms.conj()
+        self._moved = self._rows[u.size:].reshape(self._flips.size, 1, u.size)
         key = (self._rows % nk) * nk + self._cols % nk
         self._order = np.argsort(key, kind="stable")
         self._key = key[self._order]
@@ -295,9 +301,9 @@ class ChargeBlocks:
         No BLAS call: a gemv over stacked sectors crosses OpenBLAS's threading
         threshold, and threaded calls this small stall in some processes."""
         ud = self._u ^ deltas[:, None]
-        data = np.empty((len(deltas), 1 + len(self._cross), self._u.size), dtype=complex)
+        data = np.empty((len(deltas), 1 + self._flips.size, self._u.size), dtype=complex)
         data[:, 0] = self.diagonal + self.diagonal[ud]
-        if self._cross:
+        if self._flips.size:
             terms = self._conj[:, ud]
             np.multiply(self._weighted, terms, out=terms)
             p = np.add.reduceat(terms, self._firsts, axis=0)
@@ -404,20 +410,17 @@ def _snake_strings(frame: StabilizerFrame) -> list:
     """sigma_x on a subset of the snake, one string per flip pattern p of the
     independent plaquettes (bit i of p flips the i-th one)."""
     model = frame.model
-    snake = list(model.partition.snake)
-    plaquettes = [model.stabilizers[i] for i in frame.indep
-                  if model.stabilizers[i].x_mask == 0]
-    rows = [sum(1 << pos for pos, j in enumerate(snake)
-                if not PauliString.single(model.n_sites, j, "X").commutes_with(plaq))
-            for plaq in plaquettes]
+    snake = np.array(model.partition.snake)
+    z = mask_arrays([model.stabilizers[i] for i in frame.indep
+                     if model.stabilizers[i].x_mask == 0])[1]
+    # bit pos of rows[i] is set where sigma_x on snake[pos] flips plaquette i
+    rows = (((z[:, None] >> snake) & 1) << np.arange(snake.size)).sum(axis=1).tolist()
     out = []
-    for p in range(1 << len(plaquettes)):
-        subset = gf2_solve(rows, [(p >> i) & 1 for i in range(len(plaquettes))],
-                           len(snake))
+    for p in range(1 << len(rows)):
+        subset = gf2_solve(rows, [(p >> i) & 1 for i in range(len(rows))], snake.size)
         if subset is None:
             raise GeneratorError("snake does not span the requested flip")
-        out.append(PauliString.from_sites(
-            model.n_sites, "X", [j for pos, j in enumerate(snake) if (subset >> pos) & 1]))
+        out.append(PauliString(model.n_sites, int(permute_masks(subset, snake)), 0))
     return out
 
 
@@ -449,7 +452,7 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
         charge = ChargeBlocks(lrep)
         # F|u> = phi_u |perm_u> carries sector delta onto delta ^ (F's label)
         flip_string = PauliString(model.n_sites, 0, _flip_mask(model, block))
-        perm, phi = frame.genperm_of(flip_string)
+        perm, phi = frame.genperm_of(0, flip_string.z_mask, 0)
         moved = block_label_of(frame, flip_string)
 
     parts = []

@@ -114,10 +114,7 @@ class PauliString:
 
     def permuted(self, perm) -> "PauliString":
         """The string with its factor on site j moved to site perm[j]."""
-        x = z = 0
-        for j, target in enumerate(perm):
-            x |= ((self.x_mask >> j) & 1) << int(target)
-            z |= ((self.z_mask >> j) & 1) << int(target)
+        x, z = permute_masks([self.x_mask, self.z_mask], perm).tolist()
         return PauliString(self.n, x, z, self.phase)
 
     # -- conversions -------------------------------------------------------
@@ -143,6 +140,18 @@ class PauliString:
 
     def __repr__(self):
         return f"PauliString({self.to_label()!r})"
+
+
+def mask_arrays(strings) -> np.ndarray:
+    """(3, m) int64 array of the strings' x masks, z masks and phase exponents."""
+    return np.array([(p.x_mask, p.z_mask, p.phase) for p in strings],
+                    dtype=np.int64).reshape(-1, 3).T
+
+
+def permute_masks(masks, perm) -> np.ndarray:
+    """Integer masks with bit j moved to bit perm[j], elementwise, in one bit-gather."""
+    bits = (np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(len(perm))) & 1
+    return (bits << np.asarray(perm, dtype=np.int64)).sum(axis=-1)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:

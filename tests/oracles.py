@@ -15,7 +15,11 @@ products, the reference for the label-built ``abelian_chain_hamiltonian``;
 ``commutant_dimension``.  ``fourier_decompose`` expands each jump component
 into a ``PauliSum`` of stabilizer products times the coupling, and
 ``reference_components`` reads their frame matrices as (flip, weights): the
-reference for the label-built components of ``build_generator``.  The rest
+reference for the label-built components of ``build_generator``;
+``frequency_masks`` builds one coupling's components on its own, the
+bit-for-bit reference for the stacked pass of ``build_generator``, and
+``reference_block_orbits`` moves and labels one string at a time, the
+reference for ``block_orbits``.  The rest
 are helpers only the tests use: the dense charge-sector isometries
 ``sector_isometries``, one coupling's generator action ``apply_component``,
 the operator-space diagonals ``gram_diag`` and ``delta_diagonal``, the
@@ -30,11 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from daviesgap.davies import (SuperOperatorRep, GeneratorError, ThermalParams,
                               _component_pairs, _generator_action)
-from daviesgap.master import ChargeBlocks, _g_weight, _x_phases, block_labels
-from daviesgap.models import ModelSpec
+from daviesgap.basis import _unit_solutions
+from daviesgap.master import ChargeBlocks, _g_weight, _x_phases, block_label_of, block_labels
+from daviesgap.models import ModelSpec, lattice_symmetries
 from daviesgap.pauli import PauliError, PauliString, PauliSum, commutes, gf2_nullspace
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
@@ -83,7 +89,9 @@ def sector_blocks(charge: ChargeBlocks, flip: int, mu: int) -> list:
     u = np.arange(frame.dim)
     ud = u ^ frame.state_index(flip, mu)
     rows, data = [u], [charge.diagonal + charge.diagonal[ud]]
-    for d, weights, s in charge._cross:
+    groups = charge._firsts[1:]
+    for d, weights, s in zip(charge._flips, np.split(charge._weights, groups),
+                             np.split(charge._conj.conj(), groups)):
         p = weights @ (s * s[:, ud].conj())
         rows.append(u ^ d)
         data.append(-(p + p[u ^ d].conj()))
@@ -462,3 +470,87 @@ def reference_components(model: ModelSpec, couplings, frame, tp: ThermalParams,
             matrix = frame.matrix_of(op)
             out.append((alpha, omega, rate, *masked_permutation(matrix), matrix))
     return out
+
+
+def frequency_masks(alpha: int, coupling: PauliString, frame,
+                    freq_tol: float) -> tuple:
+    """(d, [(omega, weights)]) of one coupling, sorted by omega: the
+    per-coupling construction that ``build_generator`` stacks over all
+    couplings, its bit-for-bit reference.
+
+    The coupling acts as S|u> = c_u |u ^ d>.  With T the stabilizers it
+    anticommutes with, the component at omega = 2 * sum_{b in T} J_b * eps_b
+    is S followed by the projector onto the sign pattern eps on T, so its
+    weights are c_u where the image u ^ d carries a pattern of that
+    frequency and 0 elsewhere.  Patterns within ``freq_tol`` of an earlier
+    one join its frequency.
+    """
+    model = frame.model
+    flips = [i for i, s in enumerate(model.stabilizers) if not commutes(coupling, s)]
+    perm, phase = frame.genperm_of(coupling.x_mask, coupling.z_mask, coupling.phase)
+    u = np.arange(frame.dim)
+    d = int(perm[0])
+    if np.count_nonzero(perm != u ^ d):
+        raise GeneratorError(f"coupling {alpha} does not flip one label pattern")
+    # bit pos of pattern[u] is set where the image of u has sign -1 on flips[pos]
+    bits = (1 - frame.stab_signs[flips][:, perm]) // 2
+    pattern = (bits << np.arange(len(flips))[:, None]).sum(axis=0)
+
+    keys, group = [], np.empty(1 << len(flips), dtype=np.int64)
+    for p in range(group.size):
+        omega = 0.0
+        for pos, i in enumerate(flips):
+            eps = 1.0 - 2.0 * ((p >> pos) & 1)
+            omega += 2.0 * model.coefficients[i] * eps
+        group[p] = next((k for k, key in enumerate(keys)
+                         if abs(key - omega) <= freq_tol), len(keys))
+        if group[p] == len(keys):
+            keys.append(omega)
+    which = group[pattern]
+    return d, [(keys[k], np.where(which == k, phase, 0))
+               for k in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _reference_is_symmetry(lrep: SuperOperatorRep, perm) -> bool:
+    """``master._is_symmetry`` one string at a time with ``PauliString.permuted``."""
+    model = lrep.frame.model
+    coeff = dict(zip(model.stabilizers, model.coefficients))
+    if any(coeff.get(s.permuted(perm)) != c for s, c in coeff.items()):
+        return False
+
+    def keys(moved):
+        return sorted((p.x_mask, p.z_mask, p.phase, c.omega, c.rate)
+                      for p, c in zip(moved, lrep.components))
+
+    freq_tol = 1e-9 * model.coupling
+    return all(a[:3] == b[:3] and abs(a[3] - b[3]) <= freq_tol
+               and math.isclose(a[4], b[4], rel_tol=1e-12)
+               for a, b in zip(keys(c.coupling for c in lrep.components),
+                               keys(c.coupling.permuted(perm) for c in lrep.components)))
+
+
+def reference_block_orbits(lrep: SuperOperatorRep) -> tuple:
+    """(generators, images, rep) of ``master.block_orbits`` one string at a
+    time: each unit string moved by ``PauliString.permuted`` and labeled by
+    ``block_label_of``."""
+    frame = lrep.frame
+    model = frame.model
+    n = model.n_sites
+    kept = [perm for perm in lattice_symmetries(model) if _reference_is_symmetry(lrep, perm)]
+    ops = ([lx for lx, _ in model.logicals] + [lz for _, lz in model.logicals]
+           + [model.stabilizers[s] for s in frame.indep])
+    units = [PauliString(n, sol & ((1 << n) - 1), sol >> n)
+             for sol in _unit_solutions([op.z_mask | (op.x_mask << n) for op in ops],
+                                        2 * n, "charge label system")]
+    index = np.arange(1 << (frame.n_indep + 2 * frame.n_logical))
+    images = np.zeros((len(kept), index.size), dtype=np.int64)
+    for g, perm in enumerate(kept):
+        for b, unit in enumerate(units):
+            image = block_label_of(frame, unit.permuted(perm)).index
+            images[g] ^= np.where((index >> b) & 1, image, 0)
+    graph = sp.csr_matrix((np.ones(images.size),
+                           (np.tile(index, len(kept)), images.ravel())),
+                          shape=(index.size, index.size))
+    orbit = connected_components(graph, directed=False)[1]
+    first = np.unique(orbit, return_index=True)[1]
+    return kept, images, first[orbit]

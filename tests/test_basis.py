@@ -16,7 +16,7 @@ import pytest
 from daviesgap.basis import build_frame
 from daviesgap.davies import default_couplings
 from daviesgap.models import ModelError, build_ising_ring, build_toric_code
-from daviesgap.pauli import PauliString, gf2_solve
+from daviesgap.pauli import PauliString, gf2_solve, mask_arrays
 from oracles import fourier_decompose, pauli_from_label
 
 SNAP = 1e-10
@@ -91,12 +91,17 @@ class TestAgainstDenseFrame:
         assert np.abs(v.conj().T @ v - np.eye(frame.dim)).max() < 1e-12
 
     def test_genperm_identical(self, case):
+        # one string at a time, then all strings in one stacked call
         model, frame, v = case
-        for p in _strings(model):
-            perm, phase = frame.genperm_of(p)
+        strings = _strings(model)
+        stacked_perm, stacked_phase = frame.genperm_of(*mask_arrays(strings))
+        assert stacked_perm.shape == stacked_phase.shape == (len(strings), frame.dim)
+        for p, row_perm, row_phase in zip(strings, stacked_perm, stacked_phase):
             want_perm, want_phase = reference_genperm(v, p)
-            assert np.array_equal(perm, want_perm), p.to_label()
-            assert np.array_equal(phase, want_phase), p.to_label()
+            perm, phase = frame.genperm_of(p.x_mask, p.z_mask, p.phase)
+            for got_perm, got_phase in ((perm, phase), (row_perm, row_phase)):
+                assert np.array_equal(got_perm, want_perm), p.to_label()
+                assert np.array_equal(got_phase, want_phase), p.to_label()
 
     def test_labels_and_signs(self, case):
         model, frame, v = case

@@ -79,7 +79,7 @@ class TestGap:
         capsys.readouterr()
         doc = json.loads(path.read_text())
         stages = doc["stages"]
-        assert set(stages) == {"generator_s", "charge_blocks_s", "orbits_s",
+        assert set(stages) == {"frame_s", "generator_s", "charge_blocks_s", "orbits_s",
                                "eigensolve_s", "residual_s"}
         assert all(isinstance(v, float) and v >= 0 for v in stages.values())
 

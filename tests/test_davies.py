@@ -21,8 +21,8 @@ from daviesgap.davies import (GeneratorError, ThermalParams,
 from daviesgap.basis import StabilizerFrame, build_frame
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
-from oracles import (apply_component, delta_diagonal, fourier_decompose, gram_diag,
-                     reference_components, to_master)
+from oracles import (apply_component, delta_diagonal, fourier_decompose,
+                     frequency_masks, gram_diag, reference_components, to_master)
 
 
 class TestThermalParams:
@@ -277,6 +277,24 @@ class TestLabelBuiltComponents:
             _assert_matches_reference(
                 lrep, reference_components(model, couplings, frame, tp))
 
+    @pytest.mark.parametrize("letters", ["xyz", "xz", "y"])
+    @pytest.mark.parametrize("name", list(COMPONENT_CASES))
+    def test_match_the_per_coupling_oracle_bit_for_bit(self, name, letters):
+        # the stacked pass over all couplings against one coupling at a time
+        model = COMPONENT_CASES[name]()
+        frame = build_frame(model)
+        couplings = default_couplings(model, letters)
+        for betaJ in (0.0, 0.25, 1.0):
+            tp = ThermalParams.from_betaJ(betaJ)
+            lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
+            want = [(alpha, omega, tp.rate(omega), flip, weights.tobytes())
+                    for alpha, coupling in enumerate(couplings)
+                    for flip, masks in [frequency_masks(alpha, coupling, frame,
+                                                        1e-9 * model.coupling)]
+                    for omega, weights in masks]
+            assert [(c.coupling_index, c.omega, c.rate, c.flip, c.weights.tobytes())
+                    for c in lrep.components] == want
+
     def test_match_the_reference_with_a_rate_table(self, ising4, ising4_frame):
         tp = ThermalParams.from_betaJ(0.4)
         couplings = default_couplings(ising4)
@@ -311,10 +329,10 @@ class TestLabelBuiltComponents:
         # a permutation of the states that no XOR pattern u -> u ^ d gives
         genperm_of = StabilizerFrame.genperm_of
 
-        def scrambled(frame, p):
-            perm, phase = genperm_of(frame, p)
+        def scrambled(frame, x_mask, z_mask, phase):
+            perm, phase = genperm_of(frame, x_mask, z_mask, phase)
             perm = perm.copy()
-            perm[[1, 2]] = perm[[2, 1]]
+            perm[..., [1, 2]] = perm[..., [2, 1]]
             return perm, phase
 
         monkeypatch.setattr(StabilizerFrame, "genperm_of", scrambled)

@@ -10,8 +10,8 @@ from daviesgap.master import (ChargeBlocks, XBlockSpec, block_label_of,
                               sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
-from oracles import (block_spectra, full_space_gap, sector_isometries, to_master,
-                     sector_blocks as oracle_sector_blocks)
+from oracles import (block_spectra, full_space_gap, reference_block_orbits,
+                     sector_isometries, to_master, sector_blocks as oracle_sector_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +268,21 @@ class TestBlockOrbits:
         # each representative is the first block of its orbit
         assert (rep <= np.arange(total)).all()
         assert (rep[rep] == rep).all()
+
+    @pytest.mark.parametrize("case", [*ORBIT_CASES, "ring6-x-subset"])
+    def test_match_the_one_string_reference(self, case):
+        if case == "ring6-x-subset":  # the rotation is no symmetry; the reflection is
+            couplings = [PauliString.single(6, j, "X") for j in (0, 1, 5)]
+            lrep = build_generator(build_ising_ring(6), couplings=couplings,
+                                   tp=ThermalParams.from_betaJ(0.25))
+        else:
+            lrep = _orbit_lrep(case)
+        orbits = block_orbits(lrep)
+        generators, images, rep = reference_block_orbits(lrep)
+        assert len(orbits.generators) == len(generators) >= 1
+        assert all(np.array_equal(a, b) for a, b in zip(orbits.generators, generators))
+        assert np.array_equal(orbits.images, images)
+        assert np.array_equal(orbits.rep, rep)
 
     @pytest.mark.parametrize("case", ["ring3", "ring6", "ring8", "torus2"])
     def test_label_map_follows_permuted_strings(self, case):
