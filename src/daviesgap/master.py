@@ -38,7 +38,9 @@ from .davies import SuperOperatorRep, GeneratorError
 from .models import ModelSpec, lattice_symmetries
 from .pauli import PauliString, gf2_solve, mask_arrays, permute_masks
 
-_PASS_ENTRIES = 1 << 12  # ChargeBlocks.union stacks sectors up to about this many products
+# sector entries, sectors x (1 + flip patterns) x dim, that ChargeBlocks.union forms per pass;
+# bigger passes save little and raise peak RSS (2^14 entries: +1.3 MB over three certify sweeps)
+_PASS_ENTRIES = 1 << 13
 
 
 def _g_weight(rate: float, omega: float, tol: float = 1e-12) -> float:
@@ -236,6 +238,11 @@ def sector_index(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
     return u + frame.dim * (u ^ frame.state_index(flip, mu))
 
 
+def _new_run(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys starts."""
+    return np.concatenate(([True], keys[1:] != keys[:-1]))[:keys.size]
+
+
 class ChargeBlocks:
     """The charge blocks of K, assembled from the jump components of -L.
 
@@ -246,14 +253,14 @@ class ChargeBlocks:
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
     split it into the sparse (flip, mu, nu) blocks.  ``union`` is the one
-    assembly routine: ``gap_from_blocks``, ``sector_blocks`` and ``block``
-    all call it.  The entries' positions depend on the flip patterns d only,
-    never on delta, so its scatter plan (each entry's position in its block
-    and their stable sort) is computed once here and serves every sector;
-    only the entries' values and the isometry entries are formed per
-    sector.  Optional per-site ``signs`` multiply each cross weight by the
-    sign of its component's site (every coupling must then act on one site):
-    the sign-flipped operator of ``sign_flip_restriction``.
+    assembly routine (``gap_from_blocks``, ``sector_blocks`` and ``block``
+    call it), and it and ``sector_matrix`` take K from ``_sector_data``.
+    The entries' positions depend on the flip patterns d only: the cells
+    (the entries in logical slot 0), their stable key order and the runs of
+    one key are laid out once here, and only values are formed per sector.
+    Optional per-site ``signs`` multiply each cross weight by the sign of its
+    component's site (every coupling must then act on one site): the
+    sign-flipped operator of ``sign_flip_restriction``.
     """
 
     def __init__(self, lrep: SuperOperatorRep, signs: np.ndarray = None):
@@ -269,7 +276,7 @@ class ChargeBlocks:
         eta = [math.exp(-lrep.beta * c.omega / 2.0) for c in comps]
         g, eta2 = np.array([(_g_weight(c.rate, c.omega), e ** 2)
                             for c, e in zip(comps, eta)]).reshape(-1, 2).T
-        moved = np.take_along_axis(s, u ^ d[:, None], axis=1)
+        moved = s.ravel()[(np.arange(d.size) * u.size)[:, None] + (u ^ d[:, None])]
         self.diagonal = (g[:, None] * (np.abs(s) ** 2
                                        + eta2[:, None] * np.abs(moved) ** 2)).sum(axis=0)
         weight = 2.0 * np.array(eta) * g
@@ -280,41 +287,66 @@ class ChargeBlocks:
             weight = weight * signs[np.bitwise_count(sites - 1)]
         # the cross terms grouped by flip pattern, the patterns in order of first appearance
         _, at, inverse = np.unique(d, return_index=True, return_inverse=True)
-        first = at[inverse]  # each term's first term with the same flip pattern
-        order = np.argsort(first, kind="stable")
-        self._firsts = np.flatnonzero(np.diff(first[order], prepend=-1))
+        order = np.argsort(at[inverse], kind="stable")
+        new = _new_run(at[inverse][order])
+        self._firsts, self._group = np.flatnonzero(new), np.cumsum(new) - 1
         self._flips, self._weights, terms = d[order][self._firsts], weight[order], s[order]
-        # entries at rows u (the diagonal), then u ^ d per flip pattern, of columns u
-        nk = 1 << frame.n_indep
-        self._rows = np.concatenate([u, (u ^ self._flips[:, None]).ravel()])
-        self._cols = np.tile(u, 1 + self._flips.size)
-        # every cross term, grouped by flip pattern: weight * s, conj(s) and its rows u ^ d
-        self._weighted, self._conj = (self._weights[:, None] * terms)[:, None], terms.conj()
-        self._moved = self._rows[u.size:].reshape(self._flips.size, 1, u.size)
-        key = (self._rows % nk) * nk + self._cols % nk
+        # every cross term, grouped by flip pattern: weight * s, conj(s) and its support
+        self._weighted, self._conj = self._weights[:, None] * terms, terms.conj()
+        self._support = terms != 0
+        # the cells: rows sigma (the diagonal), then sigma ^ d per flip pattern, of the
+        # columns sigma of logical slot 0, in the stable order of their keys; the runs
+        # of one key, each summed into one block entry; each cell's sign per nu
+        nk, sigma = 1 << frame.n_indep, u[:1 << frame.n_indep]
+        rows = np.concatenate([sigma, (sigma ^ self._flips[:, None]).ravel()])
+        key = (rows % nk) * nk + np.tile(sigma, 1 + self._flips.size)
         self._order = np.argsort(key, kind="stable")
-        self._key = key[self._order]
+        self._key, self._rows, self._cols = key[self._order], rows[self._order], self._order % nk
+        self._start = np.flatnonzero(_new_run(self._key))
+        lift = np.arange(len(self._x_phase))[:, None] & (self._rows >> frame.n_indep)
+        self._sign = 1.0 - 2.0 * (np.bitwise_count(lift) & 1)
 
-    def _sector_data(self, deltas: np.ndarray) -> np.ndarray:
-        """K's entries at (``_rows``, ``_cols``) on the sectors ``deltas``, one row each.
+    def _sector_data(self, deltas: np.ndarray, slot: int = 0) -> np.ndarray:
+        """K's entries at the cells moved to logical slot ``slot`` (columns
+        slot * 2^k + sigma) on the sectors ``deltas``, one row each.
 
-        No BLAS call: a gemv over stacked sectors crosses OpenBLAS's threading
-        threshold, and threaded calls this small stall in some processes."""
-        ud = self._u ^ deltas[:, None]
-        data = np.empty((len(deltas), 1 + self._flips.size, self._u.size), dtype=complex)
-        data[:, 0] = self.diagonal + self.diagonal[ud]
-        if self._flips.size:
-            terms = self._conj[:, ud]
-            np.multiply(self._weighted, terms, out=terms)
-            p = np.add.reduceat(terms, self._firsts, axis=0)
-            data[:, 1:] = -(p + np.take_along_axis(p, self._moved, axis=2).conj()).swapaxes(0, 1)
-        return data.reshape(len(deltas), -1)
+        A term w s_u conj(s_{u ^ delta}) whose support (set by syndrome bits
+        only) meets its delta-image nowhere is skipped before it is multiplied.
+        A row u ^ d in another slot (d flips logical bits) sums its terms
+        there.  No BLAS call: a gemv over stacked sectors crosses OpenBLAS's
+        threading threshold, and threaded calls this small stall in some
+        processes."""
+        nk, dim, n_flips = self._u.size >> self.frame.n_logical, self._u.size, self._flips.size
+        cols = self._u[slot * nk:(slot + 1) * nk]
+        ud = cols ^ deltas[:, None]
+        data = np.zeros((len(deltas), 1 + n_flips, nk), dtype=complex)
+        data[:, 0] = self.diagonal[cols] + self.diagonal[ud]
+        sector, t = np.nonzero((self._support[:, None, cols] & self._support[:, ud]).any(axis=2).T)
+        if t.size:
+            new = _new_run(sector * n_flips + self._group[t])
+            block, heads = np.cumsum(new) - 1, np.flatnonzero(new)
+            terms = self._conj.ravel()[(t * dim)[:, None] + ud[sector]]
+            terms *= self._weighted[t, cols[0]:cols[-1] + 1]
+            p, g = np.add.reduceat(terms, heads, axis=0), self._group[t[heads]]
+            moved = p.ravel()[(np.arange(g.size) * nk)[:, None]
+                              + (np.arange(nk) ^ self._flips[g, None] % nk)]
+            lifted = np.flatnonzero(self._flips[self._group[t]] >= nk)
+            if lifted.size:
+                at = (t[lifted] * dim)[:, None] | (cols ^ self._flips[self._group[t[lifted]], None])
+                terms = self._conj.ravel()[at ^ deltas[sector[lifted], None]]
+                terms *= self._weighted.ravel()[at]
+                first = np.flatnonzero(_new_run(block[lifted]))
+                moved[block[lifted[first]]] = np.add.reduceat(terms, first, axis=0)
+            data[sector[heads], 1 + g] = -(p + moved.conj())
+        return data.reshape(len(deltas), -1)[:, self._order]
 
     def sector_matrix(self, flip: int, mu: int) -> sp.csr_matrix:
         """K on the sector's matrix units, with no stored zeros."""
-        data = self._sector_data(np.array([self.frame.state_index(flip, mu)]))[0]
-        keep = data != 0
-        m = sp.csr_matrix((data[keep], (self._rows[keep], self._cols[keep])),
+        slots, delta = 1 << self.frame.n_logical, np.array([self.frame.state_index(flip, mu)])
+        data = np.concatenate([self._sector_data(delta, slot)[0] for slot in range(slots)])
+        slot, keep = np.repeat(np.arange(slots) << self.frame.n_indep, self._key.size), data != 0
+        m = sp.csr_matrix((data[keep], ((np.tile(self._rows, slots) ^ slot)[keep],
+                                        (np.tile(self._cols, slots) ^ slot)[keep])),
                           shape=(self._u.size,) * 2)
         m.eliminate_zeros()
         return m
@@ -324,44 +356,52 @@ class ChargeBlocks:
         ``index``, in that order, as one block-diagonal sparse matrix.
 
         The sector entry K[r, c] adds conj(v[nu, r]) K[r, c] v[nu, c] at
-        (r mod 2^k, c mod 2^k).  Sectors are stacked in passes of about
-        _PASS_ENTRIES products, a sector's blocks in one pass; a pass drops
-        the entries zero on all its sectors and writes its nonzero sums
-        straight into the union's CSR arrays.  The union is real when its
-        imaginary part vanishes exactly (faster eigensolvers)."""
-        frame, nk = self.frame, 1 << self.frame.n_indep
-        ell = frame.n_logical
+        (r mod 2^k, c mod 2^k).  Conjugation by the X logicals commutes with
+        K and every phase is a unit, so a cell's entries in the 2^l logical
+        slots have bit-identical products: only slot 0 is formed.  As
+        v[nu, u] = (-1)^|nu & (u >> k)| v[0, u], the product for nu is
+        base = conj(v[0, r]) K[r, c] v[0, c], formed once per sector, times
+        the exact sign (-1)^|nu & T| of the cell's logical flip T = r >> k.
+        Each distinct sector is formed once, in passes of at most
+        _PASS_ENTRIES sector entries or one sector (one complex product per
+        entry and block).  A run of one key is summed in stable key order with its
+        zero entries; the per-sector reference drops them, which changes a
+        sum only if the run's first cell vanishes before two nonzero ones or
+        a run of more than 9 entries holds a zero, and no coupling set here
+        does either (a run's cells flip the same stabilizers).  The union is
+        real when its imaginary part vanishes exactly (faster eigensolvers)."""
+        frame, nk, ell = self.frame, 1 << self.frame.n_indep, self.frame.n_logical
+        m, cells, runs = 1 << ell, self._key.size, self._start.size
         index = np.asarray(index)
-        nu, sector = index & ((1 << ell) - 1), index >> ell
-        flip, mu = sector >> ell, sector & ((1 << ell) - 1)
-        rows, cols = self._rows[self._order], self._cols[self._order]
-        # pass boundaries: the first pair of each run of one sector, counted
-        # in groups of _PASS_ENTRIES // len(rows) pairs, so no run is split
-        run_start = np.maximum.accumulate(
-            np.where(np.diff(sector, prepend=-1) != 0, np.arange(index.size), 0))
-        group = run_start // max(1, _PASS_ENTRIES // rows.size)
-        bounds = np.append(np.flatnonzero(np.diff(group, prepend=-1)), index.size)
-        data, indices, counts = [], [], []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            deltas, at = np.unique(frame.state_index(flip[a:b], mu[a:b]), return_inverse=True)
-            values = self._sector_data(deltas)[:, self._order]
-            live = values.any(axis=0)  # an entry zero on every sector of the pass adds nothing
-            key = self._key[live]
-            heads = np.flatnonzero(np.diff(key, prepend=-1))
-            v = _isometry_entries(frame, self._x_phase, flip[a:b], mu[a:b], nu[a:b])
-            products = v.conj()[:, rows[live]]
-            products *= values[:, live][at]
-            products *= v[:, cols[live]]
-            sums = np.add.reduceat(products, heads, axis=1)
-            pair, at = np.nonzero(sums)
-            key = key[heads[at]]
-            data.append(sums[pair, at])
-            indices.append((a + pair) * nk + key % nk)
-            counts.append(np.bincount(pair * nk + key // nk, minlength=(b - a) * nk))
-        data = np.concatenate(data)
+        sectors, of = np.unique(index >> ell, return_inverse=True)
+        by = np.argsort(of, kind="stable")  # the positions of index, grouped by sector
+        per = max(1, _PASS_ENTRIES // (cells * m))
+        data, rows, cols = [], [], []
+        for a, pos in zip(range(0, sectors.size, per),
+                          np.split(by, np.searchsorted(of[by], np.arange(per, sectors.size, per)))):
+            flip, mu = sectors[a:a + per] >> ell, sectors[a:a + per] & (m - 1)
+            base = self._sector_data(frame.state_index(flip, mu))
+            v = _isometry_entries(frame, self._x_phase, flip, mu, np.zeros_like(flip))
+            base *= np.take(v.conj(), self._rows, axis=1)
+            base *= np.take(v, self._cols, axis=1)
+            # each position's products, signed by its nu, over the 2^l slots of every cell
+            s = of[pos] - a
+            products = np.repeat(base[s] * self._sign[index[pos] & (m - 1)], m, axis=1)
+            heads = (self._start + cells * np.arange(s.size)[:, None]) * m
+            sums = np.add.reduceat(products.ravel(), heads.ravel())
+            at = np.flatnonzero(sums != 0)
+            p, run = np.divmod(at, runs)
+            key = self._key[self._start[run]]
+            data.append(sums[at])
+            rows.append(pos[p] * nk + key // nk)
+            cols.append(pos[p] * nk + key % nk)
+        data, rows, cols = (np.concatenate(x) for x in (data, rows, cols))
+        if (np.diff(by) < 0).any():  # index not grouped by sector: put the rows in order
+            order = np.argsort(rows, kind="stable")
+            data, rows, cols = data[order], rows[order], cols[order]
         return sp.csr_matrix(
-            (data if data.imag.any() else data.real.copy(), np.concatenate(indices),
-             np.concatenate([[0], np.cumsum(np.concatenate(counts))])),
+            (data if data.imag.any() else data.real.copy(), cols,
+             np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=index.size * nk))])),
             shape=(index.size * nk,) * 2)
 
     def sector_blocks(self, flip: int, mu: int) -> list:

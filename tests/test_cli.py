@@ -176,7 +176,7 @@ class TestDynamics:
         assert payload["exact_rate"] == pytest.approx(payload["gap_estimate"],
                                                       rel=1e-12)
         assert payload["relaxation_time"] == 1.0 / payload["fitted_rate"]
-        assert set(payload["stages"]) == {"generator_s", "blocks_s", "trace_s"}
+        assert set(payload["stages"]) == {"frame_s", "generator_s", "blocks_s", "trace_s"}
 
     @pytest.mark.parametrize("model,size,which,label", [
         ("ising", "3", "Z1", "+ZII"), ("ising", "3", "X", "+XXX"),

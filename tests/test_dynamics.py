@@ -234,7 +234,8 @@ class TestAutocorrelation:
             tr = autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
                                  observable=observable)
             assert len(unions) == blocks and all(len(i) == 1 for i in unions)
-            assert set(tr.meta["stages"]) == {"generator_s", "blocks_s", "trace_s"}
+            assert set(tr.meta["stages"]) == {"frame_s", "generator_s", "blocks_s",
+                                              "trace_s"}
 
 
 class TestRelaxationTime:
@@ -326,6 +327,19 @@ class TestRelaxationTime:
 
 
 class TestTraceExport:
+    def test_csv_matches_the_per_row_format(self, tmp_path):
+        # the one-call format writes the file a row-by-row f-string writes
+        times = np.array([0.0, 1e-300, 1 / 3, 2.5, 123456789.123456789, 1e300])
+        full = np.array([1 + 1j, -0.0 - 0.0j, 1e-17 + 2e17j, complex("nan+infj"),
+                         -1 / 7 + 0j, 3.25e-5 - 1.5e5j])
+        dissipative = np.array([-0.0, 0.1, float("inf"), 1 / 9, -2e-310, 5.0])
+        path = tmp_path / "trace.csv"
+        dynamics.AutocorrelationTrace("Z", times, full, dissipative).write_csv(path)
+        want = "t,re_full,im_full,dissipative\n" + "".join(
+            f"{t:.12g},{f.real:.12g},{f.imag:.12g},{d:.12g}\n"
+            for t, f, d in zip(times, full, dissipative))
+        assert path.read_bytes() == want.encode()
+
     def test_csv(self, ising3, tmp_path):
         tp = ThermalParams.from_betaJ(0.25)
         tr = autocorrelation(ising3, tp, observable=ising3.logicals[0][1],

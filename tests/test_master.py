@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
-from daviesgap.master import (ChargeBlocks, XBlockSpec, block_label_of,
+from daviesgap.master import (BlockLabel, ChargeBlocks, XBlockSpec, block_label_of,
                               block_labels, block_orbits, sector_index,
                               sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
@@ -237,6 +237,48 @@ class TestDirectAssembly:
             assert got.dtype == ref.dtype
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+
+    @pytest.mark.parametrize("case", ["ring5", "torus2"])
+    def test_shuffled_union_forms_each_sector_once(self, case, monkeypatch):
+        # repeats, a shuffled order and one sector's blocks at non-adjacent
+        # positions: the union is still the block diagonal of the single
+        # blocks, and each distinct sector is formed by one _sector_data row
+        lrep = build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(0.25))
+        frame, charge = lrep.frame, ChargeBlocks(lrep)
+        index = np.random.default_rng(5).permutation(len(block_labels(frame)))[:12]
+        split = 3 << (2 * frame.n_logical)  # the first and the last block of one sector
+        index = np.concatenate([[split], index, index[:3], [split + (1 << frame.n_logical) - 1]])
+        want = sp.block_diag([charge.block(BlockLabel.at(frame, i)) for i in index], format="csr")
+        formed = []
+        sector_data = ChargeBlocks._sector_data
+
+        def recording(self, deltas, slot=0):
+            formed.extend(deltas.tolist())
+            return sector_data(self, deltas, slot)
+
+        monkeypatch.setattr(ChargeBlocks, "_sector_data", recording)
+        got = charge.union(index)
+        assert got.dtype == want.dtype
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        sectors = index >> frame.n_logical
+        assert sorted(formed) == sorted(set(frame.state_index(sectors >> frame.n_logical,
+                                                              sectors & ((1 << frame.n_logical) - 1))))
+
+    def test_signed_union_equals_per_sector_oracle_bit_for_bit(self, toric_x_lrep, toric2):
+        # the sign-flipped operator of the torus x generator, on every block
+        spec = _x_block_specs(toric2)["two-flips-nu1-mu2"]
+        signs = master_module._sandwich_signs(toric2, spec)
+        assert (signs < 0).any() and (signs > 0).any()
+        charge, frame = ChargeBlocks(toric_x_lrep, signs=signs), toric_x_lrep.frame
+        want = [b for flip in range(1 << frame.n_indep) for mu in range(1 << frame.n_logical)
+                for b in oracle_sector_blocks(charge, flip, mu)]
+        got = charge.union(np.arange(len(want)))
+        ref = sp.block_diag(want, format="csr")
+        assert got.dtype == ref.dtype
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 def _orbit_lrep(case):
