@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .models import ModelSpec, ModelError
-from .pauli import _PHASE_VALUES, PauliSum, genperm_sum, gf2_solve, mask_arrays
+from .pauli import _PHASE_VALUES, gf2_solve, mask_arrays
 
 
 def _labels(values: np.ndarray, masks) -> np.ndarray:
@@ -72,12 +71,6 @@ class StabilizerFrame:
         return w / w.sum()
 
     # -- operators in the eigenbasis -------------------------------------------
-
-    def matrix_of(self, op) -> sp.csr_matrix:
-        """op in the eigenbasis: one COO build of sum_c c * genperm over its terms."""
-        terms = op.terms if isinstance(op, PauliSum) else [(1.0, op)]
-        perm, phase = self.genperm_of(*mask_arrays(p for _, p in terms))
-        return genperm_sum(self.dim, list(zip((c for c, _ in terms), perm, phase)))
 
     def genperm_of(self, x_mask, z_mask, phase):
         """Permutations and phases of a stack of Pauli strings i^phase X(x_mask)

@@ -3,10 +3,12 @@
 Conjugation by every stabilizer and logical operator commutes with the
 generator, so a Pauli observable carried to Hilbert-Schmidt space
 (X -> X rho^{1/2}) stays inside its charge block of the master operator K,
-which is assembled directly from the generator's jump components.
-There the coherent part i*delta is diagonal and commutes with K, so the full
-evolution exp(t(-K_b + i*delta_b)) is exact from one eigendecomposition of
-the 2^k-dimensional block K_b, for the whole time grid in one product.
+which is assembled directly from the generator's jump components.  Each term
+moves every frame state u to u ^ d, so the block coordinates are read from the
+labels, with no dense observable and no 4^n-dimensional vector.  The coherent
+part i*delta is diagonal in a block and commutes with K, so the evolution
+exp(t(-K_b + i*delta_b)) is exact from one eigendecomposition of the
+2^k-dimensional block K_b, for the whole time grid in one product.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import build_frame
 from .davies import GeneratorError, SuperOperatorRep, ThermalParams, build_generator
-from .master import BlockLabel, ChargeBlocks, _isometry_entries, block_label_of, sector_index
+from .master import BlockLabel, ChargeBlocks, _isometry_entries, block_label_of
 from .models import ModelSpec
-from .pauli import PauliString
+from .pauli import PauliString, mask_arrays
 from .spectral import KERNEL_RTOL, analytic_bounds
 
 
@@ -38,30 +39,20 @@ class EvolutionError(RuntimeError):
 class BlockPropagator:
     """exp(-t*K_b) on one charge block, from one eigendecomposition of K_b.
 
-    ``basis`` is the block's isometry into operator space; ``delta`` holds
-    the coherent part E(sigma) - E(sigma ^ flip) of each block column, so
-    exp(i*t*delta) * propagate(x, t) is the full evolution.
+    ``delta`` holds the coherent part E(sigma) - E(sigma ^ flip) of each
+    block column, so exp(i*t*delta) * propagate(x, t) is the full evolution.
     """
 
     label: BlockLabel
-    basis: sp.csc_matrix
     vals: np.ndarray
     vecs: np.ndarray
     delta: np.ndarray
 
     @classmethod
     def of(cls, charge: ChargeBlocks, label: BlockLabel) -> "BlockPropagator":
-        frame = charge.frame
-        v = _isometry_entries(frame, charge._x_phase, [label.flip], [label.mu], [label.nu])[0]
-        rows = sector_index(frame, label.flip, label.mu).reshape(-1, label.dim)  # slot, column
-        basis = sp.csc_matrix((v.reshape(rows.shape).T.ravel(), rows.T.ravel(), np.arange(
-            0, frame.dim + 1, rows.shape[0])), shape=(frame.dim ** 2, label.dim))
-        basis.sort_indices()
         vals, vecs = np.linalg.eigh(charge.block(label).toarray())
-        sigma = np.arange(label.dim)
-        delta = (frame.energies[frame.state_index(sigma, 0)]
-                 - frame.energies[frame.state_index(sigma ^ label.flip, 0)])
-        return cls(label=label, basis=basis, vals=vals, vecs=vecs, delta=delta)
+        e, sigma = charge.frame.energies, np.arange(label.dim)  # logical slot 0
+        return cls(label=label, vals=vals, vecs=vecs, delta=e[sigma] - e[sigma ^ label.flip])
 
     def propagate(self, x: np.ndarray, t) -> np.ndarray:
         """exp(-t*K_b) x; for a 1-d array of times, one column per time."""
@@ -135,25 +126,36 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
     rho = lrep.rho
     t1 = time.perf_counter()
 
-    a = frame.matrix_of(observable).toarray()
-    mean = np.sum(rho * np.diagonal(a))
+    # each term c P moves every frame state u to u ^ d, P|u> = phase[u] |u ^ d> (the
+    # labels are XOR-affine in the masks); amp[s] sums A[u ^ d, u] for d = sectors[s]
+    terms = [(1.0, observable)] if isinstance(observable, PauliString) else observable.terms
+    perm, phase = frame.genperm_of(*mask_arrays(p for _, p in terms))
+    flips, labels = perm[:, 0], [block_label_of(frame, p) for _, p in terms]
+    for (_, p), label, d in zip(terms, labels, flips):
+        if frame.state_index(label.flip, label.mu) != d:
+            raise GeneratorError(f"term {p.to_label()} is labeled {label.describe()} "
+                                 f"but moves frame state u to u ^ {d}")
+    sectors, of = np.unique(flips, return_inverse=True)
+    amp = np.zeros((sectors.size, frame.dim), dtype=complex)
+    np.add.at(amp, of, np.array([c for c, _ in terms])[:, None] * phase)
+    mean = np.sum(rho * amp[0]) if sectors[0] == 0 else 0.0
     if abs(mean) > 1e-10:
         raise GeneratorError(f"observable has Gibbs mean {mean:.3e}, expected 0")
-    norm = math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
-    a = a / norm
 
-    # Hilbert-Schmidt images A^dag rho^{1/2} (evolved) and A rho^{1/2} (probe)
-    sqrt_rho = np.sqrt(rho)[None, :]
-    x_vec = (a.conj().T * sqrt_rho).reshape(-1, order="F")
-    y_vec = (a * sqrt_rho).reshape(-1, order="F")
-    terms = [observable] if isinstance(observable, PauliString) \
-        else [op for _, op in observable.terms]
+    # A^dag rho^{1/2} (evolved) and A rho^{1/2} (probe) at |u><u ^ d|, by ket u
+    ud = np.arange(frame.dim) ^ sectors[:, None]
+    x, y = amp.conj() * np.sqrt(rho[ud]), np.take_along_axis(amp, ud, 1) * np.sqrt(rho[ud])
+    x, y = x / np.linalg.norm(y), y / np.linalg.norm(y)
     charge = ChargeBlocks(lrep)
-    props = [BlockPropagator.of(charge, block)
-             for block in dict.fromkeys(block_label_of(frame, p) for p in terms)]
-    blocks = [(p, p.basis.conj().T @ x_vec, p.basis.conj().T @ y_vec) for p in props]
-    captured = sum(float(np.vdot(x, x).real) for _, x, _ in blocks)
-    weight = float(np.vdot(x_vec, x_vec).real)
+    sector_of = dict(zip(labels, of))  # the blocks, in order of first appearance
+    props = [BlockPropagator.of(charge, block) for block in sector_of]
+    v = _isometry_entries(frame, charge._x_phase,
+                          *np.array([(b.flip, b.mu, b.nu) for b in sector_of]).T).conj()
+    # block coordinates: conj(v) times the sector entries, summed over the logical slots
+    rows, shape = list(sector_of.values()), (len(props), 1 << frame.n_logical, -1)
+    blocks = list(zip(props, *((v * z[rows]).reshape(shape).sum(axis=1) for z in (x, y))))
+    captured = sum(float(np.vdot(b, b).real) for _, b, _ in blocks)
+    weight = float(np.vdot(x, x).real)
     if abs(captured - weight) > 1e-12 * weight:
         raise GeneratorError(
             f"observable blocks {[p.label.describe() for p in props]} "

@@ -219,23 +219,17 @@ def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip, mu,
     """v[i, u]: the one entry, in column u mod 2^k, of row u of W[nu[i]] in the
     sector (flip[i], mu[i]), for 1-d integer arrays flip, mu and nu.
 
-    The (dim, 2^k) isometries W[nu], one per logical-Z sector nu and together
-    a unitary in ``sector_index`` coordinates, symmetrise |sigma, 0><sigma ^
-    flip, mu| over its X-logical images: row u = S * 2^k + sigma holds the
-    X_S-image with its phase and the logical-Z charge (-1)^|S & nu|."""
+    The (dim, 2^k) isometries W[nu], one per logical-Z sector nu, together a
+    unitary on the sector's matrix units |u><u ^ state_index(flip, mu)| by ket
+    u, symmetrise |sigma, 0><sigma ^ flip, mu| over its X-logical images: row
+    u = S * 2^k + sigma holds the X_S-image with its phase and the logical-Z
+    charge (-1)^|S & nu|."""
     s = np.arange(len(x_phase))
     sigma = np.arange(1 << frame.n_indep)
     image = frame.state_index(sigma ^ np.asarray(flip)[:, None], np.asarray(mu)[:, None])
     phase = (x_phase[:, None, sigma] * x_phase[:, image].conj()).swapaxes(0, 1)
     signs = 1.0 - 2.0 * (np.bitwise_count(np.asarray(nu)[:, None] & s) & 1)
     return (signs[:, :, None] * phase).reshape(len(signs), -1) / np.sqrt(len(s))
-
-
-def sector_index(frame: StabilizerFrame, flip: int, mu: int) -> np.ndarray:
-    """Operator-space positions u + dim * (u ^ delta) of the sector's matrix
-    units |u><u ^ delta|, delta = state_index(flip, mu), in ket order u."""
-    u = np.arange(frame.dim)
-    return u + frame.dim * (u ^ frame.state_index(flip, mu))
 
 
 def _new_run(keys: np.ndarray) -> np.ndarray:
@@ -253,8 +247,8 @@ class ChargeBlocks:
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
     split it into the sparse (flip, mu, nu) blocks.  ``union`` is the one
-    assembly routine (``gap_from_blocks``, ``sector_blocks`` and ``block``
-    call it), and it and ``sector_matrix`` take K from ``_sector_data``.
+    assembly routine (``gap_from_blocks`` and ``block`` call it), and it and
+    ``sector_matrix`` take K from ``_sector_data``.
     The entries' positions depend on the flip patterns d only: the cells
     (the entries in logical slot 0), their stable key order and the runs of
     one key are laid out once here, and only values are formed per sector.
@@ -403,11 +397,6 @@ class ChargeBlocks:
             (data if data.imag.any() else data.real.copy(), cols,
              np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=index.size * nk))])),
             shape=(index.size * nk,) * 2)
-
-    def sector_blocks(self, flip: int, mu: int) -> list:
-        """The sector's blocks for every nu, each assembled by ``union``."""
-        first = ((flip << self.frame.n_logical) | mu) << self.frame.n_logical
-        return [self.union([i]) for i in range(first, first + (1 << self.frame.n_logical))]
 
     def block(self, label: BlockLabel) -> sp.csr_matrix:
         return self.union([label.index])

@@ -81,16 +81,8 @@ class PauliString:
     def phase_value(self) -> complex:
         return _PHASE_VALUES[self.phase]
 
-    def support(self) -> tuple:
-        mask = self.x_mask | self.z_mask
-        return tuple(j for j in range(self.n) if (mask >> j) & 1)
-
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase == 0
-
-    def is_hermitian(self) -> bool:
-        # (i^p X Z)^dag = i^{-p} (-1)^{x.z} X Z
-        return (self.phase & 1) == _parity(self.x_mask & self.z_mask)
 
     def key(self) -> tuple:
         """Mask pair identifying the operator up to phase."""
@@ -108,9 +100,6 @@ class PauliString:
     def adjoint(self) -> "PauliString":
         phase = (-self.phase + 2 * _parity(self.x_mask & self.z_mask)) % 4
         return PauliString(self.n, self.x_mask, self.z_mask, phase)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        return commutes(self, other)
 
     def permuted(self, perm) -> "PauliString":
         """The string with its factor on site j moved to site perm[j]."""
@@ -215,9 +204,6 @@ class PauliSum:
 
     def adjoint(self) -> "PauliSum":
         return PauliSum(self.n, [(c, op.adjoint()) for c, op in self.terms])
-
-    def __len__(self):
-        return len(self.terms)
 
     def __repr__(self):
         body = " ".join(f"{c:+g}*{op.to_label()}" for c, op in self.terms[:6])

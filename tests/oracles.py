@@ -19,8 +19,12 @@ reference for the label-built components of ``build_generator``;
 ``frequency_masks`` builds one coupling's components on its own, the
 bit-for-bit reference for the stacked pass of ``build_generator``, and
 ``reference_block_orbits`` moves and labels one string at a time, the
-reference for ``block_orbits``.  The rest
-are helpers only the tests use: the dense charge-sector isometries
+reference for ``block_orbits``.  ``projected_traces`` evolves the observable's
+4^n-dimensional Hilbert-Schmidt images, projected onto each block by
+``block_basis``, the reference for the label-read block coordinates of
+``autocorrelation``.  The rest are helpers only the tests use: an operator's
+frame matrix ``matrix_of``, the operator-space positions ``sector_index`` of
+a charge sector, the dense charge-sector isometries
 ``sector_isometries``, one coupling's generator action ``apply_component``,
 the operator-space diagonals ``gram_diag`` and ``delta_diagonal``, the
 label parser ``pauli_from_label`` and the reader ``read_coo_text`` of the
@@ -39,9 +43,11 @@ from scipy.sparse.csgraph import connected_components
 from daviesgap.davies import (SuperOperatorRep, GeneratorError, ThermalParams,
                               _component_pairs, _generator_action)
 from daviesgap.basis import _unit_solutions
+from daviesgap.dynamics import BlockPropagator
 from daviesgap.master import ChargeBlocks, _g_weight, _x_phases, block_label_of, block_labels
 from daviesgap.models import ModelSpec, lattice_symmetries
-from daviesgap.pauli import PauliError, PauliString, PauliSum, commutes, gf2_nullspace
+from daviesgap.pauli import (PauliError, PauliString, PauliSum, commutes, genperm_sum,
+                             gf2_nullspace, mask_arrays)
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
                                 bond_pair_block)
@@ -62,6 +68,20 @@ def pauli_from_label(label: str) -> PauliString:
     return PauliString(len(body), x, z, sign + body.count("Y"))
 
 
+def matrix_of(frame, op) -> sp.csr_matrix:
+    """op in the frame's eigenbasis: one COO build of sum_c c * genperm over its terms."""
+    terms = op.terms if isinstance(op, PauliSum) else [(1.0, op)]
+    perm, phase = frame.genperm_of(*mask_arrays(p for _, p in terms))
+    return genperm_sum(frame.dim, list(zip((c for c, _ in terms), perm, phase)))
+
+
+def sector_index(frame, flip: int, mu: int) -> np.ndarray:
+    """Operator-space positions u + dim * (u ^ delta) of the sector's matrix
+    units |u><u ^ delta|, delta = state_index(flip, mu), in ket order u."""
+    u = np.arange(frame.dim)
+    return u + frame.dim * (u ^ frame.state_index(flip, mu))
+
+
 def _sector_isometry_entries(frame, x_phase, flip: int, mu: int) -> np.ndarray:
     """v[nu, u] of one sector, every nu: ``master._isometry_entries`` one
     sector at a time."""
@@ -79,6 +99,40 @@ def sector_isometries(frame, flip: int, mu: int) -> np.ndarray:
     w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
     w[:, u, u % w.shape[2]] = v
     return w
+
+
+def block_basis(frame, label) -> sp.csr_matrix:
+    """The block's isometry into operator space (column-major matrix units):
+    ``sector_isometries`` placed at the sector's ``sector_index`` rows."""
+    w = sp.coo_matrix(sector_isometries(frame, label.flip, label.mu)[label.nu])
+    return sp.csr_matrix((w.data, (sector_index(frame, label.flip, label.mu)[w.row], w.col)),
+                         shape=(frame.dim ** 2, label.dim))
+
+
+def projected_traces(lrep: SuperOperatorRep, observable, times) -> tuple:
+    """Both autocorrelation traces of a mean-zero observable from its dense
+    4^n-dimensional images A^dag rho^{1/2} (evolved) and A rho^{1/2} (probe),
+    projected onto every block that holds a term, each evolved by its
+    ``BlockPropagator``; the projections must capture the evolved image."""
+    frame, rho = lrep.frame, lrep.rho
+    a = matrix_of(frame, observable).toarray()
+    a = a / math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
+    sqrt_rho = np.sqrt(rho)[None, :]
+    x_vec = (a.conj().T * sqrt_rho).reshape(-1, order="F")
+    y_vec = (a * sqrt_rho).reshape(-1, order="F")
+    terms = observable.terms if isinstance(observable, PauliSum) else [(1.0, observable)]
+    charge = ChargeBlocks(lrep)
+    times = np.asarray(times, dtype=float)
+    full, dissip, captured = np.zeros(times.size, dtype=complex), np.zeros(times.size), 0.0
+    for label in dict.fromkeys(block_label_of(frame, p) for _, p in terms):
+        prop, basis = BlockPropagator.of(charge, label), block_basis(frame, label)
+        x, y = basis.conj().T @ x_vec, basis.conj().T @ y_vec
+        captured += np.vdot(x, x).real
+        w = prop.propagate(x, times)
+        dissip += (y.conj() @ w).real
+        full += y.conj() @ (np.exp(1j * np.multiply.outer(prop.delta, times)) * w)
+    assert abs(captured - np.vdot(x_vec, x_vec).real) < 1e-12
+    return full, dissip
 
 
 def sector_blocks(charge: ChargeBlocks, flip: int, mu: int) -> list:
@@ -226,10 +280,12 @@ def block_spectra(lrep: SuperOperatorRep) -> np.ndarray:
     ``block_labels`` order, each block assembled and solved."""
     frame = lrep.frame
     charge = ChargeBlocks(lrep)
-    return np.concatenate([np.linalg.eigvalsh(np.array([b.toarray() for b in
-                                                        charge.sector_blocks(flip, mu)]))
-                           for flip in range(1 << frame.n_indep)
-                           for mu in range(1 << frame.n_logical)])
+    m, nk = 1 << frame.n_logical, 1 << frame.n_indep
+    # each sector's nu blocks from one union, taken off its block diagonal
+    return np.concatenate([np.linalg.eigvalsh(
+        charge.union(np.arange(sector * m, (sector + 1) * m)).toarray()
+        .reshape(m, nk, m, nk)[np.arange(m), :, np.arange(m)])
+        for sector in range(1 << (frame.n_indep + frame.n_logical))])
 
 
 def unreduced_block_gap(lrep: SuperOperatorRep, expected_kernel=None) -> GapReport:
@@ -393,7 +449,7 @@ class JumpOperatorSet:
         total = PauliSum(self.coupling.n, [])
         for _, op in self.components:
             total = total + op
-        return len(total - PauliSum(self.coupling.n, [(1.0, self.coupling)]))
+        return len((total - PauliSum(self.coupling.n, [(1.0, self.coupling)])).terms)
 
 
 def fourier_decompose(coupling: PauliString, model: ModelSpec,
@@ -460,14 +516,14 @@ def masked_permutation(matrix) -> tuple:
 def reference_components(model: ModelSpec, couplings, frame, tp: ThermalParams,
                          rates: dict = None) -> list:
     """(coupling_index, omega, rate, flip, weights, matrix) per jump component:
-    ``fourier_decompose`` -> ``frame.matrix_of``, in ``build_generator`` order."""
+    ``fourier_decompose`` -> ``matrix_of``, in ``build_generator`` order."""
     out = []
     for alpha, coupling in enumerate(couplings):
         for omega, op in fourier_decompose(coupling, model).components:
             rate = tp.rate(omega)
             if rates is not None:
                 rate = rates.get((alpha, omega), rate)
-            matrix = frame.matrix_of(op)
+            matrix = matrix_of(frame, op)
             out.append((alpha, omega, rate, *masked_permutation(matrix), matrix))
     return out
 

@@ -17,7 +17,7 @@ from daviesgap.basis import build_frame
 from daviesgap.davies import default_couplings
 from daviesgap.models import ModelError, build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, gf2_solve, mask_arrays
-from oracles import fourier_decompose, pauli_from_label
+from oracles import fourier_decompose, matrix_of, pauli_from_label
 
 SNAP = 1e-10
 
@@ -120,7 +120,7 @@ class TestAgainstDenseFrame:
         for coupling in default_couplings(model):
             for _, op in fourier_decompose(coupling, model).components:
                 want = v.conj().T @ (op.matrix().toarray() @ v)
-                worst = max(worst, np.abs(frame.matrix_of(op).toarray() - want).max())
+                worst = max(worst, np.abs(matrix_of(frame, op).toarray() - want).max())
         assert worst < 1e-12
 
 

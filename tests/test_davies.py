@@ -22,7 +22,8 @@ from daviesgap.basis import StabilizerFrame, build_frame
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
 from oracles import (apply_component, delta_diagonal, fourier_decompose,
-                     frequency_masks, gram_diag, reference_components, to_master)
+                     frequency_masks, gram_diag, matrix_of, reference_components,
+                     to_master)
 
 
 class TestThermalParams:
@@ -76,7 +77,7 @@ class TestFourierDecompose:
         half = PauliSum(4, [(0.25, PauliString.identity(4)), (0.25, zb),
                             (0.25, zbp), (0.25, zb * zbp)])
         want = half * sx
-        assert len(js.component(4.0) - want) == 0
+        assert not (js.component(4.0) - want).terms
 
     def test_sum_rule(self, ising4, toric2):
         for m in (ising4, toric2):
@@ -87,7 +88,7 @@ class TestFourierDecompose:
         js = fourier_decompose(PauliString.single(8, 3, "X"), toric2)
         assert js.frequencies() == [-4.0, 0.0, 4.0]
         for w, op in js.components:
-            assert len(op.adjoint() - js.component(-w)) == 0
+            assert not (op.adjoint() - js.component(-w)).terms
 
     def test_wrong_register_rejected(self, ising4):
         with pytest.raises(GeneratorError):
@@ -110,7 +111,7 @@ class TestFourierDecompose:
         comps = list(rep.components)
         comps[i] = dataclasses.replace(comps[i], weights=1.25 * comps[i].weights)
         rep = dataclasses.replace(rep, components=comps)
-        s = ising4_frame.matrix_of(comps[i].coupling).toarray()
+        s = matrix_of(ising4_frame, comps[i].coupling).toarray()
         e = ising4_frame.energies
         worst = 0.0
         for t in (0.1, 0.7, 1.3):
@@ -191,7 +192,7 @@ class TestGeneratorStructure:
         # and is bounded below by 2 h_minus
         tp = ThermalParams.from_betaJ(0.5)
         rep = build_generator(ising3, tp=tp, frame=ising3_frame)
-        z = ising3_frame.matrix_of(ising3.logicals[0][1]).toarray()
+        z = matrix_of(ising3_frame, ising3.logicals[0][1]).toarray()
         val = -_beta_inner(rep.rho, z, apply_component(rep, 0, z))
         assert abs(val.imag) < 1e-12
         bonds = [ising3.stabilizers[2], ising3.stabilizers[0]]  # touch site 0
@@ -264,7 +265,7 @@ def _assert_matches_reference(lrep, reference):
 
 class TestLabelBuiltComponents:
     """build_generator's components against the PauliSum expansion of
-    ``oracles.fourier_decompose`` read through ``frame.matrix_of``."""
+    ``oracles.fourier_decompose`` read through ``oracles.matrix_of``."""
 
     @pytest.mark.parametrize("name", list(COMPONENT_CASES))
     def test_match_the_pauli_sum_reference_bit_for_bit(self, name):

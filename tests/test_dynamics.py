@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from daviesgap.master import BlockLabel, ChargeBlocks, block_labels
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import analytic_bounds, certify
-from oracles import delta_diagonal, gram_diag, to_master
+from oracles import (block_basis, delta_diagonal, gram_diag, matrix_of, projected_traces,
+                     to_master)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ def _random_block_vector(prop, seed):
 def _dense_traces(lrep, observable, times):
     """Both traces from scipy's dense expm of the full generator (oracle)."""
     frame, rho = lrep.frame, lrep.rho
-    a = frame.matrix_of(observable).toarray()
+    a = matrix_of(frame, observable).toarray()
     a = a / math.sqrt(abs(np.sum((a.conj() * a) * rho[None, :])))
     gram = gram_diag(lrep)
     a_vec = a.reshape(-1, order="F")
@@ -74,12 +77,40 @@ class TestExponentialAction:
             assert np.abs(tr.values_full - full).max() < 1e-12, observable
             assert np.abs(tr.values_dissipative - dissip).max() < 1e-12
 
+    def test_coherent_sum_in_one_block_matches_dense_exponential(self, ising3,
+                                                                  ising3_rep):
+        # Z0 and Z1 share block (flip 0, sector Z): their entries add before
+        # the block is normalized
+        z0, z1 = (PauliString.single(3, j, "Z") for j in (0, 1))
+        frame = ising3_rep.frame
+        assert dynamics.block_label_of(frame, z0) == dynamics.block_label_of(frame, z1) \
+            == BlockLabel(0, 0, 1, 2, 1)
+        observable = PauliSum(3, [(1.0, z0), (1.0, z1)])
+        times = [0.0, 0.05, 0.9, 4.0, 20.0]
+        tr = autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                             observable=observable, grid=times, lrep=ising3_rep)
+        full, dissip = _dense_traces(ising3_rep, observable, times)
+        assert np.abs(tr.values_full - full).max() < 1e-12
+        assert np.abs(tr.values_dissipative - dissip).max() < 1e-12
+
+    def test_torus_logicals_match_projection_oracle(self, toric2):
+        # the label-read block coordinates against the 4^n images projected
+        # onto each block
+        tp = ThermalParams.from_betaJ(0.25)
+        lrep = build_generator(toric2, tp=tp)
+        times = [0.0, 0.05, 0.9, 4.0, 20.0]
+        for observable in (op for pair in toric2.logicals for op in pair):
+            tr = autocorrelation(toric2, tp, observable=observable, grid=times, lrep=lrep)
+            full, dissip = projected_traces(lrep, observable, times)
+            assert np.abs(tr.values_full - full).max() < 1e-12, observable
+            assert np.abs(tr.values_dissipative - dissip).max() < 1e-12, observable
+
     def test_identity_is_preserved(self, ising3_props):
         # the identity maps to rho^{1/2}, all of it in block (flip 0, sector I)
         master, props = ising3_props
         prop = props[0]
         assert prop.label == BlockLabel(0, 0, 0, 2, 1)
-        x = prop.basis.conj().T @ master.kernel_witness
+        x = block_basis(master.rep.frame, prop.label).conj().T @ master.kernel_witness
         assert abs(np.linalg.norm(x) - 1.0) < 1e-12
         for t in (0.7, 5.0):
             assert np.linalg.norm(prop.propagate(x, t) - x) < 1e-12
@@ -88,7 +119,7 @@ class TestExponentialAction:
         # the Gibbs mean is the overlap with rho^{1/2}, a kernel vector of K
         master, props = ising3_props
         prop = props[0]
-        witness = prop.basis.conj().T @ master.kernel_witness
+        witness = block_basis(master.rep.frame, prop.label).conj().T @ master.kernel_witness
         x = _random_block_vector(prop, 3)
         mean0 = np.vdot(witness, x)
         for t in (1.0, 20.0):
@@ -180,6 +211,26 @@ class TestAutocorrelation:
         with pytest.raises(GeneratorError):
             autocorrelation(ising3, tp, observable=bad, gap_estimate=1.0)
 
+    def test_bond_string_mean_rejected(self, ising3, ising3_rep):
+        # Z0 Z1 is a stabilizer (flip 0, sector I), with a nonzero Gibbs mean
+        bond = PauliString.from_sites(3, "Z", [0, 1])
+        mean = np.sum(ising3_rep.rho * matrix_of(ising3_rep.frame, bond).diagonal())
+        assert abs(mean) > 1e-3
+        with pytest.raises(GeneratorError,
+                           match=re.escape(f"Gibbs mean {mean:.3e}, expected 0")):
+            autocorrelation(ising3, ThermalParams.from_betaJ(0.25), observable=bond,
+                            gap_estimate=1.0, lrep=ising3_rep)
+
+    def test_wrong_flip_label_rejected(self, ising3, monkeypatch):
+        # Z1 moves no frame state; a label with flip 1 puts it in a sector it
+        # has no entry in
+        monkeypatch.setattr(dynamics, "block_label_of",
+                            lambda frame, p: BlockLabel(1, 0, 1, 2, 1))
+        with pytest.raises(GeneratorError, match=r"term \+ZII is labeled \{'flip': 1, "
+                                                 r".* but moves frame state u to u \^ 0"):
+            autocorrelation(ising3, ThermalParams.from_betaJ(0.25),
+                            observable=ising3.logicals[0][1], gap_estimate=2.0)
+
     @pytest.mark.parametrize("grid, shown", [([-1.0, 0.5], "-1"),
                                              ([0.5, math.nan], "nan"),
                                              ([math.inf], "inf")],
@@ -212,6 +263,20 @@ class TestAutocorrelation:
         assert len(builds) == 1
         monkeypatch.undo()
         assert tr.meta["gap_estimate"] == certify(ising3, tp).gap
+
+    def test_no_operator_space_vector_is_allocated(self):
+        # ring 10: operator space has 4^10 entries; the traced peak stays
+        # below one complex vector of them
+        m = build_ising_ring(10)
+        tp = ThermalParams.from_betaJ(0.25)
+        lrep = build_generator(m, tp=tp)
+        tracemalloc.start()
+        try:
+            autocorrelation(m, tp, observable=m.logicals[0][1], lrep=lrep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4 ** 10, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
     def test_default_grid_solves_only_the_observable_blocks(self, ising3,
                                                           monkeypatch):

@@ -6,12 +6,12 @@ import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
 from daviesgap.master import (BlockLabel, ChargeBlocks, XBlockSpec, block_label_of,
-                              block_labels, block_orbits, sector_index,
-                              sign_flip_restriction)
+                              block_labels, block_orbits, sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
-from oracles import (block_spectra, full_space_gap, reference_block_orbits,
-                     sector_isometries, to_master, sector_blocks as oracle_sector_blocks)
+from oracles import (block_basis, block_spectra, full_space_gap, matrix_of,
+                     reference_block_orbits, sector_index, sector_isometries, to_master,
+                     sector_blocks as oracle_sector_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +87,8 @@ class TestBlockDecomposition:
         # orthonormal, and K maps its span into itself
         _, master = ising3_master
         k = master.matrix.tocsc()
-        dim = ising3_frame.dim
         for label in block_labels(ising3_frame)[:8]:
-            w = sector_isometries(ising3_frame, label.flip, label.mu)[label.nu]
-            basis = np.zeros((dim * dim, label.dim), dtype=complex)
-            basis[sector_index(ising3_frame, label.flip, label.mu)] = w
+            basis = block_basis(ising3_frame, label).toarray()
             gram = basis.conj().T @ basis
             assert np.abs(gram - np.eye(label.dim)).max() < 1e-12
             coeff = np.random.default_rng(0).standard_normal(label.dim)
@@ -139,7 +136,7 @@ class TestBlockLabelOf:
                                     sector_isometries(frame, l.flip, l.mu))
                    for l in labels}
         for p in strings:
-            v = frame.matrix_of(p).toarray().reshape(-1, order="F")
+            v = matrix_of(frame, p).toarray().reshape(-1, order="F")
             hit = set()
             for label in labels:
                 index, w = sectors[label.flip, label.mu]
@@ -207,9 +204,12 @@ class TestDirectAssembly:
                 assert unitary.shape == (frame.dim, frame.dim)
                 assert np.abs(unitary.conj().T @ unitary
                               - np.eye(frame.dim)).max() < 1e-12
-                for nu, block in enumerate(charge.sector_blocks(flip, mu)):
+                m, nk = 1 << frame.n_logical, 1 << frame.n_indep
+                first = ((flip << frame.n_logical) | mu) << frame.n_logical
+                union = charge.union(first + np.arange(m)).toarray().reshape(m, nk, m, nk)
+                for nu in range(m):
                     assert np.abs(w[nu].conj().T @ direct @ w[nu]
-                                  - block.toarray()).max() < 1e-12
+                                  - union[nu, :, nu]).max() < 1e-12
                 covered[index] = True
         assert covered.all()
 

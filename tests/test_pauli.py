@@ -90,7 +90,7 @@ class TestPhaseTracking:
         rng = np.random.default_rng(9)
         for _ in range(200):
             p = random_string(rng, 4)
-            if p.is_hermitian():
+            if p == p.adjoint():
                 assert (p * p).is_identity()
 
 
@@ -162,11 +162,11 @@ class TestPauliSum:
 
     def test_cancellation_drops_terms(self):
         s = PauliSum(1, [(1.0, X), (-1.0, X)])
-        assert len(s) == 0
+        assert len(s.terms) == 0
 
     def test_merging_respects_phase(self):
         s = PauliSum(1, [(1.0, X * Z), (1.0, X * Z)])  # -2i Y
-        assert len(s) == 1
+        assert len(s.terms) == 1
         assert np.allclose(s.matrix().toarray(), -2j * dense_n(Y))
 
     def test_off_axis_weight_rejected(self):
