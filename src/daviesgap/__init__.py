@@ -11,7 +11,7 @@ from .davies import (ThermalParams, JumpComponent, SuperOperatorRep,
                      detailed_balance_residual, dissipativity_identity_check,
                      stationarity_residual, reconstruction_residual)
 from .master import (BlockLabel, BlockOrbits, ChargeBlocks, XBlockSpec,
-                     block_labels, block_label_of, block_orbits,
+                     block_label_of, block_orbits,
                      sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
                        abelian_chain_hamiltonian, abelian_chain_kernel,

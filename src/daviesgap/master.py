@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag
-from scipy.sparse.csgraph import connected_components
 
 from .basis import StabilizerFrame, _unit_solutions
 from .davies import SuperOperatorRep, GeneratorError
@@ -68,7 +66,7 @@ class BlockLabel:
 
     @classmethod
     def at(cls, frame: StabilizerFrame, index: int) -> "BlockLabel":
-        """The label at ``block_labels`` position ``index``."""
+        """The label at block index ``index`` (see ``index``)."""
         ell, low = frame.n_logical, (1 << frame.n_logical) - 1
         return cls(index >> (2 * ell), (index >> ell) & low, index & low, frame.n_indep, ell)
 
@@ -78,7 +76,7 @@ class BlockLabel:
 
     @property
     def index(self) -> int:
-        """Position in ``block_labels`` order: the bits nu, then mu, then flip."""
+        """The block index: the bits nu, then mu, then flip."""
         return (((self.flip << self.n_logical) | self.mu) << self.n_logical) | self.nu
 
     @property
@@ -93,11 +91,6 @@ class BlockLabel:
         return {"flip": self.flip, "sector": self.sector, "dim": self.dim}
 
 
-def block_labels(frame: StabilizerFrame) -> list:
-    return [BlockLabel.at(frame, i)
-            for i in range(1 << (frame.n_indep + 2 * frame.n_logical))]
-
-
 def _charge_ops(frame: StabilizerFrame) -> list:
     """The strings that set the bits of a block index, in order: the X
     logicals (nu), the Z logicals (mu), the independent stabilizers (flip)."""
@@ -107,7 +100,7 @@ def _charge_ops(frame: StabilizerFrame) -> list:
 
 
 def _block_index(frame: StabilizerFrame, x_mask, z_mask) -> np.ndarray:
-    """``block_labels`` index of the block holding X(x_mask) Z(z_mask), elementwise
+    """Index of the block holding X(x_mask) Z(z_mask), elementwise
     over integer arrays: bit b is set where it anticommutes with ``_charge_ops``[b]."""
     ox, oz, _ = mask_arrays(_charge_ops(frame))
     odd = (np.bitwise_count(np.asarray(x_mask)[..., None] & oz)
@@ -134,8 +127,8 @@ class BlockOrbits:
     generators: the site permutations of ``lattice_symmetries`` that leave the
                 Hamiltonian and the jump components unchanged;
     images:     images[g, i], the index of the block that generators[g] maps
-                block i onto (indices in ``block_labels`` order);
-    rep:        rep[i], the first block of block i's orbit in that order.
+                block i onto (block indices, ``BlockLabel.index``);
+    rep:        rep[i], the block of least index in block i's orbit.
     """
 
     generators: list
@@ -194,9 +187,42 @@ def block_orbits(lrep: SuperOperatorRep) -> BlockOrbits:
     graph = sp.csr_matrix((np.ones(images.size),
                            (np.tile(index, len(kept)), images.ravel())),
                           shape=(index.size, index.size))
-    orbit = connected_components(graph, directed=False)[1]
+    orbit = _components(graph)[1]
     first = np.unique(orbit, return_index=True)[1]
     return BlockOrbits(generators=kept, images=images, rep=first[orbit])
+
+
+def _components(matrix) -> tuple:
+    """The connected components of the nonzero pattern of the square sparse
+    ``matrix``: their count and each node's label.  An imaginary entry is an
+    edge and a directed pattern counts as undirected.  Labels are numbered by
+    each component's smallest node, as ``scipy.sparse.csgraph`` numbers them.
+
+    Min-label hooking with pointer jumping over the CSR arrays: each node
+    first hooks onto the least node of its row, if smaller; then each round
+    jumps every node to its root, the smallest node of its tree, and hooks
+    the larger root of every edge that still joins two trees onto the other."""
+    csr = sp.csr_matrix(matrix)
+    if not csr.data.all():  # a stored zero is no edge
+        csr = csr.copy()
+        csr.eliminate_zeros()
+    node, length = np.arange(csr.shape[0]), np.diff(csr.indptr)
+    a, b = np.repeat(node, length), csr.indices.astype(np.intp)
+    root, rows = node.copy(), np.flatnonzero(length)
+    if rows.size:
+        root[rows] = np.minimum(rows, np.minimum.reduceat(b, csr.indptr[rows]))
+    while True:
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+    first = root == node
+    return int(first.sum()), (np.cumsum(first) - 1)[root]
 
 
 def _x_phases(frame: StabilizerFrame) -> np.ndarray:
@@ -346,7 +372,7 @@ class ChargeBlocks:
         return m
 
     def union(self, index) -> sp.csr_matrix:
-        """The blocks W[nu]^dag K_delta W[nu] with ``block_labels`` indices
+        """The blocks W[nu]^dag K_delta W[nu] with block indices
         ``index``, in that order, as one block-diagonal sparse matrix.
 
         The sector entry K[r, c] adds conj(v[nu, r]) K[r, c] v[nu, c] at
@@ -503,7 +529,7 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
             raise GeneratorError(f"signed block differs from kron(b_p, I) by {defect:.3e}, "
                                  f"above {atol:.1e} (plaquette flip {p})")
 
-    return SuperOperatorRep(matrix=block_diag(*parts), space="hilbert-schmidt",
+    return SuperOperatorRep(matrix=sp.block_diag(parts).toarray(), space="hilbert-schmidt",
                             beta=lrep.beta, frame=frame, rho=lrep.rho,
                             meta={"x_block": {"star_flip_sites": list(block.star_flip_sites),
                                               "nu": block.nu, "mu": block.mu}})

@@ -101,11 +101,6 @@ class PauliString:
         phase = (-self.phase + 2 * _parity(self.x_mask & self.z_mask)) % 4
         return PauliString(self.n, self.x_mask, self.z_mask, phase)
 
-    def permuted(self, perm) -> "PauliString":
-        """The string with its factor on site j moved to site perm[j]."""
-        x, z = permute_masks([self.x_mask, self.z_mask], perm).tolist()
-        return PauliString(self.n, x, z, self.phase)
-
     # -- conversions -------------------------------------------------------
 
     def to_label(self) -> str:

@@ -8,10 +8,10 @@ its nonzero pattern, each folded into its even and odd blocks under an
 involutive index symmetry the operator declares (the bond chain splits by
 parity, then by reversal), ``gap_from_blocks`` the charge blocks of a
 generator, one block per lattice-symmetry orbit.  Each piece is factored by
-one eigensolver call only: the gap's residual comes from inverse iteration
-on the piece that holds it, shifted by the gap.  Certification takes the
-generator gap as the exact minimum over its charge blocks, asserts
-gap >= exp(-8*beta*J)/3 and reports the margin.
+one eigensolver call only: the gap's residual comes from one step of inverse
+iteration, one LU solve, on the piece that holds it, shifted by the gap.
+Certification takes the generator gap as the exact minimum over its charge
+blocks, asserts gap >= exp(-8*beta*J)/3 and reports the margin.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
-from .master import BlockLabel, ChargeBlocks, block_orbits
+from .master import BlockLabel, ChargeBlocks, _components, block_orbits
 from .models import ModelSpec
 from .pauli import commutant_dimension
 
@@ -106,12 +104,14 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     the dimensions of the largest ones and of those holding the gap;
     ``stages`` gives the seconds of the split (components, symmetry fold and
     their block-diagonal union), of the piece eigensolve and of the gap's
-    residual (``_residual``).
+    residual (``_residual``, one LU solve on the piece that holds the gap).
     """
     t0, t_split = time.time(), time.perf_counter()
-    matrix = sp.csr_matrix(_as_matrix(rep))
-    # the nonzero pattern, with no cast to real: an imaginary entry is an edge
-    n_comp, comp = connected_components(matrix != 0, directed=False)
+    # a canonical copy without stored zeros: the split reads its CSR arrays
+    matrix = sp.csr_matrix(_as_matrix(rep), copy=True)
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    n_comp, comp = _components(matrix)
     sizes = np.bincount(comp)
     meta = getattr(rep, "meta", None) or {}
     perm = meta.get("symmetry")
@@ -125,10 +125,10 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
                            np.concatenate([[0]] + [b.indptr[1:] + i for b, i in zip(blocks, nnz)])),
                           shape=(dims.sum(),) * 2)
     t_solve = time.perf_counter()
-    vals, first, pieces = _piece_spectra(union, dims, dense_cap)
+    vals, owner, labels, pieces = _piece_spectra(union, dims, dense_cap)
     t_residual = time.perf_counter()
     report, win, _, _ = _kernel_and_gap(
-        vals, shift, first, lambda i, node: _piece_of(blocks[i], node), expected_kernel)
+        vals, shift, owner, lambda r, p: _piece(union, labels, p), expected_kernel)
     t_end = time.perf_counter()
     if kernel_basis is not None and len(kernel_basis) > 0:
         res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
@@ -152,8 +152,9 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
 
 
 def _checked_symmetry(matrix, perm) -> np.ndarray:
-    """The declared index symmetry, once it is an involution leaving ``matrix``
-    exactly invariant; ValueError otherwise, naming the mismatches."""
+    """The declared index symmetry, once it is an involution leaving the
+    canonical sparse ``matrix`` exactly invariant; ValueError otherwise,
+    naming the mismatches."""
     dim = matrix.shape[0]
     perm = np.asarray(perm)
     if perm.shape != (dim,) or perm.min() < 0 or perm.max() >= dim:
@@ -165,14 +166,19 @@ def _checked_symmetry(matrix, perm) -> np.ndarray:
                          f"p[p[i]] != i at {moved.size} of {dim} indices, "
                          f"largest |p[p[i]] - i| = "
                          f"{np.abs(perm[perm[moved]] - moved).max()}")
+    # row r of P A P is row p(r) of A with its columns moved by p: sorted back
+    # into canonical order it must be row r of A, entry for entry
+    rows = matrix[perm]
+    cols = perm[rows.indices.astype(np.intp)]
+    order = np.argsort(np.repeat(np.arange(dim), np.diff(rows.indptr)) * dim + cols,
+                       kind="stable")
+    if np.array_equal(rows.indptr, matrix.indptr) and np.array_equal(cols[order], matrix.indices) \
+            and np.array_equal(rows.data[order], matrix.data):
+        return perm
     image = matrix[perm][:, perm]
-    mismatched = (image != matrix).nnz
-    if mismatched:
-        raise ValueError(f"operator is not invariant under its declared "
-                         f"symmetry: {mismatched} entries of A[p][:, p] differ "
-                         f"from A, largest deviation "
-                         f"{abs(image - matrix).max():.3e}")
-    return perm
+    raise ValueError(f"operator is not invariant under its declared "
+                     f"symmetry: {(image != matrix).nnz} entries of A[p][:, p] differ "
+                     f"from A, largest deviation {abs(image - matrix).max():.3e}")
 
 
 # entry weights of the even block by the number of fixed points among its row
@@ -182,8 +188,9 @@ _EVEN_WEIGHTS = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])
 
 
 def _symmetry_blocks(matrix, comp, perm):
-    """Even and odd blocks of ``matrix`` under the involution ``perm``, per
-    connected component (or per pair of components that ``perm`` swaps).
+    """Even and odd blocks of the canonical sparse ``matrix`` under the
+    involution ``perm``, which must leave it invariant, per connected
+    component (or per pair of components that ``perm`` swaps).
 
     On the representatives r <= p(r) of a component, taken in ascending order,
     the even block is A[r][:, r] + A[r][:, p(r)] weighted by ``_EVEN_WEIGHTS``,
@@ -191,21 +198,48 @@ def _symmetry_blocks(matrix, comp, perm):
     representatives m < p(m).  Returns each block's component label and the
     nonempty blocks as sparse matrices, even before odd, in component order.
     With the identity the blocks are the components, bit for bit.
+
+    One pass over the entries of the representative rows forms every block:
+    entry (i, j, v) adds v at (i, min(j, p(j))) of its even block (2v, the
+    exact v + v, for a fixed j) and, if i and j move, v at (i, j) for j < p(j)
+    or -v at (i, p(j)) for j > p(j) of its odd block; the CSR build sums a
+    cell's two addends, as A +- B would.  Weighting each even addend first
+    keeps those bits: a fixed row has two equal addends (A[i, j] =
+    A[i, p(j)]), a fixed column a single one.
     """
-    reps = np.flatnonzero(np.arange(perm.size) <= perm)
-    group = np.minimum(comp, comp[perm])[reps]
-    order = np.argsort(group, kind="stable")
-    labels, blocks = [], []
-    for idx in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-        r = reps[idx]
-        fix = (r == perm[r]).astype(int)
-        even = (matrix[r][:, r] + matrix[r][:, perm[r]]).tocoo()
-        even.data = even.data * _EVEN_WEIGHTS[fix[even.row] + fix[even.col]]
-        m = r[fix == 0]
-        parts = [even] if not m.size else [even, matrix[m][:, m] - matrix[m][:, perm[m]]]
-        labels += [group[idx[0]]] * len(parts)
-        blocks += [sp.csr_matrix(b) for b in parts]
-    return np.array(labels), blocks
+    node = np.arange(perm.size)
+    fixed, rep = perm == node, np.minimum(node, perm)
+    group = np.minimum(comp, comp[perm])
+    reps = np.flatnonzero(node <= perm)
+    reps = reps[np.argsort(group[reps], kind="stable")]
+    new = np.concatenate(([True], group[reps][1:] != group[reps][:-1]))
+    k, head = np.cumsum(new) - 1, np.flatnonzero(new)
+    end, moving = np.append(head[1:], reps.size), ~fixed[reps]
+    ahead = np.cumsum(moving) - moving  # moving representatives ahead of each one
+    # group k holds its even block, then its odd block (its moving representatives);
+    # a fixed point takes one even node, a swapped pair one even and one odd
+    even, odd = np.empty_like(node), np.empty_like(node)
+    even[reps] = np.arange(reps.size) + ahead[head][k]
+    odd[reps] = end[k] + ahead
+    i = np.repeat(node, np.diff(matrix.indptr))
+    j, v = matrix.indices.astype(np.intp), matrix.data
+    on = i <= perm[i]
+    i, j, v = i[on], j[on], v[on]
+    fi, fj = fixed.astype(np.intp)[i], fixed.astype(np.intp)[j]
+    weight = (1 + fj) * _EVEN_WEIGHTS[fi + fj]  # exact: a factor 2 only moves the exponent
+    both = fi + fj == 0
+    union = sp.csr_matrix((np.concatenate([v * weight, np.where(j < perm[j], v, -v)[both]]),
+                           (np.concatenate([even[i], odd[i[both]]]),
+                            np.concatenate([even[rep[j]], odd[rep[j[both]]]]))),
+                          shape=(perm.size,) * 2)
+    union.eliminate_zeros()
+    dims = np.stack([end - head, np.add.reduceat(moving, head)], axis=1).ravel()
+    bounds = np.cumsum(dims)
+    p = union.indptr
+    blocks = [sp.csr_matrix((union.data[p[a]:p[b]], union.indices[p[a]:p[b]] - a,
+                             p[a:b + 1] - p[a]), shape=(b - a, b - a))
+              for a, b in zip(bounds - dims, bounds) if b > a]
+    return np.repeat(group[reps][head], 2)[dims > 0], blocks
 
 
 def _piece_spectra(union, dims, cap) -> tuple:
@@ -218,12 +252,13 @@ def _piece_spectra(union, dims, cap) -> tuple:
     subspace; one above ``cap`` raises ValueError before any eigensolve.
     Pieces of one size share a stacked ``eigvalsh``; no stack holds more
     entries than the largest piece or 256^2.  Stored zeros of ``union`` are
-    dropped.  Returns the concatenated spectra, each eigenvalue's piece as
-    its first node in the block, and the piece count and largest piece.
+    dropped.  Returns the concatenated spectra, each eigenvalue's piece
+    label, each node's piece label (``_piece`` reads a piece by its label),
+    and the piece count and largest piece.
     """
     shift = np.cumsum(dims) - dims
     union.eliminate_zeros()
-    n_pieces, piece = connected_components(union != 0, directed=False)
+    n_pieces, piece = _components(union)
     size = np.bincount(piece)
     largest = int(size.max())
     if largest > cap:
@@ -249,54 +284,50 @@ def _piece_spectra(union, dims, cap) -> tuple:
             del stack  # before the next one is allocated: peak memory is one stack
     # eigenvalue j of a piece sits on its node j; sort within each block
     vals = spectrum[slot]
-    offset = np.repeat(shift, dims)
-    order = np.lexsort((vals, offset))
-    first = np.unique(piece, return_index=True)[1][piece] - offset
-    return vals[order], first[order], {"pieces": int(n_pieces), "largest_piece": largest}
+    order = np.lexsort((vals, np.repeat(shift, dims)))
+    return vals[order], piece[order], piece, {"pieces": int(n_pieces), "largest_piece": largest}
 
 
-def _piece_of(block, node: int):
-    """The sparse piece of the sparse ``block`` that holds ``node``."""
-    _, piece = connected_components(block != 0, directed=False)
-    idx = np.flatnonzero(piece == piece[node])
-    return block[idx][:, idx]
+def _piece(union, piece, label):
+    """The sparse piece of ``union`` whose nodes carry ``label`` in ``piece``:
+    its rows, with their columns renumbered, as a component's rows reach no
+    other node."""
+    member = piece == label
+    rows = union[np.flatnonzero(member)]
+    return sp.csr_matrix((rows.data, (np.cumsum(member) - 1)[rows.indices], rows.indptr),
+                         shape=(rows.shape[0],) * 2)
 
 
 def _residual(piece, g: float, scale: float) -> float:
     """||B v - g v|| / ``scale`` for the sparse Hermitian piece B and the
-    vector v of two inverse-iteration steps at the shift g.
+    vector v of one inverse-iteration step at the shift g.
 
-    One symmetric-indefinite (Bunch-Kaufman LDL^H) factorization of B - g I,
-    of a Fortran-ordered dense copy in place; an exactly zero 1x1 pivot (g an
-    exact eigenvalue) is replaced by eps * ``scale``, as LAPACK's inverse
-    iteration does.  The residual is taken from the sparse B.  For unit v,
+    One LU solve (``np.linalg.solve``) of B - g I.  If B - g I is exactly
+    singular (g an exact eigenvalue), its diagonal moves by a further
+    eps * ``scale``, as LAPACK's inverse iteration replaces a zero pivot, and
+    v takes two steps.  The residual is taken from the sparse B.  For unit v,
     some eigenvalue of B lies within the returned value times ``scale`` of g.
     """
-    a = piece.toarray(order="F")
+    a = piece.toarray(order="F")  # the layout LAPACK reads: no transposed copy
     a[np.diag_indices_from(a)] -= g
-    factor, solve = sla.get_lapack_funcs(
-        ("hetrf", "hetrs") if np.iscomplexobj(a) else ("sytrf", "sytrs"), (a,))
-    # 32 columns of workspace: blocked, yet touching far fewer BLAS buffer
-    # pages than LAPACK's default block of 64 (or than getrf)
-    ldu, ipiv, info = factor(a, lwork=32 * len(a), overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"LDL^H factorization rejected argument {-info}")
-    zero = np.flatnonzero((ldu.diagonal() == 0) & (ipiv > 0))
-    ldu[zero, zero] = np.finfo(ldu.dtype).eps * scale
-    v = np.random.default_rng(0).standard_normal(len(ldu)).astype(ldu.dtype)
-    for _ in range(2):
-        v, info = solve(ldu, ipiv, v)
-        v /= np.linalg.norm(v)
+    v = np.random.default_rng(0).standard_normal(len(a)).astype(a.dtype)
+    try:
+        v = np.linalg.solve(a, v)
+    except np.linalg.LinAlgError:
+        a[np.diag_indices_from(a)] -= np.finfo(a.dtype).eps * scale
+        for _ in range(2):
+            v = np.linalg.solve(a, v / np.linalg.norm(v))
+    v /= np.linalg.norm(v)
     return float(np.linalg.norm(piece @ v - g * v) / scale)
 
 
-def _kernel_and_gap(vals, starts, first, piece, expected_kernel, of=None):
+def _kernel_and_gap(vals, starts, owner, piece, expected_kernel, of=None):
     """Kernel count and gap from the ascending spectra of the solved blocks,
     solved block r at ``vals[starts[r]:]``; block i has the spectrum of solved
     block ``of[i]`` (default i).  Returns the report, the first block within
     1e-14*scale of the minimum, and each block's gap and kernel count.  The
-    residual is that of the reported gap g on the sparse piece
-    ``piece(r, first[j])`` that holds it (``_residual``): no eigensolver runs
+    residual is that of the reported gap g, eigenvalue j, on the sparse piece
+    ``piece(r, owner[j])`` that holds it (``_residual``): no eigensolver runs
     again."""
     scale = max(abs(vals.max()), 1e-300)
     above = vals >= KERNEL_RTOL * scale
@@ -316,7 +347,7 @@ def _kernel_and_gap(vals, starts, first, piece, expected_kernel, of=None):
 
     win = int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])
     r = of[win]
-    residual = _residual(piece(r, first[starts[r] + solved_counts[r]]), g, scale)
+    residual = _residual(piece(r, owner[starts[r] + solved_counts[r]]), g, scale)
     return (GapReport(kernel_dim=kdim, gap=g, residual=residual, near_threshold=near),
             win, block_gaps, kernel_counts)
 
@@ -504,16 +535,12 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     per = max(1, _BATCH_NODES // dim)
     unions = [charge.union(reps[i:i + per]) for i in range(0, reps.size, per)]
     t_solve = time.perf_counter()
-    vals, first, info = zip(*(_piece_spectra(u, np.full(u.shape[0] // dim, dim), DENSE_DIM_CAP)
-                              for u in unions))
+    vals, owner, labels, info = zip(*(
+        _piece_spectra(u, np.full(u.shape[0] // dim, dim), DENSE_DIM_CAP) for u in unions))
     t_residual = time.perf_counter()
-
-    def piece(r, node):
-        a = r % per * dim
-        return _piece_of(unions[r // per][a:a + dim, a:a + dim], node)
-
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
-        np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(first), piece,
+        np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(owner),
+        lambda r, p: _piece(unions[r // per], labels[r // per], p),
         expected_kernel, of=np.searchsorted(reps, orbits.rep))
     report.solver = "blocks"
     report.elapsed = time.perf_counter() - t0

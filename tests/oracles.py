@@ -44,10 +44,10 @@ from daviesgap.davies import (SuperOperatorRep, GeneratorError, ThermalParams,
                               _component_pairs, _generator_action)
 from daviesgap.basis import _unit_solutions
 from daviesgap.dynamics import BlockPropagator
-from daviesgap.master import ChargeBlocks, _g_weight, _x_phases, block_label_of, block_labels
+from daviesgap.master import BlockLabel, ChargeBlocks, _g_weight, _x_phases, block_label_of
 from daviesgap.models import ModelSpec, lattice_symmetries
 from daviesgap.pauli import (PauliError, PauliString, PauliSum, commutes, genperm_sum,
-                             gf2_nullspace, mask_arrays)
+                             gf2_nullspace, mask_arrays, permute_masks)
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
                                 bond_pair_block)
@@ -66,6 +66,18 @@ def pauli_from_label(label: str) -> PauliString:
     x = sum(1 << j for j, c in enumerate(body) if c in "XY")
     z = sum(1 << j for j, c in enumerate(body) if c in "YZ")
     return PauliString(len(body), x, z, sign + body.count("Y"))
+
+
+def permuted(p: PauliString, perm) -> PauliString:
+    """The string with its factor on site j moved to site perm[j]."""
+    x, z = permute_masks([p.x_mask, p.z_mask], perm).tolist()
+    return PauliString(p.n, x, z, p.phase)
+
+
+def block_labels(frame) -> list:
+    """Every charge block's label, in block index order."""
+    return [BlockLabel.at(frame, i)
+            for i in range(1 << (frame.n_indep + 2 * frame.n_logical))]
 
 
 def matrix_of(frame, op) -> sp.csr_matrix:
@@ -568,10 +580,10 @@ def frequency_masks(alpha: int, coupling: PauliString, frame,
 
 
 def _reference_is_symmetry(lrep: SuperOperatorRep, perm) -> bool:
-    """``master._is_symmetry`` one string at a time with ``PauliString.permuted``."""
+    """``master._is_symmetry`` one string at a time with ``permuted``."""
     model = lrep.frame.model
     coeff = dict(zip(model.stabilizers, model.coefficients))
-    if any(coeff.get(s.permuted(perm)) != c for s, c in coeff.items()):
+    if any(coeff.get(permuted(s, perm)) != c for s, c in coeff.items()):
         return False
 
     def keys(moved):
@@ -582,12 +594,12 @@ def _reference_is_symmetry(lrep: SuperOperatorRep, perm) -> bool:
     return all(a[:3] == b[:3] and abs(a[3] - b[3]) <= freq_tol
                and math.isclose(a[4], b[4], rel_tol=1e-12)
                for a, b in zip(keys(c.coupling for c in lrep.components),
-                               keys(c.coupling.permuted(perm) for c in lrep.components)))
+                               keys(permuted(c.coupling, perm) for c in lrep.components)))
 
 
 def reference_block_orbits(lrep: SuperOperatorRep) -> tuple:
     """(generators, images, rep) of ``master.block_orbits`` one string at a
-    time: each unit string moved by ``PauliString.permuted`` and labeled by
+    time: each unit string moved by ``permuted`` and labeled by
     ``block_label_of``."""
     frame = lrep.frame
     model = frame.model
@@ -602,7 +614,7 @@ def reference_block_orbits(lrep: SuperOperatorRep) -> tuple:
     images = np.zeros((len(kept), index.size), dtype=np.int64)
     for g, perm in enumerate(kept):
         for b, unit in enumerate(units):
-            image = block_label_of(frame, unit.permuted(perm)).index
+            image = block_label_of(frame, permuted(unit, perm)).index
             images[g] ^= np.where((index >> b) & 1, image, 0)
     graph = sp.csr_matrix((np.ones(images.size),
                            (np.tile(index, len(kept)), images.ravel())),

@@ -13,12 +13,12 @@ from daviesgap.davies import (GeneratorError, ThermalParams, build_generator,
 from daviesgap.dynamics import (BlockPropagator, EvolutionError,
                                 autocorrelation, default_time_grid,
                                 fit_decay_rate, relaxation_time)
-from daviesgap.master import BlockLabel, ChargeBlocks, block_labels
+from daviesgap.master import BlockLabel, ChargeBlocks
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import analytic_bounds, certify
-from oracles import (block_basis, delta_diagonal, gram_diag, matrix_of, projected_traces,
-                     to_master)
+from oracles import (block_basis, block_labels, delta_diagonal, gram_diag, matrix_of,
+                     projected_traces, to_master)
 
 
 @pytest.fixture(scope="module")

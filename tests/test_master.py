@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
-from daviesgap.master import (BlockLabel, ChargeBlocks, XBlockSpec, block_label_of,
-                              block_labels, block_orbits, sign_flip_restriction)
+from daviesgap.master import (BlockLabel, ChargeBlocks, XBlockSpec, _components,
+                              block_label_of, block_orbits, sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
-from oracles import (block_basis, block_spectra, full_space_gap, matrix_of,
-                     reference_block_orbits, sector_index, sector_isometries, to_master,
+from oracles import (block_basis, block_labels, block_spectra, full_space_gap, matrix_of,
+                     permuted, reference_block_orbits, sector_index, sector_isometries, to_master,
                      sector_blocks as oracle_sector_blocks)
 
 
@@ -285,6 +286,66 @@ def _orbit_lrep(case):
     return build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(0.25))
 
 
+class TestComponents:
+    """``_components`` against scipy's ``connected_components``, label for label.
+    scipy counts a stored zero as an edge and drops imaginary parts, so it
+    is given the boolean pattern."""
+
+    @staticmethod
+    def _agree(matrix):
+        count, labels = _components(matrix)
+        want_count, want = connected_components(matrix != 0, directed=False)
+        assert count == want_count
+        assert np.array_equal(labels, want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_hermitian_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        m = int(rng.integers(0, 2 * n))
+        half = sp.csr_matrix((rng.standard_normal(m) + 1j * rng.standard_normal(m),
+                              (rng.integers(0, n, m), rng.integers(0, n, m))), shape=(n, n))
+        self._agree(half + half.conj().T)
+
+    def test_imaginary_couplings_are_edges(self):
+        # nodes 0-1 and 2-3 coupled only through purely imaginary entries
+        a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
+        a[0, 1], a[1, 0], a[2, 3], a[3, 2] = 1j, -1j, 2j, -2j
+        matrix = sp.csr_matrix(a)
+        self._agree(matrix)
+        assert _components(matrix)[1].tolist() == [0, 0, 1, 1, 2]
+
+    def test_isolated_nodes_empty_rows_and_stored_zeros(self):
+        # rows 1, 4 and 6 are empty, node 5 only has a stored zero
+        rows, cols = np.array([0, 2, 3, 5, 7, 7]), np.array([2, 0, 7, 3, 3, 7])
+        data = np.array([1.0, 1.0, 2.0, 0.0, 2.0, 3.0])
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(8, 8))
+        assert matrix.nnz == 6  # the zero at (5, 3) is stored
+        self._agree(matrix)
+        count, labels = _components(matrix)
+        assert (count, labels.tolist()) == (6, [0, 1, 0, 2, 3, 4, 5, 2])
+        self._agree(sp.csr_matrix((8, 8)))
+
+    @pytest.mark.parametrize("case", ["ring6", "torus2"])
+    def test_directed_orbit_image_graphs(self, case):
+        orbits = block_orbits(_orbit_lrep(case))
+        n_gen, size = orbits.images.shape
+        # block i -> its image under each generator: one direction only
+        graph = sp.csr_matrix((np.ones(orbits.images.size),
+                               (np.tile(np.arange(size), n_gen), orbits.images.ravel())),
+                              shape=(size, size))
+        self._agree(graph)
+
+    def test_path_of_2000_nodes(self):
+        # the longest diameter: in order, and relabeled at random
+        n = 2000
+        order = np.random.default_rng(11).permutation(n)
+        for nodes in (np.arange(n), order):
+            path = sp.csr_matrix((np.ones(n - 1), (nodes[:-1], nodes[1:])), shape=(n, n))
+            self._agree(path)
+            assert _components(path)[0] == 1
+
+
 class TestBlockOrbits:
     def test_label_index_is_inventory_order(self, ising4_frame, toric2_frame):
         for frame in (ising4_frame, toric2_frame):
@@ -338,7 +399,7 @@ class TestBlockOrbits:
             start = block_label_of(frame, p).index
             for g, perm in enumerate(orbits.generators):
                 assert orbits.images[g, start] \
-                    == block_label_of(frame, p.permuted(perm)).index, p.to_label()
+                    == block_label_of(frame, permuted(p, perm)).index, p.to_label()
 
 
 class TestMixedUnitEigenaction:

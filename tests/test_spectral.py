@@ -25,7 +25,7 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 gap_from_blocks, lemma1_check, lemma2_bound,
                                 lemma3_bound, sweep, write_sweep_csv,
                                 _piece_spectra, _symmetry_blocks)
-from oracles import (block_spectra, commutant_basis, dense_gap, full_space_gap,
+from oracles import (block_labels, block_spectra, commutant_basis, dense_gap, full_space_gap,
                      iterative_gap, kron_chain_hamiltonian, to_master,
                      unreduced_block_gap)
 
@@ -326,7 +326,7 @@ class TestBondPairChain:
         couplings = [PauliString.single(4, j, "X") for j in range(1, 4)]
         lrep = build_generator(ising4, couplings=couplings, tp=tp,
                                frame=ising4_frame)
-        from daviesgap.master import ChargeBlocks, block_labels
+        from daviesgap.master import ChargeBlocks
         label = next(l for l in block_labels(ising4_frame)
                      if l.flip == 0 and l.sector == "I")
         sub = 0.5 * ChargeBlocks(lrep).block(label).toarray()  # chain blocks carry 1/2
@@ -419,7 +419,7 @@ class TestLemmaCheckers:
         tp = ThermalParams.from_betaJ(0.4)
         reduced = [PauliString.single(4, j, "X") for j in range(1, 4)]
         boundary = [PauliString.single(4, 0, "X")]
-        from daviesgap.master import ChargeBlocks, block_labels
+        from daviesgap.master import ChargeBlocks
         label = next(l for l in block_labels(ising4_frame)
                      if l.flip == 0 and l.sector == "Z")
         a = ChargeBlocks(build_generator(
@@ -582,12 +582,12 @@ class TestPieceSpectra:
     @pytest.mark.parametrize("name", list(PIECE_MODELS))
     def test_pieces_match_whole_blocks(self, name, betaJ):
         lrep = build_generator(PIECE_MODELS[name](), tp=ThermalParams.from_betaJ(betaJ))
-        labels = master.block_labels(lrep.frame)
+        labels = block_labels(lrep.frame)
         reps = np.unique(block_orbits(lrep).rep)
         charge = master.ChargeBlocks(lrep)
-        vals, first, info = _piece_spectra(charge.union(reps),
-                                           np.full(reps.size, labels[0].dim),
-                                           spectral.DENSE_DIM_CAP)
+        vals, _, _, info = _piece_spectra(charge.union(reps),
+                                          np.full(reps.size, labels[0].dim),
+                                          spectral.DENSE_DIM_CAP)
         want = block_spectra(lrep)[reps]
         scale = np.abs(want).max()
         assert np.abs(vals.reshape(want.shape) - want).max() <= 1e-12 * scale
