@@ -3,10 +3,10 @@
 The gap of a positive semidefinite operator is its smallest eigenvalue above
 the kernel.  Both gap paths split the operator exactly into invariant sparse
 blocks and solve them densely on their pieces (``_piece_spectra``), under one
-size limit, the dense cap on a piece: ``gap`` the connected components of
-its nonzero pattern, each folded into its even and odd blocks under an
-involutive index symmetry the operator declares (the bond chain splits by
-parity, then by reversal), ``gap_from_blocks`` the charge blocks of a
+size limit, the dense cap on a piece: ``gap`` the operator folded into its
+even and odd blocks under an involutive index symmetry it declares (the bond
+chain folds under reversal, and its pieces are the parity halves of both
+blocks), ``gap_from_blocks`` the charge blocks of a
 generator, one block per lattice-symmetry orbit.  Each piece is factored by
 one eigensolver call only: the gap's residual comes from one step of inverse
 iteration, one LU solve, on the piece that holds it, shifted by the gap.
@@ -27,7 +27,7 @@ from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
 from .master import BlockLabel, ChargeBlocks, _components, block_orbits
-from .models import ModelSpec
+from .models import ModelSpec, build_ising_ring, build_toric_code
 from .pauli import commutant_dimension
 
 DENSE_DIM_CAP = 4096
@@ -89,46 +89,37 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
         seed: int = 0) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of a PSD operator.
 
-    The operator splits exactly into the connected components of its nonzero
-    pattern.  An operator may declare an involutive index symmetry p,
+    An operator may declare an involutive index symmetry p,
     ``meta["symmetry"]`` (the bond chain declares bit reversal), under which
-    it must be exactly invariant, ``A[p][:, p] == A``; each component then
-    splits again into its even and odd blocks under p (``_symmetry_blocks``).
-    Without a declared symmetry p is the identity and the blocks are the
-    components.  The blocks are solved on their pieces (``_piece_spectra``);
-    one above ``dense_cap`` raises ValueError before any eigensolve.
+    it must be exactly invariant, ``A[p][:, p] == A``; the operator then
+    folds, in one step, into its even and odd blocks under p (``_fold``).
+    Without a declared symmetry p is the identity and the fold is the
+    operator itself.  The folded operator is solved on its pieces, the
+    connected components of its nonzero pattern (``_piece_spectra``); one
+    above ``dense_cap`` raises ValueError before any eigensolve.
     Eigenvalues below KERNEL_RTOL times the largest one count as kernel.
     Every vector v of ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL *
     lambda_max * ||v||, checked on the whole operator.  ``seed`` is unused.
-    ``extras`` counts the components, symmetry blocks and pieces and gives
-    the dimensions of the largest ones and of those holding the gap;
-    ``stages`` gives the seconds of the split (components, symmetry fold and
-    their block-diagonal union), of the piece eigensolve and of the gap's
-    residual (``_residual``, one LU solve on the piece that holds the gap).
+    ``extras`` counts the pieces and gives the dimensions of the largest one
+    and of the one holding the gap; ``stages`` gives the seconds of the
+    symmetry fold, of the piece eigensolve and of the gap's residual
+    (``_residual``, one LU solve on the piece that holds the gap).
     """
     t0, t_split = time.time(), time.perf_counter()
-    # a canonical copy without stored zeros: the split reads its CSR arrays
+    # a canonical copy without stored zeros: the fold reads its CSR arrays
     matrix = sp.csr_matrix(_as_matrix(rep), copy=True)
     matrix.sum_duplicates()
     matrix.eliminate_zeros()
-    n_comp, comp = _components(matrix)
-    sizes = np.bincount(comp)
+    n = matrix.shape[0]
     meta = getattr(rep, "meta", None) or {}
     perm = meta.get("symmetry")
-    perm = np.arange(len(comp)) if perm is None else _checked_symmetry(matrix, perm)
-    group, blocks = _symmetry_blocks(matrix, comp, perm)
-    # the block-diagonal union from CSR arrays: sp.block_diag goes through COO
-    dims = np.array([b.shape[0] for b in blocks])
-    shift, nnz = np.cumsum(dims) - dims, np.cumsum([0] + [b.nnz for b in blocks])
-    union = sp.csr_matrix((np.concatenate([b.data for b in blocks]),
-                           np.concatenate([b.indices + i for b, i in zip(blocks, shift)]),
-                           np.concatenate([[0]] + [b.indptr[1:] + i for b, i in zip(blocks, nnz)])),
-                          shape=(dims.sum(),) * 2)
+    perm = np.arange(n) if perm is None else _checked_symmetry(matrix, perm)
+    union = _fold(matrix, perm)
     t_solve = time.perf_counter()
-    vals, owner, labels, pieces = _piece_spectra(union, dims, dense_cap)
+    vals, owner, labels, pieces = _piece_spectra(union, [n], dense_cap)
     t_residual = time.perf_counter()
-    report, win, _, _ = _kernel_and_gap(
-        vals, shift, owner, lambda r, p: _piece(union, labels, p), expected_kernel)
+    report, *_ = _kernel_and_gap(
+        vals, [0], owner, lambda r, p: _piece(union, labels, p), expected_kernel)
     t_end = time.perf_counter()
     if kernel_basis is not None and len(kernel_basis) > 0:
         res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
@@ -139,12 +130,8 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
                 f"kernel_basis vector {worst} has ||A v|| / (lambda_max ||v||) "
                 f"= {res[worst]:.3e}, above {KERNEL_RTOL:g}")
     report.elapsed = time.time() - t0
-    report.extras.update({"components": int(n_comp),
-                          "largest_component": int(sizes.max()),
-                          "min_component_dim": int(sizes[group[win]]),
-                          "symmetry_blocks": len(blocks),
-                          "largest_block": int(dims.max()),
-                          "min_block_dim": int(dims[win]), **pieces,
+    holder = owner[report.kernel_dim]  # the piece of the first eigenvalue above the kernel
+    report.extras.update({**pieces, "min_piece_dim": int(np.count_nonzero(labels == holder)),
                           "stages": {"split_s": t_solve - t_split,
                                      "eigensolve_s": t_residual - t_solve,
                                      "residual_s": t_end - t_residual}})
@@ -157,6 +144,9 @@ def _checked_symmetry(matrix, perm) -> np.ndarray:
     naming the mismatches."""
     dim = matrix.shape[0]
     perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu":
+        raise ValueError(f"declared symmetry must be an integer index array, "
+                         f"not {perm.dtype}")
     if perm.shape != (dim,) or perm.min() < 0 or perm.max() >= dim:
         raise ValueError(f"declared symmetry must map the {dim} indices into "
                          f"range(0, {dim})")
@@ -187,59 +177,41 @@ def _checked_symmetry(matrix, perm) -> np.ndarray:
 _EVEN_WEIGHTS = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])
 
 
-def _symmetry_blocks(matrix, comp, perm):
-    """Even and odd blocks of the canonical sparse ``matrix`` under the
-    involution ``perm``, which must leave it invariant, per connected
-    component (or per pair of components that ``perm`` swaps).
+def _fold(matrix, perm):
+    """The even and odd blocks of the canonical sparse ``matrix`` under the
+    involution ``perm``, which must leave it invariant, as one block-diagonal
+    sparse matrix of the same dimension, possibly with stored zeros.
 
-    On the representatives r <= p(r) of a component, taken in ascending order,
-    the even block is A[r][:, r] + A[r][:, p(r)] weighted by ``_EVEN_WEIGHTS``,
-    and the odd block is A[m][:, m] - A[m][:, p(m)] on the moving
-    representatives m < p(m).  Returns each block's component label and the
-    nonempty blocks as sparse matrices, even before odd, in component order.
-    With the identity the blocks are the components, bit for bit.
+    The even block, A[r][:, r] + A[r][:, p(r)] weighted by ``_EVEN_WEIGHTS``,
+    comes first, on all representatives r <= p(r) in ascending order; the odd
+    block, A[m][:, m] - A[m][:, p(m)], follows on the moving representatives
+    m < p(m).  With the identity the result is ``matrix``, bit for bit.
 
-    One pass over the entries of the representative rows forms every block:
-    entry (i, j, v) adds v at (i, min(j, p(j))) of its even block (2v, the
+    One pass over the entries of the representative rows forms both blocks:
+    entry (i, j, v) adds v at (i, min(j, p(j))) of the even block (2v, the
     exact v + v, for a fixed j) and, if i and j move, v at (i, j) for j < p(j)
-    or -v at (i, p(j)) for j > p(j) of its odd block; the CSR build sums a
+    or -v at (i, p(j)) for j > p(j) of the odd block; the CSR build sums a
     cell's two addends, as A +- B would.  Weighting each even addend first
     keeps those bits: a fixed row has two equal addends (A[i, j] =
     A[i, p(j)]), a fixed column a single one.
     """
     node = np.arange(perm.size)
     fixed, rep = perm == node, np.minimum(node, perm)
-    group = np.minimum(comp, comp[perm])
-    reps = np.flatnonzero(node <= perm)
-    reps = reps[np.argsort(group[reps], kind="stable")]
-    new = np.concatenate(([True], group[reps][1:] != group[reps][:-1]))
-    k, head = np.cumsum(new) - 1, np.flatnonzero(new)
-    end, moving = np.append(head[1:], reps.size), ~fixed[reps]
-    ahead = np.cumsum(moving) - moving  # moving representatives ahead of each one
-    # group k holds its even block, then its odd block (its moving representatives);
+    reps, moving = node <= perm, node < perm
     # a fixed point takes one even node, a swapped pair one even and one odd
-    even, odd = np.empty_like(node), np.empty_like(node)
-    even[reps] = np.arange(reps.size) + ahead[head][k]
-    odd[reps] = end[k] + ahead
+    even = np.cumsum(reps) - 1
+    odd = np.count_nonzero(reps) + np.cumsum(moving) - 1
     i = np.repeat(node, np.diff(matrix.indptr))
     j, v = matrix.indices.astype(np.intp), matrix.data
-    on = i <= perm[i]
+    on = reps[i]
     i, j, v = i[on], j[on], v[on]
     fi, fj = fixed.astype(np.intp)[i], fixed.astype(np.intp)[j]
     weight = (1 + fj) * _EVEN_WEIGHTS[fi + fj]  # exact: a factor 2 only moves the exponent
     both = fi + fj == 0
-    union = sp.csr_matrix((np.concatenate([v * weight, np.where(j < perm[j], v, -v)[both]]),
-                           (np.concatenate([even[i], odd[i[both]]]),
-                            np.concatenate([even[rep[j]], odd[rep[j[both]]]]))),
-                          shape=(perm.size,) * 2)
-    union.eliminate_zeros()
-    dims = np.stack([end - head, np.add.reduceat(moving, head)], axis=1).ravel()
-    bounds = np.cumsum(dims)
-    p = union.indptr
-    blocks = [sp.csr_matrix((union.data[p[a]:p[b]], union.indices[p[a]:p[b]] - a,
-                             p[a:b + 1] - p[a]), shape=(b - a, b - a))
-              for a, b in zip(bounds - dims, bounds) if b > a]
-    return np.repeat(group[reps][head], 2)[dims > 0], blocks
+    return sp.csr_matrix((np.concatenate([v * weight, np.where(j < perm[j], v, -v)[both]]),
+                          (np.concatenate([even[i], odd[i[both]]]),
+                           np.concatenate([even[rep[j]], odd[rep[j[both]]]]))),
+                         shape=(perm.size,) * 2)
 
 
 def _piece_spectra(union, dims, cap) -> tuple:
@@ -625,7 +597,6 @@ def sweep(model_kind: str, sizes, betaJs, coupling: float = 1.0,
 
 
 def build_ising_or_toric(kind: str, size: int, coupling: float = 1.0) -> ModelSpec:
-    from .models import build_ising_ring, build_toric_code
     if kind == "ising":
         return build_ising_ring(size, coupling)
     if kind == "toric":

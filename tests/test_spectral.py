@@ -8,7 +8,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import connected_components
 
 import daviesgap.master as master
 import daviesgap.spectral as spectral
@@ -24,7 +23,7 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 bond_pair_block, certify, gap,
                                 gap_from_blocks, lemma1_check, lemma2_bound,
                                 lemma3_bound, sweep, write_sweep_csv,
-                                _piece_spectra, _symmetry_blocks)
+                                _fold, _piece_spectra)
 from oracles import (block_labels, block_spectra, commutant_basis, dense_gap, full_space_gap,
                      iterative_gap, kron_chain_hamiltonian, to_master,
                      unreduced_block_gap)
@@ -87,23 +86,19 @@ class TestGap:
         a = sp.block_diag(blocks).toarray()[np.ix_(perm, perm)]
         r = gap(a)
         want = dense_gap(a)
-        assert r.extras["components"] == 6
-        assert r.extras["largest_component"] == 6
-        block_gaps = [min(np.linalg.eigvalsh(b)[1:], default=np.inf) for b in blocks]
-        assert r.extras["min_component_dim"] == len(blocks[int(np.argmin(block_gaps))])
+        assert r.extras["pieces"] == 6
+        assert r.extras["largest_piece"] == 6
+        assert r.extras["min_piece_dim"] == 3
         assert r.kernel_dim == want.kernel_dim == 6
         assert abs(r.gap - want.gap) < 1e-12 * want.gap
         assert r.near_threshold[1] == r.gap
         assert r.residual < 1e-12
-        # with no declared symmetry the blocks are the components, bit for bit,
-        # and the gap is the one the unfolded component solve gives
+        # with no declared symmetry the fold is the canonical matrix, bit for
+        # bit, and the gap is the one the unfolded piece solve gives
         matrix = sp.csr_matrix(a)
-        _, comp = connected_components(matrix != 0, directed=False)
-        _, folded = _symmetry_blocks(matrix, comp, np.arange(len(a)))
-        for c, b in enumerate(folded):
-            idx = np.flatnonzero(comp == c)
-            assert np.array_equal(b.toarray(), a[np.ix_(idx, idx)])
-        assert r.extras["symmetry_blocks"] == 6
+        folded = _fold(matrix, np.arange(len(a)))
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(folded, name), getattr(matrix, name))
         assert repr(r.gap) == "0.45994350876813767"
 
     def test_chain_splits_by_parity_and_checks_its_kernel(self):
@@ -111,22 +106,20 @@ class TestGap:
         for n in range(3, 13):
             r = gap(abelian_chain_hamiltonian(n, tp),
                     kernel_basis=abelian_chain_kernel(n, tp.gamma))
-            assert r.extras["components"] == 2
-            assert r.extras["largest_component"] == 1 << (n - 1)
-            assert r.extras["min_component_dim"] == 1 << (n - 1)
             assert r.kernel_dim == 2 and r.solver == "dense"
-            # bit reversal splits each parity component into its even and odd
-            # blocks; the palindromes are its fixed points
+            # bit reversal folds the chain into its even and odd blocks, and
+            # their pieces are the parity halves; the palindromes are its
+            # fixed points
             palindromes = [1 << (n // 2), 0] if n % 2 == 0 else [1 << (n // 2)] * 2
             dims = {(1 << (n - 1)) + k * f for f in palindromes for k in (1, -1)}
-            assert r.extras["symmetry_blocks"] == 4
-            assert r.extras["largest_block"] == max(dims) // 2
-            assert 2 * r.extras["min_block_dim"] in dims
+            assert r.extras["pieces"] == 4
+            assert r.extras["largest_piece"] == max(dims) // 2
+            assert 2 * r.extras["min_piece_dim"] in dims
             if n <= 9:
                 unfolded = gap(abelian_chain_hamiltonian(n, tp).matrix)
-                assert unfolded.extras["symmetry_blocks"] == 2
+                assert unfolded.extras["pieces"] == 2
                 assert abs(r.gap - unfolded.gap) < 1e-12 * unfolded.gap
-        assert r.extras["largest_block"] == 1056
+        assert r.extras["largest_piece"] == 1056
 
     def test_chain_from_labels_matches_kron_sum(self):
         for betaJ in (0.0, 0.35, 1.0):
@@ -155,6 +148,26 @@ class TestGap:
         shift = dataclasses.replace(chain, meta={"symmetry": np.roll(np.arange(64), 1)})
         with pytest.raises(ValueError, match=r"not an involution: .* at 64 of 64"):
             gap(shift)
+        reversal = chain.meta["symmetry"]
+        with pytest.raises(ValueError, match=r"integer index array, not float64"):
+            gap(dataclasses.replace(chain, meta={"symmetry": reversal.astype(float)}))
+
+    def test_symmetry_may_be_a_list_of_ints(self):
+        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        as_list = dataclasses.replace(chain, meta={"symmetry": chain.meta["symmetry"].tolist()})
+        assert gap(as_list).gap == gap(chain).gap
+
+    def test_gap_runs_one_components_pass(self, monkeypatch):
+        calls = []
+        real_components = spectral._components
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real_components(matrix)
+
+        monkeypatch.setattr(spectral, "_components", counting)
+        gap(abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35)))
+        assert len(calls) == 1
 
     def test_perturbed_kernel_vector_raises(self):
         tp = ThermalParams.from_betaJ(0.35)
@@ -621,9 +634,9 @@ class TestPieceSpectra:
         assert (r.extras["pieces"], r.extras["largest_piece"]) == (3, 1)
         chain = abelian_chain_hamiltonian(12, ThermalParams.from_betaJ(0.35))
         r = gap(chain)
-        # the chain's folded blocks do not split further
-        assert r.extras["pieces"] == r.extras["symmetry_blocks"] == 4
-        assert r.extras["largest_piece"] == r.extras["largest_block"] == 1056
+        # the parity halves of the even and odd blocks
+        assert r.extras["pieces"] == 4
+        assert r.extras["largest_piece"] == 1056
         assert set(r.extras["stages"]) == {"split_s", "eigensolve_s", "residual_s"}
 
     def test_torus_assembles_only_its_representatives(self, monkeypatch):
