@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import StabilizerFrame, build_frame
 from .models import ModelSpec
@@ -80,7 +79,7 @@ class JumpComponent:
     A masked generalized permutation: S_alpha(w)|u> = weights[u] |u ^ flip>,
     with weights[u] the coupling's phase where the image state's stabilizer
     signs give frequency w, and 0 elsewhere.  ``matrix`` builds it as a
-    sparse matrix on request.
+    ``master.SparseMatrix`` on request.
     """
 
     coupling_index: int
@@ -91,12 +90,11 @@ class JumpComponent:
     weights: np.ndarray
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self):
+        from .master import SparseMatrix  # master imports this module
+
         u = np.arange(self.weights.size)
-        m = sp.csr_matrix((self.weights, (u ^ self.flip, u)),
-                          shape=(u.size, u.size))
-        m.eliminate_zeros()
-        return m
+        return SparseMatrix.from_entries((u.size, u.size), u ^ self.flip, u, self.weights)
 
 
 @dataclass
@@ -107,10 +105,13 @@ class SuperOperatorRep:
     ``liouville_matrix`` materializes it in the matrix-unit basis over the
     stabilizer eigenbasis, where it is self-adjoint for the beta-weighted
     inner product carried by `rho` (not entrywise Hermitian).  space
-    'hilbert-schmidt': the matrix is Hermitian positive semidefinite.
+    'hilbert-schmidt': the matrix is Hermitian positive semidefinite, a dense
+    array or a ``master.SparseMatrix``; any object with ``toarray()`` and
+    ``tocoo()``, such as a scipy.sparse matrix, reads the same (``dense``,
+    ``spectral.gap``).
     """
 
-    matrix: object             # scipy sparse, ndarray, or None (liouville)
+    matrix: object             # ndarray, SparseMatrix or alike, or None (liouville)
     space: str                 # 'liouville' | 'hilbert-schmidt'
     beta: float
     frame: StabilizerFrame | None = None
@@ -122,7 +123,7 @@ class SuperOperatorRep:
         m = self.matrix
         if m is None:
             raise GeneratorError("no matrix held; liouville_matrix(rep) builds -L")
-        return m.toarray() if sp.issparse(m) else np.asarray(m)
+        return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
 
 
 def default_couplings(model: ModelSpec, letters: str = None) -> list:
@@ -215,15 +216,19 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
               "thermal": thermal_provenance(tp)})
 
 
-def liouville_matrix(rep: SuperOperatorRep) -> sp.csr_matrix:
-    """-L as a sparse 4^n x 4^n matrix on column-major vectorized operators."""
+def liouville_matrix(rep: SuperOperatorRep):
+    """-L as a scipy.sparse 4^n x 4^n CSR matrix on column-major vectorized
+    operators."""
+    import scipy.sparse as sp  # the full-space oracle: no other runtime path loads it
+
     if rep.space != "liouville":
         raise GeneratorError("liouville_matrix expects a Liouville-space generator")
     dim = rep.frame.dim
     ident = sp.identity(dim, format="csr", dtype=complex)
     neg_l = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for comp in rep.components:
-        a = comp.matrix
+        m = comp.matrix
+        a = sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
         ad = a.conj().T.tocsr()
         ada = (ad @ a).tocsr()
         # column-major vec:  vec(PXQ) = (Q^T kron P) vec(X)

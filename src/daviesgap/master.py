@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import StabilizerFrame, _unit_solutions
 from .davies import SuperOperatorRep, GeneratorError
@@ -184,33 +183,106 @@ def block_orbits(lrep: SuperOperatorRep) -> BlockOrbits:
     for g, perm in enumerate(kept):
         image = _block_index(frame, *permute_masks(units, perm))
         images[g] = np.bitwise_xor.reduce(bits * image[:, None], axis=0)
-    graph = sp.csr_matrix((np.ones(images.size),
-                           (np.tile(index, len(kept)), images.ravel())),
-                          shape=(index.size, index.size))
-    orbit = _components(graph)[1]
+    orbit = _components(index.size, np.tile(index, len(kept)), images.ravel())[1]
     first = np.unique(orbit, return_index=True)[1]
     return BlockOrbits(generators=kept, images=images, rep=first[orbit])
 
 
-def _components(matrix) -> tuple:
-    """The connected components of the nonzero pattern of the square sparse
-    ``matrix``: their count and each node's label.  An imaginary entry is an
-    edge and a directed pattern counts as undirected.  Labels are numbered by
-    each component's smallest node, as ``scipy.sparse.csgraph`` numbers them.
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A sparse matrix in canonical coordinate form: its entries sorted by
+    row, then column, one per cell and none zero.
 
-    Min-label hooking with pointer jumping over the CSR arrays: each node
-    first hooks onto the least node of its row, if smaller; then each round
-    jumps every node to its root, the smallest node of its tree, and hooks
-    the larger root of every edge that still joins two trees onto the other."""
-    csr = sp.csr_matrix(matrix)
-    if not csr.data.all():  # a stored zero is no edge
-        csr = csr.copy()
-        csr.eliminate_zeros()
-    node, length = np.arange(csr.shape[0]), np.diff(csr.indptr)
-    a, b = np.repeat(node, length), csr.indices.astype(np.intp)
-    root, rows = node.copy(), np.flatnonzero(length)
-    if rows.size:
-        root[rows] = np.minimum(rows, np.minimum.reduceat(b, csr.indptr[rows]))
+    ``from_entries`` builds it from any entry list; ``of`` from a dense
+    array or any object with ``tocoo()``.  Construct it directly only from
+    arrays already in this form.
+    """
+
+    shape: tuple
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_entries(cls, shape, row, col, data) -> "SparseMatrix":
+        """The entries (row[i], col[i], data[i]), the duplicates of one cell
+        summed one after another in their input order, zeros dropped."""
+        shape = tuple(int(d) for d in shape)
+        row, col = (np.asarray(x, dtype=np.int64).ravel() for x in (row, col))
+        data = np.asarray(data).ravel()
+        if row.size and (min(row.min(), col.min()) < 0 or row.max() >= shape[0]
+                         or col.max() >= shape[1]):
+            raise ValueError(f"entry index outside the shape {shape}")
+        key = row * shape[1] + col
+        if key.size and (key[1:] < key[:-1]).any():
+            if shape[0] * shape[1] <= np.iinfo(np.int64).max // key.size:
+                # the input position breaks ties: the fast sort keeps each cell's order
+                order = np.argsort(key * key.size + np.arange(key.size))
+            else:
+                order = np.argsort(key, kind="stable")
+            key, data = key[order], data[order]
+        new = _new_run(key)
+        if not new.all():
+            cell = np.cumsum(new) - 1
+            key, summed = key[new], data[new]
+            np.add.at(summed, cell[~new], data[~new])
+            data = summed
+        keep = data != 0
+        return cls(shape, key[keep] // shape[1], key[keep] % shape[1], data[keep])
+
+    @classmethod
+    def of(cls, matrix) -> "SparseMatrix":
+        """``matrix`` itself, or the canonical form of a 2-d array or of any
+        object with ``tocoo()``, such as a scipy.sparse matrix."""
+        if isinstance(matrix, cls):
+            return matrix
+        if hasattr(matrix, "tocoo"):
+            coo = matrix.tocoo()
+            return cls.from_entries(coo.shape, coo.row, coo.col, coo.data)
+        dense = np.asarray(matrix)
+        if dense.ndim != 2:
+            raise ValueError(f"need a 2-d matrix, got shape {dense.shape}")
+        row, col = np.nonzero(dense)
+        return cls(dense.shape, row, col, dense[row, col])
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self, order: str = "C") -> np.ndarray:
+        """The dense matrix; each entry is added onto a zero, so a -0.0 part
+        of a complex entry reads +0.0, as in scipy's."""
+        dense = np.zeros(self.shape, dtype=self.data.dtype, order=order)
+        dense[self.row, self.col] += self.data
+        return dense
+
+    def tocoo(self) -> "SparseMatrix":
+        return self
+
+    def __matmul__(self, vector) -> np.ndarray:
+        """The matrix times a vector, each row summed in column order."""
+        vector = np.asarray(vector)
+        if vector.shape != self.shape[1:]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by shape {vector.shape}")
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, vector))
+        np.add.at(out, self.row, self.data * vector[self.col])
+        return out
+
+
+def _components(n: int, a, b) -> tuple:
+    """The connected components of the undirected graph on ``n`` nodes with
+    the edges (a[i], b[i]): their count and each node's label.  Labels are
+    numbered by each component's smallest node, as ``scipy.sparse.csgraph``
+    numbers them.
+
+    Min-label hooking with pointer jumping: each node first hooks onto the
+    least node it has an edge to, if smaller; then each round jumps every
+    node to its root, the smallest node of its tree, and hooks the larger
+    root of every edge that still joins two trees onto the other."""
+    node = np.arange(n)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    root = node.copy()
+    np.minimum.at(root, a, b)
     while True:
         jumped = root[root]
         while not np.array_equal(jumped, root):
@@ -360,18 +432,15 @@ class ChargeBlocks:
             data[sector[heads], 1 + g] = -(p + moved.conj())
         return data.reshape(len(deltas), -1)[:, self._order]
 
-    def sector_matrix(self, flip: int, mu: int) -> sp.csr_matrix:
-        """K on the sector's matrix units, with no stored zeros."""
+    def sector_matrix(self, flip: int, mu: int) -> SparseMatrix:
+        """K on the sector's matrix units."""
         slots, delta = 1 << self.frame.n_logical, np.array([self.frame.state_index(flip, mu)])
         data = np.concatenate([self._sector_data(delta, slot)[0] for slot in range(slots)])
-        slot, keep = np.repeat(np.arange(slots) << self.frame.n_indep, self._key.size), data != 0
-        m = sp.csr_matrix((data[keep], ((np.tile(self._rows, slots) ^ slot)[keep],
-                                        (np.tile(self._cols, slots) ^ slot)[keep])),
-                          shape=(self._u.size,) * 2)
-        m.eliminate_zeros()
-        return m
+        slot = np.repeat(np.arange(slots) << self.frame.n_indep, self._key.size)
+        return SparseMatrix.from_entries((self._u.size,) * 2, np.tile(self._rows, slots) ^ slot,
+                                         np.tile(self._cols, slots) ^ slot, data)
 
-    def union(self, index) -> sp.csr_matrix:
+    def union(self, index) -> SparseMatrix:
         """The blocks W[nu]^dag K_delta W[nu] with block indices
         ``index``, in that order, as one block-diagonal sparse matrix.
 
@@ -419,12 +488,10 @@ class ChargeBlocks:
         if (np.diff(by) < 0).any():  # index not grouped by sector: put the rows in order
             order = np.argsort(rows, kind="stable")
             data, rows, cols = data[order], rows[order], cols[order]
-        return sp.csr_matrix(
-            (data if data.imag.any() else data.real.copy(), cols,
-             np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=index.size * nk))])),
-            shape=(index.size * nk,) * 2)
+        return SparseMatrix((index.size * nk,) * 2, rows, cols,
+                            data if data.imag.any() else data.real.copy())
 
-    def block(self, label: BlockLabel) -> sp.csr_matrix:
+    def block(self, label: BlockLabel) -> SparseMatrix:
         return self.union([label.index])
 
 
@@ -493,6 +560,11 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     identities are verified entry by entry, on the sparse forms, on every
     sector of the fine block and must hold to ``atol``.
     """
+    import scipy.sparse as sp  # the checks' sparse algebra: no other runtime path loads it
+
+    def csr(m: SparseMatrix):
+        return sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
+
     frame = lrep.frame
     model = frame.model
     if model.kind != "toric" or model.partition is None:
@@ -513,14 +585,14 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     parts = []
     for p, snake in enumerate(_snake_strings(frame)):
         label = block_label_of(frame, snake * x_mu)
-        signed_block = signed.block(label)
+        signed_block = csr(signed.block(label))
         b_p = signed_block[::n_star, ::n_star].toarray()
         parts.append(b_p)
         if not check:
             continue
-        target = charge.sector_matrix(label.flip ^ moved.flip, label.mu ^ moved.mu)
+        target = csr(charge.sector_matrix(label.flip ^ moved.flip, label.mu ^ moved.mu))
         defect = abs(target[perm][:, perm] @ sp.diags(phi)
-                     - sp.diags(phi) @ signed.sector_matrix(label.flip, label.mu)).max()
+                     - sp.diags(phi) @ csr(signed.sector_matrix(label.flip, label.mu))).max()
         if defect > atol:
             raise GeneratorError(f"sign-flip intertwining defect {defect:.3e} exceeds "
                                  f"{atol:.1e} (plaquette flip {p})")

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # Largest site count for which matrices are materialized (2**14 = 16384).
 MATRIX_SITE_CAP = 14
@@ -112,8 +111,8 @@ class PauliString:
             n_y += bits == (1, 1)
         return _PHASE_LABELS[(self.phase - n_y) % 4] + "".join(letters)
 
-    def matrix(self) -> sp.csr_matrix:
-        """Sparse 2**n matrix; exactly 2**n nonzeros."""
+    def matrix(self):
+        """Sparse 2**n matrix (a ``master.SparseMatrix``); exactly 2**n nonzeros."""
         return PauliSum(self.n, [(1.0, self)]).matrix()
 
     def _columns(self):
@@ -182,47 +181,29 @@ class PauliSum:
                 raise PauliError("coefficient not real times a Pauli phase")
         return tuple(out)
 
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        return PauliSum(self.n, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return PauliSum(self.n, list(self.terms) + [(-c, op) for c, op in other.terms])
-
-    def __mul__(self, other) -> "PauliSum":
-        if isinstance(other, PauliString):
-            other = PauliSum(self.n, [(1.0, other)])
-        prods = [(ca * cb, oa * ob)
-                 for ca, oa in self.terms for cb, ob in other.terms]
-        return PauliSum(self.n, prods)
-
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(self.n, [(c, op.adjoint()) for c, op in self.terms])
-
     def __repr__(self):
         body = " ".join(f"{c:+g}*{op.to_label()}" for c, op in self.terms[:6])
         more = "..." if len(self.terms) > 6 else ""
         return f"PauliSum[{body}{more}]"
 
-    def matrix(self) -> sp.csr_matrix:
-        """One COO build over every term's entries, duplicates summed."""
+    def matrix(self):
+        """One build over every term's entries, duplicates summed (``genperm_sum``)."""
         if self.n > MATRIX_SITE_CAP:
             raise PauliError(f"n={self.n} exceeds matrix cap {MATRIX_SITE_CAP}")
         return genperm_sum(1 << self.n, [(c, *op._columns()) for c, op in self.terms])
 
 
-def genperm_sum(dim: int, terms) -> sp.csr_matrix:
-    """sum_t c_t P_t for (c_t, perm_t, phase_t), P_t|u> = phase_t[u] |perm_t[u]>.
-
-    One COO build over all terms, duplicates summed and exact zeros dropped.
+def genperm_sum(dim: int, terms):
+    """sum_t c_t P_t for (c_t, perm_t, phase_t), P_t|u> = phase_t[u] |perm_t[u]>,
+    as a ``master.SparseMatrix``: one build over all terms, duplicates summed
+    in term order and exact zeros dropped.
     """
+    from .master import SparseMatrix  # master imports this module
+
     rows = np.array([perm for _, perm, _ in terms], dtype=np.int64).reshape(-1)
     vals = np.array([c * phase for c, _, phase in terms], dtype=complex).reshape(-1)
     cols = np.tile(np.arange(dim), len(terms))
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    m.eliminate_zeros()
-    return m
+    return SparseMatrix.from_entries((dim, dim), rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +312,9 @@ def commutant_dimension(generators, hamiltonian) -> int:
 # ---------------------------------------------------------------------------
 
 def write_coo_text(matrix, path) -> None:
-    """Dump a sparse matrix as 'dim nnz' header plus 'row col re im' lines."""
-    m = sp.coo_matrix(matrix)
+    """Dump a sparse matrix, anything with ``tocoo()``, as 'dim nnz' header
+    plus 'row col re im' lines."""
+    m = matrix.tocoo()
     with open(path, "w") as fh:
         fh.write(f"{m.shape[0]} {m.nnz}\n")
         for r, c, v in zip(m.row, m.col, m.data):

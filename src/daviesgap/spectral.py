@@ -21,12 +21,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
-from .master import BlockLabel, ChargeBlocks, _components, block_orbits
+from .master import BlockLabel, ChargeBlocks, SparseMatrix, _components, block_orbits
 from .models import ModelSpec, build_ising_ring, build_toric_code
 from .pauli import commutant_dimension
 
@@ -89,6 +88,11 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
         seed: int = 0) -> GapReport:
     """Kernel dimension and smallest nonzero eigenvalue of a PSD operator.
 
+    ``rep`` is a square operator: a dense array, a ``SparseMatrix``, any
+    object with ``tocoo()`` (a scipy.sparse matrix, read without importing
+    scipy) or a Hilbert-Schmidt ``SuperOperatorRep`` holding one.  It is read
+    in the canonical form of ``SparseMatrix.of``; an operator that is not a
+    square matrix raises ValueError, naming its shape, before any solve.
     An operator may declare an involutive index symmetry p,
     ``meta["symmetry"]`` (the bond chain declares bit reversal), under which
     it must be exactly invariant, ``A[p][:, p] == A``; the operator then
@@ -106,11 +110,10 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     (``_residual``, one LU solve on the piece that holds the gap).
     """
     t0, t_split = time.time(), time.perf_counter()
-    # a canonical copy without stored zeros: the fold reads its CSR arrays
-    matrix = sp.csr_matrix(_as_matrix(rep), copy=True)
-    matrix.sum_duplicates()
-    matrix.eliminate_zeros()
+    matrix = SparseMatrix.of(_as_matrix(rep))
     n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"gap needs a square operator, got shape {matrix.shape}")
     meta = getattr(rep, "meta", None) or {}
     perm = meta.get("symmetry")
     perm = np.arange(n) if perm is None else _checked_symmetry(matrix, perm)
@@ -147,6 +150,7 @@ def _checked_symmetry(matrix, perm) -> np.ndarray:
     if perm.dtype.kind not in "iu":
         raise ValueError(f"declared symmetry must be an integer index array, "
                          f"not {perm.dtype}")
+    perm = perm.astype(np.int64, copy=False)
     if perm.shape != (dim,) or perm.min() < 0 or perm.max() >= dim:
         raise ValueError(f"declared symmetry must map the {dim} indices into "
                          f"range(0, {dim})")
@@ -156,19 +160,19 @@ def _checked_symmetry(matrix, perm) -> np.ndarray:
                          f"p[p[i]] != i at {moved.size} of {dim} indices, "
                          f"largest |p[p[i]] - i| = "
                          f"{np.abs(perm[perm[moved]] - moved).max()}")
-    # row r of P A P is row p(r) of A with its columns moved by p: sorted back
-    # into canonical order it must be row r of A, entry for entry
-    rows = matrix[perm]
-    cols = perm[rows.indices.astype(np.intp)]
-    order = np.argsort(np.repeat(np.arange(dim), np.diff(rows.indptr)) * dim + cols,
-                       kind="stable")
-    if np.array_equal(rows.indptr, matrix.indptr) and np.array_equal(cols[order], matrix.indices) \
-            and np.array_equal(rows.data[order], matrix.data):
+    # P A P moves entry (i, j) of A to (p(i), p(j)): sorted back into canonical
+    # order its entries must be those of A, entry for entry
+    row, col = perm[matrix.row], perm[matrix.col]
+    order = np.argsort(row * dim + col)
+    if np.array_equal(row[order], matrix.row) and np.array_equal(col[order], matrix.col) \
+            and np.array_equal(matrix.data[order], matrix.data):
         return perm
-    image = matrix[perm][:, perm]
+    diff = SparseMatrix.from_entries(matrix.shape, np.concatenate([row, matrix.row]),
+                                     np.concatenate([col, matrix.col]),
+                                     np.concatenate([matrix.data, -matrix.data]))
     raise ValueError(f"operator is not invariant under its declared "
-                     f"symmetry: {(image != matrix).nnz} entries of A[p][:, p] differ "
-                     f"from A, largest deviation {abs(image - matrix).max():.3e}")
+                     f"symmetry: {diff.nnz} entries of A[p][:, p] differ "
+                     f"from A, largest deviation {abs(diff.data).max():.3e}")
 
 
 # entry weights of the even block by the number of fixed points among its row
@@ -177,10 +181,10 @@ def _checked_symmetry(matrix, perm) -> np.ndarray:
 _EVEN_WEIGHTS = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])
 
 
-def _fold(matrix, perm):
-    """The even and odd blocks of the canonical sparse ``matrix`` under the
-    involution ``perm``, which must leave it invariant, as one block-diagonal
-    sparse matrix of the same dimension, possibly with stored zeros.
+def _fold(matrix: SparseMatrix, perm) -> SparseMatrix:
+    """The even and odd blocks of ``matrix`` under the involution ``perm``,
+    which must leave it invariant, as one block-diagonal matrix of the same
+    dimension.
 
     The even block, A[r][:, r] + A[r][:, p(r)] weighted by ``_EVEN_WEIGHTS``,
     comes first, on all representatives r <= p(r) in ascending order; the odd
@@ -190,7 +194,7 @@ def _fold(matrix, perm):
     One pass over the entries of the representative rows forms both blocks:
     entry (i, j, v) adds v at (i, min(j, p(j))) of the even block (2v, the
     exact v + v, for a fixed j) and, if i and j move, v at (i, j) for j < p(j)
-    or -v at (i, p(j)) for j > p(j) of the odd block; the CSR build sums a
+    or -v at (i, p(j)) for j > p(j) of the odd block; ``from_entries`` sums a
     cell's two addends, as A +- B would.  Weighting each even addend first
     keeps those bits: a fixed row has two equal addends (A[i, j] =
     A[i, p(j)]), a fixed column a single one.
@@ -201,36 +205,33 @@ def _fold(matrix, perm):
     # a fixed point takes one even node, a swapped pair one even and one odd
     even = np.cumsum(reps) - 1
     odd = np.count_nonzero(reps) + np.cumsum(moving) - 1
-    i = np.repeat(node, np.diff(matrix.indptr))
-    j, v = matrix.indices.astype(np.intp), matrix.data
+    i, j, v = matrix.row, matrix.col, matrix.data
     on = reps[i]
     i, j, v = i[on], j[on], v[on]
     fi, fj = fixed.astype(np.intp)[i], fixed.astype(np.intp)[j]
     weight = (1 + fj) * _EVEN_WEIGHTS[fi + fj]  # exact: a factor 2 only moves the exponent
     both = fi + fj == 0
-    return sp.csr_matrix((np.concatenate([v * weight, np.where(j < perm[j], v, -v)[both]]),
-                          (np.concatenate([even[i], odd[i[both]]]),
-                           np.concatenate([even[rep[j]], odd[rep[j[both]]]]))),
-                         shape=(perm.size,) * 2)
+    odd_v = np.where(j < perm[j], v, -v)[both]
+    return SparseMatrix.from_entries((perm.size,) * 2, np.concatenate([even[i], odd[i[both]]]),
+                                     np.concatenate([even[rep[j]], odd[rep[j[both]]]]),
+                                     np.concatenate([v * weight, odd_v]))
 
 
-def _piece_spectra(union, dims, cap) -> tuple:
-    """The ascending spectrum of each block of the sparse block-diagonal
-    ``union``, whose diagonal blocks have dimensions ``dims``, solved on
-    their pieces.
+def _piece_spectra(union: SparseMatrix, dims, cap) -> tuple:
+    """The ascending spectrum of each block of the block-diagonal ``union``,
+    whose diagonal blocks have dimensions ``dims``, solved on their pieces.
 
     A piece, a connected component of the nonzero pattern (an imaginary entry
     is an edge) with its nodes in ascending order, is an exact invariant
     subspace; one above ``cap`` raises ValueError before any eigensolve.
     Pieces of one size share a stacked ``eigvalsh``; no stack holds more
-    entries than the largest piece or 256^2.  Stored zeros of ``union`` are
-    dropped.  Returns the concatenated spectra, each eigenvalue's piece
-    label, each node's piece label (``_piece`` reads a piece by its label),
-    and the piece count and largest piece.
+    entries than the largest piece or 256^2.  Returns the concatenated
+    spectra, each eigenvalue's piece label, each node's piece label
+    (``_piece`` reads a piece by its label), and the piece count and largest
+    piece.
     """
     shift = np.cumsum(dims) - dims
-    union.eliminate_zeros()
-    n_pieces, piece = _components(union)
+    n_pieces, piece = _components(union.shape[0], union.row, union.col)
     size = np.bincount(piece)
     largest = int(size.max())
     if largest > cap:
@@ -239,16 +240,15 @@ def _piece_spectra(union, dims, cap) -> tuple:
     # nodes by piece size, then piece: the nodes of each piece in ascending order
     nodes = np.lexsort((piece, size[piece]))
     slot = np.argsort(nodes)
-    entries = union.tocoo()
-    order = np.argsort(slot[entries.row], kind="stable")
-    row, col, data = slot[entries.row][order], slot[entries.col][order], entries.data[order]
+    order = np.argsort(slot[union.row], kind="stable")
+    row, col, data = slot[union.row][order], slot[union.col][order], union.data[order]
     spectrum, a = np.empty(nodes.size), 0
     for d, count in zip(*np.unique(size, return_counts=True)):
         per = max(1, max(largest, 256) ** 2 // d ** 2)  # few calls for small pieces
         for c in range(0, count, per):
             b = a + min(per, count - c) * d
             lo, hi = np.searchsorted(row, [a, b])
-            stack = np.zeros(((b - a) // d, d, d), dtype=union.dtype)
+            stack = np.zeros(((b - a) // d, d, d), dtype=data.dtype)
             stack[(row[lo:hi] - a) // d, (row[lo:hi] - a) % d, (col[lo:hi] - a) % d] = data[lo:hi]
             if np.iscomplexobj(stack) and not stack.imag.any():
                 stack = stack.real
@@ -260,17 +260,17 @@ def _piece_spectra(union, dims, cap) -> tuple:
     return vals[order], piece[order], piece, {"pieces": int(n_pieces), "largest_piece": largest}
 
 
-def _piece(union, piece, label):
-    """The sparse piece of ``union`` whose nodes carry ``label`` in ``piece``:
-    its rows, with their columns renumbered, as a component's rows reach no
-    other node."""
+def _piece(union: SparseMatrix, piece, label) -> SparseMatrix:
+    """The piece of ``union`` whose nodes carry ``label`` in ``piece``: its
+    rows, with their rows and columns renumbered, as a component's rows reach
+    no other node."""
     member = piece == label
-    rows = union[np.flatnonzero(member)]
-    return sp.csr_matrix((rows.data, (np.cumsum(member) - 1)[rows.indices], rows.indptr),
-                         shape=(rows.shape[0],) * 2)
+    keep, index = member[union.row], np.cumsum(member) - 1
+    return SparseMatrix((int(member.sum()),) * 2, index[union.row[keep]],
+                        index[union.col[keep]], union.data[keep])
 
 
-def _residual(piece, g: float, scale: float) -> float:
+def _residual(piece: SparseMatrix, g: float, scale: float) -> float:
     """||B v - g v|| / ``scale`` for the sparse Hermitian piece B and the
     vector v of one inverse-iteration step at the shift g.
 
@@ -382,7 +382,7 @@ def abelian_chain_hamiltonian(n: int, tp: ThermalParams) -> SuperOperatorRep:
     rows = np.concatenate([index, np.repeat(index, n - 1)])
     cols = np.concatenate([index, flipped.ravel()])
     data = np.concatenate([diagonal, np.where(plus | minus, -gamma / d, -0.5).ravel()])
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(1 << n, 1 << n))
+    matrix = SparseMatrix.from_entries((1 << n, 1 << n), rows, cols, data)
     reversal = sum(((index >> j) & 1) << (n - 1 - j) for j in range(n))
     return SuperOperatorRep(matrix=matrix, space="hilbert-schmidt", beta=tp.beta,
                             meta={"chain_bonds": n, "gamma": gamma,
@@ -407,7 +407,7 @@ def abelian_chain_kernel(n: int, gamma: float) -> list:
 
 def _dense_of(rep) -> np.ndarray:
     m = _as_matrix(rep)
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
+    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
 
 
 def lemma1_check(rep, g: float) -> bool:

@@ -27,8 +27,9 @@ frame matrix ``matrix_of``, the operator-space positions ``sector_index`` of
 a charge sector, the dense charge-sector isometries
 ``sector_isometries``, one coupling's generator action ``apply_component``,
 the operator-space diagonals ``gram_diag`` and ``delta_diagonal``, the
-label parser ``pauli_from_label`` and the reader ``read_coo_text`` of the
-coordinate-text export.
+label parser ``pauli_from_label``, the ``PauliSum`` algebra (``sum_add``,
+``sum_sub``, ``sum_mul``, ``sum_adjoint``), the reader ``read_coo_text`` of the
+coordinate-text export and ``csr``, which takes any matrix into scipy.
 """
 
 import math
@@ -44,13 +45,23 @@ from daviesgap.davies import (SuperOperatorRep, GeneratorError, ThermalParams,
                               _component_pairs, _generator_action)
 from daviesgap.basis import _unit_solutions
 from daviesgap.dynamics import BlockPropagator
-from daviesgap.master import BlockLabel, ChargeBlocks, _g_weight, _x_phases, block_label_of
+from daviesgap.master import (BlockLabel, ChargeBlocks, SparseMatrix, _g_weight, _x_phases,
+                              block_label_of)
 from daviesgap.models import ModelSpec, lattice_symmetries
 from daviesgap.pauli import (PauliError, PauliString, PauliSum, commutes, genperm_sum,
                              gf2_nullspace, mask_arrays, permute_masks)
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
                                 bond_pair_block)
+
+
+def csr(matrix) -> sp.csr_matrix:
+    """A dense array, ``SparseMatrix`` or scipy matrix as scipy CSR: the one
+    route by which the tests take the package's matrices into scipy algebra."""
+    if hasattr(matrix, "tocoo"):
+        m = matrix.tocoo()
+        return sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
+    return sp.csr_matrix(matrix)
 
 
 def pauli_from_label(label: str) -> PauliString:
@@ -68,6 +79,25 @@ def pauli_from_label(label: str) -> PauliString:
     return PauliString(len(body), x, z, sign + body.count("Y"))
 
 
+def sum_add(a: PauliSum, b: PauliSum) -> PauliSum:
+    return PauliSum(a.n, list(a.terms) + list(b.terms))
+
+
+def sum_sub(a: PauliSum, b: PauliSum) -> PauliSum:
+    return PauliSum(a.n, list(a.terms) + [(-c, op) for c, op in b.terms])
+
+
+def sum_mul(a: PauliSum, b) -> PauliSum:
+    """The product a * b of a PauliSum and a PauliSum or PauliString."""
+    if isinstance(b, PauliString):
+        b = PauliSum(a.n, [(1.0, b)])
+    return PauliSum(a.n, [(ca * cb, oa * ob) for ca, oa in a.terms for cb, ob in b.terms])
+
+
+def sum_adjoint(a: PauliSum) -> PauliSum:
+    return PauliSum(a.n, [(c, op.adjoint()) for c, op in a.terms])
+
+
 def permuted(p: PauliString, perm) -> PauliString:
     """The string with its factor on site j moved to site perm[j]."""
     x, z = permute_masks([p.x_mask, p.z_mask], perm).tolist()
@@ -80,8 +110,8 @@ def block_labels(frame) -> list:
             for i in range(1 << (frame.n_indep + 2 * frame.n_logical))]
 
 
-def matrix_of(frame, op) -> sp.csr_matrix:
-    """op in the frame's eigenbasis: one COO build of sum_c c * genperm over its terms."""
+def matrix_of(frame, op) -> SparseMatrix:
+    """op in the frame's eigenbasis: one build of sum_c c * genperm over its terms."""
     terms = op.terms if isinstance(op, PauliSum) else [(1.0, op)]
     perm, phase = frame.genperm_of(*mask_arrays(p for _, p in terms))
     return genperm_sum(frame.dim, list(zip((c for c, _ in terms), perm, phase)))
@@ -225,7 +255,7 @@ class MasterHamiltonian:
         """Materialize one positive-frequency summand of K."""
         comp = self.components[i]
         eta = math.exp(-self.rep.beta * comp.omega / 2.0)
-        return _g_weight(comp.rate, comp.omega) * _component_k(comp.matrix, eta)
+        return _g_weight(comp.rate, comp.omega) * _component_k(csr(comp.matrix), eta)
 
     def kernel_residual(self) -> float:
         v = self.kernel_witness
@@ -244,7 +274,7 @@ def to_master(lrep: SuperOperatorRep) -> MasterHamiltonian:
     comps = [c for c in lrep.components if c.omega >= -1e-12]
     for comp in comps:
         eta = math.exp(-lrep.beta * comp.omega / 2.0)
-        k = k + _g_weight(comp.rate, comp.omega) * _component_k(comp.matrix, eta)
+        k = k + _g_weight(comp.rate, comp.omega) * _component_k(csr(comp.matrix), eta)
 
     witness = np.zeros(dim * dim, dtype=complex)
     witness[np.arange(dim) * (dim + 1)] = np.sqrt(lrep.rho)
@@ -317,7 +347,7 @@ def unreduced_block_gap(lrep: SuperOperatorRep, expected_kernel=None) -> GapRepo
 
 def dense_gap(matrix) -> GapReport:
     """Kernel dimension and gap from one ``eigh`` of the whole matrix."""
-    dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
+    dense = csr(matrix).toarray()
     if np.abs(dense.imag).max(initial=0.0) < 1e-14:
         dense = dense.real
     vals, vecs = np.linalg.eigh(dense)
@@ -347,8 +377,7 @@ def iterative_gap(matrix, kernel_basis=None, seed=0, n_eigs=8) -> GapReport:
     agree on the gap, and non-convergence is raised.
     """
     dim = matrix.shape[0]
-    if not sp.issparse(matrix):
-        matrix = sp.csr_matrix(matrix)
+    matrix = csr(matrix)
     maxiter = int(10 * math.sqrt(dim)) + 200
     # a seeded start: the norm sets sigma, so an unseeded one would change
     # the gap's last bits from call to call
@@ -460,8 +489,8 @@ class JumpOperatorSet:
         """Terms left after subtracting the coupling from the component sum."""
         total = PauliSum(self.coupling.n, [])
         for _, op in self.components:
-            total = total + op
-        return len((total - PauliSum(self.coupling.n, [(1.0, self.coupling)])).terms)
+            total = sum_add(total, op)
+        return len(sum_sub(total, PauliSum(self.coupling.n, [(1.0, self.coupling)])).terms)
 
 
 def fourier_decompose(coupling: PauliString, model: ModelSpec,
@@ -511,7 +540,7 @@ def fourier_decompose(coupling: PauliString, model: ModelSpec,
 
 def masked_permutation(matrix) -> tuple:
     """(d, s) with matrix |u> = s_u |u ^ d>; raises unless that is its shape."""
-    m = sp.csc_matrix(matrix)
+    m = csr(matrix).tocsc()
     m.eliminate_zeros()
     counts = np.diff(m.indptr)
     if counts.max(initial=0) > 1:

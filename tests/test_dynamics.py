@@ -17,7 +17,7 @@ from daviesgap.master import BlockLabel, ChargeBlocks
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import analytic_bounds, certify
-from oracles import (block_basis, block_labels, delta_diagonal, gram_diag, matrix_of,
+from oracles import (block_basis, block_labels, csr, delta_diagonal, gram_diag, matrix_of,
                      projected_traces, to_master)
 
 
@@ -214,7 +214,7 @@ class TestAutocorrelation:
     def test_bond_string_mean_rejected(self, ising3, ising3_rep):
         # Z0 Z1 is a stabilizer (flip 0, sector I), with a nonzero Gibbs mean
         bond = PauliString.from_sites(3, "Z", [0, 1])
-        mean = np.sum(ising3_rep.rho * matrix_of(ising3_rep.frame, bond).diagonal())
+        mean = np.sum(ising3_rep.rho * csr(matrix_of(ising3_rep.frame, bond)).diagonal())
         assert abs(mean) > 1e-3
         with pytest.raises(GeneratorError,
                            match=re.escape(f"Gibbs mean {mean:.3e}, expected 0")):

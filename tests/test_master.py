@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import daviesgap.master as master_module
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
-from daviesgap.master import (BlockLabel, ChargeBlocks, XBlockSpec, _components,
+from daviesgap.master import (BlockLabel, ChargeBlocks, SparseMatrix, XBlockSpec, _components,
                               block_label_of, block_orbits, sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
-from oracles import (block_basis, block_labels, block_spectra, full_space_gap, matrix_of,
+from oracles import (block_basis, block_labels, block_spectra, csr, full_space_gap, matrix_of,
                      permuted, reference_block_orbits, sector_index, sector_isometries, to_master,
                      sector_blocks as oracle_sector_blocks)
 
@@ -235,6 +236,7 @@ class TestDirectAssembly:
                  (charge.union(reps), sp.block_diag([want[r] for r in reps], format="csr"))]
         pairs += zip((charge.block(label) for label in block_labels(frame)), want)
         for got, ref in pairs:
+            got = csr(got)
             assert got.dtype == ref.dtype
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field))
@@ -250,7 +252,8 @@ class TestDirectAssembly:
         index = np.random.default_rng(5).permutation(len(block_labels(frame)))[:12]
         split = 3 << (2 * frame.n_logical)  # the first and the last block of one sector
         index = np.concatenate([[split], index, index[:3], [split + (1 << frame.n_logical) - 1]])
-        want = sp.block_diag([charge.block(BlockLabel.at(frame, i)) for i in index], format="csr")
+        want = sp.block_diag([csr(charge.block(BlockLabel.at(frame, i))) for i in index],
+                             format="csr")
         formed = []
         sector_data = ChargeBlocks._sector_data
 
@@ -259,7 +262,7 @@ class TestDirectAssembly:
             return sector_data(self, deltas, slot)
 
         monkeypatch.setattr(ChargeBlocks, "_sector_data", recording)
-        got = charge.union(index)
+        got = csr(charge.union(index))
         assert got.dtype == want.dtype
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
@@ -275,7 +278,7 @@ class TestDirectAssembly:
         charge, frame = ChargeBlocks(toric_x_lrep, signs=signs), toric_x_lrep.frame
         want = [b for flip in range(1 << frame.n_indep) for mu in range(1 << frame.n_logical)
                 for b in oracle_sector_blocks(charge, flip, mu)]
-        got = charge.union(np.arange(len(want)))
+        got = csr(charge.union(np.arange(len(want))))
         ref = sp.block_diag(want, format="csr")
         assert got.dtype == ref.dtype
         for field in ("indptr", "indices", "data"):
@@ -286,34 +289,141 @@ def _orbit_lrep(case):
     return build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(0.25))
 
 
+_VALUES = {  # exact zeros, exact cancellations and entries of any size
+    "real": st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]),
+                      st.floats(-1e6, 1e6, allow_subnormal=False)),
+    "complex": st.one_of(st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, 0.1 - 0.1j]),
+                         st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                            allow_infinity=False, allow_subnormal=False)),
+}
+
+
+@st.composite
+def _entry_lists(draw, max_entries):
+    """(shape, row, col, data) of up to ``max_entries`` entries on a small
+    shape, so that most cells repeat."""
+    kind = draw(st.sampled_from(sorted(_VALUES)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    entries = draw(st.lists(st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1),
+                                      _VALUES[kind]), max_size=max_entries))
+    row, col = (np.array([e[i] for e in entries], dtype=np.int64) for i in (0, 1))
+    data = np.array([e[2] for e in entries], dtype=complex if kind == "complex" else float)
+    return shape, row, col, data
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSparseMatrix:
+    """``SparseMatrix.from_entries`` against scipy's CSR build and, for rows
+    of any length, against a loop that sums each cell in input order.
+    scipy sorts each row with an unstable sort, which keeps the input order
+    of equal cells only in rows of at most 16 entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_entry_lists(16), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy_bit_for_bit(self, entries, seed):
+        shape, row, col, data = entries
+        got = SparseMatrix.from_entries(shape, row, col, data)
+        want = sp.csr_matrix((data, (row, col)), shape=shape)
+        want.sum_duplicates()
+        want.eliminate_zeros()
+        want = want.tocoo()
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert _same_bits(got.row, want.row.astype(np.int64))
+        assert _same_bits(got.col, want.col.astype(np.int64))
+        assert _same_bits(got.data, want.data)
+        assert _same_bits(got.toarray(), want.toarray())
+        assert _same_bits(got.toarray(order="F"), want.toarray(order="F"))
+        # a real product is one rounding, as in scipy; scipy's complex product
+        # may fuse its multiply-add, so complex ones agree to a few roundings
+        rng = np.random.default_rng(seed)
+        for v in (rng.standard_normal(shape[1]),
+                  rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1])):
+            product, reference = got @ v, want.tocsr() @ v
+            if not np.iscomplexobj(reference):
+                assert _same_bits(product, reference)
+            bound = 16 * np.finfo(float).eps * (abs(want.tocsr()) @ abs(v))
+            assert product.dtype == reference.dtype
+            assert (abs(product - reference) <= bound).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=_entry_lists(60))
+    def test_sums_each_cell_in_input_order(self, entries):
+        shape, row, col, data = entries
+        cells = {}
+        for r, c, v in zip(row.tolist(), col.tolist(), data):
+            cells[r, c] = cells[r, c] + v if (r, c) in cells else v
+        keys = sorted(key for key, v in cells.items() if v != 0)
+        got = SparseMatrix.from_entries(shape, row, col, data)
+        assert got.row.tolist() == [r for r, _ in keys]
+        assert got.col.tolist() == [c for _, c in keys]
+        assert _same_bits(got.data, np.array([cells[key] for key in keys], dtype=data.dtype))
+        assert got.tocoo() is got and SparseMatrix.of(got) is got
+
+    def test_large_shape_keeps_the_input_order(self):
+        # keys near 2^62: a tie-breaking position would overflow, so a stable
+        # sort orders the entries; (1 + 1e16) - 1e16 is 0 in input order
+        big = 1 << 31
+        m = SparseMatrix.from_entries((big, big), [big - 1, 0, big - 1, big - 1, 0],
+                                      [5, big - 1, 5, 5, 3], [1.0, 2.0, 1e16, -1e16, 3.0])
+        assert (m.row.tolist(), m.col.tolist(), m.data.tolist()) == ([0, 0], [3, big - 1],
+                                                                     [3.0, 2.0])
+
+    def test_dense_and_scipy_inputs_and_bad_shapes(self):
+        a = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -0.0]])
+        for given_matrix in (a, sp.csr_matrix(a), sp.coo_matrix(a)):
+            m = SparseMatrix.of(given_matrix)
+            assert m.shape == (2, 3) and m.row.tolist() == [0, 1] and m.col.tolist() == [1, 0]
+            assert _same_bits(m.toarray(), a + 0.0)
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            SparseMatrix.of(np.ones(3))
+        with pytest.raises(ValueError, match="outside the shape"):
+            SparseMatrix.from_entries((2, 2), [0, 2], [0, 0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="cannot multiply"):
+            SparseMatrix.of(a) @ np.ones(2)
+
+
 class TestComponents:
-    """``_components`` against scipy's ``connected_components``, label for label.
-    scipy counts a stored zero as an edge and drops imaginary parts, so it
-    is given the boolean pattern."""
+    """``_components`` against scipy's ``connected_components``, label for label,
+    on edge lists: directed, repeated and self-loop edges, and the edges of a
+    matrix's canonical ``SparseMatrix`` form (no stored zero, imaginary entries
+    kept).  scipy counts a stored zero as an edge and drops imaginary parts, so
+    a matrix is given to it as its boolean pattern."""
 
     @staticmethod
-    def _agree(matrix):
-        count, labels = _components(matrix)
-        want_count, want = connected_components(matrix != 0, directed=False)
+    def _agree(n, a, b, pattern=None):
+        count, labels = _components(n, a, b)
+        if pattern is None:
+            pattern = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        want_count, want = connected_components(pattern, directed=False)
         assert count == want_count
         assert np.array_equal(labels, want)
+        return count, labels
+
+    def _agree_matrix(self, matrix):
+        m = SparseMatrix.of(matrix)
+        return self._agree(m.shape[0], m.row, m.col, pattern=matrix != 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_hermitian_patterns(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 400))
         m = int(rng.integers(0, 2 * n))
+        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
         half = sp.csr_matrix((rng.standard_normal(m) + 1j * rng.standard_normal(m),
-                              (rng.integers(0, n, m), rng.integers(0, n, m))), shape=(n, n))
-        self._agree(half + half.conj().T)
+                              (rows, cols)), shape=(n, n))
+        self._agree_matrix(half + half.conj().T)
+        self._agree(n, rows, cols)  # the raw half: directed, repeats and self loops
 
     def test_imaginary_couplings_are_edges(self):
         # nodes 0-1 and 2-3 coupled only through purely imaginary entries
         a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
         a[0, 1], a[1, 0], a[2, 3], a[3, 2] = 1j, -1j, 2j, -2j
         matrix = sp.csr_matrix(a)
-        self._agree(matrix)
-        assert _components(matrix)[1].tolist() == [0, 0, 1, 1, 2]
+        assert self._agree_matrix(matrix)[1].tolist() == [0, 0, 1, 1, 2]
 
     def test_isolated_nodes_empty_rows_and_stored_zeros(self):
         # rows 1, 4 and 6 are empty, node 5 only has a stored zero
@@ -321,29 +431,24 @@ class TestComponents:
         data = np.array([1.0, 1.0, 2.0, 0.0, 2.0, 3.0])
         matrix = sp.csr_matrix((data, (rows, cols)), shape=(8, 8))
         assert matrix.nnz == 6  # the zero at (5, 3) is stored
-        self._agree(matrix)
-        count, labels = _components(matrix)
+        count, labels = self._agree_matrix(matrix)
         assert (count, labels.tolist()) == (6, [0, 1, 0, 2, 3, 4, 5, 2])
-        self._agree(sp.csr_matrix((8, 8)))
+        self._agree_matrix(sp.csr_matrix((8, 8)))
+        self._agree(8, [], [])
 
     @pytest.mark.parametrize("case", ["ring6", "torus2"])
     def test_directed_orbit_image_graphs(self, case):
         orbits = block_orbits(_orbit_lrep(case))
         n_gen, size = orbits.images.shape
         # block i -> its image under each generator: one direction only
-        graph = sp.csr_matrix((np.ones(orbits.images.size),
-                               (np.tile(np.arange(size), n_gen), orbits.images.ravel())),
-                              shape=(size, size))
-        self._agree(graph)
+        self._agree(size, np.tile(np.arange(size), n_gen), orbits.images.ravel())
 
     def test_path_of_2000_nodes(self):
         # the longest diameter: in order, and relabeled at random
         n = 2000
         order = np.random.default_rng(11).permutation(n)
         for nodes in (np.arange(n), order):
-            path = sp.csr_matrix((np.ones(n - 1), (nodes[:-1], nodes[1:])), shape=(n, n))
-            self._agree(path)
-            assert _components(path)[0] == 1
+            assert self._agree(n, nodes[:-1], nodes[1:])[0] == 1
 
 
 class TestBlockOrbits:

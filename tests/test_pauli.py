@@ -6,7 +6,7 @@ import pytest
 from daviesgap.pauli import (PauliString, PauliSum, PauliError, commutes,
                              commutant_dimension, gf2_nullspace, gf2_rank,
                              gf2_solve, write_coo_text)
-from oracles import pauli_from_label, permuted, read_coo_text
+from oracles import csr, pauli_from_label, permuted, read_coo_text, sum_mul
 
 X = PauliString.single(1, 0, "X")
 Y = PauliString.single(1, 0, "Y")
@@ -178,7 +178,7 @@ class TestPauliSum:
         rng = np.random.default_rng(2)
         a = PauliSum(2, [(0.5, random_string(rng, 2)), (-1.5, random_string(rng, 2))])
         b = PauliSum(2, [(2.0, random_string(rng, 2)), (0.25, random_string(rng, 2))])
-        assert np.allclose((a * b).matrix().toarray(),
+        assert np.allclose(sum_mul(a, b).matrix().toarray(),
                            a.matrix().toarray() @ b.matrix().toarray())
 
 
@@ -252,8 +252,8 @@ class TestGF2:
 
 class TestCooText(object):
     def test_roundtrip(self, tmp_path):
-        m = (pauli_from_label("+XZ").matrix()
-             + 0.5j * pauli_from_label("+YI").matrix())
+        m = (csr(pauli_from_label("+XZ").matrix())
+             + 0.5j * csr(pauli_from_label("+YI").matrix()))
         path = tmp_path / "m.coo"
         write_coo_text(m, path)
         header = path.read_text().splitlines()[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 gap_from_blocks, lemma1_check, lemma2_bound,
                                 lemma3_bound, sweep, write_sweep_csv,
                                 _fold, _piece_spectra)
-from oracles import (block_labels, block_spectra, commutant_basis, dense_gap, full_space_gap,
+from oracles import (block_labels, block_spectra, commutant_basis, csr, dense_gap, full_space_gap,
                      iterative_gap, kron_chain_hamiltonian, to_master,
                      unreduced_block_gap)
 
@@ -96,7 +97,7 @@ class TestGap:
         # with no declared symmetry the fold is the canonical matrix, bit for
         # bit, and the gap is the one the unfolded piece solve gives
         matrix = sp.csr_matrix(a)
-        folded = _fold(matrix, np.arange(len(a)))
+        folded = csr(_fold(master.SparseMatrix.of(a), np.arange(len(a))))
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(folded, name), getattr(matrix, name))
         assert repr(r.gap) == "0.45994350876813767"
@@ -126,7 +127,7 @@ class TestGap:
             tp = ThermalParams.from_betaJ(betaJ)
             for n in range(3, 13):
                 chain = abelian_chain_hamiltonian(n, tp)
-                a, want = chain.matrix, kron_chain_hamiltonian(n, tp.gamma)
+                a, want = csr(chain.matrix), kron_chain_hamiltonian(n, tp.gamma)
                 assert ((a != 0) != (want != 0)).nnz == 0
                 # relative to the largest entry: the kron sum rounds once per
                 # pair, and the diagonal grows with n
@@ -140,7 +141,7 @@ class TestGap:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
         chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
-        perturbed = chain.matrix.copy()
+        perturbed = csr(chain.matrix)
         perturbed[0, 3] += 1e-9  # flips bonds 4 and 5; its mirror flips 0 and 1
         with pytest.raises(ValueError, match=r"2 entries of A\[p\]\[:, p\] differ "
                                              r"from A, largest deviation 1\.000e-09"):
@@ -152,6 +153,29 @@ class TestGap:
         with pytest.raises(ValueError, match=r"integer index array, not float64"):
             gap(dataclasses.replace(chain, meta={"symmetry": reversal.astype(float)}))
 
+    @pytest.mark.parametrize("operator", [np.eye(3)[:2], np.ones(3)])
+    def test_operator_that_is_not_square_raises_before_solving(self, monkeypatch, operator):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(ValueError, match=re.escape(f"shape {operator.shape}")):
+            gap(operator)
+
+    def test_input_types_give_the_same_bits(self):
+        # the label-built chain, with and without its symmetry, and the kron
+        # sum (whose entries differ in the last bits), each as a SparseMatrix,
+        # as a scipy CSR matrix and as a dense array
+        tp = ThermalParams.from_betaJ(0.35)
+        for n in range(3, 10):
+            chain = abelian_chain_hamiltonian(n, tp)
+            kron = master.SparseMatrix.of(kron_chain_hamiltonian(n, tp.gamma))
+            for matrix, meta in ((chain.matrix, chain.meta), (chain.matrix, {}), (kron, {})):
+                reports = [gap(dataclasses.replace(chain, matrix=m, meta=meta))
+                           for m in (matrix, csr(matrix), matrix.toarray())]
+                assert len({(r.gap.hex(), r.kernel_dim, r.extras["pieces"])
+                            for r in reports}) == 1
+
     def test_symmetry_may_be_a_list_of_ints(self):
         chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
         as_list = dataclasses.replace(chain, meta={"symmetry": chain.meta["symmetry"].tolist()})
@@ -161,9 +185,9 @@ class TestGap:
         calls = []
         real_components = spectral._components
 
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return real_components(matrix)
+        def counting(n, a, b):
+            calls.append(n)
+            return real_components(n, a, b)
 
         monkeypatch.setattr(spectral, "_components", counting)
         gap(abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35)))
@@ -685,7 +709,7 @@ class TestResidual:
         (np.array([[2.0, 1j], [-1j, 2.0]]), 1.0)])  # LU pivots 1, then exactly 0
     def test_exact_eigenvalue_shift(self, piece, g):
         # B - g I is exactly singular: the zero pivot becomes eps * scale
-        assert spectral._residual(sp.csr_matrix(piece), g, 4.0) < 1e-15
+        assert spectral._residual(master.SparseMatrix.of(piece), g, 4.0) < 1e-15
 
 
 def _certify_with_rates(model, tp, rates, frame):
