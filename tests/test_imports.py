@@ -70,6 +70,11 @@ def test_runtime_paths_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "gap.json").read_text())["kernel_dim"] == 1
 
 
+def test_no_scipy_linalg_or_csgraph_is_loaded(tmp_path):
+    assert [name for name in _scipy_modules(RUNTIME, tmp_path) if name.startswith(
+        ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"))] == []
+
+
 def test_full_space_routines_load_scipy_sparse_on_demand(tmp_path):
     assert "scipy.sparse" in _scipy_modules(FULL_SPACE, tmp_path)
     assert (tmp_path / "gen.coo").read_text().split()[0] == "64"
