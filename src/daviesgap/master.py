@@ -215,11 +215,7 @@ class SparseMatrix:
             raise ValueError(f"entry index outside the shape {shape}")
         key = row * shape[1] + col
         if key.size and (key[1:] < key[:-1]).any():
-            if shape[0] * shape[1] <= np.iinfo(np.int64).max // key.size:
-                # the input position breaks ties: the fast sort keeps each cell's order
-                order = np.argsort(key * key.size + np.arange(key.size))
-            else:
-                order = np.argsort(key, kind="stable")
+            order = np.argsort(key, kind="stable")
             key, data = key[order], data[order]
         new = _new_run(key)
         if not new.all():
@@ -557,14 +553,9 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     block of U(p) X_L^mu, K^sigma is kron(b_p, I) with the identity on the
     star bits.  The result is the direct sum of the b_p, read from the signed
     charge blocks; no 4^n-dimensional operator is built.  With ``check`` both
-    identities are verified entry by entry, on the sparse forms, on every
-    sector of the fine block and must hold to ``atol``.
+    identities are verified entry by entry on every sector of the fine block
+    and must hold to ``atol``.
     """
-    import scipy.sparse as sp  # the checks' sparse algebra: no other runtime path loads it
-
-    def csr(m: SparseMatrix):
-        return sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
-
     frame = lrep.frame
     model = frame.model
     if model.kind != "toric" or model.partition is None:
@@ -585,23 +576,29 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     parts = []
     for p, snake in enumerate(_snake_strings(frame)):
         label = block_label_of(frame, snake * x_mu)
-        signed_block = csr(signed.block(label))
-        b_p = signed_block[::n_star, ::n_star].toarray()
+        signed_block = signed.block(label).toarray()
+        b_p = signed_block[::n_star, ::n_star]
         parts.append(b_p)
         if not check:
             continue
-        target = csr(charge.sector_matrix(label.flip ^ moved.flip, label.mu ^ moved.mu))
-        defect = abs(target[perm][:, perm] @ sp.diags(phi)
-                     - sp.diags(phi) @ csr(signed.sector_matrix(label.flip, label.mu))).max()
+        target = charge.sector_matrix(label.flip ^ moved.flip, label.mu ^ moved.mu).toarray()
+        defect = abs(target[perm][:, perm] * phi
+                     - phi[:, None] * signed.sector_matrix(label.flip, label.mu).toarray()).max()
         if defect > atol:
             raise GeneratorError(f"sign-flip intertwining defect {defect:.3e} exceeds "
                                  f"{atol:.1e} (plaquette flip {p})")
-        defect = abs(signed_block - sp.kron(b_p, sp.identity(n_star))).max()
+        defect = abs(signed_block - np.kron(b_p, np.eye(n_star))).max()
         if defect > atol:
             raise GeneratorError(f"signed block differs from kron(b_p, I) by {defect:.3e}, "
                                  f"above {atol:.1e} (plaquette flip {p})")
 
-    return SuperOperatorRep(matrix=sp.block_diag(parts).toarray(), space="hilbert-schmidt",
+    size = sum(len(b) for b in parts)
+    matrix = np.zeros((size, size), dtype=np.result_type(*parts))
+    start = 0
+    for b in parts:
+        matrix[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return SuperOperatorRep(matrix=matrix, space="hilbert-schmidt",
                             beta=lrep.beta, frame=frame, rho=lrep.rho,
                             meta={"x_block": {"star_flip_sites": list(block.star_flip_sites),
                                               "nu": block.nu, "mu": block.mu}})

@@ -57,10 +57,18 @@ from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
 
 def csr(matrix) -> sp.csr_matrix:
     """A dense array, ``SparseMatrix`` or scipy matrix as scipy CSR: the one
-    route by which the tests take the package's matrices into scipy algebra."""
-    if hasattr(matrix, "tocoo"):
-        m = matrix.tocoo()
-        return sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
+    route by which the tests take the package's matrices into scipy algebra.
+
+    A ``SparseMatrix`` must be canonical (cells strictly increasing by row,
+    then column, none zero); its arrays become the CSR arrays as they stand,
+    with no sorting or summing, so a comparison of ``indptr``, ``indices``
+    and ``data`` sees its layout."""
+    if isinstance(matrix, SparseMatrix):
+        key = matrix.row * matrix.shape[1] + matrix.col
+        assert (key[1:] > key[:-1]).all() and (matrix.data != 0).all(), \
+            "SparseMatrix entries out of order, repeated or zero"
+        indptr = np.searchsorted(matrix.row, np.arange(matrix.shape[0] + 1))
+        return sp.csr_matrix((matrix.data, matrix.col, indptr), shape=matrix.shape)
     return sp.csr_matrix(matrix)
 
 

@@ -1,5 +1,6 @@
-"""The gap, certify, dynamics and chain paths load no scipy module; the two
-full-space routines load scipy.sparse on demand."""
+"""The gap, certify, dynamics and chain paths and the torus sign-flip
+restriction load no scipy module; the full-space generator export loads
+scipy.sparse on demand."""
 
 import json
 import subprocess
@@ -15,8 +16,10 @@ RUNTIME = textwrap.dedent("""
     import contextlib, io, json, sys
     sys.path.insert(0, sys.argv[1])
     from daviesgap import cli, dynamics, spectral
-    from daviesgap.davies import ThermalParams
-    from daviesgap.models import build_ising_ring
+    from daviesgap.davies import ThermalParams, build_generator
+    from daviesgap.master import XBlockSpec, sign_flip_restriction
+    from daviesgap.models import build_ising_ring, build_toric_code
+    from daviesgap.pauli import PauliString
 
     tp = ThermalParams.from_betaJ(0.25)
     ring = build_ising_ring(4)
@@ -24,6 +27,10 @@ RUNTIME = textwrap.dedent("""
     dynamics.autocorrelation(ring, tp)
     spectral.gap(spectral.abelian_chain_hamiltonian(6, tp),
                  kernel_basis=spectral.abelian_chain_kernel(6, tp.gamma))
+    torus = build_toric_code(2)
+    lrep = build_generator(torus, couplings=[PauliString.single(8, j, "X") for j in range(8)],
+                           tp=tp)
+    assert sign_flip_restriction(lrep, XBlockSpec(nu=1), check=True).matrix.shape == (64, 64)
     out = sys.argv[2]
     with contextlib.redirect_stdout(io.StringIO()):
         # the benchmark's two command lines
@@ -40,19 +47,11 @@ FULL_SPACE = textwrap.dedent("""
     import contextlib, io, json, sys
     sys.path.insert(0, sys.argv[1])
     from daviesgap import cli
-    from daviesgap.davies import ThermalParams, build_generator
-    from daviesgap.master import XBlockSpec, sign_flip_restriction
-    from daviesgap.models import build_toric_code
-    from daviesgap.pauli import PauliString
 
     out = sys.argv[2]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["export-generator", "--model", "ising", "--size", "3",
                          "--betaJ", "0.25", "--out", out + "/gen.coo"]) == 0
-    torus = build_toric_code(2)
-    lrep = build_generator(torus, couplings=[PauliString.single(8, j, "X") for j in range(8)],
-                           tp=ThermalParams.from_betaJ(0.25))
-    assert sign_flip_restriction(lrep, XBlockSpec(nu=1), check=True).matrix.shape == (64, 64)
     print(json.dumps(sorted(name for name in sys.modules
                             if name == "scipy" or name.startswith("scipy."))))
 """)
@@ -75,6 +74,6 @@ def test_no_scipy_linalg_or_csgraph_is_loaded(tmp_path):
         ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"))] == []
 
 
-def test_full_space_routines_load_scipy_sparse_on_demand(tmp_path):
+def test_export_generator_loads_scipy_sparse_on_demand(tmp_path):
     assert "scipy.sparse" in _scipy_modules(FULL_SPACE, tmp_path)
     assert (tmp_path / "gen.coo").read_text().split()[0] == "64"

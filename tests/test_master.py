@@ -363,15 +363,6 @@ class TestSparseMatrix:
         assert _same_bits(got.data, np.array([cells[key] for key in keys], dtype=data.dtype))
         assert got.tocoo() is got and SparseMatrix.of(got) is got
 
-    def test_large_shape_keeps_the_input_order(self):
-        # keys near 2^62: a tie-breaking position would overflow, so a stable
-        # sort orders the entries; (1 + 1e16) - 1e16 is 0 in input order
-        big = 1 << 31
-        m = SparseMatrix.from_entries((big, big), [big - 1, 0, big - 1, big - 1, 0],
-                                      [5, big - 1, 5, 5, 3], [1.0, 2.0, 1e16, -1e16, 3.0])
-        assert (m.row.tolist(), m.col.tolist(), m.data.tolist()) == ([0, 0], [3, big - 1],
-                                                                     [3.0, 2.0])
-
     def test_dense_and_scipy_inputs_and_bad_shapes(self):
         a = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -0.0]])
         for given_matrix in (a, sp.csr_matrix(a), sp.coo_matrix(a)):
