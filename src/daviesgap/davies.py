@@ -12,7 +12,9 @@ its weights.  The dissipator is a sum of jump terms with thermal rates
     rate(w) = 2 / (1 + exp(-beta*w)),
 
 which at w in {0, +-4J} reproduces the constants h0 = 1, h+ = 2/(gamma^2+1),
-h- = 2*gamma^2/(gamma^2+1) with gamma = exp(-2*beta*J).
+h- = 2*gamma^2/(gamma^2+1) with gamma = exp(-2*beta*J).  The components of
+one flip pattern add up to one weight (``_flip_weights``), from which the
+residual checks apply L and ``liouville_matrix`` writes -L.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class ThermalParams:
     coupling: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0 or self.coupling <= 0:
-            raise GeneratorError("need beta >= 0 and positive coupling")
+        if not (0 <= self.beta < math.inf and 0 < self.coupling < math.inf):
+            raise GeneratorError(f"need finite beta >= 0 and coupling > 0, "
+                                 f"got beta={self.beta!r}, coupling={self.coupling!r}")
 
     @property
     def gamma(self) -> float:
@@ -78,8 +81,7 @@ class JumpComponent:
 
     A masked generalized permutation: S_alpha(w)|u> = weights[u] |u ^ flip>,
     with weights[u] the coupling's phase where the image state's stabilizer
-    signs give frequency w, and 0 elsewhere.  ``matrix`` builds it as a
-    ``master.SparseMatrix`` on request.
+    signs give frequency w, and 0 elsewhere.
     """
 
     coupling_index: int
@@ -89,25 +91,18 @@ class JumpComponent:
     flip: int
     weights: np.ndarray
 
-    @property
-    def matrix(self):
-        from .master import SparseMatrix  # master imports this module
-
-        u = np.arange(self.weights.size)
-        return SparseMatrix.from_entries((u.size, u.size), u ^ self.flip, u, self.weights)
-
 
 @dataclass
 class SuperOperatorRep:
     """An operator on the 4^n-dimensional operator space.
 
     space 'liouville': -L, held as its jump components (``matrix`` is None);
-    ``liouville_matrix`` materializes it in the matrix-unit basis over the
-    stabilizer eigenbasis, where it is self-adjoint for the beta-weighted
-    inner product carried by `rho` (not entrywise Hermitian).  space
-    'hilbert-schmidt': the matrix is Hermitian positive semidefinite, a dense
-    array or a ``master.SparseMatrix``; any object with ``toarray()`` and
-    ``tocoo()``, such as a scipy.sparse matrix, reads the same (``dense``,
+    ``liouville_matrix`` materializes it, as a ``master.SparseMatrix``, in
+    the matrix-unit basis over the stabilizer eigenbasis, where it is
+    self-adjoint for the beta-weighted inner product carried by `rho` (not
+    entrywise Hermitian).  space 'hilbert-schmidt': the matrix is Hermitian
+    positive semidefinite, a dense array or a ``master.SparseMatrix``; any
+    object with ``toarray()`` and ``tocoo()`` reads the same (``dense``,
     ``spectral.gap``).
     """
 
@@ -161,6 +156,8 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
         frame = build_frame(model)
     if freq_tol is None:
         freq_tol = 1e-9 * model.coupling
+    if not couplings:
+        raise GeneratorError(f"need at least one coupling, got {couplings!r}")
     if any(c.n != model.n_sites for c in couplings):
         raise GeneratorError("coupling acts outside the model register")
 
@@ -217,26 +214,23 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
 
 
 def liouville_matrix(rep: SuperOperatorRep):
-    """-L as a scipy.sparse 4^n x 4^n CSR matrix on column-major vectorized
-    operators."""
-    import scipy.sparse as sp  # the full-space oracle: no other runtime path loads it
+    """-L, a 4^n x 4^n ``master.SparseMatrix`` on column-major vectorized operators:
+    L(X)[u, v] = sum_d W_d[u, v] X[u ^ d, v ^ d] (``_flip_weights``), so -L holds
+    -W_d[u, v] at row u + dim * v and column (u ^ d) + dim * (v ^ d)."""
+    from .master import SparseMatrix  # master imports this module
 
     if rep.space != "liouville":
         raise GeneratorError("liouville_matrix expects a Liouville-space generator")
     dim = rep.frame.dim
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    neg_l = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    for comp in rep.components:
-        m = comp.matrix
-        a = sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
-        ad = a.conj().T.tocsr()
-        ada = (ad @ a).tocsr()
-        # column-major vec:  vec(PXQ) = (Q^T kron P) vec(X)
-        dissip = sp.kron(a.T, ad, format="csr") \
-            - 0.5 * (sp.kron(ident, ada, format="csr")
-                     + sp.kron(ada.T, ident, format="csr"))
-        neg_l = neg_l - comp.rate * dissip
-    return neg_l.tocsr()
+    unmoved, moved = _flip_weights(rep.components)
+    entries = []
+    for d, w in [(0, unmoved), *moved.items()]:
+        u, v = np.nonzero(w)
+        row = u + dim * v
+        entries.append((row, row ^ (d * (dim + 1)), w[u, v]))
+    row, col, data = (np.concatenate(x) for x in zip(*entries))
+    # 0.0 - data, not -data: a zero imaginary part stays +0, not -0, in the export
+    return SparseMatrix.from_entries((dim * dim, dim * dim), row, col, 0.0 - data)
 
 
 def thermal_provenance(tp: ThermalParams) -> dict:
@@ -249,9 +243,12 @@ def thermal_provenance(tp: ThermalParams) -> dict:
 # Structural residuals
 # ---------------------------------------------------------------------------
 
-def _random_operators(dim, count, rng):
+def _random_operators(rho, count, seed):
+    """``count`` random complex operators, each of unit beta norm."""
+    rng, shape = np.random.default_rng(seed), (rho.size, rho.size)
     for _ in range(count):
-        yield rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        yield x / math.sqrt(abs(_beta_inner(rho, x, x)))
 
 
 def _beta_inner(rho, x, y) -> complex:
@@ -259,8 +256,9 @@ def _beta_inner(rho, x, y) -> complex:
     return np.sum(x.conj() * y * rho[None, :])
 
 
-def _generator_action(components):
-    """X -> sum_c rate_c (A_c^dag X A_c - {A_c^dag A_c, X}/2), i.e. L(X).
+def _flip_weights(components) -> tuple:
+    """W_0 and a dict {d: W_d} over the other flip patterns d, dense, with
+    L(X) = W_0 o X + sum_d W_d o X[u ^ d, v ^ d] elementwise.
 
     A component is a masked permutation A|u> = s_u |u ^ d>, so
     (A^dag X A)[u, v] = conj(s_u) X[u^d, v^d] s_v and A^dag A is the diagonal
@@ -273,7 +271,12 @@ def _generator_action(components):
         s = c.weights
         weights[c.flip] = weights.get(c.flip, 0.0) + c.rate * np.outer(s.conj(), s)
         decay = decay + c.rate * np.abs(s) ** 2
-    unmoved = weights.pop(0, 0.0) - 0.5 * np.add.outer(decay, decay)
+    return weights.pop(0, 0.0) - 0.5 * np.add.outer(decay, decay), weights
+
+
+def _generator_action(components):
+    """X -> L(X) = sum_c rate_c (A_c^dag X A_c - {A_c^dag A_c, X}/2), from ``_flip_weights``."""
+    unmoved, weights = _flip_weights(components)
 
     def apply(x):
         out = np.multiply(unmoved, x, dtype=complex)
@@ -291,34 +294,21 @@ def detailed_balance_residual(rep: SuperOperatorRep, samples: int = 50,
     """max |<Y, L X> - <L Y, X>|_beta over random normalized pairs."""
     if rep.space != "liouville":
         raise GeneratorError("detailed balance is checked in Liouville space")
-    rng = np.random.default_rng(seed)
-    rho = rep.rho
-    d = rep.frame.dim
-    apply = _generator_action(rep.components)
+    rho, apply = rep.rho, _generator_action(rep.components)
+    ops = _random_operators(rho, 2 * samples, seed)
     worst = 0.0
-    for _ in range(samples):
-        x = next(_random_operators(d, 1, rng))
-        y = next(_random_operators(d, 1, rng))
-        x /= math.sqrt(abs(_beta_inner(rho, x, x)))
-        y /= math.sqrt(abs(_beta_inner(rho, y, y)))
-        lx = apply(x)
-        ly = apply(y)
-        worst = max(worst, abs(_beta_inner(rho, y, lx) - _beta_inner(rho, ly, x)))
+    for x, y in zip(ops, ops):
+        worst = max(worst, abs(_beta_inner(rho, y, apply(x)) - _beta_inner(rho, apply(y), x)))
     return worst
 
 
 def stationarity_residual(rep: SuperOperatorRep, samples: int = 50,
                           seed: int = 0) -> float:
     """max |tr(rho L(X))| over random normalized X; zero for a Gibbs state."""
-    rng = np.random.default_rng(seed)
-    rho = rep.rho
-    d = rep.frame.dim
     apply = _generator_action(rep.components)
     worst = 0.0
-    for x in _random_operators(d, samples, rng):
-        x /= math.sqrt(abs(_beta_inner(rho, x, x)))
-        lx = apply(x)
-        worst = max(worst, abs(np.sum(rho * np.diagonal(lx))))
+    for x in _random_operators(rep.rho, samples, seed):
+        worst = max(worst, abs(np.sum(rep.rho * np.diagonal(apply(x)))))
     return worst
 
 
@@ -354,19 +344,16 @@ def dissipativity_identity_check(rep: SuperOperatorRep, coupling_index: int,
     g * ( <[S,X],[S,X]> + exp(-beta*w) <[S^dag,X],[S^dag,X]> )_beta
     with g = rate(w)/2 (rate(0)/4 at w = 0, where both terms coincide).
     """
-    rng = np.random.default_rng(seed)
     rho = rep.rho
-    d = rep.frame.dim
     pairs = _component_pairs(rep, coupling_index, omega)
     apply = _generator_action([c for pair in pairs for c in pair if c is not None])
     terms = []
     for c, _ in pairs:
         g = c.rate / (2.0 if c.omega > 1e-12 else 4.0)
         terms.append((c.flip, c.weights, g, g * math.exp(-rep.beta * c.omega)))
-    u = np.arange(d)
+    u = np.arange(rho.size)
     worst = 0.0
-    for x in _random_operators(d, samples, rng):
-        x /= math.sqrt(abs(_beta_inner(rho, x, x)))
+    for x in _random_operators(rho, samples, seed):
         lhs = -_beta_inner(rho, x, apply(x))
         rhs = 0.0
         for flip, s, g, g_d in terms:

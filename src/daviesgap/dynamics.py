@@ -109,10 +109,11 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
     the dissipative trace drops it.  Both are evaluated exactly in the
     observable's charge blocks, and no other block is solved: the default
     grid's ``meta["gap_estimate"]`` is their smallest eigenvalue above the
-    kernel (KERNEL_RTOL * ||K||), or exp(-8 beta J)/3 if they hold only
-    kernel.  The decay rate is fitted on the tail half of the grid, skipping
-    values below 1e-12; ``meta`` also has ``exact_rate``, the smallest block
-    eigenvalue the observable overlaps, and the ``stages`` in seconds
+    kernel (KERNEL_RTOL * ||K||), or ``meta["gap_bound"]``, the certified
+    exp(-8 beta J)/3, if they hold only kernel.  The decay rate is fitted on
+    the tail half of the grid, skipping values below 1e-12; ``meta`` also has
+    ``exact_rate``, the smallest block eigenvalue the observable overlaps,
+    and the ``stages`` in seconds
     (``frame_s`` about 0 when a frame or ``lrep`` is passed in, ``generator_s``
     when ``lrep`` is).
     """
@@ -162,12 +163,13 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
             f"capture weight {captured:.15g} of {weight:.15g}")
     t2 = time.perf_counter()
 
+    gap_bound = analytic_bounds(model.kind, tp)["generator_gap"]
     if grid is None:
         if gap_estimate is None:
             # K's flip-0 identity sector has the diagonal 2D, so 2 max D <= ||K||
             vals = np.concatenate([p.vals for p in props])
             gap_estimate = float(min(vals[vals >= KERNEL_RTOL * 2 * charge.diagonal.max()],
-                                     default=analytic_bounds(model.kind, tp)["generator_gap"]))
+                                     default=gap_bound))
         grid = default_time_grid(gap_estimate)
     grid = np.asarray(grid, dtype=float)
     bad = grid[~(np.isfinite(grid) & (grid >= 0))]
@@ -185,7 +187,7 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
         observable=name, times=grid, values_full=full, values_dissipative=dissip,
         fitted_rate=fit_decay_rate(grid, dissip),  # before the stage clock below
         meta={"betaJ": tp.beta * tp.coupling, "model": model.kind,
-              "gap_estimate": gap_estimate,
+              "gap_estimate": gap_estimate, "gap_bound": gap_bound,
               "exact_rate": min(p.slowest_rate(x) for p, x, _ in blocks),
               "stages": {"frame_s": t_frame - t0, "generator_s": t1 - t_frame,
                          "blocks_s": t2 - t1, "trace_s": time.perf_counter() - t2}})
@@ -204,13 +206,14 @@ def fit_decay_rate(times, values, floor: float = 1e-12) -> float:
     return float(-slope)
 
 
-def relaxation_time(trace: AutocorrelationTrace, rate_floor: float = 1e-9) -> float:
-    """1 / fitted decay rate; a non-decaying trace signals a conserved quantity."""
-    rate = trace.fitted_rate
-    if not math.isfinite(rate) or rate <= rate_floor:
-        exact = trace.meta.get("exact_rate", float("nan"))
+def relaxation_time(trace: AutocorrelationTrace) -> float:
+    """1 / fitted decay rate.  A rate that is not conserved is at least the
+    gap, which is at least ``meta["gap_bound"]``; a rate at or below half that
+    bound signals a conserved quantity."""
+    rate, floor = trace.fitted_rate, trace.meta["gap_bound"] / 2.0
+    if not math.isfinite(rate) or rate <= floor:
         raise EvolutionError(
-            f"trace does not decay (fitted_rate={rate:.3e}, floor={rate_floor:.1e}, "
-            f"exact_rate={exact:.3e}): the observable overlaps a conserved "
+            f"trace does not decay (fitted_rate={rate:.3e}, floor={floor:.1e}, "
+            f"exact_rate={trace.meta['exact_rate']:.3e}): the observable overlaps a conserved "
             "quantity (non-ergodic coupling set)")
     return 1.0 / rate

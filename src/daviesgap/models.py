@@ -275,9 +275,6 @@ class ModelReport:
     ok: bool
     checks: list  # (name, passed, detail)
 
-    def failed(self):
-        return [c for c in self.checks if not c[1]]
-
     def __str__(self):
         lines = [f"{'PASS' if p else 'FAIL'}  {name}: {detail}"
                  for name, p, detail in self.checks]

@@ -63,6 +63,8 @@ class PauliString:
         """sigma_{kind} acting on one site of an n-site register."""
         if not 0 <= site < n:
             raise PauliError(f"site {site} outside register of {n}")
+        if kind.upper() not in _BITS_OF_LETTER:
+            raise PauliError(f"unknown Pauli letter {kind!r}; allowed: I, X, Y, Z")
         x, z, p = _BITS_OF_LETTER[kind.upper()]
         return cls(n, x << site, z << site, p)
 

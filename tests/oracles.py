@@ -1,9 +1,11 @@
 """Full-space reference operators and eigensolvers for the tests.
 
 ``to_master`` assembles the whole 4^n-dimensional master operator K from
-the jump components with sparse Kronecker products.  The package itself
-certifies gaps on charge blocks only; the tests compare those blocks, their
-spectra and the dynamics built from them against this K.  ``dense_gap``
+the jump components with sparse Kronecker products, and
+``kron_liouville_matrix`` assembles -L the same way, the reference for
+``liouville_matrix``, which the package builds from flip weights.  The
+package itself certifies gaps on charge blocks only; the tests compare those
+blocks, their spectra and the dynamics built from them against this K.  ``dense_gap``
 (one ``eigh`` of the whole matrix) and ``iterative_gap`` (shift-inverted
 Lanczos) solve a matrix without splitting it, as references for
 ``spectral.gap`` and ``gap_from_blocks``.  ``block_spectra`` and
@@ -23,13 +25,14 @@ reference for ``block_orbits``.  ``projected_traces`` evolves the observable's
 4^n-dimensional Hilbert-Schmidt images, projected onto each block by
 ``block_basis``, the reference for the label-read block coordinates of
 ``autocorrelation``.  The rest are helpers only the tests use: an operator's
-frame matrix ``matrix_of``, the operator-space positions ``sector_index`` of
-a charge sector, the dense charge-sector isometries
-``sector_isometries``, one coupling's generator action ``apply_component``,
-the operator-space diagonals ``gram_diag`` and ``delta_diagonal``, the
-label parser ``pauli_from_label``, the ``PauliSum`` algebra (``sum_add``,
-``sum_sub``, ``sum_mul``, ``sum_adjoint``), the reader ``read_coo_text`` of the
-coordinate-text export and ``csr``, which takes any matrix into scipy.
+frame matrix ``matrix_of``, a jump component's matrix ``component_matrix``,
+the operator-space positions ``sector_index`` of a charge sector, the dense
+charge-sector isometries ``sector_isometries``, one coupling's generator
+action ``apply_component``, the operator-space diagonals ``gram_diag`` and
+``delta_diagonal``, the label parser ``pauli_from_label``, the ``PauliSum``
+algebra (``sum_add``, ``sum_sub``, ``sum_mul``, ``sum_adjoint``), the reader
+``read_coo_text`` of the coordinate-text export and ``csr``, which takes any
+matrix into scipy.
 """
 
 import math
@@ -230,6 +233,33 @@ def read_coo_text(path) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
+def component_matrix(comp) -> SparseMatrix:
+    """A ``JumpComponent`` as its matrix: weights[u] at (u ^ flip, u)."""
+    u = np.arange(comp.weights.size)
+    return SparseMatrix.from_entries((u.size, u.size), u ^ comp.flip, u, comp.weights)
+
+
+def kron_liouville_matrix(rep: SuperOperatorRep) -> sp.csr_matrix:
+    """-L as a scipy.sparse 4^n x 4^n CSR matrix on column-major vectorized
+    operators, summed component by component from Kronecker products."""
+    if rep.space != "liouville":
+        raise GeneratorError("liouville_matrix expects a Liouville-space generator")
+    dim = rep.frame.dim
+    ident = sp.identity(dim, format="csr", dtype=complex)
+    neg_l = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
+    for comp in rep.components:
+        m = component_matrix(comp)
+        a = sp.csr_matrix((m.data, (m.row, m.col)), shape=m.shape)
+        ad = a.conj().T.tocsr()
+        ada = (ad @ a).tocsr()
+        # column-major vec:  vec(PXQ) = (Q^T kron P) vec(X)
+        dissip = sp.kron(a.T, ad, format="csr") \
+            - 0.5 * (sp.kron(ident, ada, format="csr")
+                     + sp.kron(ada.T, ident, format="csr"))
+        neg_l = neg_l - comp.rate * dissip
+    return neg_l.tocsr()
+
+
 def _component_k(matrix: sp.csr_matrix, eta: float) -> sp.csr_matrix:
     """(S_L - eta S_R)*(S_L - eta S_R) + (Sd_R - eta Sd_L)*(Sd_R - eta Sd_L).
 
@@ -263,7 +293,7 @@ class MasterHamiltonian:
         """Materialize one positive-frequency summand of K."""
         comp = self.components[i]
         eta = math.exp(-self.rep.beta * comp.omega / 2.0)
-        return _g_weight(comp.rate, comp.omega) * _component_k(csr(comp.matrix), eta)
+        return _g_weight(comp.rate, comp.omega) * _component_k(csr(component_matrix(comp)), eta)
 
     def kernel_residual(self) -> float:
         v = self.kernel_witness
@@ -282,7 +312,7 @@ def to_master(lrep: SuperOperatorRep) -> MasterHamiltonian:
     comps = [c for c in lrep.components if c.omega >= -1e-12]
     for comp in comps:
         eta = math.exp(-lrep.beta * comp.omega / 2.0)
-        k = k + _g_weight(comp.rate, comp.omega) * _component_k(csr(comp.matrix), eta)
+        k = k + _g_weight(comp.rate, comp.omega) * _component_k(csr(component_matrix(comp)), eta)
 
     witness = np.zeros(dim * dim, dtype=complex)
     witness[np.arange(dim) * (dim + 1)] = np.sqrt(lrep.rho)

@@ -7,7 +7,7 @@ import pytest
 from daviesgap.cli import main
 from daviesgap.davies import ThermalParams, build_generator, liouville_matrix
 from daviesgap.models import build_ising_ring
-from oracles import read_coo_text
+from oracles import csr, read_coo_text
 
 
 def run_cli(args):
@@ -223,13 +223,37 @@ class TestExport:
             build_ising_ring(3), tp=ThermalParams.from_betaJ(0.25)))
         assert got.shape == want.shape == (64, 64)
         assert got.nnz == want.nnz == int(nnz)
-        assert abs(got - want).max() == 0.0
+        assert abs(got - csr(want)).max() == 0.0
 
     def test_oversized_export_refused(self, capsys):
         code = run_cli(["export-generator", "--model", "ising", "--size", "9",
                         "--betaJ", "0"])
         assert code == 2
         capsys.readouterr()
+
+
+class TestBadInput:
+    # each ends in exit 2 with the offending value named, not in a traceback
+    def test_unknown_coupling_letter(self, capsys):
+        code = run_cli(["gap", "--model", "ising", "--size", "3", "--betaJ", "0.25",
+                        "--couplings", "xq"])
+        assert code == 2
+        assert "unknown Pauli letter 'q'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gap", "dynamics", "export-generator"])
+    def test_empty_coupling_list(self, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        code = run_cli([command, "--model", "ising", "--size", "3", "--betaJ", "0.25",
+                        "--couplings", "", "--json", str(out)])
+        assert code == 2
+        assert "need at least one coupling, got []" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("betaJ", ["nan", "inf"])
+    def test_non_finite_betaJ(self, capsys, betaJ):
+        code = run_cli(["gap", "--model", "ising", "--size", "3", "--betaJ", betaJ])
+        assert code == 2
+        assert f"got beta={betaJ}, coupling=1.0" in capsys.readouterr().err
 
 
 class TestConfigFile:

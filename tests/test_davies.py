@@ -21,9 +21,10 @@ from daviesgap.davies import (GeneratorError, ThermalParams,
 from daviesgap.basis import StabilizerFrame, build_frame
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
-from oracles import (apply_component, csr, delta_diagonal, fourier_decompose,
-                     frequency_masks, gram_diag, matrix_of, reference_components,
-                     sum_adjoint, sum_mul, sum_sub, to_master)
+from oracles import (apply_component, component_matrix, csr, delta_diagonal,
+                     fourier_decompose, frequency_masks, gram_diag, kron_liouville_matrix,
+                     matrix_of, reference_components, sum_adjoint, sum_mul, sum_sub,
+                     to_master)
 
 
 class TestThermalParams:
@@ -116,7 +117,7 @@ class TestFourierDecompose:
         worst = 0.0
         for t in (0.1, 0.7, 1.3):
             evolved = np.exp(1j * t * e)[:, None] * s * np.exp(-1j * t * e)[None, :]
-            recon = sum(np.exp(-1j * c.omega * t) * c.matrix.toarray()
+            recon = sum(np.exp(-1j * c.omega * t) * component_matrix(c).toarray()
                         for c in comps if c.coupling_index == 2)
             worst = max(worst, np.linalg.norm(evolved - recon, 2))
         assert worst > 0.1
@@ -316,7 +317,7 @@ class TestLabelBuiltComponents:
         lrep = build_generator(model, couplings=couplings, tp=tp, frame=frame)
         reference = reference_components(model, couplings, frame, tp)
         for comp, ref in zip(lrep.components, reference):
-            got, want = csr(comp.matrix), csr(ref[-1])
+            got, want = csr(component_matrix(comp)), csr(ref[-1])
             assert got.shape == want.shape and got.nnz == want.nnz
             assert (got != want).nnz == 0
 
@@ -344,6 +345,17 @@ class TestLabelBuiltComponents:
             build_generator(ising3, couplings=couplings, frame=ising3_frame)
 
 
+def _assert_matches_kronecker_oracle(rep):
+    got = liouville_matrix(rep)
+    want = kron_liouville_matrix(rep)
+    want.sum_duplicates()
+    want.eliminate_zeros()
+    want = want.tocoo()
+    assert got.shape == want.shape
+    assert np.array_equal(got.row, want.row) and np.array_equal(got.col, want.col)
+    assert np.abs(got.data - want.data).max() < 1e-12
+
+
 class TestLiouvilleMatrix:
     def test_generator_holds_only_components(self, ising3, ising3_frame):
         rep = build_generator(ising3, frame=ising3_frame)
@@ -354,16 +366,36 @@ class TestLiouvilleMatrix:
 
     @pytest.mark.parametrize("name", ["ising3", "toric2"])
     def test_component_action_matches_matrix(self, request, name):
-        # the residual checks apply L through the components; -L is the oracle
+        # the residual checks apply L through the components; the Kronecker
+        # -L is the oracle (liouville_matrix reads the same flip weights)
         model = request.getfixturevalue(name)
         rep = build_generator(model, tp=ThermalParams.from_betaJ(0.25),
                               frame=request.getfixturevalue(name + "_frame"))
         d = rep.frame.dim
         rng = np.random.default_rng(3)
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        want = -(liouville_matrix(rep) @ x.reshape(-1, order="F"))
+        want = -(kron_liouville_matrix(rep) @ x.reshape(-1, order="F"))
         got = davies._generator_action(rep.components)(x)
         assert np.abs(got.reshape(-1, order="F") - want).max() < 1e-12
+
+    @pytest.mark.parametrize("kind, size", [("ising", 3), ("ising", 4), ("ising", 5),
+                                            ("ising", 6), ("toric", 2)])
+    @pytest.mark.parametrize("letters", [None, "x"])
+    def test_matches_the_kronecker_oracle(self, kind, size, letters):
+        model = build_ising_ring(size) if kind == "ising" else build_toric_code(size)
+        frame = build_frame(model)
+        couplings = default_couplings(model, letters)
+        for betaJ in (0.0, 0.25, 1.0):
+            rep = build_generator(model, couplings=couplings,
+                                  tp=ThermalParams.from_betaJ(betaJ), frame=frame)
+            _assert_matches_kronecker_oracle(rep)
+
+    def test_matches_the_kronecker_oracle_with_a_zero_rate(self, ising4, ising4_frame):
+        tp = ThermalParams.from_betaJ(0.25)
+        rates = {(0, -4.0): 0.0, (0, 4.0): 0.0, (5, 0.0): 0.0, (1, 4.0): 2.5}
+        rep = build_generator(ising4, tp=tp, frame=ising4_frame, rates=rates)
+        assert sum(c.rate == 0.0 for c in rep.components) == 3
+        _assert_matches_kronecker_oracle(rep)
 
     def test_rejects_hilbert_schmidt_input(self, ising3, ising3_frame):
         rep = to_master(build_generator(ising3, frame=ising3_frame)).rep

@@ -325,8 +325,9 @@ class TestRelaxationTime:
                              couplings=couplings,
                              observable=ising3.logicals[0][0],
                              gap_estimate=1.0)
+        # the floor is half the certified gap bound, exp(-8 * 0.25) / 6
         with pytest.raises(EvolutionError,
-                           match=r"fitted_rate=\S+, floor=1\.0e-09, "
+                           match=r"fitted_rate=\S+, floor=2\.3e-02, "
                                  r"exact_rate=\S+\)") as err:
             relaxation_time(tr)
         assert tr.meta["exact_rate"] < 1e-12
@@ -347,6 +348,16 @@ class TestRelaxationTime:
                 == analytic_bounds("ising", tp)["generator_gap"]
         with pytest.raises(EvolutionError, match="does not decay"):
             relaxation_time(tr)
+
+    @pytest.mark.parametrize("betaJ", [6.0, 8.0])
+    def test_low_temperature_rate_above_the_floor(self, betaJ):
+        # fitted rates near 1e-10 and 1e-13 lie far above half the certified
+        # bound exp(-8 betaJ)/3, so they read as decay, not as conservation
+        m = build_ising_ring(4)
+        tp = ThermalParams.from_betaJ(betaJ)
+        tr = autocorrelation(m, tp, observable=m.logicals[0][1])
+        assert tr.meta["gap_bound"] == analytic_bounds("ising", tp)["generator_gap"]
+        assert abs(relaxation_time(tr) * tr.meta["exact_rate"] - 1.0) < 0.05
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_exact_rate_is_gap_and_fit_agrees(self, n):

@@ -1,6 +1,6 @@
 """The gap, certify, dynamics and chain paths and the torus sign-flip
-restriction load no scipy module; the full-space generator export loads
-scipy.sparse on demand."""
+restriction load no scipy module, and every command runs with scipy
+blocked from import."""
 
 import json
 import subprocess
@@ -43,17 +43,20 @@ RUNTIME = textwrap.dedent("""
                             if name == "scipy" or name.startswith("scipy."))))
 """)
 
-FULL_SPACE = textwrap.dedent("""
-    import contextlib, io, json, sys
-    sys.path.insert(0, sys.argv[1])
-    from daviesgap import cli
-
-    out = sys.argv[2]
+# the rest of the command line, after RUNTIME, in the same interpreter
+COMMANDS = textwrap.dedent("""
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["export-generator", "--model", "ising", "--size", "3",
-                         "--betaJ", "0.25", "--out", out + "/gen.coo"]) == 0
-    print(json.dumps(sorted(name for name in sys.modules
-                            if name == "scipy" or name.startswith("scipy."))))
+        for args in (["export-generator", "--model", "ising", "--size", "3",
+                      "--betaJ", "0.25", "--out", out + "/ring3.coo"],
+                     ["export-generator", "--model", "toric", "--size", "2",
+                      "--betaJ", "0.25", "--out", out + "/torus2.coo"],
+                     ["verify", "--model", "toric", "--size", "2"],
+                     ["bounds", "--betaJ", "0.25"],
+                     ["sweep", "--model", "ising", "--sizes", "3,4", "--betaJs", "0,0.25",
+                      "--out", out + "/sweep.csv"],
+                     ["export-model", "--model", "toric", "--size", "2",
+                      "--out", out + "/torus2.json"]):
+            assert cli.main(args) == 0, args
 """)
 
 
@@ -74,6 +77,10 @@ def test_no_scipy_linalg_or_csgraph_is_loaded(tmp_path):
         ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"))] == []
 
 
-def test_export_generator_loads_scipy_sparse_on_demand(tmp_path):
-    assert "scipy.sparse" in _scipy_modules(FULL_SPACE, tmp_path)
-    assert (tmp_path / "gen.coo").read_text().split()[0] == "64"
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # None in sys.modules makes every import of scipy raise ImportError; that
+    # entry is the one scipy name the script lists
+    assert _scipy_modules('import sys; sys.modules["scipy"] = None\n' + RUNTIME + COMMANDS,
+                          tmp_path) == ["scipy"]
+    assert (tmp_path / "ring3.coo").read_text().split()[:2] == ["64", "100"]
+    assert (tmp_path / "torus2.coo").read_text().split()[:2] == ["65536", "311296"]
