@@ -48,19 +48,25 @@ def _parse_ints(text):
     return [int(t) for t in str(text).split(",") if t != ""]
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value defaults file")
-    p.add_argument("--model", choices=["ising", "toric"])
-    p.add_argument("--size", type=int, help="ring sites N or torus side L")
-    p.add_argument("--coupling", type=float, default=None, help="J (default 1)")
-    p.add_argument("--couplings", dest="coupling_letters", default=None,
-                   help="coupling letters, e.g. xyz or xz")
-    p.add_argument("--seed", type=int, default=None,
-                   help="feeds only export-generator's detailed-balance "
-                        "residual; the other commands, gap and sweep among "
-                        "them, accept it and ignore it")
-    p.add_argument("--json", dest="json_out", default=None,
-                   help="write a JSON report here")
+# every flag, declared once; each command below names the flags it reads
+_FLAGS = {
+    "--config": {"help": "key=value defaults file"},
+    "--model": {"choices": ["ising", "toric"]},
+    "--size": {"type": int, "help": "ring sites N or torus side L"},
+    "--sizes": {"required": True, "help": "comma list, e.g. 3,4,5"},
+    "--coupling": {"type": float, "help": "J (default 1)"},
+    "--couplings": {"dest": "coupling_letters",
+                    "help": "coupling letters, e.g. xyz or xz"},
+    "--betaJ": {},
+    "--betaJs": {"required": True, "help": "comma list, e.g. 0,0.25"},
+    "--method": {"help": "gap method; only 'blocks' (the default)"},
+    "--observable": {"help": "Z1, X1, Z2, X2 (logical operators)"},
+    "--seed": {"type": int, "help": "seeds export-generator's detailed-balance "
+                                    "residual; gap and dynamics accept it and ignore it"},
+    "--json": {"dest": "json_out", "help": "write a JSON report here"},
+    "--blocks-out": {"help": "write the per-block inventory as JSON"},
+    "--out": {},
+}
 
 
 def _merge(args) -> dict:
@@ -120,7 +126,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _merge(args)
     tp = ThermalParams.from_betaJ(_betaJ_of(cfg), cfg["coupling"])
-    bounds = analytic_bounds(cfg.get("model", "ising"), tp)
+    bounds = analytic_bounds(tp)
     for name, value in bounds.items():
         print(f"{name} = {value:.10g}")
     _write_json(cfg, bounds)
@@ -227,50 +233,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermal generators of commuting-Pauli models: "
                     "verification, spectral-gap certification, dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check all structural model invariants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bounds", help="print the analytic gap lower bounds")
-    _add_common(p)
-    p.add_argument("--betaJ")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("gap", help="certify the generator gap at one point")
-    _add_common(p)
-    p.add_argument("--betaJ")
-    p.add_argument("--method", help="gap method; only 'blocks' (the default)")
-    p.add_argument("--blocks-out", dest="blocks_out",
-                   help="write the per-block inventory as JSON")
-    p.set_defaults(func=_cmd_gap)
-
-    p = sub.add_parser("sweep", help="certify over a size x betaJ grid (CSV)")
-    _add_common(p)
-    p.add_argument("--sizes", required=True, help="comma list, e.g. 3,4,5")
-    p.add_argument("--betaJs", required=True, help="comma list, e.g. 0,0.25")
-    p.add_argument("--method", help="gap method; only 'blocks' (the default)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("dynamics", help="autocorrelation trace and relaxation time")
-    _add_common(p)
-    p.add_argument("--betaJ")
-    p.add_argument("--observable", help="Z1, X1, Z2, X2 (logical operators)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dynamics)
-
-    p = sub.add_parser("export-model", help="write the model as JSON")
-    _add_common(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_export_model)
-
-    p = sub.add_parser("export-generator", help="write -L in coordinate format")
-    _add_common(p)
-    p.add_argument("--betaJ")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_export_generator)
-
+    model = "--model --size --coupling "
+    for name, func, text, flags in [
+            ("verify", _cmd_verify, "check all structural model invariants",
+             model + "--json"),
+            ("bounds", _cmd_bounds, "print the analytic gap lower bounds",
+             "--betaJ --coupling --json"),
+            ("gap", _cmd_gap, "certify the generator gap at one point",
+             model + "--couplings --betaJ --method --seed --json --blocks-out"),
+            ("sweep", _cmd_sweep, "certify over a size x betaJ grid (CSV)",
+             "--model --sizes --coupling --couplings --betaJs --method --out"),
+            ("dynamics", _cmd_dynamics, "autocorrelation trace and relaxation time",
+             model + "--couplings --betaJ --observable --seed --json --out"),
+            ("export-model", _cmd_export_model, "write the model as JSON",
+             model + "--out"),
+            ("export-generator", _cmd_export_generator, "write -L in coordinate format",
+             model + "--couplings --betaJ --seed --json --out")]:
+        p = sub.add_parser(name, help=text, allow_abbrev=False)  # --size is not --sizes
+        for flag in ["--config", *flags.split()]:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

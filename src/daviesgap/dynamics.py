@@ -92,11 +92,11 @@ class AutocorrelationTrace:
                      + "%.12g,%.12g,%.12g,%.12g\n" * len(self.times) % tuple(grid))
 
 
-def default_time_grid(gap_estimate: float, points: int = 60) -> np.ndarray:
-    """Logarithmic grid resolving transients through the asymptotic decay."""
+def default_time_grid(gap_estimate: float) -> np.ndarray:
+    """Logarithmic 60-point grid resolving transients through the asymptotic decay."""
     if gap_estimate <= 0:
         raise EvolutionError("need a positive gap estimate for the default grid")
-    return np.geomspace(0.01 / gap_estimate, 30.0 / gap_estimate, points)
+    return np.geomspace(0.01 / gap_estimate, 30.0 / gap_estimate, 60)
 
 
 def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
@@ -163,7 +163,7 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
             f"capture weight {captured:.15g} of {weight:.15g}")
     t2 = time.perf_counter()
 
-    gap_bound = analytic_bounds(model.kind, tp)["generator_gap"]
+    gap_bound = analytic_bounds(tp)["generator_gap"]
     if grid is None:
         if gap_estimate is None:
             # K's flip-0 identity sector has the diagonal 2D, so 2 max D <= ||K||
@@ -193,11 +193,11 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
                          "blocks_s": t2 - t1, "trace_s": time.perf_counter() - t2}})
 
 
-def fit_decay_rate(times, values, floor: float = 1e-12) -> float:
-    """Least-squares slope of -log(values) over the tail half of the grid."""
+def fit_decay_rate(times, values) -> float:
+    """Least-squares slope of -log(values > 1e-12) over the tail half of the grid."""
     n = len(times)
     sel = np.arange(n) >= n // 2
-    sel &= np.asarray(values) > floor
+    sel &= np.asarray(values) > 1e-12
     if sel.sum() < 2:
         return float("nan")
     t = np.asarray(times)[sel]

@@ -8,6 +8,7 @@ are asserted by rank checks rather than by geometry.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,13 @@ from .pauli import PauliString, PauliSum, commutes, gf2_rank
 
 class ModelError(ValueError):
     pass
+
+
+def _check_positive(values, what: str) -> None:
+    """ModelError naming the first of ``values`` that is not finite and positive."""
+    bad = [c for c in values if not 0 < c < math.inf]
+    if bad:
+        raise ModelError(f"{what} must be finite and positive, got {bad[0]!r}")
 
 
 @dataclass
@@ -109,12 +117,12 @@ def build_ising_ring(n: int, coupling: float = 1.0, coefficients=None) -> ModelS
     """Ring of n spins with bond terms sigma_z_j sigma_z_{j+1}, cyclic."""
     if n < 3:
         raise ModelError("ring needs at least 3 sites")
-    if coupling <= 0:
-        raise ModelError("coupling must be positive")
+    _check_positive([coupling], "coupling")
     if coefficients is None:
         coefficients = [coupling] * n
-    elif len(coefficients) != n or any(c <= 0 for c in coefficients):
+    elif len(coefficients) != n:
         raise ModelError("need one positive coefficient per bond")
+    _check_positive(coefficients, "bond coefficients")
     bonds = [PauliString.from_sites(n, "Z", (j, (j + 1) % n)) for j in range(n)]
     names = [f"bond[{j},{(j + 1) % n}]" for j in range(n)]
     logical_x = PauliString.from_sites(n, "X", range(n))
@@ -173,15 +181,13 @@ def build_toric_code(L: int, coupling: float = 1.0,
     """L x L torus with 2L^2 spins on edges, star and plaquette stabilizers."""
     if L < 2:
         raise ModelError("torus needs L >= 2")
-    if coupling <= 0:
-        raise ModelError("coupling must be positive")
+    _check_positive([coupling], "coupling")
     n = 2 * L * L
     star_coefficients = list(star_coefficients or [coupling] * (L * L))
     plaquette_coefficients = list(plaquette_coefficients or [coupling] * (L * L))
     if len(star_coefficients) != L * L or len(plaquette_coefficients) != L * L:
         raise ModelError("need one coefficient per star and per plaquette")
-    if any(c <= 0 for c in star_coefficients + plaquette_coefficients):
-        raise ModelError("coefficients must be positive")
+    _check_positive(star_coefficients + plaquette_coefficients, "coefficients")
 
     stars, plaqs, star_names, plaq_names = [], [], [], []
     for r in range(L):
@@ -293,13 +299,13 @@ def _flip_rank(paulis, flip_targets) -> int:
     return gf2_rank(rows)
 
 
-def verify_model(m: ModelSpec, dense_limit: int = 10) -> ModelReport:
+def verify_model(m: ModelSpec) -> ModelReport:
     """Check every structural invariant of a model, reporting violations.
 
     Includes the counting identity 2^n = degeneracy * 2^(independent
     stabilizers) and, for the torus, the snake/comb flip-rank conditions.
     Ground-space data is cross-checked by dense diagonalization when
-    n_sites <= dense_limit.
+    n_sites <= 10.
     """
     checks = []
 
@@ -355,7 +361,7 @@ def verify_model(m: ModelSpec, dense_limit: int = 10) -> ModelReport:
                _flip_rank(comb_z, stars) == L * L - 1,
                f"rank={_flip_rank(comb_z, stars)}, want {L * L - 1}")
 
-    if m.n_sites <= dense_limit:
+    if m.n_sites <= 10:
         h = m.hamiltonian().matrix().toarray()
         evals = np.linalg.eigvalsh(h)
         e0 = evals[0]

@@ -150,7 +150,7 @@ class TestSweep:
         out2 = tmp_path / "b.csv"
         for out in (out1, out2):
             code = run_cli(["sweep", "--model", "ising", "--sizes", "3,4",
-                            "--betaJs", "0,0.25", "--seed", "5",
+                            "--betaJs", "0,0.25",
                             "--out", str(out)])
             assert code == 0
         capsys.readouterr()
@@ -255,6 +255,37 @@ class TestBadInput:
         assert code == 2
         assert f"got beta={betaJ}, coupling=1.0" in capsys.readouterr().err
 
+    def test_non_finite_coupling(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert run_cli(["export-model", "--model", "ising", "--size", "3",
+                        "--coupling", "inf", "--out", str(out)]) == 2
+        assert "coupling must be finite and positive, got inf" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["verify", "--model", "ising", "--size", "3", "--coupling", "nan"]) == 2
+        assert "coupling must be finite and positive, got nan" in capsys.readouterr().err
+
+
+class TestFlags:
+    # a command accepts only the flags it reads
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--couplings", "xz"), ("verify", "--seed", "1"),
+        ("bounds", "--model", "toric"), ("bounds", "--size", "99"),
+        ("bounds", "--couplings", "xz"), ("bounds", "--seed", "1"),
+        ("sweep", "--size", "3"), ("sweep", "--seed", "1"), ("sweep", "--json", "x.json"),
+        ("export-model", "--couplings", "q"), ("export-model", "--seed", "1"),
+        ("export-model", "--json", "x.json")])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        out = str(tmp_path / "out")
+        argv = {"verify": ["--model", "ising", "--size", "3"],
+                "bounds": ["--betaJ", "0.25"],
+                "sweep": ["--model", "ising", "--sizes", "3", "--betaJs", "0", "--out", out],
+                "export-model": ["--model", "ising", "--size", "3", "--out", out]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_defaults_with_override(self, tmp_path, capsys):
@@ -270,3 +301,10 @@ class TestConfigFile:
         cfg.write_text("model ising\n")
         assert run_cli(["gap", "--config", str(cfg), "--betaJ", "0"]) == 2
         capsys.readouterr()
+
+    def test_config_file_serves_a_command_that_reads_fewer_keys(self, tmp_path, capsys):
+        # keys a command does not read are left unused, as before
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = toric\nsize = 2\nseed = 3\ncouplings = xz\n")
+        assert run_cli(["bounds", "--config", str(cfg), "--betaJ", "0"]) == 0
+        assert "generator_gap = 0.3333333333" in capsys.readouterr().out

@@ -345,7 +345,7 @@ class TestRelaxationTime:
             observable=ising3.logicals[0][pair])
         if couplings == "Z":
             assert tr.meta["gap_estimate"] \
-                == analytic_bounds("ising", tp)["generator_gap"]
+                == analytic_bounds(tp)["generator_gap"]
         with pytest.raises(EvolutionError, match="does not decay"):
             relaxation_time(tr)
 
@@ -356,7 +356,7 @@ class TestRelaxationTime:
         m = build_ising_ring(4)
         tp = ThermalParams.from_betaJ(betaJ)
         tr = autocorrelation(m, tp, observable=m.logicals[0][1])
-        assert tr.meta["gap_bound"] == analytic_bounds("ising", tp)["generator_gap"]
+        assert tr.meta["gap_bound"] == analytic_bounds(tp)["generator_gap"]
         assert abs(relaxation_time(tr) * tr.meta["exact_rate"] - 1.0) < 0.05
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -51,6 +51,17 @@ class TestIsingRing:
         with pytest.raises(ModelError):
             build_ising_ring(4, coupling=-1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_or_non_positive_values_named(self, bad):
+        for build, kwargs in [
+                (build_ising_ring, {"n": 4, "coupling": bad}),
+                (build_ising_ring, {"n": 4, "coefficients": [1.0, bad, 1.0, 1.0]}),
+                (build_toric_code, {"L": 2, "coupling": bad}),
+                (build_toric_code, {"L": 2, "star_coefficients": [1.0, 1.0, 1.0, bad]}),
+                (build_toric_code, {"L": 2, "plaquette_coefficients": [bad, 1.0, 1.0, 1.0]})]:
+            with pytest.raises(ModelError, match=f"finite and positive, got {bad!r}"):
+                build(**kwargs)
+
     def test_generic_coefficients(self):
         m = build_ising_ring(4, coefficients=[1.0, 2.0, 0.5, 1.5])
         assert verify_model(m).ok

@@ -308,17 +308,17 @@ class TestCommutantByNullspace:
 
 class TestAnalyticBounds:
     def test_infinite_temperature_values(self):
-        b = analytic_bounds("ising", ThermalParams(beta=0.0))
+        b = analytic_bounds(ThermalParams(beta=0.0))
         assert abs(b["generator_gap"] - 1.0 / 3.0) < 1e-15
         assert abs(b["reduced_generator_gap"] - 0.5) < 1e-15
         assert abs(b["abelian_chain_gap"] - 0.5) < 1e-15
 
     def test_quarter_betaJ(self):
-        b = analytic_bounds("ising", ThermalParams.from_betaJ(0.25))
+        b = analytic_bounds(ThermalParams.from_betaJ(0.25))
         assert abs(b["generator_gap"] - math.exp(-2.0) / 3.0) < 1e-15
 
     def test_low_temperature_limit(self):
-        b = analytic_bounds("toric", ThermalParams.from_betaJ(50.0))
+        b = analytic_bounds(ThermalParams.from_betaJ(50.0))
         assert all(v < 1e-30 for v in b.values())
 
 
@@ -348,6 +348,35 @@ class TestBondPairChain:
                 tp = ThermalParams(beta=-math.log(g) / 2 if g < 1 else 0.0)
                 r = gap(abelian_chain_hamiltonian(n, tp))
                 assert r.gap >= g * g / (1 + g * g) - 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_entries_written_in_canonical_order(self, n, monkeypatch):
+        # the same entries as the diagonal-first layout sorted by from_entries,
+        # written with no sort
+        real_argsort = np.argsort
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argsort called")
+
+        for g in (0.2, 0.5, 1.0):
+            tp = ThermalParams(beta=-math.log(g) / 2)
+            d = 1.0 + tp.gamma ** 2
+            index = np.arange(1 << n)
+            pairs = (index[:, None] >> np.arange(n - 1)) & 3
+            n_plus, n_minus = (pairs == 0).sum(axis=1), (pairs == 3).sum(axis=1)
+            diagonal = n_plus * (tp.gamma ** 2 / d) + n_minus * (1.0 / d) \
+                + (n - 1 - n_plus - n_minus) * 0.5
+            flips = np.where((pairs == 0) | (pairs == 3), -tp.gamma / d, -0.5)
+            want = master.SparseMatrix.from_entries(
+                (1 << n, 1 << n), np.concatenate([index, np.repeat(index, n - 1)]),
+                np.concatenate([index, (index[:, None] ^ (3 << np.arange(n - 1))).ravel()]),
+                np.concatenate([diagonal, flips.ravel()]))
+            monkeypatch.setattr(np, "argsort", refuse)
+            got = abelian_chain_hamiltonian(n, tp).matrix
+            monkeypatch.setattr(np, "argsort", real_argsort)
+            for name in ("row", "col", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_chain_kernel_vectors(self):
         tp = ThermalParams.from_betaJ(0.6)
@@ -507,6 +536,16 @@ class TestCertify:
         with pytest.raises(ValueError, match=r"piece has dimension 32, "
                                              r"above the dense cap 31"):
             gap_from_blocks(lrep)
+
+    def test_ring_gap_is_glauber_closed_form(self):
+        # heat-bath Glauber dynamics of the ring: gap 4(1 - tanh 2 betaJ) at every N
+        # (R. J. Glauber, J. Math. Phys. 4 (1963) 294)
+        for n in range(3, 11):
+            model = build_ising_ring(n)
+            for betaJ in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0):
+                r = certify(model, ThermalParams.from_betaJ(betaJ))
+                assert r.kernel_dim == 1
+                assert abs(r.gap - 8.0 / (1.0 + math.exp(4.0 * betaJ))) <= 1e-12, (n, betaJ)
 
     def test_one_gap_path(self):
         for fn in (certify, sweep):
@@ -679,6 +718,31 @@ class TestPieceSpectra:
         assert assembled == reps.tolist()
 
 
+    def test_batches_stream_one_at_a_time(self, monkeypatch):
+        # ring 6 in batches of two blocks: the gap's block (flip 0, Z) sits in
+        # the first batch, which the residual builds again
+        lrep = build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(0.25))
+        whole = gap_from_blocks(lrep)
+        built = []
+        real_union = master.ChargeBlocks.union
+
+        def recording(self, index):
+            built.append(np.asarray(index).tolist())
+            return real_union(self, index)
+
+        monkeypatch.setattr(master.ChargeBlocks, "union", recording)
+        monkeypatch.setattr(spectral, "_BATCH_NODES", 64)
+        r = gap_from_blocks(lrep)
+        assert whole.extras["min_block"] == r.extras["min_block"] == \
+            {"flip": 0, "sector": "Z", "dim": 32}
+        assert (r.gap, r.kernel_dim, r.residual) == \
+            (whole.gap, whole.kernel_dim, whole.residual)
+        batches = built[:-1]
+        assert len(batches) == -(-r.extras["blocks_solved"] // 2) > 2
+        assert all(len(b) == 2 for b in batches[:-1])
+        assert built[-1] == batches[0]  # rebuilt for the residual, once
+
+
 class TestResidual:
     """The gap's residual comes from one LU of the piece shifted by the gap,
     with no second eigensolver call."""
@@ -716,7 +780,7 @@ def _certify_with_rates(model, tp, rates, frame):
     from daviesgap.spectral import analytic_bounds, gap_from_blocks
     lrep = build_generator(model, tp=tp, frame=frame, rates=rates)
     r = gap_from_blocks(lrep)
-    bound = analytic_bounds(model.kind, tp)["generator_gap"]
+    bound = analytic_bounds(tp)["generator_gap"]
     if r.gap < bound:
         raise BoundViolationError("gap below certified bound")
     return r
