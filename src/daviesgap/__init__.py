@@ -14,7 +14,8 @@ from .master import (BlockLabel, BlockOrbits, ChargeBlocks, XBlockSpec,
                      block_label_of, block_orbits,
                      sign_flip_restriction)
 from .spectral import (GapReport, gap, gap_from_blocks, analytic_bounds,
-                       abelian_chain_hamiltonian, abelian_chain_kernel,
+                       xy_gap, abelian_chain_hamiltonian, abelian_chain_form,
+                       abelian_chain_kernel,
                        bond_pair_block, lemma1_check, lemma2_bound,
                        lemma3_bound, certify, sweep, write_sweep_csv)
 from .dynamics import (AutocorrelationTrace, autocorrelation, relaxation_time,

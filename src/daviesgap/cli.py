@@ -70,6 +70,9 @@ _FLAGS = {
 
 
 def _merge(args) -> dict:
+    """The config file's keys, overridden by the flags given; only the keys
+    the command has a flag for are converted, so a shared config file
+    serves every command."""
     cfg = {}
     if args.config:
         cfg.update(_read_config(args.config))
@@ -78,10 +81,9 @@ def _merge(args) -> dict:
             cfg[key] = val
     cfg.setdefault("coupling", 1.0)
     cfg.setdefault("seed", 0)
-    cfg["coupling"] = float(cfg["coupling"])
-    cfg["seed"] = int(cfg["seed"])
-    if "size" in cfg:
-        cfg["size"] = int(cfg["size"])
+    for key, kind in (("coupling", float), ("seed", int), ("size", int)):
+        if key in vars(args) and key in cfg:
+            cfg[key] = kind(cfg[key])
     return cfg
 
 

@@ -3,13 +3,14 @@
 The gap of a positive semidefinite operator is its smallest eigenvalue above
 the kernel.  Both gap paths split the operator exactly into invariant sparse
 blocks and solve them densely on their pieces (``_piece_spectra``), under one
-size limit, the dense cap on a piece: ``gap`` the operator folded into its
-even and odd blocks under an involutive index symmetry it declares (the bond
-chain folds under reversal, and its pieces are the parity halves of both
-blocks), ``gap_from_blocks`` the charge blocks of a
-generator, one block per lattice-symmetry orbit.  Each piece is factored by
-one eigensolver call only: the gap's residual comes from one step of inverse
-iteration, one LU solve, on the piece that holds it, shifted by the gap.
+size limit, the dense cap on a piece: ``gap`` the operator itself,
+``gap_from_blocks`` the charge blocks of a generator, one block per
+lattice-symmetry orbit.  Each piece is factored by one eigensolver call only:
+the gap's residual comes from one step of inverse iteration, one LU solve, on
+the piece that holds it, shifted by the gap.  An operator that declares an
+open XY chain form, as the bond chain does, skips the eigensolve: ``gap``
+checks the form against every entry and reads the spectrum from its
+free-fermion modes (``xy_gap``).
 Certification takes the generator gap as the exact minimum over its charge
 blocks, asserts gap >= exp(-8*beta*J)/3 and reports the margin.
 """
@@ -93,128 +94,123 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     scipy) or a Hilbert-Schmidt ``SuperOperatorRep`` holding one.  It is read
     in the canonical form of ``SparseMatrix.of``; an operator that is not a
     square matrix raises ValueError, naming its shape, before any solve.
-    An operator may declare an involutive index symmetry p,
-    ``meta["symmetry"]`` (the bond chain declares bit reversal), under which
-    it must be exactly invariant, ``A[p][:, p] == A``; the operator then
-    folds, in one step, into its even and odd blocks under p (``_fold``).
-    Without a declared symmetry p is the identity and the fold is the
-    operator itself.  The folded operator is solved on its pieces, the
-    connected components of its nonzero pattern (``_piece_spectra``); one
-    above ``dense_cap`` raises ValueError before any eigensolve.
     Eigenvalues below KERNEL_RTOL times the largest one count as kernel.
     Every vector v of ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL *
     lambda_max * ||v||, checked on the whole operator.  ``seed`` is unused.
-    ``extras`` counts the pieces and gives the dimensions of the largest one
-    and of the one holding the gap; ``stages`` gives the seconds of the
-    symmetry fold, of the piece eigensolve and of the gap's residual
-    (``_residual``, one LU solve on the piece that holds the gap).
+
+    An operator that declares an open XY chain form, ``meta["xy_form"]`` (the
+    bond chain does), has its spectrum read from the form (``xy_gap``) and
+    the form checked against every entry (``_checked_form``): no eigensolver
+    runs on it and ``dense_cap`` does not apply.  ``residual`` is the form's
+    error bound ``form_error`` over lambda_max; ``stages`` gives the seconds
+    of the SVD and of the form check.  Any other operator is solved on its
+    pieces, the connected components of its nonzero pattern
+    (``_piece_spectra``); one above ``dense_cap`` raises ValueError before
+    any eigensolve.  ``extras`` then counts the pieces and gives the
+    dimensions of the largest one and of the one holding the gap; ``stages``
+    gives the seconds of reading the operator, of the piece eigensolve and of
+    the gap's residual (``_residual``, one LU solve on the piece holding it).
     """
     t0, t_split = time.time(), time.perf_counter()
     matrix = SparseMatrix.of(_as_matrix(rep))
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"gap needs a square operator, got shape {matrix.shape}")
-    meta = getattr(rep, "meta", None) or {}
-    perm = meta.get("symmetry")
-    perm = np.arange(n) if perm is None else _checked_symmetry(matrix, perm)
-    union = _fold(matrix, perm)
+    form = (getattr(rep, "meta", None) or {}).get("xy_form")
     t_solve = time.perf_counter()
-    vals, owner, labels, pieces = _piece_spectra(union, [n], dense_cap)
-    t_residual = time.perf_counter()
-    report, *_ = _kernel_and_gap(
-        vals, [0], owner, lambda r, p: _piece(union, labels, p), expected_kernel)
-    t_end = time.perf_counter()
+    if form is not None:
+        report = xy_gap(form)
+        top = report.extras["lambda_max"]
+        t_check = time.perf_counter()
+        delta = _checked_form(matrix, form, top)
+        _check_kernel(report.kernel_dim, expected_kernel, report.near_threshold)
+        report.residual = delta / top
+        report.extras.update({"form_error": delta,
+                              "stages": {"svd_s": t_check - t_solve,
+                                         "form_check_s": time.perf_counter() - t_check}})
+    else:
+        vals, owner, labels, pieces = _piece_spectra(matrix, [n], dense_cap)
+        t_residual = time.perf_counter()
+        report, *_ = _kernel_and_gap(
+            vals, [0], owner, lambda r, p: _piece(matrix, labels, p), expected_kernel)
+        top = vals.max()
+        holder = owner[report.kernel_dim]  # the piece of the first eigenvalue above the kernel
+        report.extras.update({**pieces,
+                              "min_piece_dim": int(np.count_nonzero(labels == holder)),
+                              "stages": {"split_s": t_solve - t_split,
+                                         "eigensolve_s": t_residual - t_solve,
+                                         "residual_s": time.perf_counter() - t_residual}})
     if kernel_basis is not None and len(kernel_basis) > 0:
-        res = [np.linalg.norm(matrix @ v) / (vals.max() * np.linalg.norm(v))
-               for v in kernel_basis]
+        res = [np.linalg.norm(matrix @ v) / (top * np.linalg.norm(v)) for v in kernel_basis]
         worst = int(np.argmax(res))
         if res[worst] > KERNEL_RTOL:
             raise KernelMismatchError(
                 f"kernel_basis vector {worst} has ||A v|| / (lambda_max ||v||) "
                 f"= {res[worst]:.3e}, above {KERNEL_RTOL:g}")
     report.elapsed = time.time() - t0
-    holder = owner[report.kernel_dim]  # the piece of the first eigenvalue above the kernel
-    report.extras.update({**pieces, "min_piece_dim": int(np.count_nonzero(labels == holder)),
-                          "stages": {"split_s": t_solve - t_split,
-                                     "eigensolve_s": t_residual - t_solve,
-                                     "residual_s": t_end - t_residual}})
     return report
 
 
-def _checked_symmetry(matrix, perm) -> np.ndarray:
-    """The declared index symmetry, once it is an involution leaving the
-    canonical sparse ``matrix`` exactly invariant; ValueError otherwise,
-    naming the mismatches."""
-    dim = matrix.shape[0]
-    perm = np.asarray(perm)
-    if perm.dtype.kind not in "iu":
-        raise ValueError(f"declared symmetry must be an integer index array, "
-                         f"not {perm.dtype}")
-    perm = perm.astype(np.int64, copy=False)
-    if perm.shape != (dim,) or perm.min() < 0 or perm.max() >= dim:
-        raise ValueError(f"declared symmetry must map the {dim} indices into "
-                         f"range(0, {dim})")
-    moved = np.flatnonzero(perm[perm] != np.arange(dim))
-    if moved.size:
-        raise ValueError(f"declared symmetry is not an involution: "
-                         f"p[p[i]] != i at {moved.size} of {dim} indices, "
-                         f"largest |p[p[i]] - i| = "
-                         f"{np.abs(perm[perm[moved]] - moved).max()}")
-    # P A P moves entry (i, j) of A to (p(i), p(j)): sorted back into canonical
-    # order its entries must be those of A, entry for entry
-    row, col = perm[matrix.row], perm[matrix.col]
-    order = np.argsort(row * dim + col)
-    if np.array_equal(row[order], matrix.row) and np.array_equal(col[order], matrix.col) \
-            and np.array_equal(matrix.data[order], matrix.data):
-        return perm
-    diff = SparseMatrix.from_entries(matrix.shape, np.concatenate([row, matrix.row]),
-                                     np.concatenate([col, matrix.col]),
-                                     np.concatenate([matrix.data, -matrix.data]))
-    raise ValueError(f"operator is not invariant under its declared "
-                     f"symmetry: {diff.nnz} entries of A[p][:, p] differ "
-                     f"from A, largest deviation {abs(diff.data).max():.3e}")
-
-
-# entry weights of the even block by the number of fixed points among its row
-# and column representatives: e_r for a fixed point, (e_r + e_p(r))/sqrt(2)
-# otherwise; with none moving every weight is the exact 1/2 of A + A
-_EVEN_WEIGHTS = np.array([1.0, 1.0 / np.sqrt(2.0), 0.5])
-
-
-def _fold(matrix: SparseMatrix, perm) -> SparseMatrix:
-    """The even and odd blocks of ``matrix`` under the involution ``perm``,
-    which must leave it invariant, as one block-diagonal matrix of the same
-    dimension.
-
-    The even block, A[r][:, r] + A[r][:, p(r)] weighted by ``_EVEN_WEIGHTS``,
-    comes first, on all representatives r <= p(r) in ascending order; the odd
-    block, A[m][:, m] - A[m][:, p(m)], follows on the moving representatives
-    m < p(m).  With the identity the result is ``matrix``, bit for bit.
-
-    One pass over the entries of the representative rows forms both blocks:
-    entry (i, j, v) adds v at (i, min(j, p(j))) of the even block (2v, the
-    exact v + v, for a fixed j) and, if i and j move, v at (i, j) for j < p(j)
-    or -v at (i, p(j)) for j > p(j) of the odd block; ``from_entries`` sums a
-    cell's two addends, as A +- B would.  Weighting each even addend first
-    keeps those bits: a fixed row has two equal addends (A[i, j] =
-    A[i, p(j)]), a fixed column a single one.
+def xy_gap(form) -> GapReport:
+    """Kernel dimension and gap of the open XY chain ``form`` = (c, h, a, b),
+    c + sum_j h_j Z_j + sum_j (a_j X_j X_j+1 + b_j Y_j Y_j+1), from the form
+    alone.  Its spectrum is E0 plus the subset sums of the mode energies
+    eps = 2 svd(T), T tridiagonal with diagonal -h, subdiagonal a and
+    superdiagonal b, and E0 = c - sum(eps)/2 (Jordan-Wigner; Lieb, Schultz &
+    Mattis, Ann. Phys. 16 (1961) 407).  Only the z modes with E0 + eps_k
+    below KERNEL_RTOL * lambda_max can enter the kernel: it counts their
+    subset sums below that, and the gap is the smallest of E0 + eps_z and
+    their subset sums above it.  ``extras`` gives lambda_max = c + sum(eps)/2.
     """
-    node = np.arange(perm.size)
-    fixed, rep = perm == node, np.minimum(node, perm)
-    reps, moving = node <= perm, node < perm
-    # a fixed point takes one even node, a swapped pair one even and one odd
-    even = np.cumsum(reps) - 1
-    odd = np.count_nonzero(reps) + np.cumsum(moving) - 1
-    i, j, v = matrix.row, matrix.col, matrix.data
-    on = reps[i]
-    i, j, v = i[on], j[on], v[on]
-    fi, fj = fixed.astype(np.intp)[i], fixed.astype(np.intp)[j]
-    weight = (1 + fj) * _EVEN_WEIGHTS[fi + fj]  # exact: a factor 2 only moves the exponent
-    both = fi + fj == 0
-    odd_v = np.where(j < perm[j], v, -v)[both]
-    return SparseMatrix.from_entries((perm.size,) * 2, np.concatenate([even[i], odd[i[both]]]),
-                                     np.concatenate([even[rep[j]], odd[rep[j[both]]]]),
-                                     np.concatenate([v * weight, odd_v]))
+    c, h, a, b = (np.asarray(x, dtype=float) for x in form)
+    eps = 2.0 * np.linalg.svd(np.diag(-h) + np.diag(a, -1) + np.diag(b, 1),
+                              compute_uv=False)[::-1]
+    e0, top = c - eps.sum() / 2.0, c + eps.sum() / 2.0
+    threshold = KERNEL_RTOL * max(abs(top), 1e-300)
+    z = int(np.count_nonzero(e0 + eps < threshold))
+    vals = np.sort(np.append(e0 + ((np.arange(1 << z)[:, None] >> np.arange(z)) & 1) @ eps[:z],
+                             e0 + eps[z:z + 1]))
+    kdim = int(np.searchsorted(vals, threshold))
+    if kdim == vals.size:
+        raise SolverConvergenceError("no spectrum above the kernel")
+    near = (float(vals[kdim - 1]) if kdim else float("-inf"), float(vals[kdim]))
+    return GapReport(kernel_dim=kdim, gap=near[1], solver="xy_form", near_threshold=near,
+                     extras={"lambda_max": float(top)})
+
+
+def _checked_form(matrix: SparseMatrix, form, top: float) -> float:
+    """delta, the largest row sum of |A - Q| for the canonical ``matrix`` A
+    and the matrix Q of the XY ``form``, bond j on bit n-1-j, in the chain's
+    layout: diagonal c + sum_j h_j (1 - 2 bit_j), flip u ^ (3 << k) a + b on
+    a mixed pair and a - b on an equal one.  delta bounds ||A - Q||_2, so by
+    Weyl every eigenvalue of A lies within delta of one of Q's.  ValueError
+    unless A has Q's pattern, entry for entry, and delta <= KERNEL_RTOL *
+    ``top`` (lambda_max)."""
+    c, h, a, b = form
+    n = len(h)
+    if matrix.shape != (1 << n,) * 2:
+        raise ValueError(f"an xy_form of {n} bonds needs shape {(1 << n,) * 2}, "
+                         f"got {matrix.shape}")
+    pairs, diag_at, flip_at, row, col = _chain_layout(n)
+    index = np.arange(1 << n)
+    data = np.empty(col.size)
+    data[diag_at] = c + (1 - 2 * ((index[:, None] >> np.arange(n)) & 1)) @ np.asarray(h)[::-1]
+    # flip k moves the bits k and k + 1, that is bonds n-2-k and n-1-k
+    data[flip_at] = np.where((pairs == 1) | (pairs == 2), np.add(a, b)[::-1],
+                             np.subtract(a, b)[::-1])
+    keep = data != 0
+    row, col, data = row[keep], col[keep], data[keep]
+    same = np.array_equal(row, matrix.row) and np.array_equal(col, matrix.col)
+    delta = np.bincount(row, np.abs(matrix.data - data)).max() if same else np.inf
+    if delta <= KERNEL_RTOL * top:
+        return float(delta)
+    diff = abs(SparseMatrix.from_entries(matrix.shape, np.concatenate([row, matrix.row]),
+                                         np.concatenate([col, matrix.col]),
+                                         np.concatenate([data, -matrix.data])).data)
+    bad = np.count_nonzero(diff > KERNEL_RTOL * top)
+    raise ValueError(f"operator does not have its declared xy_form: {bad} entries differ "
+                     f"by more than {KERNEL_RTOL:g} * lambda_max, largest deviation "
+                     f"{diff.max(initial=0.0):.3e}, row-sum bound {delta:.3e}")
 
 
 def _piece_spectra(union: SparseMatrix, dims, cap) -> tuple:
@@ -312,16 +308,19 @@ def _kernel_and_gap(vals, starts, owner, piece, expected_kernel, of=None):
     kdim = int(kernel_counts.sum())
     g = float(block_gaps.min())
     near = (float(vals[~above].max()) if kdim else float("-inf"), g)
-    if expected_kernel is not None and kdim != expected_kernel:
-        raise KernelMismatchError(
-            f"kernel dimension {kdim} != expected {expected_kernel} "
-            f"(eigenvalues around threshold: {near})")
-
+    _check_kernel(kdim, expected_kernel, near)
     win = int(np.flatnonzero(block_gaps - g < 1e-14 * scale)[0])
     r = of[win]
     residual = _residual(piece(r, owner[starts[r] + solved_counts[r]]), g, scale)
     return (GapReport(kernel_dim=kdim, gap=g, residual=residual, near_threshold=near),
             win, block_gaps, kernel_counts)
+
+
+def _check_kernel(kdim, expected_kernel, near) -> None:
+    if expected_kernel is not None and kdim != expected_kernel:
+        raise KernelMismatchError(
+            f"kernel dimension {kdim} != expected {expected_kernel} "
+            f"(eigenvalues around threshold: {near})")
 
 
 # ---------------------------------------------------------------------------
@@ -357,42 +356,59 @@ def bond_pair_block(gamma: float) -> np.ndarray:
 
 
 def abelian_chain_hamiltonian(n: int, tp: ThermalParams) -> SuperOperatorRep:
-    """Sum of pair blocks along an open chain of n bond variables.
-
-    Acts on the 2^n-dimensional diagonal space, bond j on bit n-1-j of the
-    index with 0 for '+'; sites 2..n of the ring each contribute the block on
-    bond pair (j-1, j).  Built from the bond labels: the diagonal is
+    """Sum of pair blocks along an open chain of n bond variables, on the
+    2^n-dimensional diagonal space, bond j on bit n-1-j of the index with 0
+    for '+'; sites 2..n of the ring each contribute the block on bond pair
+    (j-1, j).  Built from the bond labels in canonical order: the diagonal is
     (#'++' pairs)*gamma^2/d + (#'--' pairs)/d + (#mixed pairs)/2 with
-    d = 1 + gamma^2, and flipping both bonds of an adjacent pair gives one
-    entry, -gamma/d on an equal pair and -1/2 on a mixed one.  Every entry
-    depends on the pair counts only, so the matrix is exactly invariant under
-    reversing the chain, and ``meta["symmetry"]`` declares that bit reversal.
-    Row u's n entries are written at u*n onward in column order, so nothing
-    is sorted: flipping pair j changes bit j + 1 last, so the flips that
-    clear it lie below the diagonal, highest j first, and the rest above it.
-    """
+    d = 1 + gamma^2, and flipping both bonds of an adjacent pair gives -gamma/d
+    on an equal pair, -1/2 on a mixed one.  ``meta["xy_form"]`` declares
+    ``abelian_chain_form``."""
     if n < 3:
         raise GeneratorError("chain needs at least 3 bonds")
     gamma = tp.gamma
     d = 1.0 + gamma ** 2
-    index = np.arange(1 << n)
-    pairs = (index[:, None] >> np.arange(n - 1)) & 3
+    pairs, diag_at, flip_at, rows, cols = _chain_layout(n)
     plus, minus = pairs == 0, pairs == 3
     n_plus, n_minus = plus.sum(axis=1), minus.sum(axis=1)
-    diagonal = n_plus * (gamma ** 2 / d) + n_minus * (1.0 / d) \
+    data = np.empty(n << n)
+    data[diag_at] = n_plus * (gamma ** 2 / d) + n_minus * (1.0 / d) \
         + (n - 1 - n_plus - n_minus) * 0.5
+    data[flip_at] = np.where(plus | minus, -gamma / d, -0.5)
+    matrix = SparseMatrix.from_entries((1 << n, 1 << n), rows, cols, data)
+    return SuperOperatorRep(matrix=matrix, space="hilbert-schmidt", beta=tp.beta,
+                            meta={"chain_bonds": n, "gamma": gamma,
+                                  "xy_form": abelian_chain_form(n, gamma)})
+
+
+def abelian_chain_form(n: int, gamma: float) -> tuple:
+    """The bond chain as the XY form (c, h, a, b) of ``xy_gap``: the pair
+    block is 1/2 + h (ZI + IZ) + a XX + b YY with d = 1 + gamma^2,
+    h = -(1 - gamma^2)/(4d), a = -(1 + gamma)^2/(4d), b = -(1 - gamma)^2/(4d),
+    so c = (n - 1)/2 and a bond's field is 2h inside the chain, h at its ends.
+    """
+    d = 1.0 + gamma ** 2
+    field = np.full(n, -(1.0 - gamma ** 2) / (2.0 * d))
+    field[[0, -1]] /= 2.0
+    return ((n - 1) / 2.0, field, np.full(n - 1, -(1.0 + gamma) ** 2 / (4.0 * d)),
+            np.full(n - 1, -(1.0 - gamma) ** 2 / (4.0 * d)))
+
+
+def _chain_layout(n: int) -> tuple:
+    """The pairs (u >> k) & 3, the positions of the diagonals and of the
+    flips u ^ (3 << k), and every position's row and column, row u's entries
+    at u*n onward in column order, so nothing is sorted: flipping pair k
+    changes bit k + 1 last, so the flips that clear it lie below the
+    diagonal, highest k first, and the rest above it."""
+    index = np.arange(1 << n)
+    pairs = (index[:, None] >> np.arange(n - 1)) & 3
     lower = pairs >= 2
     diag_at = index * n + lower.sum(axis=1)
     flip_at = diag_at[:, None] - np.cumsum(lower, axis=1) + np.where(lower, 0, np.arange(1, n))
-    cols, data = np.empty(n << n, dtype=np.int64), np.empty(n << n)
-    cols[diag_at], data[diag_at] = index, diagonal
+    cols = np.empty(n << n, dtype=np.int64)
+    cols[diag_at] = index
     cols[flip_at] = index[:, None] ^ (3 << np.arange(n - 1))
-    data[flip_at] = np.where(plus | minus, -gamma / d, -0.5)
-    matrix = SparseMatrix.from_entries((1 << n, 1 << n), np.repeat(index, n), cols, data)
-    reversal = sum(((index >> j) & 1) << (n - 1 - j) for j in range(n))
-    return SuperOperatorRep(matrix=matrix, space="hilbert-schmidt", beta=tp.beta,
-                            meta={"chain_bonds": n, "gamma": gamma,
-                                  "symmetry": reversal})
+    return pairs, diag_at, flip_at, np.repeat(index, n), cols
 
 
 def abelian_chain_kernel(n: int, gamma: float) -> list:
@@ -489,14 +505,14 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     writes each batch of _BATCH_NODES nodes straight into one block-diagonal
     matrix, which ``_piece_spectra`` solves on its pieces (a piece above
     DENSE_DIM_CAP raises ValueError before its batch is solved).  One batch
-    is held at a time; the residual builds the gap's batch again unless it
-    is the last.  ``extras`` counts the blocks solved and in total, the
-    symmetry generators kept and the pieces, gives the largest piece and
-    names the ``min_block`` holding the gap; ``stages`` gives the seconds of
-    assembling charge blocks (``ChargeBlocks`` and the batch unions), of
-    grouping them into orbits, of the piece eigensolve and of the gap's
-    residual (``_residual``, on the piece that holds the gap, with any
-    rebuild).  With ``inventory`` the report carries one
+    is held at a time, from the last to the first, so the residual builds
+    the gap's batch again only if it is not the first.  ``extras`` counts
+    the blocks solved and in total, the symmetry generators kept and the
+    pieces, gives the largest piece and names the ``min_block`` holding the
+    gap; ``stages`` gives the seconds of assembling charge blocks
+    (``ChargeBlocks`` and the batch unions), of grouping them into orbits, of
+    the piece eigensolve and of the gap's residual (``_residual``, on the
+    piece that holds the gap, with any rebuild).  With ``inventory`` the report carries one
     entry per block (label, dimension, kernel count, smallest eigenvalue
     above the kernel).
     """
@@ -511,19 +527,18 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     per = max(1, _BATCH_NODES // dim)
     batches = [reps[i:i + per] for i in range(0, reps.size, per)]
     spectra, charge_s, solve_s = [], t_charge - t0, 0.0
-    for batch in batches:
+    for batch in reversed(batches):  # every ring's gap lies in the first
         t_build = time.perf_counter()
-        union = None  # drop the last batch before the next is built
+        union = None  # drop the previous batch before the next is built
         union = charge.union(batch)
         t_solve = time.perf_counter()
         spectra.append(_piece_spectra(union, np.full(batch.size, dim), DENSE_DIM_CAP))
         charge_s, solve_s = charge_s + t_solve - t_build, solve_s + time.perf_counter() - t_solve
-    vals, owner, labels, info = zip(*spectra)
+    vals, owner, labels, info = zip(*spectra[::-1])
     t_residual = time.perf_counter()
-    last = len(batches) - 1
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
         np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(owner),
-        lambda r, p: _piece(union if r // per == last else charge.union(batches[r // per]),
+        lambda r, p: _piece(union if r // per == 0 else charge.union(batches[r // per]),
                             labels[r // per], p),
         expected_kernel, of=np.searchsorted(reps, orbits.rep))
     report.solver = "blocks"

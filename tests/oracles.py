@@ -12,7 +12,9 @@ Lanczos) solve a matrix without splitting it, as references for
 ``unreduced_block_gap`` diagonalize every charge block, with no symmetry
 reduction, as references for the orbit reduction of ``gap_from_blocks``.
 ``kron_chain_hamiltonian`` sums the bond chain's pair blocks by Kronecker
-products, the reference for the label-built ``abelian_chain_hamiltonian``;
+products, the reference for the label-built ``abelian_chain_hamiltonian``,
+and ``kron_xy_form`` sums an open XY chain's Pauli terms, the reference for
+its free-fermion spectrum and form check in ``spectral``;
 ``commutant_basis`` lists the commutant's Pauli strings, the reference for
 ``commutant_dimension``.  ``fourier_decompose`` expands each jump component
 into a ``PauliSum`` of stabilizer products times the coupling, and
@@ -488,6 +490,25 @@ def kron_chain_hamiltonian(n: int, gamma: float) -> sp.csr_matrix:
         left = sp.identity(1 << j, format="csr")
         right = sp.identity(1 << (n - 2 - j), format="csr")
         total = total + sp.kron(sp.kron(left, k, format="csr"), right, format="csr")
+    return total.tocsr()
+
+
+def kron_xy_form(c, h, a, b) -> sp.csr_matrix:
+    """The open XY chain c + sum_j h_j Z_j + sum_j (a_j X_j X_j+1 + b_j Y_j Y_j+1),
+    bond j the j-th Kronecker factor (bit n-1-j), as a sum of Kronecker
+    products: the reference for ``spectral.xy_gap`` and ``_checked_form``."""
+    n = len(h)
+    z, xx = sp.csr_matrix(np.diag([1.0, -1.0])), sp.csr_matrix(np.fliplr(np.eye(4)))
+    yy = sp.csr_matrix(np.diag([-1.0, 1.0, 1.0, -1.0])[::-1])  # Y (x) Y, real
+
+    def at(j, op):
+        return sp.kron(sp.kron(sp.identity(1 << j), op), sp.identity(1 << (n - j - op.shape[0] // 2)))
+
+    total = c * sp.identity(1 << n, format="csr")
+    for j in range(n):
+        total = total + h[j] * at(j, z)
+    for j in range(n - 1):
+        total = total + a[j] * at(j, xx) + b[j] * at(j, yy)
     return total.tocsr()
 
 

@@ -308,3 +308,19 @@ class TestConfigFile:
         cfg.write_text("model = toric\nsize = 2\nseed = 3\ncouplings = xz\n")
         assert run_cli(["bounds", "--config", str(cfg), "--betaJ", "0"]) == 0
         assert "generator_gap = 0.3333333333" in capsys.readouterr().out
+
+    def test_unread_key_is_not_converted(self, tmp_path, capsys):
+        # bounds has no --seed, so a seed it cannot parse is left alone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = abc\n")
+        assert run_cli(["bounds", "--config", str(cfg), "--betaJ", "0.25"]) == 0
+        assert "generator_gap = " in capsys.readouterr().out
+
+    def test_read_key_that_does_not_parse_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = abc\n")
+        out = tmp_path / "gen.coo"
+        assert run_cli(["export-generator", "--config", str(cfg), "--model", "ising",
+                        "--size", "3", "--betaJ", "0.25", "--out", str(out)]) == 2
+        assert "'abc'" in capsys.readouterr().err
+        assert not out.exists()

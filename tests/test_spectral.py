@@ -23,10 +23,10 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 abelian_chain_kernel, analytic_bounds,
                                 bond_pair_block, certify, gap,
                                 gap_from_blocks, lemma1_check, lemma2_bound,
-                                lemma3_bound, sweep, write_sweep_csv,
-                                _fold, _piece_spectra)
+                                lemma3_bound, sweep, write_sweep_csv, xy_gap,
+                                abelian_chain_form, _piece_spectra)
 from oracles import (block_labels, block_spectra, commutant_basis, csr, dense_gap, full_space_gap,
-                     iterative_gap, kron_chain_hamiltonian, to_master,
+                     iterative_gap, kron_chain_hamiltonian, kron_xy_form, to_master,
                      unreduced_block_gap)
 
 
@@ -94,33 +94,30 @@ class TestGap:
         assert abs(r.gap - want.gap) < 1e-12 * want.gap
         assert r.near_threshold[1] == r.gap
         assert r.residual < 1e-12
-        # with no declared symmetry the fold is the canonical matrix, bit for
-        # bit, and the gap is the one the unfolded piece solve gives
-        matrix = sp.csr_matrix(a)
-        folded = csr(_fold(master.SparseMatrix.of(a), np.arange(len(a))))
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(folded, name), getattr(matrix, name))
         assert repr(r.gap) == "0.45994350876813767"
 
     def test_chain_splits_by_parity_and_checks_its_kernel(self):
+        # the chain's matrix without its declared form: the dense piece route,
+        # whose pieces are the two parity halves
         tp = ThermalParams.from_betaJ(0.35)
-        for n in range(3, 13):
-            r = gap(abelian_chain_hamiltonian(n, tp),
+        for n in range(3, 12):
+            r = gap(abelian_chain_hamiltonian(n, tp).matrix,
                     kernel_basis=abelian_chain_kernel(n, tp.gamma))
             assert r.kernel_dim == 2 and r.solver == "dense"
-            # bit reversal folds the chain into its even and odd blocks, and
-            # their pieces are the parity halves; the palindromes are its
-            # fixed points
-            palindromes = [1 << (n // 2), 0] if n % 2 == 0 else [1 << (n // 2)] * 2
-            dims = {(1 << (n - 1)) + k * f for f in palindromes for k in (1, -1)}
-            assert r.extras["pieces"] == 4
-            assert r.extras["largest_piece"] == max(dims) // 2
-            assert 2 * r.extras["min_piece_dim"] in dims
-            if n <= 9:
-                unfolded = gap(abelian_chain_hamiltonian(n, tp).matrix)
-                assert unfolded.extras["pieces"] == 2
-                assert abs(r.gap - unfolded.gap) < 1e-12 * unfolded.gap
-        assert r.extras["largest_piece"] == 1056
+            assert r.extras["pieces"] == 2
+            assert r.extras["largest_piece"] == r.extras["min_piece_dim"] == 1 << (n - 1)
+
+    @pytest.mark.parametrize("g", [0.2, 0.35, 0.5, 1.0])
+    def test_form_route_matches_dense_oracle(self, g):
+        tp = ThermalParams(beta=-math.log(g) / 2)
+        for n in range(3, 12):
+            chain = abelian_chain_hamiltonian(n, tp)
+            r, want = gap(chain, expected_kernel=2), gap(chain.matrix)
+            assert r.solver == "xy_form" and want.solver == "dense"
+            assert r.kernel_dim == want.kernel_dim == 2
+            assert abs(r.gap - want.gap) <= 1e-12 * want.gap
+            assert r.residual == r.extras["form_error"] / r.extras["lambda_max"] < 1e-15
+            assert r.near_threshold[1] == r.gap and abs(r.near_threshold[0]) < 1e-12
 
     def test_chain_from_labels_matches_kron_sum(self):
         for betaJ in (0.0, 0.35, 1.0):
@@ -128,30 +125,39 @@ class TestGap:
             for n in range(3, 13):
                 chain = abelian_chain_hamiltonian(n, tp)
                 a, want = csr(chain.matrix), kron_chain_hamiltonian(n, tp.gamma)
-                assert ((a != 0) != (want != 0)).nnz == 0
-                # relative to the largest entry: the kron sum rounds once per
-                # pair, and the diagonal grows with n
-                assert abs(a - want).max() <= 1e-15 * abs(want).max()
-                p = chain.meta["symmetry"]
-                assert (a[p][:, p] != a).nnz == 0
+                # the declared form, summed from its Pauli terms
+                form = kron_xy_form(*chain.meta["xy_form"])
+                for other in (want, form):
+                    assert ((a != 0) != (other != 0)).nnz == 0
+                    # relative to the largest entry: the kron sums round once
+                    # per term, and the diagonal grows with n
+                    assert abs(a - other).max() <= 1e-15 * abs(other).max()
 
-    def test_broken_symmetry_raises_before_solving(self, monkeypatch):
+    def test_broken_form_raises_before_solving(self, monkeypatch):
         def no_solve(*args, **kwargs):
-            raise AssertionError("eigensolver called")
+            raise AssertionError("operator solved")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        for name in ("eigvalsh", "eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        monkeypatch.setattr(master.SparseMatrix, "toarray", no_solve)
         chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        c, h, a, b = chain.meta["xy_form"]
         perturbed = csr(chain.matrix)
-        perturbed[0, 3] += 1e-9  # flips bonds 4 and 5; its mirror flips 0 and 1
-        with pytest.raises(ValueError, match=r"2 entries of A\[p\]\[:, p\] differ "
-                                             r"from A, largest deviation 1\.000e-09"):
+        perturbed[0, 3] += 1e-9  # flips bonds 4 and 5
+        with pytest.raises(ValueError, match=r"declared xy_form: 1 entries differ by more than "
+                                             r"1e-10 \* lambda_max, largest deviation 1\.000e-09"):
             gap(dataclasses.replace(chain, matrix=perturbed))
-        shift = dataclasses.replace(chain, meta={"symmetry": np.roll(np.arange(64), 1)})
-        with pytest.raises(ValueError, match=r"not an involution: .* at 64 of 64"):
-            gap(shift)
-        reversal = chain.meta["symmetry"]
-        with pytest.raises(ValueError, match=r"integer index array, not float64"):
-            gap(dataclasses.replace(chain, meta={"symmetry": reversal.astype(float)}))
+        missing = csr(chain.matrix)
+        missing[0, 3] = 0.0
+        missing.eliminate_zeros()
+        with pytest.raises(ValueError, match=r"1 entries differ .* largest deviation "
+                                             r"3\.98\de-01, row-sum bound inf"):
+            gap(dataclasses.replace(chain, matrix=missing))
+        for form in ((c, h * 1.01, a, b), (c, h, b, a), (c + 1e-6, h, a, b)):
+            with pytest.raises(ValueError, match=r"declared xy_form: \d+ entries differ"):
+                gap(dataclasses.replace(chain, meta={"xy_form": form}))
+        with pytest.raises(ValueError, match=r"xy_form of 5 bonds needs shape \(32, 32\)"):
+            gap(dataclasses.replace(chain, meta={"xy_form": (c, h[1:], a[1:], b[1:])}))
 
     @pytest.mark.parametrize("operator", [np.eye(3)[:2], np.ones(3)])
     def test_operator_that_is_not_square_raises_before_solving(self, monkeypatch, operator):
@@ -163,7 +169,7 @@ class TestGap:
             gap(operator)
 
     def test_input_types_give_the_same_bits(self):
-        # the label-built chain, with and without its symmetry, and the kron
+        # the label-built chain, with and without its form, and the kron
         # sum (whose entries differ in the last bits), each as a SparseMatrix,
         # as a scipy CSR matrix and as a dense array
         tp = ThermalParams.from_betaJ(0.35)
@@ -173,13 +179,8 @@ class TestGap:
             for matrix, meta in ((chain.matrix, chain.meta), (chain.matrix, {}), (kron, {})):
                 reports = [gap(dataclasses.replace(chain, matrix=m, meta=meta))
                            for m in (matrix, csr(matrix), matrix.toarray())]
-                assert len({(r.gap.hex(), r.kernel_dim, r.extras["pieces"])
+                assert len({(r.gap.hex(), r.kernel_dim, r.residual, r.extras.get("pieces"))
                             for r in reports}) == 1
-
-    def test_symmetry_may_be_a_list_of_ints(self):
-        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
-        as_list = dataclasses.replace(chain, meta={"symmetry": chain.meta["symmetry"].tolist()})
-        assert gap(as_list).gap == gap(chain).gap
 
     def test_gap_runs_one_components_pass(self, monkeypatch):
         calls = []
@@ -190,7 +191,10 @@ class TestGap:
             return real_components(n, a, b)
 
         monkeypatch.setattr(spectral, "_components", counting)
-        gap(abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35)))
+        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        gap(chain.matrix)
+        assert len(calls) == 1
+        gap(chain)  # the declared form: no piece split
         assert len(calls) == 1
 
     def test_perturbed_kernel_vector_raises(self):
@@ -206,69 +210,66 @@ class TestGap:
             raise AssertionError("eigensolver called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
-        # the cap bounds the pieces: the folded even blocks (20), not the
-        # parity components (32)
+        # the cap bounds the pieces, the parity halves (32), not the operator;
+        # it does not apply to the declared form
         chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
-        with pytest.raises(ValueError, match=r"piece has dimension 20, "
-                                             r"above the dense cap 19"):
-            gap(chain, dense_cap=19)
+        with pytest.raises(ValueError, match=r"piece has dimension 32, "
+                                             r"above the dense cap 31"):
+            gap(chain.matrix, dense_cap=31)
+        assert gap(chain, dense_cap=1).kernel_dim == 2
         monkeypatch.undo()
-        assert gap(chain, dense_cap=20).extras["largest_piece"] == 20
+        assert gap(chain.matrix, dense_cap=32).extras["largest_piece"] == 32
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           orbits=st.lists(st.tuples(st.booleans(), st.integers(0, 3),
-                                     st.integers(1, 3)), max_size=3))
-    def test_folded_gap_matches_dense_solve(self, seed, orbits):
-        """Random Hermitian PSD operators invariant under a random involution
-        with fixed points: the folded solve matches one dense ``eigh``."""
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7), zero_mode=st.booleans())
+    def test_random_form_matches_dense_solve(self, seed, n, zero_mode):
+        """Random open XY chains, built by the kron-sum oracle and shifted
+        to PSD: the declared form's gap matches one dense ``eigh``.  A zero
+        last row of T (no field and no XX on the last bond) adds a zero mode,
+        which doubles the kernel."""
         rng = np.random.default_rng(seed)
-        # each orbit of components: one component that p maps onto itself
-        # (f fixed points, q swapped pairs), assembled from random even and
-        # odd blocks, or two equal components that p exchanges
-        parts, perms, offset = [], [], 0
-        for swap, f, q in [(False, 1, 0)] + orbits:
-            if swap:
-                block = _random_psd(rng, q + f)
-                parts += [block, block]
-                local = np.roll(np.arange(2 * (q + f)), q + f)
-            else:
-                local = np.concatenate([np.arange(f), f + q + np.arange(q),
-                                        f + np.arange(q)])
-                basis = sla.block_diag(np.eye(f), np.kron([[1.0, 1.0], [1.0, -1.0]],
-                                                          np.eye(q)) / np.sqrt(2.0))
-                inner = sla.block_diag(_random_psd(rng, f + q),
-                                       _random_psd(rng, q) if q else np.zeros((0, 0)))
-                parts.append(basis @ inner @ basis.T)
-            perms.append(offset + local)
-            offset += local.size
-        a = sla.block_diag(*parts)
-        p = np.concatenate(perms)
-        a = (a + a[np.ix_(p, p)]) / 2.0  # exactly invariant; moves eigenvalues ~1e-16
-        relabel = rng.permutation(offset)
-        a = a[np.ix_(relabel, relabel)]
-        p = np.argsort(relabel)[p[relabel]]
-        r = gap(SuperOperatorRep(matrix=a, space="hilbert-schmidt", beta=0.0,
-                                 meta={"symmetry": p}))
-        want = dense_gap(a)
-        assert r.kernel_dim == want.kernel_dim
-        assert abs(r.gap - want.gap) <= 1e-12 * want.gap
-        assert r.residual < 1e-12
+        h = rng.uniform(-1.0, 1.0, n)
+        a, b = rng.uniform(-1.0, 1.0, (2, n - 1))
+        if zero_mode:
+            h[-1] = a[-1] = 0.0
+        c = -np.linalg.eigvalsh(kron_xy_form(0.0, h, a, b).toarray())[0]
+        matrix = kron_xy_form(c, h, a, b)
+        r = gap(SuperOperatorRep(matrix=matrix, space="hilbert-schmidt", beta=0.0,
+                                 meta={"xy_form": (c, h, a, b)}))
+        want = dense_gap(matrix)
+        assert r.solver == "xy_form"
+        assert r.kernel_dim == want.kernel_dim == 1 + zero_mode
+        assert abs(r.gap - want.gap) <= 1e-12 * r.extras["lambda_max"]
+        assert r.residual < 1e-14
+
+    def test_fast_route_runs_no_dense_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solve")
+
+        chain = abelian_chain_hamiltonian(12, ThermalParams(beta=-math.log(0.5) / 2))
+        kernel = [v.astype(complex) for v in abelian_chain_kernel(12, 0.5)]
+        for name in ("eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(master.SparseMatrix, "toarray", refuse)
+        r = gap(chain, kernel_basis=kernel, dense_cap=2048)
+        assert r.kernel_dim == 2 and r.solver == "xy_form"
+        assert abs(r.gap - 0.42044450422648727) < 1e-9
+        assert set(r.extras["stages"]) == {"svd_s", "form_check_s"}
+
+    def test_free_fermion_sweep_to_a_thousand_bonds(self):
+        # the chain's gap falls to 2 gamma^2/(1 + gamma^2) from above, twice
+        # the gamma^2/(1 + gamma^2) of the chain lemma
+        sizes = [16, 32, 64, 128, 256, 512, 1000]
+        for g in (0.2, 0.5, 0.8):
+            reports = [xy_gap(abelian_chain_form(n, g)) for n in sizes]
+            assert [r.kernel_dim for r in reports] == [2] * len(sizes)
+            gaps = np.array([r.gap for r in reports])
+            assert (gaps > 2 * g * g / (1 + g * g)).all()
+            assert (np.diff(gaps) < 0).all()
 
     def test_reports_near_threshold_pair(self):
         r = gap(np.diag([0.0, 2.0, 3.0]))
         assert r.near_threshold == (0.0, 2.0)
-
-
-def _random_psd(rng, dim):
-    """Complex Hermitian PSD matrix with eigenvalues 0 or in [1, 2], at least
-    one of them nonzero."""
-    u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim)))
-    vals = np.where(rng.random(dim) < 0.4, 0.0, rng.uniform(1.0, 2.0, dim))
-    vals[0] = 1.5
-    a = (u * vals) @ u.conj().T
-    return (a + a.conj().T) / 2.0
 
 
 def _commutant_by_scan(ops, n):
@@ -681,12 +682,12 @@ class TestPieceSpectra:
             return real_eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        for op in (abelian_chain_hamiltonian(12, ThermalParams.from_betaJ(0.35)),
+        for op in (abelian_chain_hamiltonian(11, ThermalParams.from_betaJ(0.35)).matrix,
                    build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(0.25))):
             stacks.clear()
-            fn = gap if op.space == "hilbert-schmidt" else gap_from_blocks
+            fn = gap if isinstance(op, master.SparseMatrix) else gap_from_blocks
             extras = fn(op).extras
-            # the chain's four pieces one at a time; small pieces in 256^2 stacks
+            # the chain's two parity halves one at a time; small pieces in 256^2 stacks
             bound = max(extras["largest_piece"], 256) ** 2
             assert all(np.prod(shape) <= bound for shape in stacks)
             # every piece solved once
@@ -695,11 +696,11 @@ class TestPieceSpectra:
     def test_gap_counts_pieces(self):
         r = gap(np.diag([0.0, 5.0, 7.0]))
         assert (r.extras["pieces"], r.extras["largest_piece"]) == (3, 1)
-        chain = abelian_chain_hamiltonian(12, ThermalParams.from_betaJ(0.35))
-        r = gap(chain)
-        # the parity halves of the even and odd blocks
-        assert r.extras["pieces"] == 4
-        assert r.extras["largest_piece"] == 1056
+        chain = abelian_chain_hamiltonian(11, ThermalParams.from_betaJ(0.35))
+        r = gap(chain.matrix)
+        # the parity halves
+        assert r.extras["pieces"] == 2
+        assert r.extras["largest_piece"] == 1024
         assert set(r.extras["stages"]) == {"split_s", "eigensolve_s", "residual_s"}
 
     def test_torus_assembles_only_its_representatives(self, monkeypatch):
@@ -719,8 +720,9 @@ class TestPieceSpectra:
 
 
     def test_batches_stream_one_at_a_time(self, monkeypatch):
-        # ring 6 in batches of two blocks: the gap's block (flip 0, Z) sits in
-        # the first batch, which the residual builds again
+        # ring 6 in batches of two blocks, solved last to first: the gap's
+        # block (flip 0, Z) sits in the first batch, which is still held for
+        # the residual, so each batch is built once
         lrep = build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(0.25))
         whole = gap_from_blocks(lrep)
         built = []
@@ -737,10 +739,10 @@ class TestPieceSpectra:
             {"flip": 0, "sector": "Z", "dim": 32}
         assert (r.gap, r.kernel_dim, r.residual) == \
             (whole.gap, whole.kernel_dim, whole.residual)
-        batches = built[:-1]
-        assert len(batches) == -(-r.extras["blocks_solved"] // 2) > 2
-        assert all(len(b) == 2 for b in batches[:-1])
-        assert built[-1] == batches[0]  # rebuilt for the residual, once
+        assert len(built) == -(-r.extras["blocks_solved"] // 2) > 2
+        assert all(len(b) == 2 for b in built[1:])
+        reps = np.unique(block_orbits(lrep).rep).tolist()
+        assert sum(built[::-1], []) == reps
 
 
 class TestResidual:
