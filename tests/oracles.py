@@ -15,6 +15,10 @@ reduction, as references for the orbit reduction of ``gap_from_blocks``.
 products, the reference for the label-built ``abelian_chain_hamiltonian``,
 and ``kron_xy_form`` sums an open XY chain's Pauli terms, the reference for
 its free-fermion spectrum and form check in ``spectral``;
+``cumsum_chain_layout`` places the chain's entries from its pair table, and
+``layout_chain_hamiltonian`` and ``layout_form_error`` build and check the
+chain in that layout, the bit-for-bit references for the doubled layout of
+``abelian_chain_hamiltonian`` and ``_checked_form``;
 ``commutant_basis`` lists the commutant's Pauli strings, the reference for
 ``commutant_dimension``.  ``fourier_decompose`` expands each jump component
 into a ``PauliSum`` of stabilizer products times the coupling, and
@@ -510,6 +514,60 @@ def kron_xy_form(c, h, a, b) -> sp.csr_matrix:
     for j in range(n - 1):
         total = total + a[j] * at(j, xx) + b[j] * at(j, yy)
     return total.tocsr()
+
+
+def cumsum_chain_layout(n: int) -> tuple:
+    """The bond chain's entry layout from its pair table: the pairs
+    (u >> k) & 3, the positions of the diagonals and of the flips
+    u ^ (3 << k), and every position's row and column, row u's entries at
+    u*n onward in column order.  Flipping pair k changes bit k + 1 last, so
+    the flips that clear it lie below the diagonal, highest k first, and the
+    rest above it: the positions are cumulative counts of those flips.  The
+    reference for the doubled layout of ``spectral._chain_entries``."""
+    index = np.arange(1 << n)
+    pairs = (index[:, None] >> np.arange(n - 1)) & 3
+    lower = pairs >= 2
+    diag_at = index * n + lower.sum(axis=1)
+    flip_at = diag_at[:, None] - np.cumsum(lower, axis=1) + np.where(lower, 0, np.arange(1, n))
+    cols = np.empty(n << n, dtype=np.int64)
+    cols[diag_at] = index
+    cols[flip_at] = index[:, None] ^ (3 << np.arange(n - 1))
+    return pairs, diag_at, flip_at, np.repeat(index, n), cols
+
+
+def layout_chain_hamiltonian(n: int, gamma: float) -> SparseMatrix:
+    """The bond chain written into ``cumsum_chain_layout``, its diagonal by
+    the pair counts of the pair table: the bit-for-bit reference for
+    ``abelian_chain_hamiltonian``."""
+    d = 1.0 + gamma ** 2
+    pairs, diag_at, flip_at, rows, cols = cumsum_chain_layout(n)
+    plus, minus = pairs == 0, pairs == 3
+    n_plus, n_minus = plus.sum(axis=1), minus.sum(axis=1)
+    data = np.empty(n << n)
+    data[diag_at] = n_plus * (gamma ** 2 / d) + n_minus * (1.0 / d) \
+        + (n - 1 - n_plus - n_minus) * 0.5
+    data[flip_at] = np.where(plus | minus, -gamma / d, -0.5)
+    return SparseMatrix.from_entries((1 << n, 1 << n), rows, cols, data)
+
+
+def layout_form_error(matrix: SparseMatrix, form) -> float:
+    """The largest row sum of |A - Q| for the canonical ``matrix`` A and the
+    matrix Q of the XY ``form`` written into ``cumsum_chain_layout``, its
+    diagonal c + sum_j h_j (1 - 2 bit_j) from a table of bits; inf unless A
+    has Q's pattern.  The reference for ``spectral._checked_form``."""
+    c, h, a, b = form
+    n = len(h)
+    pairs, diag_at, flip_at, row, col = cumsum_chain_layout(n)
+    index = np.arange(1 << n)
+    data = np.empty(col.size)
+    data[diag_at] = c + (1 - 2 * ((index[:, None] >> np.arange(n)) & 1)) @ np.asarray(h)[::-1]
+    data[flip_at] = np.where((pairs == 1) | (pairs == 2), np.add(a, b)[::-1],
+                             np.subtract(a, b)[::-1])
+    keep = data != 0
+    row, col, data = row[keep], col[keep], data[keep]
+    if not (np.array_equal(row, matrix.row) and np.array_equal(col, matrix.col)):
+        return math.inf
+    return float(np.bincount(row, np.abs(matrix.data - data)).max())
 
 
 def commutant_basis(generators, model: ModelSpec) -> list:

@@ -1,6 +1,6 @@
 """The gap, certify, dynamics and chain paths and the torus sign-flip
-restriction load no scipy module, and every command runs with scipy
-blocked from import."""
+restriction load no scipy module and no ``numpy.random``, and every command
+runs with scipy blocked from import."""
 
 import json
 import subprocess
@@ -39,6 +39,8 @@ RUNTIME = textwrap.dedent("""
         assert cli.main(["dynamics", "--model", "ising", "--size", "4", "--betaJ", "0.25",
                          "--seed", "1", "--json", out + "/dynamics.json", "--observable", "Z1",
                          "--out", out + "/trace.csv"]) == 0
+    loaded = sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "random"])
+    assert not loaded, loaded
     print(json.dumps(sorted(name for name in sys.modules
                             if name == "scipy" or name.startswith("scipy."))))
 """)

@@ -26,7 +26,8 @@ from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
                                 lemma3_bound, sweep, write_sweep_csv, xy_gap,
                                 abelian_chain_form, _piece_spectra)
 from oracles import (block_labels, block_spectra, commutant_basis, csr, dense_gap, full_space_gap,
-                     iterative_gap, kron_chain_hamiltonian, kron_xy_form, to_master,
+                     iterative_gap, kron_chain_hamiltonian, kron_xy_form,
+                     layout_chain_hamiltonian, layout_form_error, to_master,
                      unreduced_block_gap)
 
 
@@ -267,6 +268,60 @@ class TestGap:
             assert (gaps > 2 * g * g / (1 + g * g)).all()
             assert (np.diff(gaps) < 0).all()
 
+    def test_form_check_drops_zero_entries_as_the_oracle(self):
+        # a form with a = b or a = -b on some pairs: zero flips, left out of
+        # the pattern
+        h, a, b = np.array([0.5, 0.0, -0.25, 0.0, 0.0]), np.array([0.3, 0.2, -0.1, 0.0]), \
+            np.array([0.3, -0.2, 0.4, 0.0])
+        c = -np.linalg.eigvalsh(kron_xy_form(0.0, h, a, b).toarray())[0]
+        form = (c, h, a, b)
+        matrix = master.SparseMatrix.of(kron_xy_form(*form))
+        top = xy_gap(form).extras["lambda_max"]
+        assert matrix.nnz < 5 << 5
+        delta = spectral._checked_form(matrix, form, top)
+        assert abs(delta - layout_form_error(matrix, form)) <= 1e-15 * top
+        assert delta <= 1e-15 * top
+
+    def test_sixteen_bonds_by_the_declared_form(self):
+        chain = abelian_chain_hamiltonian(16, ThermalParams(beta=-math.log(0.5) / 2))
+        r = gap(chain, kernel_basis=abelian_chain_kernel(16, 0.5))
+        assert r.kernel_dim == 2 and r.solver == "xy_form"
+        assert r.gap == xy_gap(chain.meta["xy_form"]).gap
+        assert r.residual < 1e-15
+
+    def test_zero_form_has_no_spectrum_above_its_kernel(self):
+        # 70 zero modes: every subset is kernel, and none is listed
+        zeros = np.zeros(69)
+        with pytest.raises(SolverConvergenceError, match="no spectrum above the kernel"):
+            xy_gap((0.0, np.zeros(70), zeros, zeros))
+
+    @pytest.mark.parametrize("n", [6, 70])
+    def test_field_on_one_bond_only(self, n):
+        # n - 1 zero modes and one of 2 |h|: a kernel of 2^(n - 1)
+        h = np.zeros(n)
+        h[n // 2] = -0.7
+        zeros = np.zeros(n - 1)
+        r = xy_gap((0.7, h, zeros, zeros))
+        assert r.kernel_dim == 1 << (n - 1) and r.gap == 1.4
+        assert r.near_threshold == (0.0, 1.4)
+        if n <= 8:
+            want = dense_gap(kron_xy_form(0.7, h, zeros, zeros))
+            assert (want.kernel_dim, want.gap) == (r.kernel_dim, r.gap)
+
+    def test_small_modes_are_listed_up_to_twenty(self):
+        # seven modes of 6e-11 under the threshold 2e-10, but not their sum:
+        # subsets of at most three are kernel, of four the gap
+        h = np.append(np.full(7, 3e-11), 1.0)
+        zeros = np.zeros(7)
+        form = (np.abs(h).sum(), h, zeros, zeros)
+        r, want = xy_gap(form), dense_gap(kron_xy_form(*form))
+        assert r.kernel_dim == want.kernel_dim == 1 + 7 + 21 + 35
+        assert abs(r.gap - 2.4e-10) < 1e-20 and abs(want.gap - r.gap) < 1e-14
+        h = np.append(np.full(69, 1e-11), 1.0)
+        zeros = np.zeros(69)
+        with pytest.raises(ValueError, match="69 modes can enter the kernel"):
+            xy_gap((np.abs(h).sum(), h, zeros, zeros))
+
     def test_reports_near_threshold_pair(self):
         r = gap(np.diag([0.0, 2.0, 3.0]))
         assert r.near_threshold == (0.0, 2.0)
@@ -350,14 +405,14 @@ class TestBondPairChain:
                 r = gap(abelian_chain_hamiltonian(n, tp))
                 assert r.gap >= g * g / (1 + g * g) - 1e-12
 
-    @pytest.mark.parametrize("n", range(3, 14))
+    @pytest.mark.parametrize("n", range(3, 15))
     def test_entries_written_in_canonical_order(self, n, monkeypatch):
-        # the same entries as the diagonal-first layout sorted by from_entries,
-        # written with no sort
-        real_argsort = np.argsort
-
+        # the same entries as the diagonal-first layout sorted by from_entries
+        # and as the oracle's pair-table layout, written with no sort and no
+        # from_entries pass; the form check's delta agrees with the oracle's
+        # to the last bits, as its diagonal is summed in another order
         def refuse(*args, **kwargs):
-            raise AssertionError("argsort called")
+            raise AssertionError("sort called")
 
         for g in (0.2, 0.5, 1.0):
             tp = ThermalParams(beta=-math.log(g) / 2)
@@ -372,12 +427,20 @@ class TestBondPairChain:
                 (1 << n, 1 << n), np.concatenate([index, np.repeat(index, n - 1)]),
                 np.concatenate([index, (index[:, None] ^ (3 << np.arange(n - 1))).ravel()]),
                 np.concatenate([diagonal, flips.ravel()]))
-            monkeypatch.setattr(np, "argsort", refuse)
-            got = abelian_chain_hamiltonian(n, tp).matrix
-            monkeypatch.setattr(np, "argsort", real_argsort)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "argsort", refuse)
+                patch.setattr(master.SparseMatrix, "from_entries", refuse)
+                chain = abelian_chain_hamiltonian(n, tp)
+            got, oracle = chain.matrix, layout_chain_hamiltonian(n, tp.gamma)
+            assert got.shape == want.shape
             for name in ("row", "col", "data"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+                a, b, c = getattr(got, name), getattr(want, name), getattr(oracle, name)
+                assert a.dtype == b.dtype == c.dtype, name
+                assert np.array_equal(a, b) and np.array_equal(a, c), name
+            form = chain.meta["xy_form"]
+            top = xy_gap(form).extras["lambda_max"]
+            delta = spectral._checked_form(got, form, top)
+            assert abs(delta - layout_form_error(got, form)) <= 1e-15 * top
 
     def test_chain_kernel_vectors(self):
         tp = ThermalParams.from_betaJ(0.6)
