@@ -341,8 +341,9 @@ class ChargeBlocks:
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
     split it into the sparse (flip, mu, nu) blocks.  ``union`` is the one
-    assembly routine (``gap_from_blocks`` and ``block`` call it), and it and
-    ``sector_matrix`` take K from ``_sector_data``.
+    assembly routine (``gap_from_blocks`` and ``block`` call it), and it,
+    ``sector_matrix`` and ``sector_bounds`` (the Gershgorin bounds that
+    ``gap_from_blocks`` screens sectors by) take K from ``_sector_data``.
     The entries' positions depend on the flip patterns d only: the cells
     (the entries in logical slot 0), their stable key order and the runs of
     one key are laid out once here, and only values are formed per sector.
@@ -396,7 +397,10 @@ class ChargeBlocks:
 
     def _sector_data(self, deltas: np.ndarray, slot: int = 0) -> np.ndarray:
         """K's entries at the cells moved to logical slot ``slot`` (columns
-        slot * 2^k + sigma) on the sectors ``deltas``, one row each.
+        slot * 2^k + sigma) on the sectors ``deltas``, shaped (sectors,
+        1 + flip patterns, 2^k): the diagonal, then the rows sigma ^ d of each
+        flip pattern d, by column sigma; ``self._order`` puts a sector's
+        entries in key order.
 
         A term w s_u conj(s_{u ^ delta}) whose support (set by syndrome bits
         only) meets its delta-image nowhere is skipped before it is multiplied.
@@ -426,12 +430,36 @@ class ChargeBlocks:
                 first = np.flatnonzero(_new_run(block[lifted]))
                 moved[block[lifted[first]]] = np.add.reduceat(terms, first, axis=0)
             data[sector[heads], 1 + g] = -(p + moved.conj())
-        return data.reshape(len(deltas), -1)[:, self._order]
+        return data
+
+    def sector_bounds(self, deltas) -> tuple:
+        """Gershgorin bounds (lo, hi) on the spectrum of K on each sector of
+        ``deltas``, formed in passes of at most _PASS_ENTRIES sector entries.
+
+        Column sigma of logical slot 0 has the diagonal Re K[sigma, sigma],
+        with the cross terms of flip pattern 0 (the Z couplings of the ring),
+        and the radius R, the sum of |K| over its other flip patterns,
+        including those lifted into another logical slot.  Conjugation by the
+        X logicals commutes with K and maps every slot onto slot 0, so these
+        discs cover every column of K_delta, and every (flip, mu, nu) block of
+        the sector has its spectrum in [min(diag - R), max(diag + R)]
+        (S. Gershgorin, 1931)."""
+        deltas = np.asarray(deltas)
+        zero, off = 1 + np.flatnonzero(self._flips == 0), 1 + np.flatnonzero(self._flips != 0)
+        per = max(1, _PASS_ENTRIES // self._key.size)
+        lo, hi = np.empty(deltas.size), np.empty(deltas.size)
+        for a in range(0, deltas.size, per):
+            data = self._sector_data(deltas[a:a + per])
+            diag = data[:, 0].real + data[:, zero].real.sum(axis=1)
+            radius = np.abs(data[:, off]).sum(axis=1)
+            lo[a:a + per], hi[a:a + per] = (diag - radius).min(axis=1), (diag + radius).max(axis=1)
+        return lo, hi
 
     def sector_matrix(self, flip: int, mu: int) -> SparseMatrix:
         """K on the sector's matrix units."""
         slots, delta = 1 << self.frame.n_logical, np.array([self.frame.state_index(flip, mu)])
-        data = np.concatenate([self._sector_data(delta, slot)[0] for slot in range(slots)])
+        data = np.concatenate([self._sector_data(delta, slot).ravel()[self._order]
+                               for slot in range(slots)])
         slot = np.repeat(np.arange(slots) << self.frame.n_indep, self._key.size)
         return SparseMatrix.from_entries((self._u.size,) * 2, np.tile(self._rows, slots) ^ slot,
                                          np.tile(self._cols, slots) ^ slot, data)
@@ -465,7 +493,8 @@ class ChargeBlocks:
         for a, pos in zip(range(0, sectors.size, per),
                           np.split(by, np.searchsorted(of[by], np.arange(per, sectors.size, per)))):
             flip, mu = sectors[a:a + per] >> ell, sectors[a:a + per] & (m - 1)
-            base = self._sector_data(frame.state_index(flip, mu))
+            base = self._sector_data(frame.state_index(flip, mu)).reshape(flip.size, -1)
+            base = base[:, self._order]
             v = _isometry_entries(frame, self._x_phase, flip, mu, np.zeros_like(flip))
             base *= np.take(v.conj(), self._rows, axis=1)
             base *= np.take(v, self._cols, axis=1)

@@ -5,9 +5,11 @@ the kernel.  Both gap paths split the operator exactly into invariant sparse
 blocks and solve them densely on their pieces (``_piece_spectra``), under one
 size limit, the dense cap on a piece: ``gap`` the operator itself,
 ``gap_from_blocks`` the charge blocks of a generator, one block per
-lattice-symmetry orbit.  Each piece is factored by one eigensolver call only:
-the gap's residual comes from one step of inverse iteration, one LU solve, on
-the piece that holds it, shifted by the gap.  An operator that declares an
+lattice-symmetry orbit, and only those whose sector's Gershgorin bounds can
+hold the kernel, the gap or the largest eigenvalue.  Each piece is factored
+by one eigensolver call only: the gap's residual comes from one step of
+inverse iteration, one LU solve, on the piece that holds it, shifted by the
+gap.  An operator that declares an
 open XY chain form, as the bond chain does, skips the eigensolve: ``gap``
 checks the form against every entry and reads the spectrum from its
 free-fermion modes (``xy_gap``).
@@ -312,15 +314,17 @@ def _residual(piece: SparseMatrix, g: float, scale: float) -> float:
 def _kernel_and_gap(vals, starts, owner, piece, expected_kernel, of=None):
     """Kernel count and gap from the ascending spectra of the solved blocks,
     solved block r at ``vals[starts[r]:]``; block i has the spectrum of solved
-    block ``of[i]`` (default i).  Returns the report, the first block within
+    block ``of[i]`` (default i), or, where ``of[i]`` is -1, is a screened block,
+    with gap +inf and no kernel.  Returns the report, the first block within
     1e-14*scale of the minimum, and each block's gap and kernel count.  The
     residual is that of the reported gap g, eigenvalue j, on the sparse piece
     ``piece(r, owner[j])`` that holds it (``_residual``): no eigensolver runs
     again."""
     scale = max(abs(vals.max()), 1e-300)
     above = vals >= KERNEL_RTOL * scale
-    solved_gaps = np.minimum.reduceat(np.where(above, vals, np.inf), starts)
-    solved_counts = np.add.reduceat(~above, starts)
+    # a screened block reads the last entry, of = -1
+    solved_gaps = np.append(np.minimum.reduceat(np.where(above, vals, np.inf), starts), np.inf)
+    solved_counts = np.append(np.add.reduceat(~above, starts), 0)
     of = np.arange(len(starts)) if of is None else of
     block_gaps, kernel_counts = solved_gaps[of], solved_counts[of]
     if np.isinf(block_gaps).all():
@@ -536,21 +540,41 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     """Full-spectrum gap via the charge-sector blocks (exact partition).
 
     Blocks in one lattice-symmetry orbit (``block_orbits``) share their
-    spectrum exactly, so only the first block of each orbit is assembled,
-    sparse, from the jump components of ``lrep``: ``ChargeBlocks.union``
-    writes each batch of _BATCH_NODES nodes straight into one block-diagonal
-    matrix, which ``_piece_spectra`` solves on its pieces (a piece above
-    DENSE_DIM_CAP raises ValueError before its batch is solved).  One batch
-    is held at a time, from the last to the first, so the residual builds
-    the gap's batch again only if it is not the first.  ``extras`` counts
-    the blocks solved and in total, the symmetry generators kept and the
-    pieces, gives the largest piece and names the ``min_block`` holding the
-    gap; ``stages`` gives the seconds of assembling charge blocks
-    (``ChargeBlocks`` and the batch unions), of grouping them into orbits, of
-    the piece eigensolve and of the gap's residual (``_residual``, on the
-    piece that holds the gap, with any rebuild).  With ``inventory`` the report carries one
-    entry per block (label, dimension, kernel count, smallest eigenvalue
-    above the kernel).
+    spectrum exactly, so only the first block of each orbit, its
+    representative, can need solving.  Each distinct sector of the
+    representatives is first bounded by its Gershgorin discs
+    (``ChargeBlocks.sector_bounds``: [lo, hi] holds every block of the
+    sector), and sectors are solved in rounds, with tau = KERNEL_RTOL times
+    Lambda, the largest hi.  Round 1 solves the sector of least lo and that
+    of greatest hi (every sector with ``inventory``).  After each round, with
+    M the largest eigenvalue solved and g the gap of the solved blocks at
+    the kernel threshold KERNEL_RTOL * M, the next round solves every
+    unsolved sector with lo <= g + tau or hi >= M - tau; none left, the rest
+    are screened.  A screened block's computed eigenvalues lie within about
+    dim * eps * Lambda (at most 1e-12 * Lambda at DENSE_DIM_CAP) of its
+    [lo, hi], so they are all below M and above g, and the report is the
+    one of solving every representative, bit for bit.
+
+    Each round's representatives are assembled, sparse, from the jump
+    components of ``lrep``: ``ChargeBlocks.union`` writes each batch of
+    _BATCH_NODES nodes straight into one block-diagonal matrix, which
+    ``_piece_spectra`` solves on its pieces (a piece above DENSE_DIM_CAP
+    raises ValueError before its batch is solved).  Besides the batch being
+    solved, only the one holding the least eigenvalue above the kernel so far
+    is kept, for the residual, which builds the gap's batch again only if
+    that is not it (a later batch raised lambda_max past it).
+
+    ``extras`` counts the blocks solved (diagonalized), screened and in
+    total, the symmetry generators kept and the pieces solved, gives the
+    largest piece, names the ``min_block`` holding the gap and gives
+    ``screen_margin``, the least of lo - g and M - hi over the screened
+    sectors over Lambda (above KERNEL_RTOL; None when none is screened);
+    ``stages`` gives the seconds of assembling charge blocks (``ChargeBlocks``
+    and the batch unions), of grouping them into orbits, of the sector
+    bounds, of the piece eigensolve and of the gap's residual (``_residual``,
+    on the piece that holds the gap, with any rebuild).  With ``inventory``
+    the report carries one entry per block (label, dimension, kernel count,
+    smallest eigenvalue above the kernel).
     """
     t0 = time.perf_counter()
     frame = lrep.frame
@@ -559,34 +583,66 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     orbits = block_orbits(lrep)
     reps = np.unique(orbits.rep)
     t_orbits = time.perf_counter()
-    dim = 1 << frame.n_indep
+    ell, dim = frame.n_logical, 1 << frame.n_indep
+    sectors, sector_of = np.unique(reps >> ell, return_inverse=True)
+    lo, hi = charge.sector_bounds(frame.state_index(sectors >> ell, sectors & ((1 << ell) - 1)))
+    tau = KERNEL_RTOL * hi.max()
+    t_bounds = time.perf_counter()
     per = max(1, _BATCH_NODES // dim)
-    batches = [reps[i:i + per] for i in range(0, reps.size, per)]
-    spectra, charge_s, solve_s = [], t_charge - t0, 0.0
-    for batch in reversed(batches):  # every ring's gap lies in the first
-        t_build = time.perf_counter()
-        union = None  # drop the previous batch before the next is built
-        union = charge.union(batch)
-        t_solve = time.perf_counter()
-        spectra.append(_piece_spectra(union, np.full(batch.size, dim), DENSE_DIM_CAP))
-        charge_s, solve_s = charge_s + t_solve - t_build, solve_s + time.perf_counter() - t_solve
-    vals, owner, labels, info = zip(*spectra[::-1])
+    todo = np.full(sectors.size, inventory)
+    todo[[lo.argmin(), hi.argmax()]] = True
+    solved, batches, spectra, held = todo.copy(), [], [], (-1, None)
+    charge_s, solve_s, top, least = t_charge - t0, 0.0, -np.inf, np.inf
+    while todo.any():
+        round_reps = reps[todo[sector_of]]
+        for batch in np.split(round_reps, np.arange(per, round_reps.size, per)):
+            t_build = time.perf_counter()
+            union = None  # drop the previous batch before the next is built
+            union = charge.union(batch)
+            t_solve = time.perf_counter()
+            batches.append(batch)
+            spectra.append(_piece_spectra(union, np.full(batch.size, dim), DENSE_DIM_CAP))
+            charge_s += t_solve - t_build
+            solve_s += time.perf_counter() - t_solve
+            # hold for the residual the batch of the least eigenvalue above the
+            # kernel so far; a tie within _kernel_and_gap's 1e-14 * scale keeps
+            # the earlier batch, as _kernel_and_gap picks the earlier block
+            batch_vals = spectra[-1][0]
+            top = max(top, batch_vals.max())
+            low = batch_vals[batch_vals >= KERNEL_RTOL * max(abs(top), 1e-300)].min(initial=np.inf)
+            if low < least - 1e-14 * top:
+                least, held = low, (len(batches) - 1, union)
+        vals = np.concatenate([s[0] for s in spectra])
+        g = vals[vals >= KERNEL_RTOL * max(abs(top), 1e-300)].min(initial=np.inf)
+        todo = ~solved & ((lo <= g + tau) | (hi >= top - tau))
+        solved |= todo
+    vals, owner, labels, info = zip(*spectra)
+    order = np.concatenate(batches)  # the solved representatives, in solve order
+    at = np.full(reps.size, -1)
+    at[np.searchsorted(reps, order)] = np.arange(order.size)
+    batch_of = np.repeat(np.arange(len(batches)), [b.size for b in batches])
     t_residual = time.perf_counter()
     report, win, block_gaps, kernel_counts = _kernel_and_gap(
-        np.concatenate(vals), np.arange(reps.size) * dim, np.concatenate(owner),
-        lambda r, p: _piece(union if r // per == 0 else charge.union(batches[r // per]),
-                            labels[r // per], p),
-        expected_kernel, of=np.searchsorted(reps, orbits.rep))
+        np.concatenate(vals), np.arange(order.size) * dim, np.concatenate(owner),
+        lambda r, p: _piece(held[1] if batch_of[r] == held[0]
+                            else charge.union(batches[batch_of[r]]), labels[batch_of[r]], p),
+        expected_kernel, of=at[np.searchsorted(reps, orbits.rep)])
+    screened = ~solved
+    margin = float(np.minimum(lo[screened] - report.gap, top - hi[screened]).min()
+                   / hi.max()) if screened.any() else None
     report.solver = "blocks"
     report.elapsed = time.perf_counter() - t0
     report.extras.update({"min_block": BlockLabel.at(frame, win).describe(),
-                          "blocks_solved": int(reps.size),
+                          "blocks_solved": int(order.size),
+                          "blocks_screened": int(reps.size - order.size),
                           "blocks_total": int(orbits.rep.size),
+                          "screen_margin": margin,
                           "symmetry_generators": len(orbits.generators),
                           "pieces": sum(i["pieces"] for i in info),
                           "largest_piece": max(i["largest_piece"] for i in info),
                           "stages": {"charge_blocks_s": charge_s,
                                      "orbits_s": t_orbits - t_charge,
+                                     "bounds_s": t_bounds - t_orbits,
                                      "eigensolve_s": solve_s,
                                      "residual_s": time.perf_counter() - t_residual}})
     if inventory:
@@ -600,11 +656,14 @@ def certify(model: ModelSpec, tp: ThermalParams, couplings=None, frame=None,
             inventory: bool = False) -> GapReport:
     """Compute the generator gap and assert the exp(-8*beta*J)/3 lower bound.
 
-    The gap is the exact minimum over the charge blocks (``gap_from_blocks``),
-    with the kernel dimension required to equal the commutant's.  The one
+    The gap is the exact minimum over the charge blocks (``gap_from_blocks``,
+    which diagonalizes only the sectors that their Gershgorin bounds cannot
+    rule out, with the result of solving them all), with the kernel
+    dimension required to equal the commutant's.  The one
     size limit is the piece cap of ``gap_from_blocks``, DENSE_DIM_CAP.  A
     bound violation raises; it is never downgraded to a warning.
-    ``extras["stages"]`` adds the seconds of ``build_frame`` (``frame_s``,
+    ``extras`` counts the blocks solved and screened; ``extras["stages"]``
+    adds the seconds of ``build_frame`` (``frame_s``,
     about 0 when a frame is passed in) and of ``build_generator``
     (``generator_s``) to the stages of ``gap_from_blocks``.
     """

@@ -361,11 +361,12 @@ def full_space_gap(lrep: SuperOperatorRep, expected_kernel=None,
     return report
 
 
-def block_spectra(lrep: SuperOperatorRep) -> np.ndarray:
+def block_spectra(lrep: SuperOperatorRep, signs=None) -> np.ndarray:
     """Ascending eigenvalues of every charge block, one row per block in
-    ``block_labels`` order, each block assembled and solved."""
+    ``block_labels`` order, each block assembled (with the per-site cross
+    ``signs`` of ``ChargeBlocks``, if given) and solved."""
     frame = lrep.frame
-    charge = ChargeBlocks(lrep)
+    charge = ChargeBlocks(lrep, signs=signs)
     m, nk = 1 << frame.n_logical, 1 << frame.n_indep
     # each sector's nu blocks from one union, taken off its block diagonal
     return np.concatenate([np.linalg.eigvalsh(

@@ -7,6 +7,7 @@ import pytest
 from daviesgap.cli import main
 from daviesgap.davies import ThermalParams, build_generator, liouville_matrix
 from daviesgap.models import build_ising_ring
+from daviesgap.spectral import KERNEL_RTOL
 from oracles import csr, read_coo_text
 
 
@@ -80,7 +81,7 @@ class TestGap:
         doc = json.loads(path.read_text())
         stages = doc["stages"]
         assert set(stages) == {"frame_s", "generator_s", "charge_blocks_s", "orbits_s",
-                               "eigensolve_s", "residual_s"}
+                               "bounds_s", "eigensolve_s", "residual_s"}
         assert all(isinstance(v, float) and v >= 0 for v in stages.values())
 
     def test_json_counts_pieces(self, tmp_path, capsys):
@@ -89,7 +90,8 @@ class TestGap:
                  "--json", str(path)])
         capsys.readouterr()
         doc = json.loads(path.read_text())
-        assert (doc["pieces"], doc["largest_piece"]) == (3652, 128)
+        # the pieces of the 4 blocks solved; the 56 screened are not split
+        assert (doc["pieces"], doc["largest_piece"]) == (258, 128)
 
     def test_block_inventory(self, tmp_path, capsys):
         path = tmp_path / "blocks.json"
@@ -104,16 +106,21 @@ class TestGap:
         assert trivial["kernel_dim"] == 1
 
 
-    @pytest.mark.parametrize("model, size, solved, total", [
+    @pytest.mark.parametrize("model, size, reps, total", [
         ("ising", 8, 60, 512), ("toric", 2, 116, 1024)])
     def test_json_counts_blocks_solved(self, tmp_path, capsys, model, size,
-                                       solved, total):
+                                       reps, total):
+        # of the orbit representatives, 4 on the ring and 31 on the torus are
+        # solved, the rest screened
         path = tmp_path / "gap.json"
         run_cli(["gap", "--model", model, "--size", str(size), "--betaJ", "0.25",
                  "--json", str(path)])
         capsys.readouterr()
         doc = json.loads(path.read_text())
-        assert (doc["blocks_solved"], doc["blocks_total"]) == (solved, total)
+        solved = 4 if model == "ising" else 31
+        assert (doc["blocks_solved"], doc["blocks_screened"], doc["blocks_total"]) == \
+            (solved, reps - solved, total)
+        assert doc["screen_margin"] > KERNEL_RTOL
         assert doc["symmetry_generators"] == (2 if model == "ising" else 4)
 
     def test_json_names_min_block(self, tmp_path, capsys):

@@ -599,3 +599,44 @@ class TestSignFlipRestriction:
         rep = sign_flip_restriction(toric_x_lrep, spec, check=False)
         want = np.linalg.eigvalsh(np.kron(np.eye(8), rep.dense()))
         assert np.abs(fine - want).max() < 1e-12
+
+
+def _assert_bounds_hold(lrep, signs=None):
+    """Every block's dense spectrum lies in the sector bounds of its sector,
+    up to eigvalsh's error, a few dim * eps * ||K||."""
+    frame, ell = lrep.frame, lrep.frame.n_logical
+    spectra = block_spectra(lrep, signs)
+    sector = np.arange(len(spectra)) >> ell
+    lo, hi = ChargeBlocks(lrep, signs=signs).sector_bounds(
+        frame.state_index(sector >> ell, sector & ((1 << ell) - 1)))
+    slack = spectra.shape[1] * np.finfo(float).eps * max(abs(lo).max(), abs(hi).max())
+    assert (spectra[:, 0] >= lo - slack).all()
+    assert (spectra[:, -1] <= hi + slack).all()
+
+
+class TestSectorBounds:
+    """The Gershgorin bounds that ``gap_from_blocks`` screens sectors by."""
+
+    @pytest.mark.parametrize("betaJ", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("case", list(ORBIT_CASES))
+    def test_bounds_hold_every_block(self, case, betaJ):
+        lrep = build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(betaJ))
+        _assert_bounds_hold(lrep)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_bounds_hold_under_rate_overrides(self, data):
+        model = build_ising_ring(5)
+        tp = ThermalParams.from_betaJ(0.5)
+        default = build_generator(model, tp=tp).components
+        keys = sorted({(c.coupling_index, c.omega) for c in default})
+        rates = data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(keys), max_size=len(keys)))
+        _assert_bounds_hold(build_generator(model, tp=tp, rates=dict(zip(keys, rates))))
+
+    def test_bounds_hold_on_signed_blocks(self, toric_x_lrep, toric2):
+        # the sign-flipped operators of sign_flip_restriction, Hermitian too
+        for spec in _x_block_specs(toric2).values():
+            signs = master_module._sandwich_signs(toric2, spec)
+            union = csr(ChargeBlocks(toric_x_lrep, signs=signs).union(np.arange(1024)))
+            assert abs(union - union.conj().T).max() == 0
+            _assert_bounds_hold(toric_x_lrep, signs)

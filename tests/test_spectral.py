@@ -17,7 +17,7 @@ from daviesgap.davies import (SuperOperatorRep, ThermalParams, build_generator,
 from daviesgap.master import block_orbits
 from daviesgap.models import build_ising_ring, build_toric_code, lattice_symmetries
 from daviesgap.pauli import PauliString, commutant_dimension
-from daviesgap.spectral import (BoundViolationError, KernelMismatchError,
+from daviesgap.spectral import (BoundViolationError, GapReport, KernelMismatchError,
                                 LemmaCheckError, SolverConvergenceError,
                                 abelian_chain_hamiltonian,
                                 abelian_chain_kernel, analytic_bounds,
@@ -731,7 +731,8 @@ class TestPieceSpectra:
         want = block_spectra(lrep)[reps]
         scale = np.abs(want).max()
         assert np.abs(vals.reshape(want.shape) - want).max() <= 1e-12 * scale
-        r = gap_from_blocks(lrep)
+        # the inventory solves every representative; the default path screens some
+        r = gap_from_blocks(lrep, inventory=True)
         assert (r.extras["pieces"], r.extras["largest_piece"]) == \
             (info["pieces"], info["largest_piece"])
         assert len(reps) <= info["pieces"] <= want.size
@@ -777,17 +778,25 @@ class TestPieceSpectra:
             return real_union(self, index)
 
         monkeypatch.setattr(master.ChargeBlocks, "union", recording)
-        r = gap_from_blocks(lrep)
+        r = gap_from_blocks(lrep, inventory=True)
         assert r.extras["blocks_solved"] == reps.size == 116
-        assert assembled == reps.tolist()
+        assert assembled[:reps.size] == reps.tolist()  # then at most the residual's rebuild
+        assert set(assembled) == set(reps.tolist())
+        assembled.clear()
+        r = gap_from_blocks(lrep)
+        # the assembled blocks are the solved representatives
+        assert set(assembled) <= set(reps.tolist())
+        assert len(set(assembled)) == r.extras["blocks_solved"] == 31
+        assert r.extras["blocks_solved"] + r.extras["blocks_screened"] == reps.size
 
 
     def test_batches_stream_one_at_a_time(self, monkeypatch):
-        # ring 6 in batches of two blocks, solved last to first: the gap's
-        # block (flip 0, Z) sits in the first batch, which is still held for
-        # the residual, so each batch is built once
+        # ring 6 in batches of at most two blocks, with and without the
+        # inventory: each solved block is built once, and the gap's batch
+        # (flip 0, Z) at most once more, for the residual
         lrep = build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(0.25))
         whole = gap_from_blocks(lrep)
+        reps = np.unique(block_orbits(lrep).rep).tolist()
         built = []
         real_union = master.ChargeBlocks.union
 
@@ -797,15 +806,100 @@ class TestPieceSpectra:
 
         monkeypatch.setattr(master.ChargeBlocks, "union", recording)
         monkeypatch.setattr(spectral, "_BATCH_NODES", 64)
+        for inventory in (False, True):
+            built.clear()
+            r = gap_from_blocks(lrep, inventory=inventory)
+            assert whole.extras["min_block"] == r.extras["min_block"] == \
+                {"flip": 0, "sector": "Z", "dim": 32}
+            assert (r.gap, r.kernel_dim, r.residual) == \
+                (whole.gap, whole.kernel_dim, whole.residual)
+            assert all(len(b) <= 2 for b in built)
+            solves = built[:-1] if built[-1] in built[:-1] else built
+            once = sum(solves, [])
+            assert len(once) == len(set(once)) == r.extras["blocks_solved"]
+            if inventory:  # one round of every representative, in full batches
+                assert once == reps and len(solves) == 13
+            else:
+                assert set(once) < set(reps) and len(solves) >= 2
+
+    def test_residual_rebuilds_a_batch_it_dropped(self, monkeypatch):
+        # one block per batch and a kernel threshold of 0.05 * lambda_max: a
+        # later batch raises lambda_max past the least eigenvalue above the
+        # kernel of the batch held so far, so the residual builds the gap's
+        # batch once more, and the report is still that of every block
+        lrep = build_generator(build_ising_ring(6), tp=ThermalParams.from_betaJ(1.0))
+        monkeypatch.setattr(spectral, "KERNEL_RTOL", 0.05)
+        monkeypatch.setattr(spectral, "_BATCH_NODES", 32)
+        every = gap_from_blocks(lrep, inventory=True)
+        built = []
+        real_union = master.ChargeBlocks.union
+
+        def recording(self, index):
+            built.append(np.asarray(index).tolist())
+            return real_union(self, index)
+
+        monkeypatch.setattr(master.ChargeBlocks, "union", recording)
         r = gap_from_blocks(lrep)
-        assert whole.extras["min_block"] == r.extras["min_block"] == \
-            {"flip": 0, "sector": "Z", "dim": 32}
-        assert (r.gap, r.kernel_dim, r.residual) == \
-            (whole.gap, whole.kernel_dim, whole.residual)
-        assert len(built) == -(-r.extras["blocks_solved"] // 2) > 2
-        assert all(len(b) == 2 for b in built[1:])
-        reps = np.unique(block_orbits(lrep).rep).tolist()
-        assert sum(built[::-1], []) == reps
+        assert built[-1] in built[:-1]
+        assert len(built) - 1 == r.extras["blocks_solved"]
+        assert _result(r) == _result(every)
+
+
+SCREEN_MODELS = {**{f"ring{n}": (lambda n=n: build_ising_ring(n)) for n in range(3, 11)},
+                 "torus2": lambda: build_toric_code(2)}
+
+
+def _result(r: GapReport) -> tuple:
+    return (r.gap.hex(), r.kernel_dim, r.residual.hex(),
+            [x.hex() for x in r.near_threshold], r.extras["min_block"])
+
+
+class TestSectorScreening:
+    """gap_from_blocks solves only the sectors whose Gershgorin bounds can
+    hold the kernel, the gap or lambda_max."""
+
+    @pytest.mark.parametrize("name", list(SCREEN_MODELS))
+    def test_screening_keeps_every_result(self, name):
+        # bit for bit the report of solving every representative (inventory)
+        model = SCREEN_MODELS[name]()
+        for betaJ in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0):
+            lrep = build_generator(model, tp=ThermalParams.from_betaJ(betaJ))
+            screened, every = gap_from_blocks(lrep), gap_from_blocks(lrep, inventory=True)
+            assert _result(screened) == _result(every)
+            assert every.extras["blocks_screened"] == 0
+            assert every.extras["screen_margin"] is None
+            assert screened.extras["blocks_screened"] > 0
+            assert screened.extras["screen_margin"] > spectral.KERNEL_RTOL
+            assert screened.extras["blocks_solved"] + screened.extras["blocks_screened"] == \
+                every.extras["blocks_solved"]
+
+    @pytest.mark.parametrize("model", [build_ising_ring(8), build_toric_code(2)],
+                             ids=["ring8", "torus2"])
+    def test_screened_blocks_are_never_assembled_or_solved(self, model, monkeypatch):
+        lrep = build_generator(model, tp=ThermalParams.from_betaJ(0.25))
+        reps = np.unique(block_orbits(lrep).rep)
+        spectra = block_spectra(lrep)
+        assembled, solved_nodes = set(), []
+        real_union, real_eigvalsh = master.ChargeBlocks.union, np.linalg.eigvalsh
+
+        def union(self, index):
+            assembled.update(np.asarray(index).tolist())
+            return real_union(self, index)
+
+        def eigvalsh(a, *args, **kwargs):
+            solved_nodes.append(a.shape[0] * a.shape[1])
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(master.ChargeBlocks, "union", union)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        r = gap_from_blocks(lrep)
+        screened = sorted(set(reps.tolist()) - assembled)
+        assert len(screened) == r.extras["blocks_screened"] > 0
+        # eigvalsh sees the nodes of the solved blocks, each once, and no other
+        assert sum(solved_nodes) == r.extras["blocks_solved"] * spectra.shape[1]
+        # a screened block holds no kernel, gap or lambda_max
+        assert (spectra[screened, 0] > r.gap).all()
+        assert (spectra[screened, -1] < spectra.max()).all()
 
 
 class TestResidual:
