@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec, ModelError
-from .pauli import _PHASE_VALUES, gf2_solve, mask_arrays
-
-
-def _labels(values: np.ndarray, masks) -> np.ndarray:
-    """sum_i parity(values & masks[i]) << i, elementwise."""
-    out = np.zeros_like(values)
-    for i, mask in enumerate(masks):
-        out |= (np.bitwise_count(values & mask) & 1).astype(values.dtype) << i
-    return out
+from .pauli import _PHASE_VALUES, gf2_solve_many, gf2_span, mask_arrays, parity_bits
 
 
 @dataclass
@@ -87,9 +79,9 @@ class StabilizerFrame:
         x, z, phi = (np.asarray(a, dtype=np.int64)[..., None] for a in (x_mask, z_mask, phase))
         ref = self.ref[u >> kx]
         moved = ref ^ x
-        z_labels = _labels(moved, self.z_rows)
-        x_synd = (u & ((1 << kx) - 1)) ^ _labels(z, self.x_masks)
-        b = _labels(moved ^ self.ref[z_labels], self.x_duals)
+        z_labels = parity_bits(moved, self.z_rows)
+        x_synd = (u & ((1 << kx) - 1)) ^ parity_bits(z, self.x_masks)
+        b = parity_bits(moved ^ self.ref[z_labels], self.x_duals)
         sign = (np.bitwise_count(ref & z) + np.bitwise_count(b & x_synd)) & 1
         return (z_labels << kx) | x_synd, np.array(_PHASE_VALUES)[phi & 3] * (1.0 - 2.0 * sign)
 
@@ -110,9 +102,7 @@ def build_frame(model: ModelSpec) -> StabilizerFrame:
     z_rows = [g.z_mask for g in z_gens] + [lz.z_mask for _, lz in model.logicals]
     x_masks = [g.x_mask for g in x_gens]
     # the system is linear, so ref of a label is the XOR of its bits' solutions
-    ref = np.zeros(1 << len(z_rows), dtype=np.int64)
-    for j, sol in enumerate(_unit_solutions(z_rows, n, "z-type label system")):
-        ref[1 << j: 2 << j] = ref[:1 << j] ^ sol
+    ref = gf2_span(_unit_solutions(z_rows, n, "z-type label system"))
     frame = StabilizerFrame(model=model, indep=indep, x_masks=x_masks, z_rows=z_rows,
                             x_duals=_unit_solutions(x_masks, n, "x-type generators"),
                             ref=ref)
@@ -135,8 +125,7 @@ def build_frame(model: ModelSpec) -> StabilizerFrame:
 
 def _unit_solutions(rows, nvars: int, what: str) -> list:
     """x_j with parity(rows[i] & x_j) = delta_ij, one per row."""
-    sols = [gf2_solve(rows, [int(i == j) for i in range(len(rows))], nvars)
-            for j in range(len(rows))]
+    sols = gf2_solve_many(rows, [1 << j for j in range(len(rows))], nvars)
     if None in sols:
         raise ModelError(f"{what} inconsistent")
     return sols

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import StabilizerFrame, build_frame
 from .models import ModelSpec
-from .pauli import PauliString, mask_arrays
+from .pauli import PauliString, anticommutation_bits, mask_arrays
 
 
 class GeneratorError(ValueError):
@@ -162,7 +162,6 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
         raise GeneratorError("coupling acts outside the model register")
 
     cx, cz, cphase = mask_arrays(couplings)
-    sx, sz, _ = mask_arrays(model.stabilizers)
     perm, phase = frame.genperm_of(cx, cz, cphase)
     u = np.arange(frame.dim)
     d = perm[:, 0]
@@ -174,9 +173,8 @@ def build_generator(model: ModelSpec, couplings=None, tp: ThermalParams = None,
             f"pattern: perm[u] != u ^ {d[alpha]} at {moved[alpha]} of {u.size} states")
     # bit i of anti[alpha] is set where coupling alpha anticommutes with
     # stabilizer i, of pattern[alpha, u] where the image of u also has sign -1 there
-    odd = (np.bitwise_count(cx[:, None] & sz) + np.bitwise_count(cz[:, None] & sx)) & 1
-    n_stab = odd.shape[1]
-    anti = (odd.astype(np.int64) << np.arange(n_stab)).sum(axis=1)
+    n_stab = model.n_stabilizers
+    anti = anticommutation_bits(cx, cz, model.stabilizers)
     negative = (((1 - frame.stab_signs) // 2) << np.arange(n_stab)[:, None]).sum(axis=0)
     pattern = negative[perm] & anti[:, None]
     code = ((np.arange(len(couplings))[:, None] << n_stab) | pattern).ravel()

@@ -33,7 +33,8 @@ import numpy as np
 from .basis import StabilizerFrame, _unit_solutions
 from .davies import SuperOperatorRep, GeneratorError
 from .models import ModelSpec, lattice_symmetries
-from .pauli import PauliString, gf2_solve, mask_arrays, permute_masks
+from .pauli import (PauliString, anticommutation_bits, gf2_solve_many, gf2_span, mask_arrays,
+                    parity_bits, permute_masks)
 
 # sector entries, sectors x (1 + flip patterns) x dim, that ChargeBlocks.union forms per pass;
 # bigger passes save little and raise peak RSS (2^14 entries: +1.3 MB over three certify sweeps)
@@ -98,21 +99,14 @@ def _charge_ops(frame: StabilizerFrame) -> list:
             + [model.stabilizers[s] for s in frame.indep])
 
 
-def _block_index(frame: StabilizerFrame, x_mask, z_mask) -> np.ndarray:
-    """Index of the block holding X(x_mask) Z(z_mask), elementwise
-    over integer arrays: bit b is set where it anticommutes with ``_charge_ops``[b]."""
-    ox, oz, _ = mask_arrays(_charge_ops(frame))
-    odd = (np.bitwise_count(np.asarray(x_mask)[..., None] & oz)
-           + np.bitwise_count(np.asarray(z_mask)[..., None] & ox)) & 1
-    return (odd.astype(np.int64) << np.arange(ox.size)).sum(axis=-1)
-
-
 def block_label_of(frame: StabilizerFrame, pauli: PauliString) -> BlockLabel:
     """The block holding every operator proportional to ``pauli``: flip bit j
     is set if it anticommutes with the independent stabilizer ``frame.indep[j]``,
     mu bit i with logical Z_i (the string moves logical bit i) and nu bit i
-    with logical X_i (conjugation by X_i flips its sign)."""
-    return BlockLabel.at(frame, int(_block_index(frame, pauli.x_mask, pauli.z_mask)))
+    with logical X_i (conjugation by X_i flips its sign): bit b of the block
+    index is set where it anticommutes with ``_charge_ops``[b]."""
+    return BlockLabel.at(frame, int(anticommutation_bits(pauli.x_mask, pauli.z_mask,
+                                                         _charge_ops(frame))))
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +160,22 @@ def block_orbits(lrep: SuperOperatorRep) -> BlockOrbits:
     commutes with K and carries each charge block unitarily onto another, so
     blocks in one orbit share their spectrum exactly.  The label map of a
     kept permutation is GF(2)-linear: it is read off the blocks of the
-    permuted images of k + 2*ell strings with unit labels, found with
-    ``gf2_solve`` against the symplectic rows of ``_charge_ops``; each
-    permutation moves their masks in one bit-gather.
+    permuted images of k + 2*ell strings with unit labels, found in one solve
+    against the symplectic rows of ``_charge_ops``, and spanned by
+    ``gf2_span``; each permutation moves their masks in one bit-gather.
     """
     frame = lrep.frame
     n = frame.model.n_sites
     kept = [perm for perm in lattice_symmetries(frame.model) if _is_symmetry(lrep, perm)]
-    # the unit string b anticommutes with _charge_ops(frame)[b] alone
-    units = np.array(_unit_solutions([op.z_mask | (op.x_mask << n) for op in _charge_ops(frame)],
+    # the unit string b anticommutes with ops[b] alone
+    ops = _charge_ops(frame)
+    units = np.array(_unit_solutions([op.z_mask | (op.x_mask << n) for op in ops],
                                      2 * n, "charge label system"), dtype=np.int64)
     units = np.stack([units & ((1 << n) - 1), units >> n])
     index = np.arange(1 << (frame.n_indep + 2 * frame.n_logical))
-    bits = (index >> np.arange(units.shape[1])[:, None]) & 1
     images = np.zeros((len(kept), index.size), dtype=np.int64)
     for g, perm in enumerate(kept):
-        image = _block_index(frame, *permute_masks(units, perm))
-        images[g] = np.bitwise_xor.reduce(bits * image[:, None], axis=0)
+        images[g] = gf2_span(anticommutation_bits(*permute_masks(units, perm), ops))
     orbit = _components(index.size, np.tile(index, len(kept)), images.ravel())[1]
     first = np.unique(orbit, return_index=True)[1]
     return BlockOrbits(generators=kept, images=images, rep=first[orbit])
@@ -539,12 +532,9 @@ class XBlockSpec:
 
 def _flip_mask(model: ModelSpec, block: XBlockSpec) -> int:
     """z mask of F = Z_F Z_L^nu: the star-flip string times the block's Z logicals."""
-    zmask = 0
+    zmask = int(gf2_span([lz.z_mask for _, lz in model.logicals])[block.nu])
     for j in block.star_flip_sites:
         zmask ^= 1 << j
-    for i in range(model.n_logical):
-        if (block.nu >> i) & 1:
-            zmask ^= model.logicals[i][1].z_mask
     return zmask
 
 
@@ -555,20 +545,17 @@ def _sandwich_signs(model: ModelSpec, block: XBlockSpec) -> np.ndarray:
 
 def _snake_strings(frame: StabilizerFrame) -> list:
     """sigma_x on a subset of the snake, one string per flip pattern p of the
-    independent plaquettes (bit i of p flips the i-th one)."""
+    independent plaquettes (bit i of p flips the i-th one): the span of the
+    strings that flip one plaquette each."""
     model = frame.model
     snake = np.array(model.partition.snake)
-    z = mask_arrays([model.stabilizers[i] for i in frame.indep
-                     if model.stabilizers[i].x_mask == 0])[1]
+    plaquettes = np.array(frame.z_rows[:len(frame.z_rows) - model.n_logical], dtype=np.int64)
     # bit pos of rows[i] is set where sigma_x on snake[pos] flips plaquette i
-    rows = (((z[:, None] >> snake) & 1) << np.arange(snake.size)).sum(axis=1).tolist()
-    out = []
-    for p in range(1 << len(rows)):
-        subset = gf2_solve(rows, [(p >> i) & 1 for i in range(len(rows))], snake.size)
-        if subset is None:
-            raise GeneratorError("snake does not span the requested flip")
-        out.append(PauliString(model.n_sites, int(permute_masks(subset, snake)), 0))
-    return out
+    rows = parity_bits(plaquettes, 1 << snake).tolist()
+    units = gf2_solve_many(rows, [1 << i for i in range(len(rows))], snake.size)
+    if None in units:
+        raise GeneratorError(f"snake does not span the flip of plaquette {units.index(None)}")
+    return [PauliString(model.n_sites, int(x), 0) for x in gf2_span(permute_masks(units, snake))]
 
 
 def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
@@ -590,10 +577,8 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     if model.kind != "toric" or model.partition is None:
         raise GeneratorError("x-type blocks require a toric model")
     signed = ChargeBlocks(lrep, signs=_sandwich_signs(model, block))
-    x_mu = PauliString.identity(model.n_sites)
-    for i in range(model.n_logical):
-        if (block.mu >> i) & 1:
-            x_mu = x_mu * model.logicals[i][0]
+    x_mu = PauliString(model.n_sites,
+                       int(gf2_span([lx.x_mask for lx, _ in model.logicals])[block.mu]), 0)
     n_star = 1 << len(frame.x_masks)
     if check:
         charge = ChargeBlocks(lrep)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, commutes, gf2_rank
+from .pauli import (PauliString, PauliSum, anticommutation_bits, commutes, gf2_independent,
+                    gf2_rank)
 
 
 class ModelError(ValueError):
@@ -73,14 +74,8 @@ class ModelSpec:
 
     def independent_stabilizers(self) -> list:
         """Indices of a maximal independent subset, greedy in list order."""
-        picked, rows = [], []
         n = self.n_sites
-        for i, s in enumerate(self.stabilizers):
-            row = (s.x_mask << n) | s.z_mask
-            if gf2_rank(rows + [row]) > len(picked):
-                picked.append(i)
-                rows.append(row)
-        return picked
+        return gf2_independent([(s.x_mask << n) | s.z_mask for s in self.stabilizers])
 
     def to_json_dict(self) -> dict:
         d = {
@@ -183,8 +178,10 @@ def build_toric_code(L: int, coupling: float = 1.0,
         raise ModelError("torus needs L >= 2")
     _check_positive([coupling], "coupling")
     n = 2 * L * L
-    star_coefficients = list(star_coefficients or [coupling] * (L * L))
-    plaquette_coefficients = list(plaquette_coefficients or [coupling] * (L * L))
+    default = [coupling] * (L * L)
+    star_coefficients = list(default if star_coefficients is None else star_coefficients)
+    plaquette_coefficients = list(default if plaquette_coefficients is None
+                                  else plaquette_coefficients)
     if len(star_coefficients) != L * L or len(plaquette_coefficients) != L * L:
         raise ModelError("need one coefficient per star and per plaquette")
     _check_positive(star_coefficients + plaquette_coefficients, "coefficients")
@@ -289,14 +286,8 @@ class ModelReport:
 
 def _flip_rank(paulis, flip_targets) -> int:
     """GF(2) rank of anticommutation patterns of `paulis` against targets."""
-    rows = []
-    for p in paulis:
-        row = 0
-        for i, t in enumerate(flip_targets):
-            if not commutes(p, t):
-                row |= 1 << i
-        rows.append(row)
-    return gf2_rank(rows)
+    x, z = np.array([p.key() for p in paulis], dtype=object).reshape(-1, 2).T
+    return gf2_rank(anticommutation_bits(x, z, flip_targets).tolist())
 
 
 def verify_model(m: ModelSpec) -> ModelReport:
@@ -354,12 +345,10 @@ def verify_model(m: ModelSpec) -> ModelReport:
         stars = m.stabilizers[:L * L]
         snake_x = [PauliString.single(m.n_sites, j, "X") for j in part.snake]
         comb_z = [PauliString.single(m.n_sites, j, "Z") for j in part.comb]
-        record("snake sigma_x spans plaquette flips",
-               _flip_rank(snake_x, plaquettes) == L * L - 1,
-               f"rank={_flip_rank(snake_x, plaquettes)}, want {L * L - 1}")
-        record("comb sigma_z spans star flips",
-               _flip_rank(comb_z, stars) == L * L - 1,
-               f"rank={_flip_rank(comb_z, stars)}, want {L * L - 1}")
+        for name, ops, targets in (("snake sigma_x spans plaquette flips", snake_x, plaquettes),
+                                   ("comb sigma_z spans star flips", comb_z, stars)):
+            rank = _flip_rank(ops, targets)
+            record(name, rank == L * L - 1, f"rank={rank}, want {L * L - 1}")
 
     if m.n_sites <= 10:
         h = m.hamiltonian().matrix().toarray()

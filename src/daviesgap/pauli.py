@@ -212,59 +212,11 @@ def genperm_sum(dim: int, terms):
 # GF(2) linear algebra on bit-mask rows
 # ---------------------------------------------------------------------------
 
-def gf2_rank(rows) -> int:
-    rank = 0
-    basis = []
-    for row in rows:
-        r = row
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
-def gf2_solve(rows, rhs, nvars: int):
-    """Solve parity(rows[i] & x) == rhs[i] for an nvars-bit x.
-
-    Returns a solution mask, or None if the system is inconsistent.
-    """
-    # augmented rows: unknown bits 0..nvars-1, rhs in bit nvars
-    aug = [row | (int(b) << nvars) for row, b in zip(rows, rhs)]
-    pivots = []  # (pivot_bit, row)
-    for row in aug:
-        r = row
-        for pbit, prow in pivots:
-            if (r >> pbit) & 1:
-                r ^= prow
-        body = r & ((1 << nvars) - 1)
-        if body == 0:
-            if r >> nvars:
-                return None
-            continue
-        pbit = body.bit_length() - 1
-        pivots.append((pbit, r))
-        pivots.sort(reverse=True)
-    x = 0
-    # back substitution: pivots are in decreasing pivot-bit order
-    for pbit, row in sorted(pivots):
-        val = (row >> nvars) & 1
-        val ^= _parity(row & ((1 << nvars) - 1) & x & ~(1 << pbit))
-        if val:
-            x |= 1 << pbit
-    return x
-
-
-def gf2_nullspace(rows, nvars: int) -> list:
-    """Basis of {x : parity(row & x) == 0 for every row} over nvars bits.
-
-    The rows are brought to reduced echelon form; each free bit gives one
-    basis vector, itself plus the pivot bits of the rows that contain it.
-    """
-    pivots: dict = {}  # pivot bit -> row with no other pivot bit set
-    for row in rows:
+def gf2_reduce(rows) -> dict:
+    """Reduced echelon form of the rows as {pivot bit: row}: each row's pivot
+    is its highest bit, and no other row has that bit set."""
+    pivots: dict = {}
+    for row in map(int, rows):
         for pbit, prow in pivots.items():
             if (row >> pbit) & 1:
                 row ^= prow
@@ -274,9 +226,95 @@ def gf2_nullspace(rows, nvars: int) -> list:
                 if (prow >> pbit) & 1:
                     pivots[b] = prow ^ row
             pivots[pbit] = row
+    return pivots
+
+
+def gf2_rank(rows) -> int:
+    return len(gf2_reduce(rows))
+
+
+def _checked_rows(rows, nvars: int) -> list:
+    rows = [int(row) for row in rows]
+    for i, row in enumerate(rows):
+        if row >> nvars:
+            raise ValueError(f"row {i} ({row:#b}) has a bit at or above nvars={nvars}")
+    return rows
+
+
+def gf2_independent(rows) -> list:
+    """Indices of the rows independent of the rows before them.
+
+    Row i carries tag bit i below its mask bits, so a row that depends on the
+    rows before it reduces to tag bits alone and ends with its own as pivot.
+    """
+    m = len(rows)
+    dependent = gf2_reduce((int(row) << m) | (1 << i) for i, row in enumerate(rows))
+    return [i for i in range(m) if i not in dependent]
+
+
+def gf2_solve_many(rows, rhs, nvars: int) -> list:
+    """Solve parity(rows[i] & x) == bit i of b for an nvars-bit x, for each b
+    in ``rhs``, with one elimination.
+
+    Each solution is the one whose free (non-pivot) bits are all 0, or None
+    if that system is inconsistent.
+    """
+    rows = _checked_rows(rows, nvars)
+    m = len(rows)
+    # row i carries tag bit i below its mask bits, so each pivot row's tag lists
+    # the rows it sums; one with no mask bits left is a dependency, whose rhs bits must cancel
+    pivots = gf2_reduce((row << m) | (1 << i) for i, row in enumerate(rows))
+    dependencies = [prow for pbit, prow in pivots.items() if pbit < m]
+    solved = [(pbit - m, prow & ((1 << m) - 1)) for pbit, prow in pivots.items() if pbit >= m]
+    return [None if any(_parity(d & b) for d in dependencies)
+            else sum(_parity(tag & b) << bit for bit, tag in solved)
+            for b in map(int, rhs)]
+
+
+def gf2_solve(rows, rhs, nvars: int):
+    """Solve parity(rows[i] & x) == rhs[i] for an nvars-bit x.
+
+    Returns the solution mask whose free bits are all 0, or None if the
+    system is inconsistent.
+    """
+    return gf2_solve_many(rows, [sum(int(b) << i for i, b in enumerate(rhs))], nvars)[0]
+
+
+def gf2_nullspace(rows, nvars: int) -> list:
+    """Basis of {x : parity(row & x) == 0 for every row} over nvars bits.
+
+    Each free bit of the reduced echelon form gives one basis vector, itself
+    plus the pivot bits of the rows that contain it.
+    """
+    pivots = gf2_reduce(_checked_rows(rows, nvars))
     return [(1 << free) | sum(1 << pbit for pbit, prow in pivots.items()
                               if (prow >> free) & 1)
             for free in range(nvars) if free not in pivots]
+
+
+def gf2_span(units) -> np.ndarray:
+    """table[p], the XOR of units[j] over the set bits j of p, for every
+    p < 2^len(units)."""
+    table = np.zeros(1 << len(units), dtype=np.int64)
+    for j, unit in enumerate(units):
+        table[1 << j: 2 << j] = table[:1 << j] ^ unit
+    return table
+
+
+def parity_bits(values: np.ndarray, masks) -> np.ndarray:
+    """sum_i parity(values & masks[i]) << i, elementwise."""
+    out = np.zeros_like(values)
+    for i, mask in enumerate(masks):
+        out |= (np.bitwise_count(values & mask) & 1).astype(values.dtype) << i
+    return out
+
+
+def anticommutation_bits(x_mask, z_mask, targets) -> np.ndarray:
+    """Bit b set where X(x_mask) Z(z_mask) anticommutes with the string
+    targets[b], elementwise over integer arrays (object arrays of Python ints
+    take masks of 64 sites or more)."""
+    return (parity_bits(np.asarray(x_mask), [t.z_mask for t in targets])
+            ^ parity_bits(np.asarray(z_mask), [t.x_mask for t in targets]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +333,9 @@ def commutant_dimension(generators, hamiltonian) -> int:
         h_ops = [op for _, op in hamiltonian.terms]
     else:
         h_ops = list(hamiltonian)
-    for i, a in enumerate(h_ops):
-        for b in h_ops[i + 1:]:
-            if not commutes(a, b):
-                raise PauliError("Hamiltonian terms do not mutually commute")
+    masks = np.array([op.key() for op in h_ops], dtype=object).reshape(-1, 2).T
+    if anticommutation_bits(*masks, h_ops).any():
+        raise PauliError("Hamiltonian terms do not mutually commute")
     ops = list(generators) + h_ops
     if not ops:
         raise PauliError("no generators")

@@ -27,7 +27,11 @@ reference for the label-built components of ``build_generator``;
 ``frequency_masks`` builds one coupling's components on its own, the
 bit-for-bit reference for the stacked pass of ``build_generator``, and
 ``reference_block_orbits`` moves and labels one string at a time, the
-reference for ``block_orbits``.  ``projected_traces`` evolves the observable's
+reference for ``block_orbits``.  ``gf2_solve_reference``,
+``gf2_rank_reference`` and ``independent_rows_reference`` solve, rank and
+pick rows of a GF(2) system one row at a time, the references for the
+single elimination of ``gf2_solve_many``, ``gf2_rank`` and
+``gf2_independent`` in ``pauli``.  ``projected_traces`` evolves the observable's
 4^n-dimensional Hilbert-Schmidt images, projected onto each block by
 ``block_basis``, the reference for the label-read block coordinates of
 ``autocorrelation``.  The rest are helpers only the tests use: an operator's
@@ -57,7 +61,7 @@ from daviesgap.dynamics import BlockPropagator
 from daviesgap.master import (BlockLabel, ChargeBlocks, SparseMatrix, _g_weight, _x_phases,
                               block_label_of)
 from daviesgap.models import ModelSpec, lattice_symmetries
-from daviesgap.pauli import (PauliError, PauliString, PauliSum, commutes, genperm_sum,
+from daviesgap.pauli import (PauliError, PauliString, PauliSum, _parity, commutes, genperm_sum,
                              gf2_nullspace, mask_arrays, permute_masks)
 from daviesgap.spectral import (KERNEL_RTOL, GapReport, KernelMismatchError,
                                 SolverConvergenceError, _kernel_and_gap,
@@ -769,3 +773,63 @@ def reference_block_orbits(lrep: SuperOperatorRep) -> tuple:
     orbit = connected_components(graph, directed=False)[1]
     first = np.unique(orbit, return_index=True)[1]
     return kept, images, first[orbit]
+
+
+def gf2_rank_reference(rows) -> int:
+    """GF(2) rank by a sorted basis, one row at a time: the reference for
+    ``pauli.gf2_rank``."""
+    rank = 0
+    basis = []
+    for row in rows:
+        r = row
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(r)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
+
+
+def gf2_solve_reference(rows, rhs, nvars: int):
+    """Solve parity(rows[i] & x) == rhs[i] for an nvars-bit x by elimination
+    and back substitution with the free bits 0: the reference for
+    ``pauli.gf2_solve`` and ``pauli.gf2_solve_many``.
+
+    Returns a solution mask, or None if the system is inconsistent.
+    """
+    # augmented rows: unknown bits 0..nvars-1, rhs in bit nvars
+    aug = [row | (int(b) << nvars) for row, b in zip(rows, rhs)]
+    pivots = []  # (pivot_bit, row)
+    for row in aug:
+        r = row
+        for pbit, prow in pivots:
+            if (r >> pbit) & 1:
+                r ^= prow
+        body = r & ((1 << nvars) - 1)
+        if body == 0:
+            if r >> nvars:
+                return None
+            continue
+        pbit = body.bit_length() - 1
+        pivots.append((pbit, r))
+        pivots.sort(reverse=True)
+    x = 0
+    # back substitution: pivots are in decreasing pivot-bit order
+    for pbit, row in sorted(pivots):
+        val = (row >> nvars) & 1
+        val ^= _parity(row & ((1 << nvars) - 1) & x & ~(1 << pbit))
+        if val:
+            x |= 1 << pbit
+    return x
+
+
+def independent_rows_reference(rows) -> list:
+    """Indices of the rows that raise the rank of the rows picked before
+    them, one rank per row: the reference for ``pauli.gf2_independent`` and
+    ``ModelSpec.independent_stabilizers``."""
+    picked = []
+    for i, row in enumerate(rows):
+        if gf2_rank_reference([rows[j] for j in picked] + [row]) > len(picked):
+            picked.append(i)
+    return picked

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import daviesgap.master as master_module
+from daviesgap.basis import build_frame
 from daviesgap.davies import (ThermalParams, build_generator, GeneratorError,
                               liouville_matrix)
 from daviesgap.master import (BlockLabel, ChargeBlocks, SparseMatrix, XBlockSpec, _components,
-                              block_label_of, block_orbits, sign_flip_restriction)
+                              _snake_strings, block_label_of, block_orbits, sign_flip_restriction)
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
 from oracles import (block_basis, block_labels, block_spectra, csr, full_space_gap, matrix_of,
@@ -570,6 +573,12 @@ class TestSignFlipRestriction:
         sign_flip_restriction(toric_x_lrep,
                               XBlockSpec(star_flip_sites=(comb_site,)),
                               check=True)
+
+    def test_snake_that_cannot_flip_every_plaquette_rejected(self, toric2):
+        # sigma_x on one snake site flips two plaquettes at once, never one alone
+        one_site = replace(toric2.partition, snake=toric2.partition.snake[:1])
+        with pytest.raises(GeneratorError, match="snake does not span the flip of plaquette"):
+            _snake_strings(build_frame(replace(toric2, partition=one_site)))
 
     def test_flip_on_ising_rejected(self, ising3_master):
         lrep, _ = ising3_master

@@ -6,7 +6,7 @@ import pytest
 from daviesgap.models import (ModelError, build_ising_ring, build_toric_code,
                               lattice_symmetries, verify_model, torus_site)
 from daviesgap.pauli import PauliString, commutes
-from oracles import pauli_from_label, permuted
+from oracles import independent_rows_reference, pauli_from_label, permuted
 
 
 class TestIsingRing:
@@ -124,6 +124,30 @@ class TestToricCode:
     def test_too_small_rejected(self):
         with pytest.raises(ModelError):
             build_toric_code(1)
+
+    def test_array_coefficients_accepted(self):
+        m = build_toric_code(2, star_coefficients=np.ones(4),
+                             plaquette_coefficients=np.full(4, 2.0))
+        assert m.coefficients == [1.0] * 4 + [2.0] * 4
+
+    @pytest.mark.parametrize("which", ["star_coefficients", "plaquette_coefficients"])
+    def test_empty_coefficients_rejected(self, which):
+        with pytest.raises(ModelError, match="need one coefficient per star and per plaquette"):
+            build_toric_code(2, **{which: []})
+
+    def test_verify_passes_past_64_sites(self):
+        # L = 6 has 72 sites: the flip ranks are read from masks wider than int64
+        assert verify_model(build_toric_code(6)).ok
+
+
+@pytest.mark.parametrize("model", [build_ising_ring(n) for n in range(3, 13)]
+                         + [build_toric_code(L) for L in (2, 3)],
+                         ids=lambda m: f"ring{m.n_sites}" if m.kind == "ising"
+                         else f"torus{m.geometry['L']}")
+def test_independent_stabilizers_match_greedy_rank_loop(model):
+    n = model.n_sites
+    rows = [(s.x_mask << n) | s.z_mask for s in model.stabilizers]
+    assert model.independent_stabilizers() == independent_rows_reference(rows)
 
 
 class TestLatticeSymmetries:

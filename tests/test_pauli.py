@@ -1,12 +1,17 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from daviesgap.models import build_ising_ring
 from daviesgap.pauli import (PauliString, PauliSum, PauliError, commutes,
-                             commutant_dimension, gf2_nullspace, gf2_rank,
-                             gf2_solve, write_coo_text)
-from oracles import csr, pauli_from_label, permuted, read_coo_text, sum_mul
+                             commutant_dimension, gf2_independent, gf2_nullspace, gf2_rank,
+                             gf2_solve, gf2_solve_many, gf2_span, write_coo_text)
+from oracles import (csr, gf2_rank_reference, gf2_solve_reference, independent_rows_reference,
+                     pauli_from_label, permuted, read_coo_text, sum_mul)
 
 X = PauliString.single(1, 0, "X")
 Y = PauliString.single(1, 0, "Y")
@@ -217,6 +222,10 @@ class TestCommutant:
         with pytest.raises(PauliError):
             commutant_dimension([X], h)
 
+    def test_ring_past_64_sites(self):
+        # 70 bonds of rank 69 leave 2^(140 - 69) commuting strings
+        assert commutant_dimension([], build_ising_ring(70).hamiltonian()) == 1 << 71
+
 
 class TestGF2:
     def test_rank(self):
@@ -238,6 +247,42 @@ class TestGF2:
     def test_solve_inconsistent(self):
         # x0 = 0 and x0 = 1
         assert gf2_solve([1, 1], [0, 1], 1) is None
+
+    def test_rows_wider_than_nvars_rejected(self):
+        # x = 0 solves the first, and 3 lies outside the 1-bit space of the second
+        with pytest.raises(ValueError, match=r"row 0 \(0b10\) .* nvars=1"):
+            gf2_solve([0b10], [0], 1)
+        with pytest.raises(ValueError, match=r"row 0 \(0b11\) .* nvars=1"):
+            gf2_nullspace([0b11], 1)
+        with pytest.raises(ValueError, match=r"row 1 \(0b100\) .* nvars=2"):
+            gf2_solve_many([0b1, 0b100], [0b1], 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_solves_match_the_reference(self, data):
+        nvars = data.draw(st.integers(1, 12))
+        rows = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            if rows and data.draw(st.booleans()):
+                # a dependent row: the XOR of some earlier rows
+                picks = data.draw(st.lists(st.sampled_from(rows), max_size=len(rows)))
+                rows.append(functools.reduce(operator.xor, picks, 0))
+            else:
+                rows.append(data.draw(st.integers(0, (1 << nvars) - 1)))
+        rhs = data.draw(st.lists(st.integers(0, (1 << len(rows)) - 1), min_size=1, max_size=4))
+        want = [gf2_solve_reference(rows, [(b >> i) & 1 for i in range(len(rows))], nvars)
+                for b in rhs]
+        assert gf2_solve_many(rows, rhs, nvars) == want
+        assert [gf2_solve(rows, [(b >> i) & 1 for i in range(len(rows))], nvars)
+                for b in rhs] == want
+        assert gf2_rank(rows) == gf2_rank_reference(rows)
+        assert gf2_independent(rows) == independent_rows_reference(rows)
+
+    def test_span_is_the_xor_of_each_subset(self):
+        units = [0b1010, 0b0110, 0b1111]
+        want = [functools.reduce(operator.xor, [u for j, u in enumerate(units) if (p >> j) & 1], 0)
+                for p in range(8)]
+        assert gf2_span(units).tolist() == want
 
     def test_nullspace(self):
         rng = np.random.default_rng(5)
