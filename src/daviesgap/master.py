@@ -25,6 +25,7 @@ blocks and checked against the unsigned ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,11 @@ from .pauli import (PauliString, anticommutation_bits, gf2_solve_many, gf2_span,
 # sector entries, sectors x (1 + flip patterns) x dim, that ChargeBlocks.union forms per pass;
 # bigger passes save little and raise peak RSS (2^14 entries: +1.3 MB over three certify sweeps)
 _PASS_ENTRIES = 1 << 13
+# bytes of one ChargeBlocks._discs pass, 24 per flip pattern, sector and column;
+# 2^21 was no faster on rings 10 and 12 and raised peak RSS (+0.4 MB over two certify sweeps)
+_BOUNDS_PASS_BYTES = 1 << 19
+# power steps of ChargeBlocks.narrowed_bounds; more did not narrow the torus's bounds further
+_NARROW_STEPS = 2
 
 
 def _g_weight(rate: float, omega: float, tol: float = 1e-12) -> float:
@@ -319,6 +325,20 @@ def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip, mu,
     return (signs[:, :, None] * phase).reshape(len(signs), -1) / np.sqrt(len(s))
 
 
+def _collatz_max(centre: np.ndarray, cross: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Per row of ``centre`` (..., rows, n), max_i (C x)_i / x_i for x =
+    C^_NARROW_STEPS 1, where (C x)_i = centre_i x_i + sum_d cross[row, d, i]
+    x[moved[d, i]]; where C x is 0 (a zero row of C), x_i stays 1."""
+    def product(x):
+        return centre * x + (cross * np.take(x, moved, axis=-1)).sum(axis=-2)
+
+    x = np.ones_like(centre)
+    for _ in range(_NARROW_STEPS):
+        x = product(x)
+        x[x == 0] = 1.0
+    return (product(x) / x).max(axis=-1)
+
+
 def _new_run(keys: np.ndarray) -> np.ndarray:
     """True where a run of equal keys starts."""
     return np.concatenate(([True], keys[1:] != keys[:-1]))[:keys.size]
@@ -334,12 +354,17 @@ class ChargeBlocks:
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
     split it into the sparse (flip, mu, nu) blocks.  ``union`` is the one
-    assembly routine (``gap_from_blocks`` and ``block`` call it), and it,
-    ``sector_matrix`` and ``sector_bounds`` (the Gershgorin bounds that
-    ``gap_from_blocks`` screens sectors by) take K from ``_sector_data``.
-    The entries' positions depend on the flip patterns d only: the cells
-    (the entries in logical slot 0), their stable key order and the runs of
-    one key are laid out once here, and only values are formed per sector.
+    assembly routine (``gap_from_blocks`` and ``block`` call it); it and
+    ``sector_matrix`` take K from ``_sector_data``.  The entries' positions
+    depend on the flip patterns d only: the cells (the entries in logical
+    slot 0), their stable key order and the runs of one key are laid out
+    once here, and only values are formed per sector.  The bounds that
+    ``gap_from_blocks`` screens sectors by, ``sector_bounds`` (Gershgorin
+    discs) and ``narrowed_bounds`` (discs of a diagonal similarity), read
+    only |K| per column, from ``_discs``: in the stabilizer frame a cross
+    term's products are one sign per sector on a support set by syndrome
+    bits (``_disc_terms`` checks this once), so that pass gathers labels and
+    no complex weight, and covers many sectors at once.
     Optional per-site ``signs`` multiply each cross weight by the sign of its
     component's site (every coupling must then act on one site): the
     sign-flipped operator of ``sign_flip_restriction``.
@@ -373,6 +398,8 @@ class ChargeBlocks:
         new = _new_run(at[inverse][order])
         self._firsts, self._group = np.flatnonzero(new), np.cumsum(new) - 1
         self._flips, self._weights, terms = d[order][self._firsts], weight[order], s[order]
+        # every component, and the terms' components in order, for _disc_terms
+        self._components, self._terms = lrep.components, (comps, order)
         # every cross term, grouped by flip pattern: weight * s, conj(s) and its support
         self._weighted, self._conj = self._weights[:, None] * terms, terms.conj()
         self._support = terms != 0
@@ -425,27 +452,123 @@ class ChargeBlocks:
             data[sector[heads], 1 + g] = -(p + moved.conj())
         return data
 
+    @functools.cached_property
+    def _disc_terms(self) -> tuple:
+        """The cross terms as ``_discs`` reads them, checked once per
+        generator: a[t], the sign character of term t; ``by``, the terms in
+        order of their support within their flip pattern, and the ``starts``
+        of each support; labels[g, sigma], the support of flip pattern g that
+        holds syndrome state sigma (-1 for none), the rows of flip patterns
+        d != 0 first.
+
+        A Pauli coupling acts in the stabilizer frame as a unit phase c times
+        a sign character (-1)^|a & u|, and its frequency components split it
+        by the signs of the stabilizers it flips.  So the components of a
+        coupling, at all frequencies, add up to c on state 0 and to +-c on
+        each unit state, which fixes c and a; each term's weights must be
+        c (-1)^|a & u| on a support set by the syndrome bits of u alone; and
+        two terms of one flip pattern must share their support or not meet.
+        Then w s_u conj(s_{u ^ delta}) = w (-1)^|a & delta| wherever both
+        factors are nonzero: K_delta is real, and a term's product on column
+        u of any slot is the one on column u mod 2^k."""
+        nk, n = 1 << self.frame.n_indep, self.frame.model.n_sites
+        # each coupling's phase on state 0 and the unit states: its components' sum
+        states = np.append(0, 1 << np.arange(n))
+        index = [c.coupling_index for c in self._components]
+        phase = np.zeros((max(index) + 1, states.size), dtype=complex)
+        np.add.at(phase, index, [c.weights[states] for c in self._components])
+        comps, order = self._terms
+        phase = phase[[comps[i].coupling_index for i in order]]
+        a = ((phase[:, 1:] != phase[:, :1]) << np.arange(n)).sum(axis=1)
+        char = phase[:, :1] * (1.0 - 2.0 * (np.bitwise_count(a[:, None] & self._u) & 1))
+        # the supports of each flip pattern, keyed by their first state
+        keys, first, of = np.unique(self._group * nk + self._support[:, :nk].argmax(axis=1),
+                                    return_index=True, return_inverse=True)
+        pair, state = np.nonzero(self._support[first, :nk])
+        labels = np.full((self._flips.size, nk), -1, dtype=np.int32)
+        labels[keys[pair] // nk, state] = pair
+        slots = self._support.reshape(len(a), -1, nk)
+        bad = ~((self._conj == np.where(self._support, char.conj(), 0)).all(axis=1)
+                & (abs(phase[:, 0]) == 1)
+                & (slots == (labels[self._group] == of[:, None])[:, None]).all(axis=(1, 2)))
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise GeneratorError(f"cross term {t} (flip pattern {self._flips[self._group[t]]}) is "
+                                 "not a phase times a sign character on a syndrome-set support "
+                                 "that each other term of its flip pattern shares or misses")
+        by = np.argsort(of, kind="stable")
+        return a, by, np.flatnonzero(_new_run(of[by])), labels[np.argsort(self._flips == 0,
+                                                                          kind="stable")]
+
+    def _discs(self, deltas: np.ndarray):
+        """Per pass of at most _BOUNDS_PASS_BYTES, the sectors' slice of
+        ``deltas`` and K's entries on the columns sigma of logical slot 0:
+        the diagonal (sectors, 2^k) and |K| at the rows sigma ^ d (sectors,
+        flip patterns d != 0, 2^k), a lifted row read at sigma ^ (d mod 2^k).
+
+        By ``_disc_terms`` no weight is gathered: the terms of one support
+        add c = sum w (-1)^|a & delta| on each column sigma where the support
+        holds both sigma and sigma ^ delta, and the sum P over a flip
+        pattern's supports gives K[sigma ^ d, sigma] = -(P[sigma] +
+        P[sigma ^ d]), the diagonal D[sigma] + D[sigma ^ delta] - 2 P_0[sigma]."""
+        a, by, starts, labels = self._disc_terms
+        n_off, nk = np.count_nonzero(self._flips), labels.shape[1]
+        sigma = self._u[:nk]
+        # column sigma ^ d of row d in P's rows of the flip patterns d != 0
+        moved = np.arange(n_off)[:, None] * nk + (sigma ^ self._flips[self._flips != 0, None] % nk)
+        per = max(1, _BOUNDS_PASS_BYTES // (24 * labels.size))
+        for start in range(0, deltas.size, per):
+            delta = deltas[start:start + per]
+            image = sigma ^ delta[:, None] % nk
+            weight = self._weights * (1.0 - 2.0 * (np.bitwise_count(a & delta[:, None]) & 1))
+            c = np.zeros((delta.size, starts.size + 1))  # column -1: no support
+            c[:, :-1] = np.add.reduceat(weight[:, by], starts, axis=1)
+            met = np.take(labels, image, axis=1).swapaxes(0, 1) == labels
+            p = np.where(met, np.take(c, labels, axis=1), 0.0)
+            diag = self.diagonal[sigma] + self.diagonal[image] - 2.0 * p[:, n_off:].sum(axis=1)
+            cross = np.abs(p[:, :n_off] + np.take(p.reshape(delta.size, -1), moved, axis=1))
+            yield slice(start, start + per), diag, cross
+
     def sector_bounds(self, deltas) -> tuple:
         """Gershgorin bounds (lo, hi) on the spectrum of K on each sector of
-        ``deltas``, formed in passes of at most _PASS_ENTRIES sector entries.
+        ``deltas``, many sectors per ``_discs`` pass.
 
-        Column sigma of logical slot 0 has the diagonal Re K[sigma, sigma],
-        with the cross terms of flip pattern 0 (the Z couplings of the ring),
-        and the radius R, the sum of |K| over its other flip patterns,
-        including those lifted into another logical slot.  Conjugation by the
-        X logicals commutes with K and maps every slot onto slot 0, so these
+        Column sigma of logical slot 0 has the diagonal K[sigma, sigma], with
+        the cross terms of flip pattern 0 (the Z couplings of the ring), and
+        the radius R, the sum of |K| over its other flip patterns, including
+        those lifted into another logical slot.  Conjugation by the X
+        logicals commutes with K and maps every slot onto slot 0, so these
         discs cover every column of K_delta, and every (flip, mu, nu) block of
         the sector has its spectrum in [min(diag - R), max(diag + R)]
         (S. Gershgorin, 1931)."""
         deltas = np.asarray(deltas)
-        zero, off = 1 + np.flatnonzero(self._flips == 0), 1 + np.flatnonzero(self._flips != 0)
-        per = max(1, _PASS_ENTRIES // self._key.size)
         lo, hi = np.empty(deltas.size), np.empty(deltas.size)
-        for a in range(0, deltas.size, per):
-            data = self._sector_data(deltas[a:a + per])
-            diag = data[:, 0].real + data[:, zero].real.sum(axis=1)
-            radius = np.abs(data[:, off]).sum(axis=1)
-            lo[a:a + per], hi[a:a + per] = (diag - radius).min(axis=1), (diag + radius).max(axis=1)
+        for at, diag, cross in self._discs(deltas):
+            radius = cross.sum(axis=1)
+            lo[at], hi[at] = (diag - radius).min(axis=1), (diag + radius).max(axis=1)
+        return lo, hi
+
+    def narrowed_bounds(self, deltas) -> tuple:
+        """The bounds of ``sector_bounds`` narrowed by diagonal similarities
+        D^-1 K_delta D, which keep the spectrum (R. S. Varga, Gersgorin and
+        His Circles, 2004, ch. 1-2).
+
+        With C = diag + |off| (K's diagonal is >= 0, so C >= 0), the discs of
+        D^-1 K D with D = diag(x), x > 0, give hi = max_i (C x)_i / x_i; lo
+        mirrors it with (m - diag) + |off|, m the largest diagonal entry.  x
+        takes _NARROW_STEPS power steps from ones, which gives the plain
+        discs; each step can only narrow them (Collatz-Wielandt).  C commutes
+        with the X-logical slot map and ones is invariant under it, so x
+        lives on the 2^k columns of slot 0.  Where C x vanishes, a column
+        with no off-diagonal entry, x stays 1."""
+        nk = 1 << self.frame.n_indep
+        moved = self._u[:nk] ^ self._flips[self._flips != 0, None] % nk
+        deltas = np.asarray(deltas)
+        lo, hi = np.empty(deltas.size), np.empty(deltas.size)
+        for at, diag, cross in self._discs(deltas):
+            top = diag.max(axis=1, keepdims=True)
+            hi[at], lo[at] = _collatz_max(np.stack([diag, top - diag]), cross, moved)
+            lo[at] = top[:, 0] - lo[at]
         return lo, hi
 
     def sector_matrix(self, flip: int, mu: int) -> SparseMatrix:
@@ -576,6 +699,12 @@ def sign_flip_restriction(lrep: SuperOperatorRep, block: XBlockSpec,
     model = frame.model
     if model.kind != "toric" or model.partition is None:
         raise GeneratorError("x-type blocks require a toric model")
+    sectors = 1 << model.n_logical
+    for name, values, bound in (("nu", [block.nu], sectors), ("mu", [block.mu], sectors),
+                                ("star_flip_sites", block.star_flip_sites, model.n_sites)):
+        for value in values:
+            if not 0 <= value < bound:
+                raise GeneratorError(f"XBlockSpec.{name} holds {value}, outside 0..{bound - 1}")
     signed = ChargeBlocks(lrep, signs=_sandwich_signs(model, block))
     x_mu = PauliString(model.n_sites,
                        int(gf2_span([lx.x_mask for lx, _ in model.logicals])[block.mu]), 0)

@@ -542,18 +542,21 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     Blocks in one lattice-symmetry orbit (``block_orbits``) share their
     spectrum exactly, so only the first block of each orbit, its
     representative, can need solving.  Each distinct sector of the
-    representatives is first bounded by its Gershgorin discs
-    (``ChargeBlocks.sector_bounds``: [lo, hi] holds every block of the
-    sector), and sectors are solved in rounds, with tau = KERNEL_RTOL times
-    Lambda, the largest hi.  Round 1 solves the sector of least lo and that
-    of greatest hi (every sector with ``inventory``).  After each round, with
-    M the largest eigenvalue solved and g the gap of the solved blocks at
-    the kernel threshold KERNEL_RTOL * M, the next round solves every
-    unsolved sector with lo <= g + tau or hi >= M - tau; none left, the rest
-    are screened.  A screened block's computed eigenvalues lie within about
-    dim * eps * Lambda (at most 1e-12 * Lambda at DENSE_DIM_CAP) of its
-    [lo, hi], so they are all below M and above g, and the report is the
-    one of solving every representative, bit for bit.
+    representatives is first bounded by its Gershgorin discs, all sectors
+    in a few passes (``ChargeBlocks.sector_bounds``: [lo, hi] holds every
+    block of the sector), and sectors are solved in rounds, with tau =
+    KERNEL_RTOL times Lambda, the largest hi.  Round 1 solves the sector of
+    least lo and that of greatest hi (every sector with ``inventory``).
+    After each round, with M the largest eigenvalue solved and g the gap of
+    the solved blocks at the kernel threshold KERNEL_RTOL * M, the rule keeps
+    every unsolved sector with lo <= g + tau or hi >= M - tau.  Before they
+    are solved, the bounds of the kept sectors are narrowed by a diagonal
+    similarity (``ChargeBlocks.narrowed_bounds``), once per sector, and the
+    rule is applied again; the next round solves what it keeps.  None kept,
+    the rest are screened.  A screened block's computed eigenvalues lie
+    within about dim * eps * Lambda (at most 1e-12 * Lambda at
+    DENSE_DIM_CAP) of its [lo, hi], so they are all below M and above g,
+    and the report is the one of solving every representative, bit for bit.
 
     Each round's representatives are assembled, sparse, from the jump
     components of ``lrep``: ``ChargeBlocks.union`` writes each batch of
@@ -568,11 +571,13 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     total, the symmetry generators kept and the pieces solved, gives the
     largest piece, names the ``min_block`` holding the gap and gives
     ``screen_margin``, the least of lo - g and M - hi over the screened
-    sectors over Lambda (above KERNEL_RTOL; None when none is screened);
-    ``stages`` gives the seconds of assembling charge blocks (``ChargeBlocks``
-    and the batch unions), of grouping them into orbits, of the sector
-    bounds, of the piece eigensolve and of the gap's residual (``_residual``,
-    on the piece that holds the gap, with any rebuild).  With ``inventory``
+    sectors over Lambda (above KERNEL_RTOL; None when none is screened),
+    ``screen_rounds``, the rounds solved, and ``top_slack``, (Lambda - M) / M
+    for the bounds used at the end; ``stages`` gives the seconds of
+    assembling charge blocks (``ChargeBlocks`` and the batch unions), of
+    grouping them into orbits, of the sector bounds and their narrowing, of
+    the piece eigensolve and of the gap's residual (``_residual``, on the
+    piece that holds the gap, with any rebuild).  With ``inventory``
     the report carries one entry per block (label, dimension, kernel count,
     smallest eigenvalue above the kernel).
     """
@@ -585,15 +590,18 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     t_orbits = time.perf_counter()
     ell, dim = frame.n_logical, 1 << frame.n_indep
     sectors, sector_of = np.unique(reps >> ell, return_inverse=True)
-    lo, hi = charge.sector_bounds(frame.state_index(sectors >> ell, sectors & ((1 << ell) - 1)))
-    tau = KERNEL_RTOL * hi.max()
-    t_bounds = time.perf_counter()
+    deltas = frame.state_index(sectors >> ell, sectors & ((1 << ell) - 1))
+    lo, hi = charge.sector_bounds(deltas)
+    bounds_s = time.perf_counter() - t_orbits
     per = max(1, _BATCH_NODES // dim)
+    narrowed, solved = np.zeros((2, sectors.size), dtype=bool)
+    batches, spectra, held, rounds = [], [], (-1, None), 0
+    charge_s, solve_s, top, least = t_charge - t0, 0.0, -np.inf, np.inf
     todo = np.full(sectors.size, inventory)
     todo[[lo.argmin(), hi.argmax()]] = True
-    solved, batches, spectra, held = todo.copy(), [], [], (-1, None)
-    charge_s, solve_s, top, least = t_charge - t0, 0.0, -np.inf, np.inf
     while todo.any():
+        solved |= todo
+        rounds += 1
         round_reps = reps[todo[sector_of]]
         for batch in np.split(round_reps, np.arange(per, round_reps.size, per)):
             t_build = time.perf_counter()
@@ -614,8 +622,16 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
                 least, held = low, (len(batches) - 1, union)
         vals = np.concatenate([s[0] for s in spectra])
         g = vals[vals >= KERNEL_RTOL * max(abs(top), 1e-300)].min(initial=np.inf)
+        tau = KERNEL_RTOL * hi.max()
         todo = ~solved & ((lo <= g + tau) | (hi >= top - tau))
-        solved |= todo
+        fresh = todo & ~narrowed
+        if fresh.any():  # narrow the plain discs that keep a sector, then screen again
+            t_narrow = time.perf_counter()
+            lo[fresh], hi[fresh] = charge.narrowed_bounds(deltas[fresh])
+            narrowed |= fresh
+            tau = KERNEL_RTOL * hi.max()
+            todo &= (lo <= g + tau) | (hi >= top - tau)
+            bounds_s += time.perf_counter() - t_narrow
     vals, owner, labels, info = zip(*spectra)
     order = np.concatenate(batches)  # the solved representatives, in solve order
     at = np.full(reps.size, -1)
@@ -637,12 +653,14 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
                           "blocks_screened": int(reps.size - order.size),
                           "blocks_total": int(orbits.rep.size),
                           "screen_margin": margin,
+                          "screen_rounds": rounds,
+                          "top_slack": float((hi.max() - top) / top),
                           "symmetry_generators": len(orbits.generators),
                           "pieces": sum(i["pieces"] for i in info),
                           "largest_piece": max(i["largest_piece"] for i in info),
                           "stages": {"charge_blocks_s": charge_s,
                                      "orbits_s": t_orbits - t_charge,
-                                     "bounds_s": t_bounds - t_orbits,
+                                     "bounds_s": bounds_s,
                                      "eigensolve_s": solve_s,
                                      "residual_s": time.perf_counter() - t_residual}})
     if inventory:

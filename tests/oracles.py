@@ -365,6 +365,20 @@ def full_space_gap(lrep: SuperOperatorRep, expected_kernel=None,
     return report
 
 
+def sector_discs(charge: ChargeBlocks, deltas) -> tuple:
+    """The plain Gershgorin bounds (lo, hi) of K on each sector of
+    ``deltas``, from its dense ``sector_matrix``: the least diagonal entry
+    minus its row's sum of |K| off the diagonal, and the greatest plus."""
+    nk = 1 << charge.frame.n_indep
+    sectors, of = np.unique(np.asarray(deltas), return_inverse=True)
+    lo, hi = np.empty(sectors.size), np.empty(sectors.size)
+    for i, delta in enumerate(sectors.tolist()):
+        k = charge.sector_matrix(delta % nk, delta // nk).toarray()
+        radius = np.abs(k).sum(axis=1) - np.abs(k.diagonal())
+        lo[i], hi[i] = (k.diagonal().real - radius).min(), (k.diagonal().real + radius).max()
+    return lo[of], hi[of]
+
+
 def block_spectra(lrep: SuperOperatorRep, signs=None) -> np.ndarray:
     """Ascending eigenvalues of every charge block, one row per block in
     ``block_labels`` order, each block assembled (with the per-site cross

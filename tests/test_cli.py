@@ -110,17 +110,20 @@ class TestGap:
         ("ising", 8, 60, 512), ("toric", 2, 116, 1024)])
     def test_json_counts_blocks_solved(self, tmp_path, capsys, model, size,
                                        reps, total):
-        # of the orbit representatives, 4 on the ring and 31 on the torus are
+        # of the orbit representatives, 4 on the ring and 13 on the torus are
         # solved, the rest screened
         path = tmp_path / "gap.json"
         run_cli(["gap", "--model", model, "--size", str(size), "--betaJ", "0.25",
                  "--json", str(path)])
         capsys.readouterr()
         doc = json.loads(path.read_text())
-        solved = 4 if model == "ising" else 31
+        solved = 4 if model == "ising" else 13
         assert (doc["blocks_solved"], doc["blocks_screened"], doc["blocks_total"]) == \
             (solved, reps - solved, total)
         assert doc["screen_margin"] > KERNEL_RTOL
+        # the ring's top sector has exact discs; the torus's keeps Lambda = 37.58 > 32
+        assert doc["screen_rounds"] == (1 if model == "ising" else 2)
+        assert abs(doc["top_slack"] - (0.0 if model == "ising" else 0.17447)) < 1e-5
         assert doc["symmetry_generators"] == (2 if model == "ising" else 4)
 
     def test_json_names_min_block(self, tmp_path, capsys):

@@ -15,8 +15,8 @@ from daviesgap.master import (BlockLabel, ChargeBlocks, SparseMatrix, XBlockSpec
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString
 from oracles import (block_basis, block_labels, block_spectra, csr, full_space_gap, matrix_of,
-                     permuted, reference_block_orbits, sector_index, sector_isometries, to_master,
-                     sector_blocks as oracle_sector_blocks)
+                     permuted, reference_block_orbits, sector_discs, sector_index,
+                     sector_isometries, to_master, sector_blocks as oracle_sector_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +580,19 @@ class TestSignFlipRestriction:
         with pytest.raises(GeneratorError, match="snake does not span the flip of plaquette"):
             _snake_strings(build_frame(replace(toric2, partition=one_site)))
 
+    @pytest.mark.parametrize("spec, message", [
+        (XBlockSpec(nu=4), r"XBlockSpec\.nu holds 4, outside 0\.\.3"),
+        (XBlockSpec(mu=-1), r"XBlockSpec\.mu holds -1, outside 0\.\.3"),
+        (XBlockSpec(nu=-4), r"XBlockSpec\.nu holds -4, outside 0\.\.3"),
+        (XBlockSpec(star_flip_sites=(8,)), r"XBlockSpec\.star_flip_sites holds 8, outside 0\.\.7"),
+        (XBlockSpec(star_flip_sites=(99,)), r"XBlockSpec\.star_flip_sites holds 99, outside 0\.\.7"),
+        (XBlockSpec(star_flip_sites=(-1,)), r"XBlockSpec\.star_flip_sites holds -1, outside 0\.\.7"),
+    ], ids=["nu4", "mu-1", "nu-4", "site8", "site99", "site-1"])
+    @pytest.mark.parametrize("check", [True, False])
+    def test_spec_out_of_range_rejected(self, toric_x_lrep, spec, message, check):
+        with pytest.raises(GeneratorError, match=message):
+            sign_flip_restriction(toric_x_lrep, spec, check=check)
+
     def test_flip_on_ising_rejected(self, ising3_master):
         lrep, _ = ising3_master
         with pytest.raises(GeneratorError):
@@ -612,15 +625,21 @@ class TestSignFlipRestriction:
 
 def _assert_bounds_hold(lrep, signs=None):
     """Every block's dense spectrum lies in the sector bounds of its sector,
-    up to eigvalsh's error, a few dim * eps * ||K||."""
+    plain and narrowed, up to eigvalsh's error, a few dim * eps * ||K||; and
+    both bounds lie within the plain Gershgorin discs of the dense sector
+    matrix, up to the same slack."""
     frame, ell = lrep.frame, lrep.frame.n_logical
     spectra = block_spectra(lrep, signs)
     sector = np.arange(len(spectra)) >> ell
-    lo, hi = ChargeBlocks(lrep, signs=signs).sector_bounds(
-        frame.state_index(sector >> ell, sector & ((1 << ell) - 1)))
-    slack = spectra.shape[1] * np.finfo(float).eps * max(abs(lo).max(), abs(hi).max())
-    assert (spectra[:, 0] >= lo - slack).all()
-    assert (spectra[:, -1] <= hi + slack).all()
+    charge = ChargeBlocks(lrep, signs=signs)
+    deltas = frame.state_index(sector >> ell, sector & ((1 << ell) - 1))
+    disc_lo, disc_hi = sector_discs(charge, deltas)
+    for lo, hi in (charge.sector_bounds(deltas), charge.narrowed_bounds(deltas)):
+        slack = spectra.shape[1] * np.finfo(float).eps * max(abs(lo).max(), abs(hi).max())
+        assert (spectra[:, 0] >= lo - slack).all()
+        assert (spectra[:, -1] <= hi + slack).all()
+        assert (lo >= disc_lo - slack).all()
+        assert (hi <= disc_hi + slack).all()
 
 
 class TestSectorBounds:
@@ -649,3 +668,42 @@ class TestSectorBounds:
             union = csr(ChargeBlocks(toric_x_lrep, signs=signs).union(np.arange(1024)))
             assert abs(union - union.conj().T).max() == 0
             _assert_bounds_hold(toric_x_lrep, signs)
+
+
+class TestBoundsPass:
+    """The pass that ``sector_bounds`` and ``narrowed_bounds`` read K from."""
+
+    def test_a_pass_covers_many_sectors(self, monkeypatch):
+        from daviesgap.spectral import gap_from_blocks
+        lrep = build_generator(build_ising_ring(10), tp=ThermalParams.from_betaJ(0.25))
+        sectors = np.unique(np.unique(block_orbits(lrep).rep) >> lrep.frame.n_logical)
+        passes, discs = [], ChargeBlocks._discs
+
+        def recording(self, deltas):
+            for item in discs(self, deltas):
+                passes.append(item[0])
+                yield item
+
+        monkeypatch.setattr(ChargeBlocks, "_discs", recording)
+        gap_from_blocks(lrep)
+        assert len(passes) < sectors.size == 78
+
+    @pytest.mark.parametrize("change", ["scaled", "rotated", "dropped"])
+    def test_weights_off_the_phase_structure_rejected(self, change):
+        # a term scaled off the unit circle, one phase turned on one state, or
+        # a coupling's other frequency components dropped
+        lrep = build_generator(build_ising_ring(4), tp=ThermalParams.from_betaJ(0.25))
+        comps = list(lrep.components)
+        i = next(i for i, c in enumerate(comps) if c.omega > 0)
+        if change == "scaled":
+            comps[i] = replace(comps[i], weights=1.25 * comps[i].weights)
+        elif change == "rotated":
+            weights = comps[i].weights.copy()
+            weights[np.flatnonzero(weights)[-1]] *= 1j
+            comps[i] = replace(comps[i], weights=weights)
+        else:
+            comps = [c for c in comps if c.coupling_index != comps[i].coupling_index
+                     or c.omega > 0]
+        charge = ChargeBlocks(replace(lrep, components=comps))
+        with pytest.raises(GeneratorError, match="not a phase times a sign character"):
+            charge.sector_bounds(np.arange(4))

@@ -786,7 +786,7 @@ class TestPieceSpectra:
         r = gap_from_blocks(lrep)
         # the assembled blocks are the solved representatives
         assert set(assembled) <= set(reps.tolist())
-        assert len(set(assembled)) == r.extras["blocks_solved"] == 31
+        assert len(set(assembled)) == r.extras["blocks_solved"] == 13
         assert r.extras["blocks_solved"] + r.extras["blocks_screened"] == reps.size
 
 
