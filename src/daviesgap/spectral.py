@@ -98,8 +98,10 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     in the canonical form of ``SparseMatrix.of``; an operator that is not a
     square matrix raises ValueError, naming its shape, before any solve.
     Eigenvalues below KERNEL_RTOL times the largest one count as kernel.
-    Every vector v of ``kernel_basis`` must satisfy ||A v|| <= KERNEL_RTOL *
-    lambda_max * ||v||, checked on the whole operator.  ``seed`` is unused.
+    Every vector v of ``kernel_basis`` must be nonzero and satisfy
+    ||A v|| <= KERNEL_RTOL * lambda_max * ||v||, checked on the whole
+    operator; KernelMismatchError names the first vector that is zero or has
+    a residual that is not finite, else the worst one above the bound.  ``seed`` is unused.
 
     An operator that declares an open XY chain form, ``meta["xy_form"]`` (the
     bond chain does), has its spectrum read from the form (``xy_gap``) and
@@ -144,7 +146,15 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
                                          "eigensolve_s": t_residual - t_solve,
                                          "residual_s": time.perf_counter() - t_residual}})
     if kernel_basis is not None and len(kernel_basis) > 0:
-        res = [np.linalg.norm(matrix @ v) / (top * np.linalg.norm(v)) for v in kernel_basis]
+        res = []
+        for i, v in enumerate(kernel_basis):
+            norm = np.linalg.norm(v)
+            if norm == 0:
+                raise KernelMismatchError(f"kernel_basis vector {i} is zero")
+            res.append(np.linalg.norm(matrix @ v) / (top * norm))
+            if not np.isfinite(res[i]):
+                raise KernelMismatchError(f"kernel_basis vector {i} has ||A v|| / "
+                                          f"(lambda_max ||v||) = {res[i]}, not finite")
         worst = int(np.argmax(res))
         if res[worst] > KERNEL_RTOL:
             raise KernelMismatchError(
@@ -197,36 +207,59 @@ def _checked_form(matrix: SparseMatrix, form, top: float) -> float:
     layout (``_chain_entries``): diagonal c + sum_j h_j (1 - 2 bit_j), built
     by the same doubling, flip u ^ (3 << k) a + b on a mixed pair and a - b
     on an equal one.  delta bounds ||A - Q||_2, so by Weyl every eigenvalue
-    of A lies within delta of one of Q's.  ValueError unless A has Q's
-    pattern, entry for entry, and delta <= KERNEL_RTOL * ``top``
-    (lambda_max).  On the bond chain, with one BLAS thread on 2 cores, it
-    takes 1.3-1.9 ms at N = 12 and 0.11-0.15 s at N = 18."""
+    of A lies within delta of one of Q's.  Where the patterns of A and Q
+    differ, delta is taken over their union: a float64 form cannot write
+    entries below its own rounding, such as the chain's (n - 1) gamma^2 / d
+    for gamma < 1e-8.  ValueError unless delta <= KERNEL_RTOL * ``top``
+    (lambda_max).  Only Q's columns and values are held at full size: when
+    no entry of Q vanishes, A's rows are checked on the (2^n, n) layout, row
+    u at u*n onward, and |A - Q| is written over Q.  On the bond chain, with
+    one BLAS thread on 2 cores, it takes 0.8-0.9 ms at N = 12 and
+    0.09 s at N = 18."""
     c, h, a, b = form
     n = len(h)
-    if matrix.shape != (1 << n,) * 2:
-        raise ValueError(f"an xy_form of {n} bonds needs shape {(1 << n,) * 2}, "
+    size = 1 << n
+    if matrix.shape != (size, size):
+        raise ValueError(f"an xy_form of {n} bonds needs shape {(size, size)}, "
                          f"got {matrix.shape}")
     # pair k moves the bits k and k + 1, that is bonds n-2-k and n-1-k
-    row, col, data, diag_at = _chain_entries(n, np.subtract(a, b)[::-1].tolist(),
-                                             np.add(a, b)[::-1].tolist())
+    col, data, diag_at = _chain_entries(n, np.subtract(a, b)[::-1].tolist(),
+                                        np.add(a, b)[::-1].tolist())
     diagonal = np.full(1, c, dtype=float)
     for field in np.asarray(h, dtype=float)[::-1]:  # bit m, bond n-1-m, clear then set
         diagonal = np.concatenate([diagonal + field, diagonal - field])
     data[diag_at] = diagonal
     keep = data != 0
-    if not keep.all():
-        row, col, data = row[keep], col[keep], data[keep]
-    same = np.array_equal(row, matrix.row) and np.array_equal(col, matrix.col)
-    delta = np.bincount(row, np.abs(matrix.data - data)).max() if same else np.inf
+    if keep.all():  # row u holds the layout's entries u*n .. u*n + n - 1
+        row = None
+        same = (matrix.nnz == data.size and np.array_equal(col, matrix.col)
+                and (matrix.row.reshape(size, n) == np.arange(size)[:, None]).all())
+    else:
+        row = np.repeat(np.arange(size), n)[keep]
+        col, data = col[keep], data[keep]
+        same = np.array_equal(row, matrix.row) and np.array_equal(col, matrix.col)
+    if same:
+        if np.iscomplexobj(matrix.data):
+            deviation = np.abs(matrix.data - data)
+        else:
+            deviation = np.abs(np.subtract(matrix.data, data, out=data), out=data)
+        # row sums on the (2^n, n) view by one matrix-vector product, which
+        # takes a tenth of the time of .sum(axis=1) at N = 12
+        delta = (deviation.reshape(size, n) @ np.ones(n) if row is None
+                 else np.bincount(row, deviation, minlength=1)).max()
+    else:
+        row = np.repeat(np.arange(size), n) if row is None else row
+        diff = SparseMatrix.from_entries(matrix.shape, np.concatenate([row, matrix.row]),
+                                         np.concatenate([col, matrix.col]),
+                                         np.concatenate([data, -matrix.data]))
+        deviation = abs(diff.data)
+        delta = np.bincount(diff.row, deviation, minlength=1).max()
     if delta <= KERNEL_RTOL * top:
         return float(delta)
-    diff = abs(SparseMatrix.from_entries(matrix.shape, np.concatenate([row, matrix.row]),
-                                         np.concatenate([col, matrix.col]),
-                                         np.concatenate([data, -matrix.data])).data)
-    bad = np.count_nonzero(diff > KERNEL_RTOL * top)
+    bad = np.count_nonzero(deviation > KERNEL_RTOL * top)
     raise ValueError(f"operator does not have its declared xy_form: {bad} entries differ "
                      f"by more than {KERNEL_RTOL:g} * lambda_max, largest deviation "
-                     f"{diff.max(initial=0.0):.3e}, row-sum bound {delta:.3e}")
+                     f"{deviation.max(initial=0.0):.3e}, row-sum bound {delta:.3e}")
 
 
 def _piece_spectra(union: SparseMatrix, dims, cap) -> tuple:
@@ -388,14 +421,15 @@ def abelian_chain_hamiltonian(n: int, tp: ThermalParams) -> SuperOperatorRep:
     (#'++' pairs)*gamma^2/d + (#'--' pairs)/d + (#mixed pairs)/2 with
     d = 1 + gamma^2, and flipping both bonds of an adjacent pair gives -gamma/d
     on an equal pair, -1/2 on a mixed one.  With one BLAS thread on 2 cores
-    it takes 0.7-1.1 ms at N = 12 and 0.06-0.08 s at N = 18.
+    it takes 0.7-0.8 ms at N = 12 and 0.07 s at N = 18.
     ``meta["xy_form"]`` declares ``abelian_chain_form``."""
     if n < 3:
         raise GeneratorError("chain needs at least 3 bonds")
     gamma = tp.gamma
     d = 1.0 + gamma ** 2
-    rows, cols, data, diag_at = _chain_entries(n, [-gamma / d] * (n - 1), [-0.5] * (n - 1))
+    cols, data, diag_at = _chain_entries(n, [-gamma / d] * (n - 1), [-0.5] * (n - 1))
     index = np.arange(1 << n)
+    rows = np.repeat(index, n)
     # bit k of these marks a '++' and a '--' pair (k, k + 1)
     n_plus = np.bitwise_count(~(index | index >> 1) & ((1 << (n - 1)) - 1))
     n_minus = np.bitwise_count(index & index >> 1)
@@ -424,7 +458,7 @@ def abelian_chain_form(n: int, gamma: float) -> tuple:
 
 
 def _chain_entries(n: int, equal, mixed) -> tuple:
-    """Rows, columns and flip values of an n-bond chain, row u's diagonal and
+    """Columns and flip values of an n-bond chain, row u's diagonal and
     flips u ^ (3 << k) at u*n onward in column order, and the diagonals'
     positions, their values left to the caller; a flip is ``equal[k]`` on an
     equal pair k, ``mixed[k]`` on a mixed one.  Built by doubling, with no
@@ -439,7 +473,7 @@ def _chain_entries(n: int, equal, mixed) -> tuple:
     for m in range(1, n):
         half, low = 1 << m, 1 << (m - 1)
         index = np.arange(half)
-        cols[half:2 * half, 1:m + 1] = cols[:half, :m] | half
+        np.bitwise_or(cols[:half, :m], half, out=cols[half:2 * half, 1:m + 1])
         data[half:2 * half, 1:m + 1] = data[:half, :m]
         diag_at[half:2 * half] = diag_at[:half] + 1
         cols[:half, m] = index ^ low | half
@@ -447,18 +481,22 @@ def _chain_entries(n: int, equal, mixed) -> tuple:
         # the pair (bit m, bit m - 1) runs 00, 01, 10, 11 down the rows
         block = np.repeat([equal[m - 1], mixed[m - 1], mixed[m - 1], equal[m - 1]], low)
         data[:half, m], data[half:2 * half, 0] = block[:half], block[half:]
-    return (np.repeat(np.arange(size), n), cols.ravel(), data.ravel(),
-            np.arange(0, n << n, n) + diag_at)
+    return cols.ravel(), data.ravel(), np.arange(0, n << n, n) + diag_at
 
 
 def abelian_chain_kernel(n: int, gamma: float) -> list:
-    """The two known kernel vectors: parity-restricted thermal weights."""
-    bits = np.arange(1 << n)
-    weight = gamma ** (np.bitwise_count(bits.astype(np.uint64)).astype(float) / 2.0)
-    parity = np.bitwise_count(bits.astype(np.uint64)) & 1
+    """The two known kernel vectors: parity-restricted thermal weights, a
+    state of w '-' bonds weighing gamma^((w - w_min)/2) against the lightest
+    states of its parity, w_min = 0 or 1 (0^0 = 1), so gamma = 0 gives the
+    limiting vectors.  ValueError for a gamma that is negative, NaN or above
+    1."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"chain kernel needs 0 <= gamma <= 1, got gamma={gamma!r}")
+    w = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    weight = gamma ** (w >> 1)  # (w - w_min) / 2 for either parity
     out = []
     for p in (0, 1):
-        v = np.where(parity == p, weight, 0.0)
+        v = np.where(w & 1 == p, weight, 0.0)
         out.append(v / np.linalg.norm(v))
     return out
 

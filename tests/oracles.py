@@ -572,8 +572,9 @@ def layout_chain_hamiltonian(n: int, gamma: float) -> SparseMatrix:
 def layout_form_error(matrix: SparseMatrix, form) -> float:
     """The largest row sum of |A - Q| for the canonical ``matrix`` A and the
     matrix Q of the XY ``form`` written into ``cumsum_chain_layout``, its
-    diagonal c + sum_j h_j (1 - 2 bit_j) from a table of bits; inf unless A
-    has Q's pattern.  The reference for ``spectral._checked_form``."""
+    diagonal c + sum_j h_j (1 - 2 bit_j) from a table of bits, taken by
+    scipy over the union of both patterns where they differ.  The reference
+    for ``spectral._checked_form``."""
     c, h, a, b = form
     n = len(h)
     pairs, diag_at, flip_at, row, col = cumsum_chain_layout(n)
@@ -585,7 +586,9 @@ def layout_form_error(matrix: SparseMatrix, form) -> float:
     keep = data != 0
     row, col, data = row[keep], col[keep], data[keep]
     if not (np.array_equal(row, matrix.row) and np.array_equal(col, matrix.col)):
-        return math.inf
+        a = sp.csr_array((matrix.data, (matrix.row, matrix.col)), shape=matrix.shape)
+        return float(abs(a - sp.csr_array((data, (row, col)), shape=matrix.shape))
+                     .sum(axis=1).max())
     return float(np.bincount(row, np.abs(matrix.data - data)).max())
 
 

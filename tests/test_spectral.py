@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,13 +153,92 @@ class TestGap:
         missing[0, 3] = 0.0
         missing.eliminate_zeros()
         with pytest.raises(ValueError, match=r"1 entries differ .* largest deviation "
-                                             r"3\.98\de-01, row-sum bound inf"):
+                                             r"3\.98\de-01, row-sum bound 3\.98\de-01"):
             gap(dataclasses.replace(chain, matrix=missing))
         for form in ((c, h * 1.01, a, b), (c, h, b, a), (c + 1e-6, h, a, b)):
             with pytest.raises(ValueError, match=r"declared xy_form: \d+ entries differ"):
                 gap(dataclasses.replace(chain, meta={"xy_form": form}))
         with pytest.raises(ValueError, match=r"xy_form of 5 bonds needs shape \(32, 32\)"):
             gap(dataclasses.replace(chain, meta={"xy_form": (c, h[1:], a[1:], b[1:])}))
+
+    @pytest.mark.parametrize("case, bad, largest, bound", [
+        ("row moved", 2, "3.984e-01", "3.984e-01"), ("col moved", 2, "3.984e-01", "7.967e-01"),
+        ("entry dropped", 1, "3.984e-01", "3.984e-01"), ("entry added", 1, "2.500e-01", "2.500e-01")])
+    def test_broken_layout_raises(self, case, bad, largest, bound):
+        # arrays set directly, not through from_entries: a moved row leaves
+        # the rows unsorted and the columns of the layout unchanged
+        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        m, form = chain.matrix, chain.meta["xy_form"]
+        row, col, data = m.row.copy(), m.col.copy(), m.data
+        if case == "row moved":
+            row[8] = 2  # (1, 7) to (2, 7)
+        elif case == "col moved":
+            col[9] = 12  # (1, 13) to (1, 12)
+        elif case == "entry dropped":
+            row, col, data = (np.delete(x, 8) for x in (row, col, data))
+        else:
+            row, col, data = (np.insert(x, 1, v) for x, v in ((row, 0), (col, 1), (data, 0.25)))
+        broken = master.SparseMatrix(m.shape, row, col, data)
+        top = xy_gap(form).extras["lambda_max"]
+        with pytest.raises(ValueError, match=re.escape(
+                f"declared xy_form: {bad} entries differ by more than 1e-10 * lambda_max, "
+                f"largest deviation {largest}, row-sum bound {bound}")):
+            spectral._checked_form(broken, form, top)
+        assert f"{layout_form_error(broken, form):.3e}" == bound
+
+    def test_form_check_holds_one_reference_copy(self):
+        # the chain's columns and values, 16 bytes an entry, and no second
+        # copy of them nor a row array
+        chain = abelian_chain_hamiltonian(14, ThermalParams.from_betaJ(0.35))
+        form = chain.meta["xy_form"]
+        top = xy_gap(form).extras["lambda_max"]
+        tracemalloc.start()
+        try:
+            spectral._checked_form(chain.matrix, form, top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * chain.matrix.nnz, f"{peak / chain.matrix.nnz:.1f} bytes per entry"
+
+    def test_complex_entries_check_as_real_ones(self):
+        chain = abelian_chain_hamiltonian(6, ThermalParams.from_betaJ(0.35))
+        m = chain.matrix
+        complex_chain = dataclasses.replace(chain, matrix=master.SparseMatrix(
+            m.shape, m.row, m.col, m.data.astype(complex)))
+        assert gap(complex_chain).extras["form_error"] == gap(chain).extras["form_error"]
+
+    @pytest.mark.parametrize("betaJ", [9.0, 10.0, 14.0, 20.0, 400.0])
+    def test_cold_chain_matches_dense(self, betaJ):
+        # gamma from 1.5e-8 to 0: the form rounds the all-'+' diagonal
+        # (n - 1) gamma^2 / d to 0, and from gamma < 1.1e-16 the equal-pair
+        # flips -gamma / d too, so delta is taken over both patterns
+        tp = ThermalParams.from_betaJ(betaJ)
+        for n in range(3, 11):
+            chain = abelian_chain_hamiltonian(n, tp)
+            kernel = abelian_chain_kernel(n, tp.gamma)
+            assert all(np.isfinite(v).all() for v in kernel)
+            r, want = gap(chain, expected_kernel=2, kernel_basis=kernel), gap(chain.matrix)
+            assert r.solver == "xy_form" and want.kernel_dim == 2
+            assert abs(r.gap - want.gap) <= 1e-12 * want.gap
+            top = r.extras["lambda_max"]
+            assert abs(r.extras["form_error"] - layout_form_error(chain.matrix,
+                                                                  chain.meta["xy_form"])) \
+                <= 1e-15 * top
+            assert r.residual <= 1e-15
+
+    @pytest.mark.parametrize("vector, message", [
+        (np.full(32, np.nan), r"vector 1 has .* = nan, not finite"),
+        (np.zeros(32), r"vector 1 is zero")])
+    def test_kernel_basis_vector_that_is_nan_or_zero_raises(self, vector, message):
+        chain = abelian_chain_hamiltonian(5, ThermalParams.from_betaJ(0.35))
+        kernel = abelian_chain_kernel(5, chain.meta["gamma"])
+        with pytest.raises(KernelMismatchError, match=message):
+            gap(chain, kernel_basis=[kernel[0], vector])
+
+    @pytest.mark.parametrize("gamma", [-0.1, math.nan, 1.5])
+    def test_chain_kernel_needs_gamma_in_0_1(self, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"got gamma={gamma!r}")):
+            abelian_chain_kernel(4, gamma)
 
     @pytest.mark.parametrize("operator", [np.eye(3)[:2], np.ones(3)])
     def test_operator_that_is_not_square_raises_before_solving(self, monkeypatch, operator):
