@@ -101,7 +101,8 @@ def gap(rep, expected_kernel=None, kernel_basis=None, dense_cap=DENSE_DIM_CAP,
     Every vector v of ``kernel_basis`` must be nonzero and satisfy
     ||A v|| <= KERNEL_RTOL * lambda_max * ||v||, checked on the whole
     operator; KernelMismatchError names the first vector that is zero or has
-    a residual that is not finite, else the worst one above the bound.  ``seed`` is unused.
+    a residual that is not finite, else the worst one above the bound.
+    ``seed`` is unused.
 
     An operator that declares an open XY chain form, ``meta["xy_form"]`` (the
     bond chain does), has its spectrum read from the form (``xy_gap``) and
@@ -232,7 +233,7 @@ def _checked_form(matrix: SparseMatrix, form, top: float) -> float:
     keep = data != 0
     if keep.all():  # row u holds the layout's entries u*n .. u*n + n - 1
         row = None
-        same = (matrix.nnz == data.size and np.array_equal(col, matrix.col)
+        same = (np.array_equal(col, matrix.col)
                 and (matrix.row.reshape(size, n) == np.arange(size)[:, None]).all())
     else:
         row = np.repeat(np.arange(size), n)[keep]

@@ -220,10 +220,8 @@ class TestGap:
             r, want = gap(chain, expected_kernel=2, kernel_basis=kernel), gap(chain.matrix)
             assert r.solver == "xy_form" and want.kernel_dim == 2
             assert abs(r.gap - want.gap) <= 1e-12 * want.gap
-            top = r.extras["lambda_max"]
-            assert abs(r.extras["form_error"] - layout_form_error(chain.matrix,
-                                                                  chain.meta["xy_form"])) \
-                <= 1e-15 * top
+            oracle = layout_form_error(chain.matrix, chain.meta["xy_form"])
+            assert abs(r.extras["form_error"] - oracle) <= 1e-15 * r.extras["lambda_max"]
             assert r.residual <= 1e-15
 
     @pytest.mark.parametrize("vector, message", [
