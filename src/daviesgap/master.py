@@ -14,9 +14,10 @@ Blocks: conjugation by any stabilizer or logical operator commutes with the
 generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
 small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
-sparse, straight from the jump components; no code here builds the full
-4^n-dimensional K or a dense sector matrix.  A lattice symmetry of the model
-(``lattice_symmetries``) that leaves H and the jump components unchanged
+sparse, straight from the labels of the jump components, which it checks
+against the phase structure of a Pauli coupling; no code here builds the
+full 4^n-dimensional K or a dense sector matrix.  A lattice symmetry of the
+model (``lattice_symmetries``) that leaves H and the jump components unchanged
 carries each block unitarily onto another; ``block_orbits`` checks each
 symmetry against the generator and groups the blocks into orbits of equal
 spectrum.  The torus sign-flip restriction is read from sign-flipped charge
@@ -353,18 +354,20 @@ class ChargeBlocks:
     matrix has the diagonal g (D_u + D_{u^delta}), D = |s|^2 + eta^2 |s[. ^ d]|^2,
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
     at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
-    split it into the sparse (flip, mu, nu) blocks.  ``union`` is the one
-    assembly routine (``gap_from_blocks`` and ``block`` call it); it and
-    ``sector_matrix`` take K from ``_sector_data``.  The entries' positions
-    depend on the flip patterns d only: the cells (the entries in logical
-    slot 0), their stable key order and the runs of one key are laid out
-    once here, and only values are formed per sector.  The bounds that
-    ``gap_from_blocks`` screens sectors by, ``sector_bounds`` (Gershgorin
-    discs) and ``narrowed_bounds`` (discs of a diagonal similarity), read
-    only |K| per column, from ``_discs``: in the stabilizer frame a cross
-    term's products are one sign per sector on a support set by syndrome
-    bits (``_disc_terms`` checks this once), so that pass gathers labels and
-    no complex weight, and covers many sectors at once.
+    split it into the sparse (flip, mu, nu) blocks.  One method reads K,
+    ``_sector_entries``: in the stabilizer frame a cross term's products are
+    one sign per sector on a support set by syndrome bits (``_disc_terms``
+    checks this once, and raises GeneratorError where it fails), so the
+    reader gathers labels and no complex weight, covers many sectors at once
+    and finds K_delta real and equal on every logical slot.  ``union`` is the
+    one assembly routine (``gap_from_blocks`` and ``block`` call it); it and
+    ``sector_matrix`` lay out the reader's entries of logical slot 0.  The
+    entries' positions depend on the flip patterns d only: the cells, their
+    stable key order and the runs of one key are laid out once here, and
+    only values are formed per sector.  The bounds that ``gap_from_blocks``
+    screens sectors by, ``sector_bounds`` (Gershgorin discs) and
+    ``narrowed_bounds`` (discs of a diagonal similarity), read the same
+    entries per column through ``_discs``.
     Optional per-site ``signs`` multiply each cross weight by the sign of its
     component's site (every coupling must then act on one site): the
     sign-flipped operator of ``sign_flip_restriction``.
@@ -398,11 +401,11 @@ class ChargeBlocks:
         new = _new_run(at[inverse][order])
         self._firsts, self._group = np.flatnonzero(new), np.cumsum(new) - 1
         self._flips, self._weights, terms = d[order][self._firsts], weight[order], s[order]
-        # every component, and the terms' components in order, for _disc_terms
-        self._components, self._terms = lrep.components, (comps, order)
-        # every cross term, grouped by flip pattern: weight * s, conj(s) and its support
-        self._weighted, self._conj = self._weights[:, None] * terms, terms.conj()
-        self._support = terms != 0
+        # every component, and the coupling of each term, for _disc_terms
+        self._components = lrep.components
+        self._coupling = np.array([c.coupling_index for c in comps], dtype=np.int64)[order]
+        # every cross term, grouped by flip pattern: conj(s) and its support
+        self._conj, self._support = terms.conj(), terms != 0
         # the cells: rows sigma (the diagonal), then sigma ^ d per flip pattern, of the
         # columns sigma of logical slot 0, in the stable order of their keys; the runs
         # of one key, each summed into one block entry; each cell's sign per nu
@@ -415,51 +418,13 @@ class ChargeBlocks:
         lift = np.arange(len(self._x_phase))[:, None] & (self._rows >> frame.n_indep)
         self._sign = 1.0 - 2.0 * (np.bitwise_count(lift) & 1)
 
-    def _sector_data(self, deltas: np.ndarray, slot: int = 0) -> np.ndarray:
-        """K's entries at the cells moved to logical slot ``slot`` (columns
-        slot * 2^k + sigma) on the sectors ``deltas``, shaped (sectors,
-        1 + flip patterns, 2^k): the diagonal, then the rows sigma ^ d of each
-        flip pattern d, by column sigma; ``self._order`` puts a sector's
-        entries in key order.
-
-        A term w s_u conj(s_{u ^ delta}) whose support (set by syndrome bits
-        only) meets its delta-image nowhere is skipped before it is multiplied.
-        A row u ^ d in another slot (d flips logical bits) sums its terms
-        there.  No BLAS call: a gemv over stacked sectors crosses OpenBLAS's
-        threading threshold, and threaded calls this small stall in some
-        processes."""
-        nk, dim, n_flips = self._u.size >> self.frame.n_logical, self._u.size, self._flips.size
-        cols = self._u[slot * nk:(slot + 1) * nk]
-        ud = cols ^ deltas[:, None]
-        data = np.zeros((len(deltas), 1 + n_flips, nk), dtype=complex)
-        data[:, 0] = self.diagonal[cols] + self.diagonal[ud]
-        sector, t = np.nonzero((self._support[:, None, cols] & self._support[:, ud]).any(axis=2).T)
-        if t.size:
-            new = _new_run(sector * n_flips + self._group[t])
-            block, heads = np.cumsum(new) - 1, np.flatnonzero(new)
-            terms = self._conj.ravel()[(t * dim)[:, None] + ud[sector]]
-            terms *= self._weighted[t, cols[0]:cols[-1] + 1]
-            p, g = np.add.reduceat(terms, heads, axis=0), self._group[t[heads]]
-            moved = p.ravel()[(np.arange(g.size) * nk)[:, None]
-                              + (np.arange(nk) ^ self._flips[g, None] % nk)]
-            lifted = np.flatnonzero(self._flips[self._group[t]] >= nk)
-            if lifted.size:
-                at = (t[lifted] * dim)[:, None] | (cols ^ self._flips[self._group[t[lifted]], None])
-                terms = self._conj.ravel()[at ^ deltas[sector[lifted], None]]
-                terms *= self._weighted.ravel()[at]
-                first = np.flatnonzero(_new_run(block[lifted]))
-                moved[block[lifted[first]]] = np.add.reduceat(terms, first, axis=0)
-            data[sector[heads], 1 + g] = -(p + moved.conj())
-        return data
-
     @functools.cached_property
     def _disc_terms(self) -> tuple:
-        """The cross terms as ``_discs`` reads them, checked once per
-        generator: a[t], the sign character of term t; ``by``, the terms in
-        order of their support within their flip pattern, and the ``starts``
-        of each support; labels[g, sigma], the support of flip pattern g that
-        holds syndrome state sigma (-1 for none), the rows of flip patterns
-        d != 0 first.
+        """The cross terms as ``_sector_entries`` reads them, checked once
+        per generator: a[t], the sign character of term t; ``by``, the terms
+        in order of their support within their flip pattern, and the
+        ``starts`` of each support; labels[g, sigma], the support of flip
+        pattern g that holds syndrome state sigma (-1 for none).
 
         A Pauli coupling acts in the stabilizer frame as a unit phase c times
         a sign character (-1)^|a & u|, and its frequency components split it
@@ -474,11 +439,10 @@ class ChargeBlocks:
         nk, n = 1 << self.frame.n_indep, self.frame.model.n_sites
         # each coupling's phase on state 0 and the unit states: its components' sum
         states = np.append(0, 1 << np.arange(n))
-        index = [c.coupling_index for c in self._components]
-        phase = np.zeros((max(index) + 1, states.size), dtype=complex)
-        np.add.at(phase, index, [c.weights[states] for c in self._components])
-        comps, order = self._terms
-        phase = phase[[comps[i].coupling_index for i in order]]
+        index = np.array([c.coupling_index for c in self._components])
+        phase = np.zeros((index.max() + 1, states.size), dtype=complex)
+        np.add.at(phase, index, np.array([c.weights for c in self._components])[:, states])
+        phase = phase[self._coupling]
         a = ((phase[:, 1:] != phase[:, :1]) << np.arange(n)).sum(axis=1)
         char = phase[:, :1] * (1.0 - 2.0 * (np.bitwise_count(a[:, None] & self._u) & 1))
         # the supports of each flip pattern, keyed by their first state
@@ -497,37 +461,49 @@ class ChargeBlocks:
                                  "not a phase times a sign character on a syndrome-set support "
                                  "that each other term of its flip pattern shares or misses")
         by = np.argsort(of, kind="stable")
-        return a, by, np.flatnonzero(_new_run(of[by])), labels[np.argsort(self._flips == 0,
-                                                                          kind="stable")]
+        return a, by, np.flatnonzero(_new_run(of[by])), labels
 
-    def _discs(self, deltas: np.ndarray):
-        """Per pass of at most _BOUNDS_PASS_BYTES, the sectors' slice of
-        ``deltas`` and K's entries on the columns sigma of logical slot 0:
-        the diagonal (sectors, 2^k) and |K| at the rows sigma ^ d (sectors,
-        flip patterns d != 0, 2^k), a lifted row read at sigma ^ (d mod 2^k).
+    def _sector_entries(self, deltas: np.ndarray) -> np.ndarray:
+        """K's entries on the columns sigma of logical slot 0 of the sectors
+        ``deltas``, real and shaped (sectors, 1 + flip patterns, 2^k): the
+        diagonal D[sigma] + D[sigma ^ delta], then the rows sigma ^ d of each
+        flip pattern d, by column sigma; ``self._order`` puts a sector's
+        entries in key order.
 
         By ``_disc_terms`` no weight is gathered: the terms of one support
         add c = sum w (-1)^|a & delta| on each column sigma where the support
         holds both sigma and sigma ^ delta, and the sum P over a flip
         pattern's supports gives K[sigma ^ d, sigma] = -(P[sigma] +
-        P[sigma ^ d]), the diagonal D[sigma] + D[sigma ^ delta] - 2 P_0[sigma]."""
+        P[sigma ^ d]).  A row sigma ^ d in another logical slot (d flips
+        logical bits) reads P at sigma ^ (d mod 2^k), as a term's product is
+        the same on every slot."""
         a, by, starts, labels = self._disc_terms
-        n_off, nk = np.count_nonzero(self._flips), labels.shape[1]
+        nk = labels.shape[1]
         sigma = self._u[:nk]
-        # column sigma ^ d of row d in P's rows of the flip patterns d != 0
-        moved = np.arange(n_off)[:, None] * nk + (sigma ^ self._flips[self._flips != 0, None] % nk)
-        per = max(1, _BOUNDS_PASS_BYTES // (24 * labels.size))
+        weight = self._weights * (1.0 - 2.0 * (np.bitwise_count(a & deltas[:, None]) & 1))
+        c = np.zeros((deltas.size, starts.size + 1))  # column -1: no support
+        c[:, :-1] = np.add.reduceat(weight[:, by], starts, axis=1)
+        met = np.take(labels, sigma ^ deltas[:, None] % nk, axis=1).swapaxes(0, 1) == labels
+        p = np.where(met, np.take(c, labels, axis=1), 0.0)
+        # column sigma ^ d of row d in P's rows
+        moved = np.arange(self._flips.size)[:, None] * nk + (sigma ^ self._flips[:, None] % nk)
+        entries = np.empty((deltas.size, 1 + self._flips.size, nk))
+        entries[:, 0] = self.diagonal[sigma] + self.diagonal[sigma ^ deltas[:, None]]
+        entries[:, 1:] = -(p + np.take(p.reshape(deltas.size, -1), moved, axis=1))
+        return entries
+
+    def _discs(self, deltas: np.ndarray):
+        """Per pass of at most _BOUNDS_PASS_BYTES, the sectors' slice of
+        ``deltas`` and their ``_sector_entries`` as discs: the diagonal
+        (sectors, 2^k), which the rows of flip pattern 0 add to, and |K| at
+        the rows sigma ^ d (sectors, flip patterns d != 0, 2^k)."""
+        zero = np.flatnonzero(self._flips == 0) + 1
+        off = np.flatnonzero(self._flips != 0) + 1
+        per = max(1, _BOUNDS_PASS_BYTES // (24 * self._flips.size << self.frame.n_indep))
         for start in range(0, deltas.size, per):
-            delta = deltas[start:start + per]
-            image = sigma ^ delta[:, None] % nk
-            weight = self._weights * (1.0 - 2.0 * (np.bitwise_count(a & delta[:, None]) & 1))
-            c = np.zeros((delta.size, starts.size + 1))  # column -1: no support
-            c[:, :-1] = np.add.reduceat(weight[:, by], starts, axis=1)
-            met = np.take(labels, image, axis=1).swapaxes(0, 1) == labels
-            p = np.where(met, np.take(c, labels, axis=1), 0.0)
-            diag = self.diagonal[sigma] + self.diagonal[image] - 2.0 * p[:, n_off:].sum(axis=1)
-            cross = np.abs(p[:, :n_off] + np.take(p.reshape(delta.size, -1), moved, axis=1))
-            yield slice(start, start + per), diag, cross
+            entries = self._sector_entries(deltas[start:start + per])
+            yield (slice(start, start + per), entries[:, 0] + entries[:, zero].sum(axis=1),
+                   np.abs(entries[:, off]))
 
     def sector_bounds(self, deltas) -> tuple:
         """Gershgorin bounds (lo, hi) on the spectrum of K on each sector of
@@ -572,13 +548,13 @@ class ChargeBlocks:
         return lo, hi
 
     def sector_matrix(self, flip: int, mu: int) -> SparseMatrix:
-        """K on the sector's matrix units."""
+        """K on the sector's matrix units: the entries of logical slot 0 in
+        every slot, as ``_disc_terms`` makes them equal."""
         slots, delta = 1 << self.frame.n_logical, np.array([self.frame.state_index(flip, mu)])
-        data = np.concatenate([self._sector_data(delta, slot).ravel()[self._order]
-                               for slot in range(slots)])
+        data = self._sector_entries(delta).ravel()[self._order]
         slot = np.repeat(np.arange(slots) << self.frame.n_indep, self._key.size)
         return SparseMatrix.from_entries((self._u.size,) * 2, np.tile(self._rows, slots) ^ slot,
-                                         np.tile(self._cols, slots) ^ slot, data)
+                                         np.tile(self._cols, slots) ^ slot, np.tile(data, slots))
 
     def union(self, index) -> SparseMatrix:
         """The blocks W[nu]^dag K_delta W[nu] with block indices
@@ -591,14 +567,16 @@ class ChargeBlocks:
         v[nu, u] = (-1)^|nu & (u >> k)| v[0, u], the product for nu is
         base = conj(v[0, r]) K[r, c] v[0, c], formed once per sector, times
         the exact sign (-1)^|nu & T| of the cell's logical flip T = r >> k.
-        Each distinct sector is formed once, in passes of at most
-        _PASS_ENTRIES sector entries or one sector (one complex product per
-        entry and block).  A run of one key is summed in stable key order with its
-        zero entries; the per-sector reference drops them, which changes a
-        sum only if the run's first cell vanishes before two nonzero ones or
-        a run of more than 9 entries holds a zero, and no coupling set here
-        does either (a run's cells flip the same stabilizers).  The union is
-        real when its imaginary part vanishes exactly (faster eigensolvers)."""
+        Each distinct sector is read once from ``_sector_entries``, in
+        passes of at most _PASS_ENTRIES sector entries or one sector (one
+        complex product per entry and block); its label check raises
+        GeneratorError for a generator off the phase structure.  A run of
+        one key is summed in stable key order with its zero entries; the
+        per-sector reference drops them, which changes a sum only if the
+        run's first cell vanishes before two nonzero ones or a run of more
+        than 9 entries holds a zero, and no coupling set here does either (a
+        run's cells flip the same stabilizers).  The union is real when its
+        imaginary part vanishes exactly (faster eigensolvers)."""
         frame, nk, ell = self.frame, 1 << self.frame.n_indep, self.frame.n_logical
         m, cells, runs = 1 << ell, self._key.size, self._start.size
         index = np.asarray(index)
@@ -609,10 +587,9 @@ class ChargeBlocks:
         for a, pos in zip(range(0, sectors.size, per),
                           np.split(by, np.searchsorted(of[by], np.arange(per, sectors.size, per)))):
             flip, mu = sectors[a:a + per] >> ell, sectors[a:a + per] & (m - 1)
-            base = self._sector_data(frame.state_index(flip, mu)).reshape(flip.size, -1)
-            base = base[:, self._order]
+            base = self._sector_entries(frame.state_index(flip, mu)).reshape(flip.size, -1)
             v = _isometry_entries(frame, self._x_phase, flip, mu, np.zeros_like(flip))
-            base *= np.take(v.conj(), self._rows, axis=1)
+            base = base[:, self._order] * np.take(v.conj(), self._rows, axis=1)
             base *= np.take(v, self._cols, axis=1)
             # each position's products, signed by its nu, over the 2^l slots of every cell
             s = of[pos] - a

@@ -212,11 +212,13 @@ def _checked_form(matrix: SparseMatrix, form, top: float) -> float:
     differ, delta is taken over their union: a float64 form cannot write
     entries below its own rounding, such as the chain's (n - 1) gamma^2 / d
     for gamma < 1e-8.  ValueError unless delta <= KERNEL_RTOL * ``top``
-    (lambda_max).  Only Q's columns and values are held at full size: when
-    no entry of Q vanishes, A's rows are checked on the (2^n, n) layout, row
-    u at u*n onward, and |A - Q| is written over Q.  On the bond chain, with
-    one BLAS thread on 2 cores, it takes 0.8-0.9 ms at N = 12 and
-    0.09 s at N = 18."""
+    (lambda_max).  When A has the layout's pattern, whatever Q's values,
+    its rows are checked on the (2^n, n) layout, row u at u*n onward, and
+    |A - Q| is written over Q: only Q's columns and values are held at full
+    size.  On the bond chain, with one BLAS thread on 2 cores, that takes
+    0.8-0.9 ms at N = 12 and 0.09 s at N = 18.  Otherwise A's cells are
+    found among the layout's sorted keys, no sort, and A's entries outside
+    the layout add to their rows."""
     c, h, a, b = form
     n = len(h)
     size = 1 << n
@@ -230,31 +232,27 @@ def _checked_form(matrix: SparseMatrix, form, top: float) -> float:
     for field in np.asarray(h, dtype=float)[::-1]:  # bit m, bond n-1-m, clear then set
         diagonal = np.concatenate([diagonal + field, diagonal - field])
     data[diag_at] = diagonal
-    keep = data != 0
-    if keep.all():  # row u holds the layout's entries u*n .. u*n + n - 1
-        row = None
-        same = (np.array_equal(col, matrix.col)
-                and (matrix.row.reshape(size, n) == np.arange(size)[:, None]).all())
-    else:
-        row = np.repeat(np.arange(size), n)[keep]
-        col, data = col[keep], data[keep]
-        same = np.array_equal(row, matrix.row) and np.array_equal(col, matrix.col)
-    if same:
+    if (np.array_equal(col, matrix.col)
+            and (matrix.row.reshape(size, n) == np.arange(size)[:, None]).all()):
+        # A has the layout's pattern: row u holds its entries u*n .. u*n + n - 1
         if np.iscomplexobj(matrix.data):
             deviation = np.abs(matrix.data - data)
         else:
             deviation = np.abs(np.subtract(matrix.data, data, out=data), out=data)
         # row sums on the (2^n, n) view by one matrix-vector product, which
         # takes a tenth of the time of .sum(axis=1) at N = 12
-        delta = (deviation.reshape(size, n) @ np.ones(n) if row is None
-                 else np.bincount(row, deviation, minlength=1)).max()
-    else:
-        row = np.repeat(np.arange(size), n) if row is None else row
-        diff = SparseMatrix.from_entries(matrix.shape, np.concatenate([row, matrix.row]),
-                                         np.concatenate([col, matrix.col]),
-                                         np.concatenate([data, -matrix.data]))
-        deviation = abs(diff.data)
-        delta = np.bincount(diff.row, deviation, minlength=1).max()
+        delta = (deviation.reshape(size, n) @ np.ones(n)).max()
+    else:  # A's cells found among the layout's keys, those outside it added to their rows
+        key = np.repeat(np.arange(size) * size, n) + col
+        cell = matrix.row * size + matrix.col
+        at = np.minimum(np.searchsorted(key, cell), key.size - 1)
+        inside = key[at] == cell
+        diff = data.astype(np.result_type(data, matrix.data))
+        np.subtract.at(diff, at[inside], matrix.data[inside])
+        within, outside = np.abs(diff), np.abs(matrix.data[~inside])
+        deviation = np.concatenate([within, outside])
+        delta = (within.reshape(size, n) @ np.ones(n)
+                 + np.bincount(matrix.row[~inside], outside, minlength=size)).max()
     if delta <= KERNEL_RTOL * top:
         return float(delta)
     bad = np.count_nonzero(deviation > KERNEL_RTOL * top)

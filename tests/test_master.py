@@ -249,7 +249,7 @@ class TestDirectAssembly:
     def test_shuffled_union_forms_each_sector_once(self, case, monkeypatch):
         # repeats, a shuffled order and one sector's blocks at non-adjacent
         # positions: the union is still the block diagonal of the single
-        # blocks, and each distinct sector is formed by one _sector_data row
+        # blocks, and each distinct sector is formed by one _sector_entries row
         lrep = build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(0.25))
         frame, charge = lrep.frame, ChargeBlocks(lrep)
         index = np.random.default_rng(5).permutation(len(block_labels(frame)))[:12]
@@ -258,13 +258,13 @@ class TestDirectAssembly:
         want = sp.block_diag([csr(charge.block(BlockLabel.at(frame, i))) for i in index],
                              format="csr")
         formed = []
-        sector_data = ChargeBlocks._sector_data
+        sector_entries = ChargeBlocks._sector_entries
 
-        def recording(self, deltas, slot=0):
+        def recording(self, deltas):
             formed.extend(deltas.tolist())
-            return sector_data(self, deltas, slot)
+            return sector_entries(self, deltas)
 
-        monkeypatch.setattr(ChargeBlocks, "_sector_data", recording)
+        monkeypatch.setattr(ChargeBlocks, "_sector_entries", recording)
         got = csr(charge.union(index))
         assert got.dtype == want.dtype
         for field in ("indptr", "indices", "data"):
@@ -659,7 +659,16 @@ class TestSectorBounds:
         default = build_generator(model, tp=tp).components
         keys = sorted({(c.coupling_index, c.omega) for c in default})
         rates = data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(keys), max_size=len(keys)))
-        _assert_bounds_hold(build_generator(model, tp=tp, rates=dict(zip(keys, rates))))
+        lrep = build_generator(model, tp=tp, rates=dict(zip(keys, rates)))
+        _assert_bounds_hold(lrep)
+        # with rates of any size, the terms of one support may be summed in
+        # another order than the per-sector reference's: equal to rounding
+        frame, charge = lrep.frame, ChargeBlocks(lrep)
+        want = [b for flip in range(1 << frame.n_indep) for mu in range(1 << frame.n_logical)
+                for b in oracle_sector_blocks(charge, flip, mu)]
+        got = charge.union(np.arange(len(want))).toarray()
+        ref = sp.block_diag(want).toarray()
+        assert abs(got - ref).max() <= 4 * np.finfo(float).eps * abs(ref).max()
 
     def test_bounds_hold_on_signed_blocks(self, toric_x_lrep, toric2):
         # the sign-flipped operators of sign_flip_restriction, Hermitian too
@@ -691,7 +700,8 @@ class TestBoundsPass:
     @pytest.mark.parametrize("change", ["scaled", "rotated", "dropped"])
     def test_weights_off_the_phase_structure_rejected(self, change):
         # a term scaled off the unit circle, one phase turned on one state, or
-        # a coupling's other frequency components dropped
+        # a coupling's other frequency components dropped, seen by each
+        # reader of K on fresh charge blocks
         lrep = build_generator(build_ising_ring(4), tp=ThermalParams.from_betaJ(0.25))
         comps = list(lrep.components)
         i = next(i for i, c in enumerate(comps) if c.omega > 0)
@@ -704,6 +714,8 @@ class TestBoundsPass:
         else:
             comps = [c for c in comps if c.coupling_index != comps[i].coupling_index
                      or c.omega > 0]
-        charge = ChargeBlocks(replace(lrep, components=comps))
-        with pytest.raises(GeneratorError, match="not a phase times a sign character"):
-            charge.sector_bounds(np.arange(4))
+        for read in (lambda charge: charge.sector_bounds(np.arange(4)),
+                     lambda charge: charge.union([0]),
+                     lambda charge: charge.sector_matrix(0, 0)):
+            with pytest.raises(GeneratorError, match="not a phase times a sign character"):
+                read(ChargeBlocks(replace(lrep, components=comps)))

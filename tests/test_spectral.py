@@ -208,16 +208,23 @@ class TestGap:
         assert gap(complex_chain).extras["form_error"] == gap(chain).extras["form_error"]
 
     @pytest.mark.parametrize("betaJ", [9.0, 10.0, 14.0, 20.0, 400.0])
-    def test_cold_chain_matches_dense(self, betaJ):
+    def test_cold_chain_matches_dense(self, betaJ, monkeypatch):
         # gamma from 1.5e-8 to 0: the form rounds the all-'+' diagonal
         # (n - 1) gamma^2 / d to 0, and from gamma < 1.1e-16 the equal-pair
-        # flips -gamma / d too, so delta is taken over both patterns
+        # flips -gamma / d too, so delta is taken over both patterns, with
+        # no from_entries pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_entries called")
+
         tp = ThermalParams.from_betaJ(betaJ)
         for n in range(3, 11):
             chain = abelian_chain_hamiltonian(n, tp)
             kernel = abelian_chain_kernel(n, tp.gamma)
             assert all(np.isfinite(v).all() for v in kernel)
-            r, want = gap(chain, expected_kernel=2, kernel_basis=kernel), gap(chain.matrix)
+            with monkeypatch.context() as patch:
+                patch.setattr(master.SparseMatrix, "from_entries", refuse)
+                r = gap(chain, expected_kernel=2, kernel_basis=kernel)
+            want = gap(chain.matrix)
             assert r.solver == "xy_form" and want.kernel_dim == 2
             assert abs(r.gap - want.gap) <= 1e-12 * want.gap
             oracle = layout_form_error(chain.matrix, chain.meta["xy_form"])
