@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import build_frame
 from .davies import GeneratorError, SuperOperatorRep, ThermalParams, build_generator
-from .master import BlockLabel, ChargeBlocks, _isometry_entries, block_label_of
+from .master import BlockLabel, ChargeBlocks, block_label_of
 from .models import ModelSpec
 from .pauli import PauliString, mask_arrays
 from .spectral import KERNEL_RTOL, analytic_bounds
@@ -150,11 +150,8 @@ def autocorrelation(model: ModelSpec, tp: ThermalParams, couplings=None,
     charge = ChargeBlocks(lrep)
     sector_of = dict(zip(labels, of))  # the blocks, in order of first appearance
     props = [BlockPropagator.of(charge, block) for block in sector_of]
-    v = _isometry_entries(frame, charge._x_phase,
-                          *np.array([(b.flip, b.mu, b.nu) for b in sector_of]).T).conj()
-    # block coordinates: conj(v) times the sector entries, summed over the logical slots
-    rows, shape = list(sector_of.values()), (len(props), 1 << frame.n_logical, -1)
-    blocks = list(zip(props, *((v * z[rows]).reshape(shape).sum(axis=1) for z in (x, y))))
+    blocks = list(zip(props, *charge.coordinates([b.index for b in sector_of],
+                                                 np.stack([x, y])[:, list(sector_of.values())])))
     captured = sum(float(np.vdot(b, b).real) for _, b, _ in blocks)
     weight = float(np.vdot(x, x).real)
     if abs(captured - weight) > 1e-12 * weight:

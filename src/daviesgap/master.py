@@ -15,8 +15,10 @@ generator, so operator space splits into joint charge sectors labeled by a
 stabilizer flip pattern and a logical sector.  Every block is K-invariant and
 small (2^k with k independent stabilizers); ``ChargeBlocks`` assembles them
 sparse, straight from the labels of the jump components, which it checks
-against the phase structure of a Pauli coupling; no code here builds the
-full 4^n-dimensional K or a dense sector matrix.  A lattice symmetry of the
+against the phase structure of a Pauli coupling, and owns the 2^l logical
+slots of a sector: one phase table gives the blocks from logical slot 0 and
+a vector's block coordinates.  No code here builds the full
+4^n-dimensional K or a dense sector matrix.  A lattice symmetry of the
 model (``lattice_symmetries``) that leaves H and the jump components unchanged
 carries each block unitarily onto another; ``block_orbits`` checks each
 symmetry against the generator and groups the blocks into orbits of equal
@@ -38,8 +40,8 @@ from .models import ModelSpec, lattice_symmetries
 from .pauli import (PauliString, anticommutation_bits, gf2_solve_many, gf2_span, mask_arrays,
                     parity_bits, permute_masks)
 
-# sector entries, sectors x (1 + flip patterns) x dim, that ChargeBlocks.union forms per pass;
-# bigger passes save little and raise peak RSS (2^14 entries: +1.3 MB over three certify sweeps)
+# cells, sectors x (1 + flip patterns) x 2^k, that ChargeBlocks.union forms per pass, each
+# once; bigger passes save little and raise peak RSS (2^14: +1.3 MB over three certify sweeps)
 _PASS_ENTRIES = 1 << 13
 # bytes of one ChargeBlocks._discs pass, 24 per flip pattern, sector and column;
 # 2^21 was no faster on rings 10 and 12 and raised peak RSS (+0.4 MB over two certify sweeps)
@@ -114,6 +116,15 @@ def block_label_of(frame: StabilizerFrame, pauli: PauliString) -> BlockLabel:
     index is set where it anticommutes with ``_charge_ops``[b]."""
     return BlockLabel.at(frame, int(anticommutation_bits(pauli.x_mask, pauli.z_mask,
                                                          _charge_ops(frame))))
+
+
+def block_sectors(frame: StabilizerFrame, index) -> tuple:
+    """The distinct sectors of the block indices ``index`` as delta =
+    state_index(flip, mu), in order of (flip, mu); each index's position
+    among them; each index's nu."""
+    ell, low, index = frame.n_logical, (1 << frame.n_logical) - 1, np.asarray(index)
+    sectors, of = np.unique(index >> ell, return_inverse=True)
+    return frame.state_index(sectors >> ell, sectors & low), of, index & low
 
 
 # ---------------------------------------------------------------------------
@@ -298,32 +309,13 @@ def _x_phases(frame: StabilizerFrame) -> np.ndarray:
     X logicals in the bit set S in index order; each X logical must flip
     exactly its own logical bit."""
     k, u = frame.n_indep, np.arange(frame.dim)
-    phase = np.ones((1 << frame.n_logical, frame.dim), dtype=complex)
-    for subset in range(1, len(phase)):
-        i = subset.bit_length() - 1
-        rest = subset ^ (1 << i)
-        if not np.array_equal(frame.x_perm[i], u ^ (1 << (k + i))):
+    phase = np.ones((1, frame.dim), dtype=complex)
+    for i, (perm, x) in enumerate(zip(frame.x_perm, frame.x_phase)):
+        if not np.array_equal(perm, u ^ (1 << (k + i))):
             raise GeneratorError(f"X logical {i + 1} does not flip logical bit {i + 1}")
-        phase[subset] = phase[rest] * frame.x_phase[i][u ^ (rest << k)]
+        # X_{S + 2^i} = X_i X_S for the sets S below 2^i
+        phase = np.concatenate([phase, phase * x[u ^ (np.arange(len(phase))[:, None] << k)]])
     return phase
-
-
-def _isometry_entries(frame: StabilizerFrame, x_phase: np.ndarray, flip, mu,
-                      nu) -> np.ndarray:
-    """v[i, u]: the one entry, in column u mod 2^k, of row u of W[nu[i]] in the
-    sector (flip[i], mu[i]), for 1-d integer arrays flip, mu and nu.
-
-    The (dim, 2^k) isometries W[nu], one per logical-Z sector nu, together a
-    unitary on the sector's matrix units |u><u ^ state_index(flip, mu)| by ket
-    u, symmetrise |sigma, 0><sigma ^ flip, mu| over its X-logical images: row
-    u = S * 2^k + sigma holds the X_S-image with its phase and the logical-Z
-    charge (-1)^|S & nu|."""
-    s = np.arange(len(x_phase))
-    sigma = np.arange(1 << frame.n_indep)
-    image = frame.state_index(sigma ^ np.asarray(flip)[:, None], np.asarray(mu)[:, None])
-    phase = (x_phase[:, None, sigma] * x_phase[:, image].conj()).swapaxes(0, 1)
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.asarray(nu)[:, None] & s) & 1)
-    return (signs[:, :, None] * phase).reshape(len(signs), -1) / np.sqrt(len(s))
 
 
 def _collatz_max(centre: np.ndarray, cross: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -353,8 +345,11 @@ class ChargeBlocks:
     |u><u ^ delta| of one sector delta into the same sector.  The sector
     matrix has the diagonal g (D_u + D_{u^delta}), D = |s|^2 + eta^2 |s[. ^ d]|^2,
     and one cross term -2 eta g (conj(s_{u^d}) s_{u^delta^d} + s_u conj(s_{u^delta}))
-    at row u ^ d of column u; the isometries W[nu] (``_isometry_entries``)
-    split it into the sparse (flip, mu, nu) blocks.  One method reads K,
+    at row u ^ d of column u; the isometries W[nu], one per logical-Z sector
+    nu, split it into the sparse (flip, mu, nu) blocks: W[nu] sums the X_S
+    images of the slot-0 matrix units, each with its phase (``_slot_phases``,
+    the table ``union`` and ``coordinates`` read) and sign (-1)^|nu & S|,
+    over sqrt(2^l).  One method reads K,
     ``_sector_entries``: in the stabilizer frame a cross term's products are
     one sign per sector on a support set by syndrome bits (``_disc_terms``
     checks this once, and raises GeneratorError where it fails), so the
@@ -408,15 +403,13 @@ class ChargeBlocks:
         self._conj, self._support = terms.conj(), terms != 0
         # the cells: rows sigma (the diagonal), then sigma ^ d per flip pattern, of the
         # columns sigma of logical slot 0, in the stable order of their keys; the runs
-        # of one key, each summed into one block entry; each cell's sign per nu
+        # of one key, each summed into one block entry
         nk, sigma = 1 << frame.n_indep, u[:1 << frame.n_indep]
         rows = np.concatenate([sigma, (sigma ^ self._flips[:, None]).ravel()])
         key = (rows % nk) * nk + np.tile(sigma, 1 + self._flips.size)
         self._order = np.argsort(key, kind="stable")
         self._key, self._rows, self._cols = key[self._order], rows[self._order], self._order % nk
         self._start = np.flatnonzero(_new_run(self._key))
-        lift = np.arange(len(self._x_phase))[:, None] & (self._rows >> frame.n_indep)
-        self._sign = 1.0 - 2.0 * (np.bitwise_count(lift) & 1)
 
     @functools.cached_property
     def _disc_terms(self) -> tuple:
@@ -441,10 +434,10 @@ class ChargeBlocks:
         states = np.append(0, 1 << np.arange(n))
         index = np.array([c.coupling_index for c in self._components])
         phase = np.zeros((index.max() + 1, states.size), dtype=complex)
-        np.add.at(phase, index, np.array([c.weights for c in self._components])[:, states])
+        np.add.at(phase, index, [c.weights[states] for c in self._components])
         phase = phase[self._coupling]
         a = ((phase[:, 1:] != phase[:, :1]) << np.arange(n)).sum(axis=1)
-        char = phase[:, :1] * (1.0 - 2.0 * (np.bitwise_count(a[:, None] & self._u) & 1))
+        char = phase[:, :1].conj() * (1.0 - 2.0 * (np.bitwise_count(a[:, None] & self._u) & 1))
         # the supports of each flip pattern, keyed by their first state
         keys, first, of = np.unique(self._group * nk + self._support[:, :nk].argmax(axis=1),
                                     return_index=True, return_inverse=True)
@@ -452,7 +445,7 @@ class ChargeBlocks:
         labels = np.full((self._flips.size, nk), -1, dtype=np.int32)
         labels[keys[pair] // nk, state] = pair
         slots = self._support.reshape(len(a), -1, nk)
-        bad = ~((self._conj == np.where(self._support, char.conj(), 0)).all(axis=1)
+        bad = ~((self._conj == np.where(self._support, char, 0)).all(axis=1)
                 & (abs(phase[:, 0]) == 1)
                 & (slots == (labels[self._group] == of[:, None])[:, None]).all(axis=(1, 2)))
         if bad.any():
@@ -556,20 +549,34 @@ class ChargeBlocks:
         return SparseMatrix.from_entries((self._u.size,) * 2, np.tile(self._rows, slots) ^ slot,
                                          np.tile(self._cols, slots) ^ slot, np.tile(data, slots))
 
+    def _slot_phases(self, deltas: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """psi[i, u] = (-1)^|nu[i] & S| conj(p[S, sigma]) p[S, sigma ^ deltas[i]]
+        at u = S * 2^k + sigma, p of ``_x_phases``: column sigma of W[nu[i]] is
+        the sum over S of conj(psi[i, u]) |u><u ^ delta| over sqrt(2^l)."""
+        slot, sigma = np.divmod(self._u, 1 << self.frame.n_indep)
+        signs, x = 1.0 - 2.0 * (np.bitwise_count(nu[:, None] & slot) & 1), self._x_phase
+        return signs * (x[slot, sigma].conj() * x[slot, sigma ^ deltas[:, None]])
+
+    def coordinates(self, index, z) -> np.ndarray:
+        """W[nu]^dag z[..., i] for the blocks with indices ``index``, shaped
+        (..., blocks, 2^k): z[..., i, u] is a vector of block i's sector at the
+        matrix unit |u><u ^ delta|, by ket u."""
+        deltas, of, nu = block_sectors(self.frame, index)
+        w = self._slot_phases(deltas[of], nu) / math.sqrt(1 << self.frame.n_logical)
+        return (w * z).reshape(*np.shape(z)[:-1], -1, 1 << self.frame.n_indep).sum(axis=-2)
+
     def union(self, index) -> SparseMatrix:
         """The blocks W[nu]^dag K_delta W[nu] with block indices
         ``index``, in that order, as one block-diagonal sparse matrix.
 
-        The sector entry K[r, c] adds conj(v[nu, r]) K[r, c] v[nu, c] at
-        (r mod 2^k, c mod 2^k).  Conjugation by the X logicals commutes with
-        K and every phase is a unit, so a cell's entries in the 2^l logical
-        slots have bit-identical products: only slot 0 is formed.  As
-        v[nu, u] = (-1)^|nu & (u >> k)| v[0, u], the product for nu is
-        base = conj(v[0, r]) K[r, c] v[0, c], formed once per sector, times
-        the exact sign (-1)^|nu & T| of the cell's logical flip T = r >> k.
-        Each distinct sector is read once from ``_sector_entries``, in
-        passes of at most _PASS_ENTRIES sector entries or one sector (one
-        complex product per entry and block); its label check raises
+        Conjugation by the X logicals commutes with K, so each of the 2^l
+        logical slots of W[nu] gives the block the same share: the block is
+        the slot-0 cells alone, K[r, sigma] psi[r] at (r mod 2^k, sigma), psi
+        (``_slot_phases``) the phase and charge sign of the row's slot r >> k,
+        with no 1/2^l to cancel.  Each distinct sector is
+        read once from ``_sector_entries``, in passes of at most
+        _PASS_ENTRIES cells or one sector, and each of its cells is
+        multiplied once per block by its phase and sign; the label check raises
         GeneratorError for a generator off the phase structure.  A run of
         one key is summed in stable key order with its zero entries; the
         per-sector reference drops them, which changes a sum only if the
@@ -577,24 +584,18 @@ class ChargeBlocks:
         than 9 entries holds a zero, and no coupling set here does either (a
         run's cells flip the same stabilizers).  The union is real when its
         imaginary part vanishes exactly (faster eigensolvers)."""
-        frame, nk, ell = self.frame, 1 << self.frame.n_indep, self.frame.n_logical
-        m, cells, runs = 1 << ell, self._key.size, self._start.size
-        index = np.asarray(index)
-        sectors, of = np.unique(index >> ell, return_inverse=True)
+        nk, cells, runs = 1 << self.frame.n_indep, self._key.size, self._start.size
+        deltas, of, nu = block_sectors(self.frame, index)
         by = np.argsort(of, kind="stable")  # the positions of index, grouped by sector
-        per = max(1, _PASS_ENTRIES // (cells * m))
+        per = max(1, _PASS_ENTRIES // cells)
         data, rows, cols = [], [], []
-        for a, pos in zip(range(0, sectors.size, per),
-                          np.split(by, np.searchsorted(of[by], np.arange(per, sectors.size, per)))):
-            flip, mu = sectors[a:a + per] >> ell, sectors[a:a + per] & (m - 1)
-            base = self._sector_entries(frame.state_index(flip, mu)).reshape(flip.size, -1)
-            v = _isometry_entries(frame, self._x_phase, flip, mu, np.zeros_like(flip))
-            base = base[:, self._order] * np.take(v.conj(), self._rows, axis=1)
-            base *= np.take(v, self._cols, axis=1)
-            # each position's products, signed by its nu, over the 2^l slots of every cell
-            s = of[pos] - a
-            products = np.repeat(base[s] * self._sign[index[pos] & (m - 1)], m, axis=1)
-            heads = (self._start + cells * np.arange(s.size)[:, None]) * m
+        for a, pos in zip(range(0, deltas.size, per),
+                          np.split(by, np.searchsorted(of[by], np.arange(per, deltas.size, per)))):
+            part = deltas[a:a + per]
+            base = self._sector_entries(part).reshape(part.size, -1)[:, self._order]
+            s = of[pos] - a  # each position's cells, times their phase and sign
+            products = base[s] * np.take(self._slot_phases(part[s], nu[pos]), self._rows, axis=1)
+            heads = self._start + cells * np.arange(s.size)[:, None]
             sums = np.add.reduceat(products.ravel(), heads.ravel())
             at = np.flatnonzero(sums != 0)
             p, run = np.divmod(at, runs)
@@ -606,7 +607,7 @@ class ChargeBlocks:
         if (np.diff(by) < 0).any():  # index not grouped by sector: put the rows in order
             order = np.argsort(rows, kind="stable")
             data, rows, cols = data[order], rows[order], cols[order]
-        return SparseMatrix((index.size * nk,) * 2, rows, cols,
+        return SparseMatrix((of.size * nk,) * 2, rows, cols,
                             data if data.imag.any() else data.real.copy())
 
     def block(self, label: BlockLabel) -> SparseMatrix:

@@ -28,7 +28,8 @@ import numpy as np
 from .basis import build_frame
 from .davies import (SuperOperatorRep, ThermalParams, build_generator,
                      default_couplings, GeneratorError)
-from .master import BlockLabel, ChargeBlocks, SparseMatrix, _components, block_orbits
+from .master import (BlockLabel, ChargeBlocks, SparseMatrix, _components, block_orbits,
+                     block_sectors)
 from .models import ModelSpec, build_ising_ring, build_toric_code
 from .pauli import commutant_dimension
 
@@ -625,16 +626,15 @@ def gap_from_blocks(lrep: SuperOperatorRep, expected_kernel=None,
     orbits = block_orbits(lrep)
     reps = np.unique(orbits.rep)
     t_orbits = time.perf_counter()
-    ell, dim = frame.n_logical, 1 << frame.n_indep
-    sectors, sector_of = np.unique(reps >> ell, return_inverse=True)
-    deltas = frame.state_index(sectors >> ell, sectors & ((1 << ell) - 1))
+    dim = 1 << frame.n_indep
+    deltas, sector_of, _ = block_sectors(frame, reps)
     lo, hi = charge.sector_bounds(deltas)
     bounds_s = time.perf_counter() - t_orbits
     per = max(1, _BATCH_NODES // dim)
-    narrowed, solved = np.zeros((2, sectors.size), dtype=bool)
+    narrowed, solved = np.zeros((2, deltas.size), dtype=bool)
     batches, spectra, held, rounds = [], [], (-1, None), 0
     charge_s, solve_s, top, least = t_charge - t0, 0.0, -np.inf, np.inf
-    todo = np.full(sectors.size, inventory)
+    todo = np.full(deltas.size, inventory)
     todo[[lo.argmin(), hi.argmax()]] = True
     while todo.any():
         solved |= todo

@@ -145,19 +145,22 @@ def sector_index(frame, flip: int, mu: int) -> np.ndarray:
     return u + frame.dim * (u ^ frame.state_index(flip, mu))
 
 
-def _sector_isometry_entries(frame, x_phase, flip: int, mu: int) -> np.ndarray:
-    """v[nu, u] of one sector, every nu: ``master._isometry_entries`` one
-    sector at a time."""
+def _sector_isometry_entries(frame, flip: int, mu: int) -> np.ndarray:
+    """v[nu, u] of one sector, every nu, unnormalized: X_S's phase on the
+    matrix unit of ket u = S * 2^k + sigma, times the logical-Z charge
+    (-1)^|S & nu|, each a unit."""
+    x_phase = _x_phases(frame)
     s = np.arange(len(x_phase))
     sigma = np.arange(1 << frame.n_indep)
     phase = x_phase[:, sigma] * x_phase[:, frame.state_index(sigma ^ flip, mu)].conj()
     signs = 1.0 - 2.0 * (np.bitwise_count(s[:, None] & s[None, :]) & 1)
-    return (signs[:, :, None] * phase[None]).reshape(len(s), -1) / np.sqrt(len(s))
+    return (signs[:, :, None] * phase[None]).reshape(len(s), -1)
 
 
 def sector_isometries(frame, flip: int, mu: int) -> np.ndarray:
-    """W[nu] of ``master._isometry_entries`` as a dense (dim, 2^k) array per nu."""
-    v = _sector_isometry_entries(frame, _x_phases(frame), flip, mu)
+    """W[nu], the columns of one sector's matrix units that block nu spans,
+    as a dense (dim, 2^k) array per nu."""
+    v = _sector_isometry_entries(frame, flip, mu) / np.sqrt(1 << frame.n_logical)
     u = np.arange(frame.dim)
     w = np.zeros(v.shape + (1 << frame.n_indep,), dtype=complex)
     w[:, u, u % w.shape[2]] = v
@@ -201,7 +204,12 @@ def projected_traces(lrep: SuperOperatorRep, observable, times) -> tuple:
 def sector_blocks(charge: ChargeBlocks, flip: int, mu: int) -> list:
     """W[nu]^dag K_delta W[nu] for every nu, one sector at a time, each block
     real when its imaginary part vanishes exactly: the reference for
-    ``ChargeBlocks.union``, with the same arithmetic in the same order."""
+    ``ChargeBlocks.union``, with the same arithmetic in the same order.
+
+    Each logical slot's columns give 1/2^l of the block; formed with the
+    unnormalized isometry entries, the 2^l slot blocks must be bit-identical
+    (the X logicals commute with K and every phase is a unit), and slot 0's
+    is returned, the one that ``union`` forms."""
     frame = charge.frame
     u = np.arange(frame.dim)
     ud = u ^ frame.state_index(flip, mu)
@@ -214,20 +222,28 @@ def sector_blocks(charge: ChargeBlocks, flip: int, mu: int) -> list:
         data.append(-(p + p[u ^ d].conj()))
     rows, cols, data = np.concatenate(rows), np.tile(u, len(rows)), np.concatenate(data)
     rows, cols, data = rows[data != 0], cols[data != 0], data[data != 0]
-    v = _sector_isometry_entries(frame, charge._x_phase, flip, mu)
+    v = _sector_isometry_entries(frame, flip, mu)
     nk = 1 << frame.n_indep
-    key = (rows % nk) * nk + cols % nk
-    order = np.argsort(key, kind="stable")
-    heads = np.flatnonzero(np.diff(key[order], prepend=-1))
-    key = key[order][heads]
-    blocks = []
-    for entries in np.add.reduceat((v[:, rows].conj() * data * v[:, cols])[:, order],
-                                   heads, axis=1):
-        at, entries = key[entries != 0], entries[entries != 0]
-        blocks.append(sp.csr_matrix(
-            (entries if entries.imag.any() else entries.real.copy(), at % nk,
-             np.searchsorted(at, np.arange(0, nk * nk + 1, nk))), shape=(nk, nk)))
-    return blocks
+    slots = []
+    for slot in range(1 << frame.n_logical):
+        r, c, x = (a[cols // nk == slot] for a in (rows, cols, data))
+        key = (r % nk) * nk + c % nk
+        order = np.argsort(key, kind="stable")
+        heads = np.flatnonzero(np.diff(key[order], prepend=-1))
+        key = key[order][heads]
+        blocks = []
+        for entries in np.add.reduceat((v[:, r].conj() * x * v[:, c])[:, order], heads, axis=1):
+            at, entries = key[entries != 0], entries[entries != 0]
+            blocks.append(sp.csr_matrix(
+                (entries if entries.imag.any() else entries.real.copy(), at % nk,
+                 np.searchsorted(at, np.arange(0, nk * nk + 1, nk))), shape=(nk, nk)))
+        slots.append(blocks)
+    for blocks in slots[1:]:
+        for got, ref in zip(blocks, slots[0]):
+            assert got.dtype == ref.dtype and all(
+                np.array_equal(getattr(got, f), getattr(ref, f))
+                for f in ("indptr", "indices", "data")), f"slot blocks differ in sector {flip, mu}"
+    return slots[0]
 
 
 def read_coo_text(path) -> sp.csr_matrix:

@@ -13,7 +13,7 @@ from daviesgap.davies import (GeneratorError, ThermalParams, build_generator,
 from daviesgap.dynamics import (BlockPropagator, EvolutionError,
                                 autocorrelation, default_time_grid,
                                 fit_decay_rate, relaxation_time)
-from daviesgap.master import BlockLabel, ChargeBlocks
+from daviesgap.master import BlockLabel, ChargeBlocks, block_label_of
 from daviesgap.models import build_ising_ring, build_toric_code
 from daviesgap.pauli import PauliString, PauliSum
 from daviesgap.spectral import analytic_bounds, certify
@@ -104,6 +104,23 @@ class TestExponentialAction:
             full, dissip = projected_traces(lrep, observable, times)
             assert np.abs(tr.values_full - full).max() < 1e-12, observable
             assert np.abs(tr.values_dissipative - dissip).max() < 1e-12, observable
+
+    def test_torus_sum_over_two_nu_blocks_matches_projection_oracle(self, toric2):
+        # X1 + X1 Z2: both terms in the sector (flip 0, X1), in the blocks
+        # nu = 0 and nu = Z2, so the coordinates carry two charge signs
+        tp = ThermalParams.from_betaJ(0.25)
+        lrep = build_generator(toric2, tp=tp)
+        x1, z2 = toric2.logicals[0][0], toric2.logicals[1][1]
+        observable = PauliSum(8, [(1.0, x1), (1.0, x1 * z2)])
+        labels = [block_label_of(lrep.frame, p) for _, p in observable.terms]
+        assert [(l.flip, l.mu, l.nu) for l in labels] == [(0, 1, 0), (0, 1, 2)]
+        a = matrix_of(lrep.frame, observable).toarray()
+        assert np.sum(lrep.rho * a.diagonal()) == 0
+        times = [0.0, 0.05, 0.9, 4.0, 20.0]
+        tr = autocorrelation(toric2, tp, observable=observable, grid=times, lrep=lrep)
+        full, dissip = projected_traces(lrep, observable, times)
+        assert np.abs(tr.values_full - full).max() < 1e-12
+        assert np.abs(tr.values_dissipative - dissip).max() < 1e-12
 
     def test_identity_is_preserved(self, ising3_props):
         # the identity maps to rho^{1/2}, all of it in block (flip 0, sector I)

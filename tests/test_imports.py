@@ -1,7 +1,9 @@
 """The gap, certify, dynamics and chain paths and the torus sign-flip
-restriction load no scipy module and no ``numpy.random``, and every command
-runs with scipy blocked from import."""
+restriction load no scipy module and no ``numpy.random``, every command
+runs with scipy blocked from import, and ``dynamics`` reads the charge
+blocks through public names only."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -86,3 +88,13 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
                           tmp_path) == ["scipy"]
     assert (tmp_path / "ring3.coo").read_text().split()[:2] == ["64", "100"]
     assert (tmp_path / "torus2.coo").read_text().split()[:2] == ["65536", "311296"]
+
+
+def test_dynamics_uses_no_private_name_of_master():
+    tree = ast.parse((SRC / "daviesgap" / "dynamics.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "master"
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    assert not [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr.startswith("_") and not node.attr.startswith("__")]

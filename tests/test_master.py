@@ -273,6 +273,20 @@ class TestDirectAssembly:
         assert sorted(formed) == sorted(set(frame.state_index(sectors >> frame.n_logical,
                                                               sectors & ((1 << frame.n_logical) - 1))))
 
+    @pytest.mark.parametrize("case", ["ring5", "torus2"])
+    def test_union_is_independent_of_the_pass_split(self, case, monkeypatch):
+        # one sector per pass, and every sector in one pass
+        lrep = build_generator(ORBIT_CASES[case](), tp=ThermalParams.from_betaJ(0.25))
+        charge = ChargeBlocks(lrep)
+        index = np.arange(len(block_labels(lrep.frame)))
+        want = csr(charge.union(index))
+        for entries in (1, 2 ** 30):
+            monkeypatch.setattr(master_module, "_PASS_ENTRIES", entries)
+            got = csr(charge.union(index))
+            assert got.dtype == want.dtype
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
     def test_signed_union_equals_per_sector_oracle_bit_for_bit(self, toric_x_lrep, toric2):
         # the sign-flipped operator of the torus x generator, on every block
         spec = _x_block_specs(toric2)["two-flips-nu1-mu2"]
